@@ -209,10 +209,11 @@ def _normalize(c: int, m: Dict[Sym, int]) -> Lin:
 
 def _dedupe(cons: List[Lin]) -> List[Lin]:
     """Keep only the tightest (smallest-constant) row per coefficient set."""
-    best: Dict[tuple, int] = {}
+    best: Dict[frozenset, Lin] = {}
     for c, m in cons:
-        key = tuple(sorted(((k.id, k), v) for k, v in m.items()))
-        if key not in best or c < best[key][0]:
+        key = frozenset((k.id, v) for k, v in m.items())
+        old = best.get(key)
+        if old is None or c < old[0]:
             best[key] = (c, m)
     return list(best.values())
 
@@ -238,11 +239,16 @@ def refute(cons: List[Lin]) -> bool:
         return False
     while vars_:
         # eliminate the variable with the fewest pos*neg pairings
+        # (rows are normalized: every stored coefficient is nonzero)
+        pos: Dict[Sym, int] = {}
+        neg: Dict[Sym, int] = {}
+        for _c, m in work:
+            for k, a in m.items():
+                side = pos if a > 0 else neg
+                side[k] = side.get(k, 0) + 1
         best_v, best_cost = None, None
         for v in vars_:
-            pos = sum(1 for _c, m in work if m.get(v, 0) > 0)
-            neg = sum(1 for _c, m in work if m.get(v, 0) < 0)
-            cost = pos * neg
+            cost = pos.get(v, 0) * neg.get(v, 0)
             if best_cost is None or cost < best_cost:
                 best_v, best_cost = v, cost
         if best_cost > MAX_COMBOS:
@@ -346,6 +352,43 @@ def _pos_atoms(t: S.Term, out: List[Lin], lz: Linearizer) -> bool:
     return False
 
 
+def _cone(context: List[Lin], goal_rows: List[Lin]) -> List[Lin]:
+    """The context rows linked to the goal rows through chains of shared
+    variables, plus the variable-free rows (a false fact)."""
+    linked = set()
+    for _c, m in goal_rows:
+        linked.update(m)
+    out: List[Lin] = []
+    pending = context
+    grew = True
+    while grew:
+        grew = False
+        rest = []
+        for row in pending:
+            if not row[1] or not linked.isdisjoint(row[1]):
+                out.append(row)
+                linked.update(row[1])
+                grew = True
+            else:
+                rest.append(row)
+        pending = rest
+    return out
+
+
+def _refute_goal(context: List[Lin], goal_rows: List[Lin]) -> bool:
+    """``refute(context + goal_rows)``, first on the goal's cone of
+    influence only.  Rows sharing no variable with the goal (the bounds of
+    unrelated loops, most assertions) cannot take part in refuting it
+    unless the context alone is infeasible, which the full system, tried
+    second, still catches.  Refuting a subset of the rows refutes the
+    whole conjunction, so a proof found on the cone is sound; the cone
+    only keeps the eliminations small."""
+    cone = _cone(context, goal_rows)
+    if len(cone) < len(context) and refute(cone + goal_rows):
+        return True
+    return refute(context + goal_rows)
+
+
 def _prove_goal(goal: S.Term, facts: List[Lin], lz: Linearizer) -> bool:
     if goal == S.TRUE:
         return True
@@ -357,18 +400,18 @@ def _prove_goal(goal: S.Term, facts: List[Lin], lz: Linearizer) -> bool:
                 # prove both directions: refute facts ∧ (l > r), facts ∧ (l < r)
                 le_dir = lz.neg_atom_cons(S.Cmp("<=", goal.lhs, goal.rhs))
                 ge_dir = lz.neg_atom_cons(S.Cmp(">=", goal.lhs, goal.rhs))
-                return refute(facts + lz.cons + le_dir) and refute(
-                    facts + lz.cons + ge_dir
+                return _refute_goal(facts + lz.cons, le_dir) and _refute_goal(
+                    facts + lz.cons, ge_dir
                 )
             neg = lz.neg_atom_cons(goal)
         except NonAffine:
             return False
-        return refute(facts + lz.cons + neg)
+        return _refute_goal(facts + lz.cons, neg)
     if isinstance(goal, S.Not):
         atoms: List[Lin] = []
         if not _pos_atoms(goal.arg, atoms, lz):
             return False
-        return refute(facts + lz.cons + atoms)
+        return _refute_goal(facts + lz.cons, atoms)
     return False
 
 

@@ -34,7 +34,6 @@ from ..core.pprint import expr_to_str
 from ..core.prelude import SchedulingError, Sym
 from ..effects.api import Ctx, checks_enabled
 from ..effects.effects import (
-    EffectExtractor,
     EGuard,
     ELoop,
     ERead,
@@ -101,19 +100,7 @@ def _loop_body_effect(ctx: Ctx, loop: IR.For):
     ex = ctx.extractor()
     lo = ex._ctrl(loop.lo)
     hi = ex._ctrl(loop.hi)
-    entry = ex.state.copy()
-    havoced = set()
-    for _round in range(64):
-        probe = EffectExtractor(ex.tenv.copy(), entry.copy())
-        probe.block_effect(loop.body)
-        changed = [f for f in probe.state.changed_fields(entry) if f not in havoced]
-        if not changed:
-            break
-        for f in changed:
-            entry.havoc(f)
-            havoced.add(f)
-    body_ex = EffectExtractor(ex.tenv.copy(), entry)
-    return body_ex.block_effect(loop.body), lo, hi
+    return ex.loop_body(loop.body).block_effect(loop.body), lo, hi
 
 
 def _describe(kind: str, root: Sym, idx) -> str:

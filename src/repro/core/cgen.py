@@ -18,6 +18,7 @@ memory-addressability are validated immediately before code generation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .prelude import BackendError, InternalError, Sym, _FreshNamer
@@ -437,7 +438,7 @@ class _ProcCompiler:
             return [f"{self.nm(name)}.strides[{d}]" for d in range(rank)]
         out = []
         for d in range(rank):
-            terms = [self.expr(h) for h in typ.shape()[d + 1 :]]
+            terms = [_factor(self.expr(h)) for h in typ.shape()[d + 1 :]]
             out.append(" * ".join(terms) if terms else "1")
         return out
 
@@ -531,6 +532,12 @@ class _ProcCompiler:
         r = self.expr(e.rhs, 1)
         s = f"{l} {op} {r}"
         return f"({s})" if prec > 0 else s
+
+
+def _factor(c: str) -> str:
+    """``c`` as an operand of ``*``: a shape extent such as ``OY + 2`` or
+    ``(n) / (4)`` is parenthesized, a name or literal is left bare."""
+    return c if re.fullmatch(r"[\w.]+", c) else f"({c})"
 
 
 def pred_comment(pred: IR.Expr) -> str:

@@ -61,30 +61,85 @@ def bounds_check(proc: IR.Proc, solver=None, scope=None):
     With a :class:`RecheckScope`, only obligations the scope marks dirty
     are re-proven (the walk still runs in full, maintaining dataflow
     state, but goal assembly and proving are skipped elsewhere)."""
-    with _obs.span("effects.bounds_check"):
-        _bounds_check(proc, solver, scope)
+    _run_checkers(proc, [_BoundsChecker(proc, solver, scope)])
 
 
-def _bounds_check(proc: IR.Proc, solver=None, scope=None):
-    base = proc_assumptions(proc)
-    errors = []
+def assert_check(proc: IR.Proc, solver=None, scope=None):
+    """Prove every call's preconditions; raise on failure."""
+    _run_checkers(proc, [_AssertChecker(proc, solver, scope)])
 
-    def check(goal, facts, what, srcinfo, detail=""):
-        if not _prove(base + facts, goal, solver, category="bounds"):
+
+def _run_checkers(proc: IR.Proc, checkers):
+    """Discharge every checker's obligations from ONE execution-ordered
+    walk of ``proc``, then report them in checker order: the first
+    checker with errors raises, and a later checker's incremental
+    counters are recorded only when every earlier one passed -- exactly as
+    if each had walked the procedure on its own, in turn."""
+    first, rest = checkers[0], checkers[1:]
+
+    def visit(s, path, facts, state, tenv):
+        first.visit(s, path, facts, state, tenv)
+        for c in rest:
+            with _obs.span(c.span):
+                c.visit(s, path, facts, state, tenv)
+
+    # the walk itself is charged to the first checker's span
+    with _obs.span(first.span):
+        Walker(proc, visit).run()
+    for c in checkers:
+        c.finish()
+
+
+class _Checker:
+    """One obligation family visited during a :class:`Walker` run; a
+    subclass names its obs ``span`` and the ``error`` class it raises."""
+
+    def __init__(self, proc: IR.Proc, solver, scope):
+        self.base = proc_assumptions(proc)
+        self.solver = solver
+        self.scope = scope
+        self.errors = []
+        self.reused = 0
+        self.rechecked = 0
+
+    def needs(self, path) -> bool:
+        if self.scope is None:
+            return True
+        if self.scope.needs(path):
+            self.rechecked += 1
+            return True
+        self.reused += 1
+        return False
+
+    def finish(self):
+        if self.reused:
+            _obs.incr("analysis.incremental.reused", self.reused)
+        if self.rechecked:
+            _obs.incr("analysis.incremental.rechecked", self.rechecked)
+        if self.errors:
+            raise self.error("\n".join(self.errors))
+
+
+class _BoundsChecker(_Checker):
+    span = "effects.bounds_check"
+    error = BoundsCheckError
+
+    def check(self, goal, facts, what, srcinfo, detail=""):
+        if not _prove(self.base + facts, goal, self.solver, category="bounds"):
             msg = f"{srcinfo}: cannot prove {what}"
             extras = [detail] if detail else []
-            cex = _counterexample(base + facts, goal, solver)
+            cex = _counterexample(self.base + facts, goal, self.solver)
             if cex:
                 extras.append(f"counterexample: {cex}")
             if extras:
                 msg += f" ({'; '.join(extras)})"
-            errors.append(msg)
+            self.errors.append(msg)
 
-    def check_idx(name, idx_terms, shape, facts, srcinfo, tenv, state):
+    def check_idx(self, name, idx_terms, shape, facts, srcinfo, tenv, state):
         for i_t, extent in zip(idx_terms, shape):
             ext_t = lower_ctrl(extent, tenv, state)
             ok = S.conj(S.ge(i_t, S.IntC(0)), S.lt(i_t, ext_t))
-            check(
+            self.check(
                 ok,
                 facts,
                 f"access to {name} in bounds",
@@ -95,12 +150,12 @@ def _bounds_check(proc: IR.Proc, solver=None, scope=None):
                 ),
             )
 
-    def check_expr(e, facts, tenv, state):
+    def check_expr(self, e, facts, tenv, state):
         for sub in IR.walk_exprs(e):
             if isinstance(sub, IR.Read) and sub.idx:
                 typ = tenv.type_of(sub.name)
                 idx_terms = [lower_ctrl(i, tenv, state) for i in sub.idx]
-                check_idx(
+                self.check_idx(
                     sub.name, idx_terms, typ.shape(), facts, sub.srcinfo, tenv, state
                 )
             elif isinstance(sub, IR.WindowExpr):
@@ -113,7 +168,7 @@ def _bounds_check(proc: IR.Proc, solver=None, scope=None):
                         ok = S.conj(
                             S.ge(lo, S.IntC(0)), S.le(lo, hi), S.le(hi, ext_t)
                         )
-                        check(
+                        self.check(
                             ok,
                             facts,
                             f"window of {sub.name} in bounds",
@@ -127,7 +182,7 @@ def _bounds_check(proc: IR.Proc, solver=None, scope=None):
                     else:
                         pt = lower_ctrl(w.pt, tenv, state)
                         ok = S.conj(S.ge(pt, S.IntC(0)), S.lt(pt, ext_t))
-                        check(
+                        self.check(
                             ok,
                             facts,
                             f"window of {sub.name} in bounds",
@@ -138,50 +193,35 @@ def _bounds_check(proc: IR.Proc, solver=None, scope=None):
                             ),
                         )
 
-    def visit(s, path, facts, state, tenv):
-        if scope is not None:
-            if not scope.needs(path):
-                _obs.incr("analysis.incremental.reused")
-                return
-            _obs.incr("analysis.incremental.rechecked")
+    def visit(self, s, path, facts, state, tenv):
+        if not self.needs(path):
+            return
         for e in IR.stmt_exprs(s):
-            check_expr(e, facts, tenv, state)
+            self.check_expr(e, facts, tenv, state)
         if isinstance(s, (IR.Assign, IR.Reduce)) and s.idx:
             typ = tenv.type_of(s.name)
             idx_terms = [lower_ctrl(i, tenv, state) for i in s.idx]
-            check_idx(s.name, idx_terms, typ.shape(), facts, s.srcinfo, tenv, state)
+            self.check_idx(
+                s.name, idx_terms, typ.shape(), facts, s.srcinfo, tenv, state
+            )
         if isinstance(s, IR.Alloc) and s.type.is_tensor_or_window():
             for h in s.type.shape():
-                check(
+                self.check(
                     S.ge(lower_ctrl(h, tenv, state), S.IntC(1)),
                     facts,
                     f"allocation extent of {s.name} positive",
                     s.srcinfo,
                 )
 
-    Walker(proc, visit).run()
-    if errors:
-        raise BoundsCheckError("\n".join(errors))
 
+class _AssertChecker(_Checker):
+    span = "effects.assert_check"
+    error = AssertCheckError
 
-def assert_check(proc: IR.Proc, solver=None, scope=None):
-    """Prove every call's preconditions; raise on failure."""
-    with _obs.span("effects.assert_check"):
-        _assert_check(proc, solver, scope)
-
-
-def _assert_check(proc: IR.Proc, solver=None, scope=None):
-    base = proc_assumptions(proc)
-    errors = []
-
-    def visit(s, path, facts, state, tenv):
-        if not isinstance(s, IR.Call):
+    def visit(self, s, path, facts, state, tenv):
+        if not isinstance(s, IR.Call) or not self.needs(path):
             return
-        if scope is not None:
-            if not scope.needs(path):
-                _obs.incr("analysis.incremental.reused")
-                return
-            _obs.incr("analysis.incremental.rechecked")
+        base, solver = self.base, self.solver
         callee = s.proc
         sub = {}
         stride_extra = {}
@@ -216,7 +256,7 @@ def _assert_check(proc: IR.Proc, solver=None, scope=None):
                     )
         for goal, what in shape_goals:
             if not _prove(base + facts, goal, solver, category="assert"):
-                errors.append(
+                self.errors.append(
                     f"{s.srcinfo}: call to {callee.name}: cannot prove {what}"
                 )
         for pred in callee.preds:
@@ -224,14 +264,21 @@ def _assert_check(proc: IR.Proc, solver=None, scope=None):
             t = S.substitute(t, sub)
             t = state.subst_term(t)
             if not _prove(base + facts, t, solver, category="assert"):
-                errors.append(
+                self.errors.append(
                     f"{s.srcinfo}: call to {callee.name}: cannot prove "
                     f"precondition"
                 )
 
-    Walker(proc, visit).run()
-    if errors:
-        raise AssertCheckError("\n".join(errors))
+
+def _check_bounds_and_asserts(proc: IR.Proc, solver=None, scope=None):
+    """:func:`bounds_check` then :func:`assert_check`, from one walk."""
+    _run_checkers(
+        proc,
+        [
+            _BoundsChecker(proc, solver, scope),
+            _AssertChecker(proc, solver, scope),
+        ],
+    )
 
 
 def _actual_extent(actual, d, tenv, state):
@@ -248,9 +295,9 @@ def _actual_extent(actual, d, tenv, state):
 
 def check_proc(proc: IR.Proc, solver=None):
     """Run the front-end pipeline: bounds, preconditions, and the race
-    detector over any ``par`` loops (user-written or rewrite-preserved)."""
-    bounds_check(proc, solver)
-    assert_check(proc, solver)
+    detector over any ``par`` loops (user-written or rewrite-preserved).
+    Bounds and preconditions share one dataflow walk."""
+    _check_bounds_and_asserts(proc, solver)
     from ..analysis.parallel import check_par_loops  # deferred: avoids cycle
 
     check_par_loops(proc)
@@ -356,8 +403,7 @@ def check_proc_incremental(proc: IR.Proc, fwd, solver=None):
         return check_proc(proc, solver)
     scope = RecheckScope(proc, fwd.touched, fwd.ctx_dirty)
     with _obs.span("analysis.incremental"):
-        bounds_check(proc, solver, scope=scope)
-        assert_check(proc, solver, scope=scope)
+        _check_bounds_and_asserts(proc, solver, scope)
         from ..analysis.parallel import check_par_loops
 
         check_par_loops(proc, scope=scope)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ..obs import trace as _obs
 from ..smt import terms as S
 from .prelude import InternalError, Sym
 from . import ast as IR
@@ -80,13 +81,77 @@ def lower_ctrl(e: IR.Expr, tenv: TypeEnv, state: GlobalState) -> S.Term:
     return state.subst_term(t)
 
 
+def writes_config(node) -> bool:
+    """May executing ``node`` -- a statement or a block -- write any
+    configuration field?
+
+    The summary is transitive through calls (a call writes config when its
+    callee's body does, at any depth) and memoized on each statement
+    object: IR nodes are immutable, so a statement's answer never changes,
+    and a rewrite that rebuilds a subtree gets fresh nodes that are
+    summarized anew.  Loops, branches and calls for which it is False
+    leave the dataflow state unchanged, so the walks below skip their
+    loop-entry fixpoints and state-only re-walks."""
+    if isinstance(node, (tuple, list)):
+        return any(writes_config(s) for s in node)
+    cached = node.__dict__.get("_writes_config")
+    if cached is None:
+        if isinstance(node, IR.WriteConfig):
+            cached = True
+        elif isinstance(node, IR.If):
+            cached = writes_config(node.body) or writes_config(node.orelse)
+        elif isinstance(node, IR.For):
+            cached = writes_config(node.body)
+        elif isinstance(node, IR.Call):
+            cached = writes_config(node.proc.body)
+        else:
+            cached = False
+        # frozen dataclass: the memo lives outside the dataclass fields, so
+        # equality, hashing and printing are unaffected
+        node.__dict__["_writes_config"] = cached
+    return cached
+
+
+def loop_fixpoint(body, state: GlobalState, step: Callable):
+    """The loop-entry fixpoint of the paper's convergence heuristic.
+
+    ``step(entry)`` runs one iteration of ``body`` from a *copy* of the
+    candidate entry state and returns the state after it.  Every field the
+    iteration may change is havoced at entry (a fresh unknown), until a
+    round changes no field not already havoced.  Returns ``(entry, out,
+    havoc_vars)``: the stabilized entry state, the state after one
+    iteration from it (the converged round, so callers need not re-walk the
+    body to learn the loop's exit values), and the fresh unknowns
+    introduced.  A body that writes no config is its own fixpoint: no
+    round runs and ``out`` is ``entry``."""
+    entry = state.copy()
+    havoc_vars = set()
+    if not writes_config(body):
+        return entry, entry, havoc_vars
+    havoced = set()
+    for _round in range(64):
+        _obs.incr("dataflow.fixpoint_rounds")
+        out = step(entry.copy())
+        changed = [f for f in out.changed_fields(entry) if f not in havoced]
+        if not changed:
+            return entry, out, havoc_vars
+        for f in changed:
+            entry.havoc(f)
+            havoc_vars |= S.free_vars(entry.get(f))
+            havoced.add(f)
+    raise InternalError("config dataflow failed to converge")
+
+
 class Walker:
     """Execution-ordered walk of a procedure with dataflow and facts.
 
     ``visit(stmt, path, facts, state, tenv)`` is called for every statement
     in program order with the *pre*-state.  Loop bodies are visited once,
     under the stabilized entry state and with the iteration-bound facts in
-    scope.
+    scope.  Non-visiting walks (fixpoint rounds) step over statements that
+    write no config (:func:`writes_config`), so each loop body is walked
+    once per enclosing fixpoint round rather than once per round of every
+    enclosing loop.
     """
 
     def __init__(self, proc: IR.Proc, visit: Optional[Callable] = None):
@@ -114,6 +179,9 @@ class Walker:
         return state
 
     def _walk_stmt(self, s, path, facts, state, tenv, do_visit):
+        if not do_visit and isinstance(s, (IR.For, IR.If, IR.Call)):
+            if not writes_config(s):
+                return state
         if isinstance(s, IR.WriteConfig):
             csym = config_sym(s.config, s.field)
             value = lower_ctrl(s.rhs, tenv, state)
@@ -144,36 +212,25 @@ class Walker:
         lo = lower_ctrl(s.lo, tenv, state)
         hi = lower_ctrl(s.hi, tenv, state)
         body_path = path + [("body", None)]
+
+        def step(probe):
+            _obs.incr("dataflow.body_walks")
+            return self._walk_block(s.body, body_path, [], probe, tenv.copy(), False)
+
         # find the loop-entry fixpoint: fields not provably loop-invariant
         # are havoced (the paper's convergence heuristic)
-        entry = state.copy()
-        havoc_vars = set()
-        havoced = set()
-        for _round in range(64):
-            probe = entry.copy()
-            out = self._walk_block(
-                s.body, body_path, [], probe, tenv.copy(), False
-            )
-            changed = [f for f in out.changed_fields(entry) if f not in havoced]
-            if not changed:
-                break
-            for f in changed:
-                entry.havoc(f)
-                havoc_vars |= S.free_vars(entry.get(f))
-                havoced.add(f)
-        else:
-            raise InternalError("config dataflow failed to converge")
+        entry, out, havoc_vars = loop_fixpoint(s.body, state, step)
         if do_visit and self.visit is not None:
+            _obs.incr("dataflow.body_walks")
             bound = [S.le(lo, S.Var(s.iter)), S.lt(S.Var(s.iter), hi)]
             self._walk_block(
                 s.body, body_path, facts + bound, entry.copy(), tenv.copy(), True
             )
-        # post-loop state: a field whose exit value is the same definite,
-        # iteration-independent term every iteration keeps that value when
-        # the loop provably runs (the config-hoisting pattern of §2.4);
-        # anything else is havoced (zero-or-variant trips)
-        probe = entry.copy()
-        out = self._walk_block(s.body, body_path, [], probe, tenv.copy(), False)
+        # post-loop state, from the converged round's exit: a field whose
+        # exit value is the same definite, iteration-independent term every
+        # iteration keeps that value when the loop provably runs (the
+        # config-hoisting pattern of §2.4); anything else is havoced
+        # (zero-or-variant trips)
         runs = None  # lazily-proven "at least one iteration"
         exit_state = state.copy()
         for f in set(entry.changed_fields(state)) | set(
@@ -198,6 +255,8 @@ class Walker:
 
     def _apply_call(self, s: IR.Call, state, tenv) -> GlobalState:
         """Apply the callee's effect on configuration state."""
+        if not writes_config(s):
+            return state
         callee = s.proc
         sub = {}
         stride_extra = {}
@@ -220,6 +279,8 @@ class Walker:
 
     def _walk_callee_block(self, block, sub, stride_extra, ctenv, state):
         for s in block:
+            if isinstance(s, (IR.For, IR.If, IR.Call)) and not writes_config(s):
+                continue
             if isinstance(s, IR.WriteConfig):
                 csym = config_sym(s.config, s.field)
                 t = lower_expr(s.rhs, _StrideEnv(ctenv, stride_extra))
@@ -322,18 +383,36 @@ def iter_contexts(proc: IR.Proc) -> list:
     return out
 
 
+class _Found(Exception):
+    """Stops a :func:`state_before` walk at its target statement."""
+
+
+# (proc, {path: (facts, state, tenv)}): the contexts computed for the most
+# recently queried procedure.  A scheduling directive runs all its checks on
+# one (immutable) procedure, and several of them -- ``Ctx``, ``post_effect``
+# -- ask for the same path, so the memo spans one directive's checks and is
+# replaced by the next directive's procedure.
+_STATE_BEFORE_MEMO = [None, {}]
+
+
 def state_before(proc: IR.Proc, path) -> tuple:
     """(facts, GlobalState, TypeEnv) immediately before the stmt at ``path``."""
     target = tuple(path)
-    found = {}
+    memo = _STATE_BEFORE_MEMO
+    if memo[0] is not proc:
+        memo[0], memo[1] = proc, {}
+    found = memo[1].get(target)
+    if found is None:
 
-    def visit(_s, p, facts, state, tenv):
-        if p == target:
-            found["facts"] = facts
-            found["state"] = state.copy()
-            found["tenv"] = tenv.copy()
+        def visit(_s, p, facts, state, tenv):
+            if p == target:
+                raise _Found((facts, state.copy(), tenv.copy()))
 
-    Walker(proc, visit).run()
-    if "state" not in found:
-        raise InternalError(f"path {path} not found in {proc.name}")
-    return found["facts"], found["state"], found["tenv"]
+        try:
+            Walker(proc, visit).run()
+        except _Found as hit:
+            found = memo[1][target] = hit.args[0]
+        else:
+            raise InternalError(f"path {path} not found in {proc.name}")
+    facts, state, tenv = found
+    return list(facts), state.copy(), tenv.copy()

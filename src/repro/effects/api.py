@@ -223,18 +223,7 @@ def check_fission(proc: IR.Proc, loop_path, split_idx: int, what="fission"):
     hi = ex._ctrl(loop.hi)
     # stabilize config state across iterations, then extract both halves
     # sequentially (so a2 sees the dataflow established by a1)
-    entry = ex.state.copy()
-    havoced = set()
-    for _round in range(64):
-        probe = EffectExtractor(ex.tenv.copy(), entry.copy())
-        probe.block_effect(loop.body)
-        changed = [f for f in probe.state.changed_fields(entry) if f not in havoced]
-        if not changed:
-            break
-        for f in changed:
-            entry.havoc(f)
-            havoced.add(f)
-    body_ex = EffectExtractor(ex.tenv.copy(), entry)
+    body_ex = ex.loop_body(loop.body)
     a1 = body_ex.block_effect(loop.body[:split_idx])
     a2 = body_ex.block_effect(loop.body[split_idx:])
     x2 = x.copy()
@@ -275,19 +264,7 @@ def check_reorder_loops(proc: IR.Proc, outer_path):
             "(non-rectangular loop nest)"
         )
     y = inner.iter
-    entry = ex.state.copy()
-    havoced = set()
-    for _round in range(64):
-        probe = EffectExtractor(ex.tenv.copy(), entry.copy())
-        probe.block_effect(inner.body)
-        changed = [f for f in probe.state.changed_fields(entry) if f not in havoced]
-        if not changed:
-            break
-        for f in changed:
-            entry.havoc(f)
-            havoced.add(f)
-    body_ex = EffectExtractor(ex.tenv.copy(), entry)
-    a = body_ex.block_effect(inner.body)
+    a = ex.loop_body(inner.body).block_effect(inner.body)
     x2, y2 = x.copy(), y.copy()
     a2 = eff_subst(a, {x: S.Var(x2), y: S.Var(y2)})
     bound = [

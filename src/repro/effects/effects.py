@@ -25,9 +25,11 @@ from typing import Optional, Tuple
 
 from ..core import ast as IR
 from ..core.buffers import TypeEnv, lower_widx
+from ..core import dataflow as _df
 from ..core.dataflow import GlobalState, _StrideEnv, lower_ctrl, _actual_stride
 from ..core.ir2smt import config_sym, lower_expr
 from ..core.prelude import InternalError, Sym
+from ..obs import trace as _obs
 from ..smt import terms as S
 
 
@@ -122,7 +124,13 @@ class EffectExtractor:
 
     ``tenv`` must describe every buffer in scope at the block; ``state`` is
     the configuration dataflow state at block entry (``PreValG``, §6.1).
+
+    A ``state_only`` extractor (the loop fixpoint's probes) advances
+    ``state`` exactly as a full one would but builds no effects, and steps
+    over statements that write no config.
     """
+
+    state_only = False
 
     def __init__(self, tenv: TypeEnv, state: Optional[GlobalState] = None):
         self.tenv = tenv
@@ -132,6 +140,28 @@ class EffectExtractor:
         """A child extractor over the same environment (loop-body probing).
         Subclasses override to preserve their substitutions."""
         return EffectExtractor(self.tenv, state)
+
+    def loop_entry(self, body):
+        """``(entry, out)``: the stabilized config state at the top of every
+        iteration of ``body`` from the current state (loop-variant fields
+        havoced), and the state after one iteration from it.  The fixpoint
+        rounds run state-only probes (:func:`repro.core.dataflow.loop_fixpoint`)."""
+
+        def step(st):
+            _obs.incr("dataflow.body_walks")
+            probe = self._spawn(st)
+            probe.state_only = True
+            probe.block_effect(body)
+            return probe.state
+
+        entry, out, _havoc_vars = _df.loop_fixpoint(body, self.state, step)
+        return entry, out
+
+    def loop_body(self, body) -> "EffectExtractor":
+        """A child extractor positioned at the top of an iteration of
+        ``body``: its state is the stabilized loop-entry state."""
+        entry, _out = self.loop_entry(body)
+        return self._spawn(entry)
 
     # -- expressions -------------------------------------------------------
 
@@ -177,6 +207,11 @@ class EffectExtractor:
         """Effect of a block; local allocations are scoped out."""
         saved_tenv = self.tenv
         self.tenv = self.tenv.copy()
+        if self.state_only:
+            for s in stmts:
+                self._stmt_state(s)
+            self.tenv = saved_tenv
+            return EMPTY
         local_allocs = set()
         parts = []
         for s in stmts:
@@ -237,29 +272,10 @@ class EffectExtractor:
             bound_eff = eseq(self.expr_effect(s.lo), self.expr_effect(s.hi))
             # stabilize the config state across iterations (havoc loop-variant
             # fields), then extract the body under the stabilized state
-            entry = self.state.copy()
-            havoced = set()
-            for _round in range(64):
-                probe = self._spawn(entry)
-                probe.block_effect(s.body)
-                changed = [
-                    f for f in probe.state.changed_fields(entry)
-                    if f not in havoced
-                ]
-                if not changed:
-                    break
-                for f in changed:
-                    entry.havoc(f)
-                    havoced.add(f)
-            body_ex = self._spawn(entry)
-            body = body_ex.block_effect(s.body)
-            # post-loop state: havoc anything the body may change
-            exit_state = self.state.copy()
-            for f in entry.changed_fields(self.state):
-                exit_state.havoc(f)
-            for f in body_ex.state.changed_fields(entry):
-                exit_state.havoc(f)
-            self.state = exit_state
+            entry, out = self.loop_entry(s.body)
+            _obs.incr("dataflow.body_walks")
+            body = self._spawn(entry).block_effect(s.body)
+            self._exit_loop(entry, out)
             return eseq(bound_eff, ELoop(s.iter, lo, hi, body))
         if isinstance(s, IR.Alloc):
             self.tenv.enter_stmt(s)
@@ -273,9 +289,43 @@ class EffectExtractor:
             return self._call_effect(s)
         raise InternalError(f"effect of unknown statement {type(s).__name__}")
 
+    def _exit_loop(self, entry: GlobalState, out: GlobalState):
+        """Post-loop state: havoc anything the body may change (``out`` is
+        the state after one iteration from the stabilized ``entry``)."""
+        exit_state = self.state.copy()
+        for f in entry.changed_fields(self.state):
+            exit_state.havoc(f)
+        for f in out.changed_fields(entry):
+            exit_state.havoc(f)
+        self.state = exit_state
+
+    def _stmt_state(self, s: IR.Stmt):
+        """The state-only counterpart of :meth:`_stmt_effect`."""
+        if isinstance(s, IR.WriteConfig):
+            self.state.set(config_sym(s.config, s.field), self._ctrl(s.rhs))
+        elif isinstance(s, (IR.Alloc, IR.WindowStmt)):
+            self.tenv.enter_stmt(s)
+        elif not _df.writes_config(s):
+            return
+        elif isinstance(s, IR.If):
+            cond = self._ctrl(s.cond)
+            st0 = self.state.copy()
+            self.block_effect(s.body)
+            st_then = self.state
+            self.state = st0.copy()
+            self.block_effect(s.orelse)
+            self.state = _df._merge_states(cond, st_then, self.state)
+        elif isinstance(s, IR.For):
+            entry, out = self.loop_entry(s.body)
+            self._exit_loop(entry, out)
+        elif isinstance(s, IR.Call):
+            self._call_effect(s)
+
     def _call_effect(self, s: IR.Call) -> Eff:
         callee = s.proc
-        arg_effs = [self.expr_effect(a) for a in s.args]
+        arg_effs = (
+            [] if self.state_only else [self.expr_effect(a) for a in s.args]
+        )
         # build the callee-side environment mapping formals onto the caller's
         # terms, views, and strides
         callee_tenv = TypeEnv()
@@ -332,6 +382,7 @@ class EffectExtractor:
             for csym in _config_reads(pred):
                 pred_reads.append(EGlobalRead(csym))
         inner = _CalleeExtractor(callee_tenv, self.state, sub, stride_extra)
+        inner.state_only = self.state_only
         body_eff = inner.block_effect(callee.body)
         self.state = inner.state
         return eseq(*arg_effs, *pred_reads, body_eff)

@@ -143,6 +143,27 @@ class TestTryProve:
         facts = [S.Cmp("<", S.Ite(S.TRUE, x, y), S.IntC(0)), S.ge(x, S.IntC(1))]
         assert try_prove(facts, S.ge(x, S.IntC(0)))
 
+    def test_unrelated_false_context_still_proves(self):
+        # the contradiction shares no variable with the goal: the goal's
+        # cone of influence cannot refute it, the full system must
+        x, y = _v("x"), _v("y")
+        facts = [S.lt(x, S.IntC(0)), S.ge(x, S.IntC(0))]
+        assert try_prove(facts, S.ge(y, S.IntC(7)))
+
+
+class TestCone:
+    def test_keeps_only_rows_linked_to_the_goal(self):
+        # i is linked to the goal directly, n through the row i < n; the
+        # unrelated loop j < m stays out, a variable-free row stays in
+        i, n, j, m = (Sym(s) for s in "injm")
+        i_lo, i_hi = (0, {i: 1}), (-1, {n: 1, i: -1})
+        j_lo, j_hi = (0, {j: 1}), (-1, {m: 1, j: -1})
+        ground = (5, {})
+        goal = [(-1, {n: -1})]  # not (n >= 1)
+        cone = absint._cone([j_lo, i_hi, ground, j_hi, i_lo], goal)
+        assert sorted(map(repr, cone)) == sorted(map(repr, [i_hi, ground, i_lo]))
+        assert absint._refute_goal([j_lo, i_hi, ground, j_hi, i_lo], goal)
+
 
 class TestProveWrapper:
     def test_discharged_goal_skips_solver(self):

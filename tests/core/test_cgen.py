@@ -226,3 +226,75 @@ def f(y: f32 @ DRAM):
         c = p.c_code()
         assert "spad_zero(" in c
         assert "gemmini_spad_malloc" in c
+
+
+def _host_avx512() -> bool:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return " avx512f" in f.read()
+    except OSError:
+        return False
+
+
+class TestStrideExprs:
+    """Dense strides are products of the trailing extents; an extent that
+    is a sum must stay one factor."""
+
+    def test_sum_extents_parenthesized(self):
+        p = _p(
+            """
+@proc
+def f(n: size, m: size, x: f32[n + 2, m + 1, 4] @ DRAM):
+    x[1, 0, 3] = 0.0
+"""
+        )
+        c = p.c_code()
+        assert "(1) * ((m + 1) * 4)" in c
+
+    @pytest.mark.skipif(
+        __import__("repro.machine.x86_sim", fromlist=["x"]).find_cc() is None
+        or not _host_avx512(),
+        reason="needs a C compiler and an AVX-512 host",
+    )
+    def test_size_generic_x86_conv_matches_numpy(self):
+        import numpy as np
+
+        from repro.apps import x86_conv
+        from repro.machine.x86_sim import compile_and_run
+
+        B, OY, OX, OC, IC = 1, 2, 4, 32, 3
+        rng = np.random.default_rng(0)
+        inp = rng.standard_normal((B, OY + 2, OX + 2, IC)).astype(np.float32)
+        w = rng.standard_normal((3, 3, IC, OC)).astype(np.float32)
+
+        def c_array(name, a):
+            vals = ", ".join(f"{v:.9g}f" for v in a.ravel())
+            return f"static float {name}[{a.size}] = {{{vals}}};"
+
+        n_out = B * OY * OX * OC
+        src = (
+            "#include <immintrin.h>\n"
+            + x86_conv.conv_exo().c_code()
+            + "\n#include <stdio.h>\n"
+            + c_array("inp", inp)
+            + "\n"
+            + c_array("w", w)
+            + f"\nstatic float out[{n_out}];\n"
+            + "int main(void) {\n"
+            + f"    conv_exo_x86({B}, {OY}, {OX}, {OC}, {IC}, inp, w, out);\n"
+            + f"    for (int i = 0; i < {n_out}; i++) printf(\"%.9g\\n\", out[i]);\n"
+            + "    return 0;\n}\n"
+        )
+        got = np.array(
+            compile_and_run(src, extra_flags=("-mavx512f",)).split(),
+            dtype=np.float64,
+        ).reshape(B, OY, OX, OC)
+        ref = np.zeros((B, OY, OX, OC))
+        for ky in range(3):
+            for kx in range(3):
+                ref += np.einsum(
+                    "byxi,io->byxo",
+                    inp[:, ky : ky + OY, kx : kx + OX, :].astype(np.float64),
+                    w[ky, kx].astype(np.float64),
+                )
+        np.testing.assert_allclose(got, np.maximum(ref, 0.0), rtol=1e-5, atol=1e-5)

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.api import procs_from_source
+from repro.core import dataflow as DF
 from repro.core.configs import Config
 from repro.core.dataflow import GlobalState, Walker, state_before
 from repro.core.ir2smt import config_sym
@@ -360,3 +364,226 @@ def f(n: size, x: f32[n] @ DRAM):
                 assert isinstance(v2, S.Var) and v2.sym.name.endswith("_u")
             else:
                 assert v1 == v2
+
+
+# ---------------------------------------------------------------------------
+# The config-write summary: a pure optimization of the walk
+# ---------------------------------------------------------------------------
+
+_CFG_SUMMARY = Config("CfgSum", [("a", T.int_t), ("b", T.int_t)])
+
+# ``fused`` writes config only through a call of a call, like Old-lib's
+# fused config+DMA instructions; ``scrub`` is a config-free callee with a
+# loop of its own
+_CALLEES = """
+@proc
+def set_a(k: size):
+    CfgSum.a = k
+
+@proc
+def fused(k: size, v: f32 @ DRAM):
+    set_a(k)
+    v = 0.0
+
+@proc
+def scrub(n: size, y: f32[n] @ DRAM):
+    for j in seq(0, n):
+        y[j] = 0.0
+"""
+
+
+def _canon(text):
+    """``text`` with fresh havoc unknowns (``*_u``) renumbered by first
+    appearance."""
+    import re
+
+    fresh = {}
+
+    def canon(m):
+        return fresh.setdefault(m.group(0), f"{m.group(1)}#u{len(fresh)}")
+
+    return re.sub(r"(\w+_u)#\d+", canon, text)
+
+
+def _render(state):
+    items = sorted(state.values.items(), key=lambda kv: (kv[0].name, kv[0].id))
+    return repr(items)
+
+
+def _walk_trace(proc):
+    """Every visit's ``(path, facts, state)`` and the final state."""
+    events = []
+
+    def visit(_s, path, facts, state, _tenv):
+        events.append((path, repr(facts), _render(state)))
+
+    final = Walker(proc, visit).run()
+    return _canon(repr(events) + _render(final))
+
+
+def _extract(proc, state_only=False):
+    from repro.core.buffers import TypeEnv
+    from repro.effects.effects import EffectExtractor
+
+    ex = EffectExtractor(TypeEnv(proc), GlobalState())
+    ex.state_only = state_only
+    eff = ex.block_effect(proc.body)
+    return _canon(repr(eff)), _canon(_render(ex.state))
+
+
+def _assert_summary_transparent(proc, monkeypatch):
+    fast = _walk_trace(proc), _extract(proc)
+    with monkeypatch.context() as m:
+        m.setattr(DF, "writes_config", lambda node: True)
+        slow = _walk_trace(proc), _extract(proc)
+    assert fast == slow
+    # the fixpoint's state-only probes advance the state exactly as a full
+    # effect extraction does
+    assert _extract(proc, state_only=True)[1] == fast[1][1]
+
+
+def _app_kernels():
+    from repro.apps import gemmini_conv, gemmini_matmul, x86_conv, x86_sgemm
+
+    return [
+        gemmini_matmul.matmul_exo(),
+        gemmini_matmul.matmul_oldlib(),
+        gemmini_matmul.matmul_exo_blocked(4, 4),
+        gemmini_conv.conv_exo(),
+        gemmini_conv.conv_oldlib(),
+        x86_sgemm.sgemm_exo(),
+        x86_conv.conv_exo(),
+    ]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_summary_transparent_on_app_kernels(k, monkeypatch):
+    _assert_summary_transparent(_app_kernels()[k].ir(), monkeypatch)
+
+
+_LEAVES = [
+    "v = 0.0",
+    "CfgSum.a = 3",
+    "CfgSum.a = {it}",
+    "CfgSum.b = CfgSum.a + 1",
+    "fused(n, v)",
+    "fused(4, v)",
+    "scrub(n, y)",
+]
+
+
+@st.composite
+def _nest(draw, depth=0, it="n", max_depth=4):
+    """Source lines of a random block: loops and branches nested up to
+    ``max_depth``, with config writes (direct and through a call of a
+    call) at whatever depths the draw puts them.  ``it`` is the innermost
+    enclosing loop iterator."""
+    lines = []
+    pad = "    " * (depth + 1)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(
+            st.sampled_from(
+                ["leaf", "loop", "if"] if depth < max_depth else ["leaf"]
+            )
+        )
+        if kind == "leaf":
+            lines.append(pad + draw(st.sampled_from(_LEAVES)).format(it=it))
+        elif kind == "loop":
+            hi = draw(st.sampled_from(["n", "n - 1", "4"]))
+            lines.append(f"{pad}for i{depth} in seq(0, {hi}):")
+            lines += draw(_nest(depth + 1, f"i{depth}", max_depth))
+        else:
+            cond = draw(st.sampled_from([f"{it} > 2", "CfgSum.a == 3"]))
+            lines.append(f"{pad}if {cond}:")
+            lines += draw(_nest(depth + 1, it, max_depth))
+            if draw(st.booleans()):
+                lines.append(f"{pad}else:")
+                lines += draw(_nest(depth + 1, it, max_depth))
+    return lines
+
+
+def _summary_proc(body_lines):
+    src = (
+        _CALLEES
+        + "\n@proc\ndef f(n: size, v: f32 @ DRAM, y: f32[n] @ DRAM):\n"
+        + "\n".join(body_lines)
+        + "\n"
+    )
+    return _p(src, extra={"CfgSum": _CFG_SUMMARY}).ir()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nest())
+def test_summary_transparent_on_random_nests(body_lines):
+    # hypothesis forbids function-scoped fixtures in @given tests
+    mp = pytest.MonkeyPatch()
+    try:
+        _assert_summary_transparent(_summary_proc(body_lines), mp)
+    finally:
+        mp.undo()
+
+
+class TestConfigWriteSummary:
+    def test_write_through_call_of_call(self):
+        proc = _summary_proc(["    for i0 in seq(0, n):", "        fused(n, v)"])
+        loop = proc.body[0]
+        assert DF.writes_config(loop)
+        assert DF.writes_config(loop.body[0])
+        assert not DF.writes_config(_summary_proc(["    scrub(n, y)"]).body)
+        # the write lands: after the loop, CfgSum.a == n
+        proc = _summary_proc(
+            ["    for i0 in seq(0, n):", "        fused(n, v)", "    v = 0.0"]
+        )
+        _f, state, _t = state_before(proc, [("body", 1)])
+        assert state.get(config_sym(_CFG_SUMMARY, "a")) == S.Var(proc.args[0].name)
+
+    def test_memoized_on_the_node(self):
+        proc = _summary_proc(["    CfgSum.a = 3"])
+        stmt = proc.body[0]
+        assert DF.writes_config(stmt)
+        assert stmt.__dict__["_writes_config"] is True
+        assert stmt == IR.WriteConfig(stmt.config, stmt.field, stmt.rhs, stmt.srcinfo)
+
+
+class TestWalkComplexity:
+    """Loop bodies are walked a bounded number of times, however deep the
+    nest: a count of walks, not a timing, so it cannot flake."""
+
+    @pytest.fixture(autouse=True)
+    def _traced(self):
+        was = obs.enabled()
+        obs.enable()
+        obs.reset()
+        yield
+        obs.reset()
+        if not was:
+            obs.disable()
+
+    @staticmethod
+    def _nest_lines(depth, head=()):
+        lines = []
+        for d in range(depth):
+            lines.append("    " * (d + 1) + f"for i{d} in seq(0, n):")
+            if d == 0:
+                lines += ["        " + h for h in head]
+        lines.append("    " * (depth + 1) + "v = 0.0")
+        return lines
+
+    def _walks(self, proc):
+        obs.reset()
+        Walker(proc, lambda *_ctx: None).run()
+        ctr = obs.TRACER.counter_totals()
+        return ctr.get("dataflow.body_walks", 0), ctr.get("dataflow.fixpoint_rounds", 0)
+
+    def test_config_free_nest_walks_each_body_once(self):
+        walks, rounds = self._walks(_summary_proc(self._nest_lines(6)))
+        assert (walks, rounds) == (6, 0)
+
+    def test_one_config_write_walks_its_loop_rounds_plus_one(self):
+        # the write sits in the outermost body, above a config-free
+        # 5-deep nest: only the outermost loop runs fixpoint rounds, and
+        # the nest inside is skipped by every round's probe
+        proc = _summary_proc(self._nest_lines(6, head=["CfgSum.a = 3"]))
+        walks, rounds = self._walks(proc)
+        assert 1 <= rounds <= 2
+        assert walks == (rounds + 1) + 5
