@@ -30,6 +30,7 @@ from .core import types as T
 from .core.cgen import compile_procs
 from .core.checks import check_proc as _frontend_check
 from .core.configs import Config, config_from_class
+from .core.dataflow import writes_config
 from .core.interp import run_proc
 from .core.prelude import SchedulingError
 from .core.typecheck import typecheck_proc
@@ -392,8 +393,8 @@ class Procedure:
         fld, i = m.path[-1]
         region = old_stmts[i : i + m.count]
         dirty = (
-            C.stmts_write_config(region)
-            or C.stmts_write_config(subproc._loopir_proc.body)
+            writes_config(region)
+            or writes_config(subproc._loopir_proc.body)
         )
         return C.SpliceForwarder(
             m.path, m.count, 1, interior=None, ctx_dirty=dirty

@@ -29,9 +29,8 @@ from ..smt import terms as S
 from ..smt.solver import DEFAULT_SOLVER
 from . import ast as IR
 from . import types as T
-from .buffers import TypeEnv
-from .dataflow import GlobalState, Walker, _StrideEnv, _actual_stride, lower_ctrl
-from .ir2smt import lower_expr, proc_assumptions
+from .dataflow import Frame, Walker, bind_call, lower_ctrl
+from .ir2smt import proc_assumptions
 from .prelude import AssertCheckError, BoundsCheckError, Sym
 
 
@@ -223,47 +222,34 @@ class _AssertChecker(_Checker):
             return
         base, solver = self.base, self.solver
         callee = s.proc
-        sub = {}
-        stride_extra = {}
+        frame = bind_call(s, state, Frame(tenv))
         shape_goals = []
         for formal, actual in zip(callee.args, s.args):
-            if formal.type.is_numeric():
-                if formal.type.is_tensor_or_window():
-                    rank = len(formal.type.shape())
-                    for d in range(rank):
-                        stride_extra[(formal.name, d)] = _actual_stride(
-                            actual, d, tenv
-                        )
-                    # callee's declared extents must equal the actual extents
-                    for d, formal_ext in enumerate(formal.type.shape()):
-                        act_ext = _actual_extent(actual, d, tenv, state)
-                        if act_ext is None:
-                            continue
-                        fe = S.substitute(
-                            state.subst_term(lower_expr(formal_ext)), sub
-                        )
-                        shape_goals.append(
-                            (S.eq(fe, act_ext), f"extent {d} of {formal.name}")
-                        )
-            else:
-                sub[formal.name] = lower_ctrl(actual, tenv, state)
-                if formal.type.is_sizeable():
+            if formal.type.is_tensor_or_window():
+                # callee's declared extents must equal the actual extents
+                for d, formal_ext in enumerate(formal.type.shape()):
+                    act_ext = _actual_extent(actual, d, tenv, state)
+                    if act_ext is None:
+                        continue
+                    fe = frame.lower(formal_ext, state)
                     shape_goals.append(
-                        (
-                            S.ge(sub[formal.name], S.IntC(1)),
-                            f"size argument {formal.name} positive",
-                        )
+                        (S.eq(fe, act_ext), f"extent {d} of {formal.name}")
                     )
+            elif formal.type.is_sizeable():
+                shape_goals.append(
+                    (
+                        S.ge(frame.sub[formal.name], S.IntC(1)),
+                        f"size argument {formal.name} positive",
+                    )
+                )
         for goal, what in shape_goals:
             if not _prove(base + facts, goal, solver, category="assert"):
                 self.errors.append(
                     f"{s.srcinfo}: call to {callee.name}: cannot prove {what}"
                 )
         for pred in callee.preds:
-            t = lower_expr(pred, _StrideEnv(TypeEnv(callee), stride_extra))
-            t = S.substitute(t, sub)
-            t = state.subst_term(t)
-            if not _prove(base + facts, t, solver, category="assert"):
+            if not _prove(base + facts, frame.lower(pred, state), solver,
+                          category="assert"):
                 self.errors.append(
                     f"{s.srcinfo}: call to {callee.name}: cannot prove "
                     f"precondition"

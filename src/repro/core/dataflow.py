@@ -10,11 +10,17 @@ paper's ⊥).
 Loops use the paper's convergence heuristic: a field whose value is not
 provably unchanged by one iteration is driven to an unknown.
 
-The same engine drives a generic execution-ordered walk of a procedure,
-collecting control-flow *facts* (loop bounds, branch conditions) and the
-:class:`~repro.core.buffers.TypeEnv` -- this is what the bounds checker,
-the assertion checker, and the scheduler's contextual analyses (§6.1:
-``CtrlPred``, ``PreValG``) all ride on.
+This module is the only code that decides how a statement changes the
+state: :func:`step` is the transfer of every statement kind, lowering
+through a :class:`Frame` (the caller's environment, or a callee's with its
+formals bound by :func:`bind_call`), and :func:`walk_loop` is the one loop
+rule.  The same engine drives a generic execution-ordered walk of a
+procedure (:class:`Walker`), collecting control-flow *facts* (loop bounds,
+branch conditions) and the :class:`~repro.core.buffers.TypeEnv` -- this is
+what the bounds checker, the assertion checker, and the scheduler's
+contextual analyses (§6.1: ``CtrlPred``, ``PreValG``) all ride on -- and
+the effect extractor (:mod:`repro.effects.effects`) threads its state
+through it.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..obs import trace as _obs
+from ..obs.smtstats import query_category
 from ..smt import terms as S
 from .prelude import InternalError, Sym
 from . import ast as IR
@@ -72,6 +79,12 @@ class _StrideEnv:
         if key in self.extra:
             return self.extra[key]
         name, dim = key
+        view = self.tenv.views.get(name)
+        if view is not None and view.root is not name:
+            # a window of a callee's buffer formal strides like the actual
+            root_key = (view.root, view.root_dim_of_out(dim))
+            if root_key in self.extra:
+                return self.extra[root_key]
         return self.tenv.stride_term(name, dim)
 
 
@@ -79,6 +92,61 @@ def lower_ctrl(e: IR.Expr, tenv: TypeEnv, state: GlobalState) -> S.Term:
     """Lower a control expression resolving strides and config values."""
     t = lower_expr(e, _StrideEnv(tenv))
     return state.subst_term(t)
+
+
+class Frame:
+    """Where a walk lowers control expressions: the type environment in
+    scope and, inside a callee body, the substitution of the callee's
+    control formals by the caller's values and of its buffer formals'
+    strides by the actuals' strides (:func:`bind_call`)."""
+
+    def __init__(self, tenv: TypeEnv, sub=None, strides=None):
+        self.tenv = tenv
+        self.sub = sub or {}
+        self.strides = strides or {}
+
+    def lower(self, e: IR.Expr, state: GlobalState) -> S.Term:
+        # config reads resolve before the formals are replaced: the
+        # actuals' values are already terms over the caller's state
+        t = state.subst_term(lower_expr(e, _StrideEnv(self.tenv, self.strides)))
+        return S.substitute(t, self.sub) if self.sub else t
+
+    def scoped(self) -> "Frame":
+        """The frame of a nested block: buffers it binds stay inside it."""
+        return Frame(self.tenv.copy(), self.sub, self.strides)
+
+
+def bind_call(s: IR.Call, state: GlobalState, frame: Frame) -> Frame:
+    """The frame of the callee body of call ``s`` made from ``frame``:
+    control formals map to the actuals' values, and buffer formals'
+    strides to the actuals' strides.  Buffer formals are bound as roots of
+    a fresh :class:`TypeEnv`; the effect extractor adds views on top."""
+    tenv = TypeEnv()
+    sub = {}
+    strides = {}
+    caller_strides = _StrideEnv(frame.tenv, frame.strides)
+    for formal, actual in zip(s.proc.args, s.args):
+        if not formal.type.is_numeric():
+            sub[formal.name] = frame.lower(actual, state)
+            continue
+        tenv.bind_root(formal.name, formal.type, formal.mem)
+        if formal.type.is_tensor_or_window():
+            for d in range(len(formal.type.shape())):
+                strides[(formal.name, d)] = _actual_stride(actual, d, caller_strides)
+    return Frame(tenv, sub, strides)
+
+
+def _actual_stride(actual: IR.Expr, formal_dim: int, strides) -> S.Term:
+    """The stride term of dimension ``formal_dim`` of a buffer argument."""
+    if isinstance(actual, IR.Read) and not actual.idx:
+        return strides[(actual.name, formal_dim)]
+    if isinstance(actual, IR.WindowExpr):
+        # the formal's dim maps through the window's interval dims
+        iv_dims = [
+            d for d, w in enumerate(actual.idx) if isinstance(w, IR.Interval)
+        ]
+        return strides[(actual.name, iv_dims[formal_dim])]
+    return S.Var(Sym("stride_u"))
 
 
 def writes_config(node) -> bool:
@@ -90,8 +158,7 @@ def writes_config(node) -> bool:
     object: IR nodes are immutable, so a statement's answer never changes,
     and a rewrite that rebuilds a subtree gets fresh nodes that are
     summarized anew.  Loops, branches and calls for which it is False
-    leave the dataflow state unchanged, so the walks below skip their
-    loop-entry fixpoints and state-only re-walks."""
+    leave the dataflow state unchanged, so :func:`step` skips them."""
     if isinstance(node, (tuple, list)):
         return any(writes_config(s) for s in node)
     cached = node.__dict__.get("_writes_config")
@@ -112,18 +179,53 @@ def writes_config(node) -> bool:
     return cached
 
 
-def loop_fixpoint(body, state: GlobalState, step: Callable):
+def step(s: IR.Stmt, state: GlobalState, frame: Frame) -> GlobalState:
+    """The config state after ``s`` from ``state``: the transfer function
+    of every statement kind.  ``Alloc`` and ``WindowStmt`` enter
+    ``frame``'s type environment.  Walks that visit statements (the
+    :class:`Walker`, the effect extractor) use it for everything but the
+    blocks they visit, and :func:`merge_states` and :func:`walk_loop` for
+    those."""
+    if isinstance(s, IR.WriteConfig):
+        state = state.copy()
+        state.set(config_sym(s.config, s.field), frame.lower(s.rhs, state))
+        return state
+    if isinstance(s, (IR.Alloc, IR.WindowStmt)):
+        frame.tenv.enter_stmt(s)
+        return state
+    if not isinstance(s, (IR.If, IR.For, IR.Call)) or not writes_config(s):
+        return state
+    if isinstance(s, IR.If):
+        cond = frame.lower(s.cond, state)
+        return merge_states(
+            cond,
+            walk_state(s.body, state, frame.scoped()),
+            walk_state(s.orelse, state, frame.scoped()),
+        )
+    if isinstance(s, IR.For):
+        return walk_loop(s, state, frame)
+    return walk_state(s.proc.body, state, bind_call(s, state, frame))
+
+
+def walk_state(block, state: GlobalState, frame: Frame) -> GlobalState:
+    """The one non-visiting walk: the config state after ``block``.  It
+    holds no control facts, and skips statements that write no config."""
+    for s in block:
+        state = step(s, state, frame)
+    return state
+
+
+def loop_fixpoint(body, state: GlobalState, frame: Frame):
     """The loop-entry fixpoint of the paper's convergence heuristic.
 
-    ``step(entry)`` runs one iteration of ``body`` from a *copy* of the
-    candidate entry state and returns the state after it.  Every field the
-    iteration may change is havoced at entry (a fresh unknown), until a
-    round changes no field not already havoced.  Returns ``(entry, out,
-    havoc_vars)``: the stabilized entry state, the state after one
-    iteration from it (the converged round, so callers need not re-walk the
-    body to learn the loop's exit values), and the fresh unknowns
-    introduced.  A body that writes no config is its own fixpoint: no
-    round runs and ``out`` is ``entry``."""
+    Each round walks one iteration of ``body`` (:func:`walk_state`) from a
+    copy of the candidate entry state.  Every field the iteration may
+    change is havoced at entry (a fresh unknown), until a round changes no
+    field not already havoced.  Returns ``(entry, out, havoc_vars)``: the
+    stabilized entry state, the state after one iteration from it (the
+    converged round, so the exit rule need not re-walk the body), and the
+    fresh unknowns introduced.  A body that writes no config is its own
+    fixpoint: no round runs and ``out`` is ``entry``."""
     entry = state.copy()
     havoc_vars = set()
     if not writes_config(body):
@@ -131,7 +233,8 @@ def loop_fixpoint(body, state: GlobalState, step: Callable):
     havoced = set()
     for _round in range(64):
         _obs.incr("dataflow.fixpoint_rounds")
-        out = step(entry.copy())
+        _obs.incr("dataflow.body_walks")
+        out = walk_state(body, entry, frame.scoped())
         changed = [f for f in out.changed_fields(entry) if f not in havoced]
         if not changed:
             return entry, out, havoc_vars
@@ -142,16 +245,56 @@ def loop_fixpoint(body, state: GlobalState, step: Callable):
     raise InternalError("config dataflow failed to converge")
 
 
+def walk_loop(s: IR.For, state: GlobalState, frame: Frame, facts=(),
+              visit=None) -> GlobalState:
+    """The config state after loop ``s``: :func:`loop_fixpoint`, then the
+    exit rule.  ``visit(entry, lo, hi)``, when given, walks the body once
+    under the stabilized entry state.
+
+    The exit rule: a field whose exit value is the same definite,
+    iteration-independent term every iteration keeps that value when the
+    loop provably runs (``lo < hi`` under ``facts``, the control facts the
+    walk holds -- none, outside the :class:`Walker`'s own statements); this
+    is the config-hoisting pattern of §2.4.  Anything else the loop may
+    change is havoced (zero-or-variant trips)."""
+    lo = frame.lower(s.lo, state)
+    hi = frame.lower(s.hi, state)
+    entry, out, havoc_vars = loop_fixpoint(s.body, state, frame)
+    if visit is not None:
+        _obs.incr("dataflow.body_walks")
+        visit(entry, lo, hi)
+    runs = None  # lazily-proven "at least one iteration"
+    exit_state = state.copy()
+    for f in set(entry.changed_fields(state)) | set(out.changed_fields(entry)):
+        v = out.get(f)
+        fv = S.free_vars(v)
+        if s.iter not in fv and not (fv & havoc_vars):
+            if runs is None:
+                runs = _prove_runs(facts, lo, hi)
+            if runs:
+                exit_state.set(f, v)
+                continue
+        exit_state.havoc(f)
+    return exit_state
+
+
+def _prove_runs(facts, lo, hi) -> bool:
+    from ..smt.solver import DEFAULT_SOLVER
+
+    with query_category("dataflow"):
+        return DEFAULT_SOLVER.prove(S.implies(S.conj(*facts), S.lt(lo, hi)))
+
+
 class Walker:
     """Execution-ordered walk of a procedure with dataflow and facts.
 
     ``visit(stmt, path, facts, state, tenv)`` is called for every statement
     in program order with the *pre*-state.  Loop bodies are visited once,
     under the stabilized entry state and with the iteration-bound facts in
-    scope.  Non-visiting walks (fixpoint rounds) step over statements that
-    write no config (:func:`writes_config`), so each loop body is walked
-    once per enclosing fixpoint round rather than once per round of every
-    enclosing loop.
+    scope; the loop-entry fixpoint rounds and callee bodies run the
+    non-visiting :func:`walk_state`, so each loop body is walked once per
+    enclosing fixpoint round rather than once per round of every enclosing
+    loop.
     """
 
     def __init__(self, proc: IR.Proc, visit: Optional[Callable] = None):
@@ -162,196 +305,50 @@ class Walker:
         from .ir2smt import proc_assumptions
 
         state = state or GlobalState()
-        tenv = TypeEnv(self.proc)
         facts = list(proc_assumptions(self.proc))
         return self._walk_block(
-            self.proc.body, [("body", None)], facts, state, tenv, True
+            self.proc.body, [("body", None)], facts, state, Frame(TypeEnv(self.proc))
         )
 
     # -- internals -----------------------------------------------------------
 
-    def _walk_block(self, block, prefix, facts, state, tenv, do_visit):
+    def _walk_block(self, block, prefix, facts, state, frame):
         for i, s in enumerate(block):
             path = prefix[:-1] + [(prefix[-1][0], i)]
-            if do_visit and self.visit is not None:
-                self.visit(s, tuple(path), list(facts), state, tenv)
-            state = self._walk_stmt(s, path, facts, state, tenv, do_visit)
+            if self.visit is not None:
+                self.visit(s, tuple(path), list(facts), state, frame.tenv)
+            state = self._walk_stmt(s, path, facts, state, frame)
         return state
 
-    def _walk_stmt(self, s, path, facts, state, tenv, do_visit):
-        if not do_visit and isinstance(s, (IR.For, IR.If, IR.Call)):
-            if not writes_config(s):
-                return state
-        if isinstance(s, IR.WriteConfig):
-            csym = config_sym(s.config, s.field)
-            value = lower_ctrl(s.rhs, tenv, state)
-            state = state.copy()
-            state.set(csym, value)
-            return state
+    def _walk_stmt(self, s, path, facts, state, frame):
         if isinstance(s, IR.If):
-            cond = lower_ctrl(s.cond, tenv, state)
+            cond = frame.lower(s.cond, state)
             st_then = self._walk_block(
                 s.body, path + [("body", None)], facts + [cond], state.copy(),
-                tenv.copy(), do_visit,
+                frame.scoped(),
             )
             st_else = self._walk_block(
                 s.orelse, path + [("orelse", None)], facts + [S.negate(cond)],
-                state.copy(), tenv.copy(), do_visit,
+                state.copy(), frame.scoped(),
             )
-            return _merge_states(cond, st_then, st_else)
+            return merge_states(cond, st_then, st_else)
         if isinstance(s, IR.For):
-            return self._walk_loop(s, path, facts, state, tenv, do_visit)
-        if isinstance(s, IR.Call):
-            return self._apply_call(s, state, tenv)
-        if isinstance(s, (IR.Alloc, IR.WindowStmt)):
-            tenv.enter_stmt(s)
-            return state
-        return state
 
-    def _walk_loop(self, s: IR.For, path, facts, state, tenv, do_visit):
-        lo = lower_ctrl(s.lo, tenv, state)
-        hi = lower_ctrl(s.hi, tenv, state)
-        body_path = path + [("body", None)]
+            def visit_body(entry, lo, hi):
+                bound = [S.le(lo, S.Var(s.iter)), S.lt(S.Var(s.iter), hi)]
+                self._walk_block(
+                    s.body, path + [("body", None)], facts + bound, entry.copy(),
+                    frame.scoped(),
+                )
 
-        def step(probe):
-            _obs.incr("dataflow.body_walks")
-            return self._walk_block(s.body, body_path, [], probe, tenv.copy(), False)
-
-        # find the loop-entry fixpoint: fields not provably loop-invariant
-        # are havoced (the paper's convergence heuristic)
-        entry, out, havoc_vars = loop_fixpoint(s.body, state, step)
-        if do_visit and self.visit is not None:
-            _obs.incr("dataflow.body_walks")
-            bound = [S.le(lo, S.Var(s.iter)), S.lt(S.Var(s.iter), hi)]
-            self._walk_block(
-                s.body, body_path, facts + bound, entry.copy(), tenv.copy(), True
+            return walk_loop(
+                s, state, frame, facts, visit_body if self.visit else None
             )
-        # post-loop state, from the converged round's exit: a field whose
-        # exit value is the same definite, iteration-independent term every
-        # iteration keeps that value when the loop provably runs (the
-        # config-hoisting pattern of §2.4); anything else is havoced
-        # (zero-or-variant trips)
-        runs = None  # lazily-proven "at least one iteration"
-        exit_state = state.copy()
-        for f in set(entry.changed_fields(state)) | set(
-            out.changed_fields(entry)
-        ):
-            v = out.get(f)
-            fv = S.free_vars(v)
-            if s.iter not in fv and not (fv & havoc_vars):
-                if runs is None:
-                    runs = self._prove_runs(facts, lo, hi)
-                if runs:
-                    exit_state.set(f, v)
-                    continue
-            exit_state.havoc(f)
-        return exit_state
-
-    @staticmethod
-    def _prove_runs(facts, lo, hi) -> bool:
-        from ..smt.solver import DEFAULT_SOLVER
-
-        return DEFAULT_SOLVER.prove(S.implies(S.conj(*facts), S.lt(lo, hi)))
-
-    def _apply_call(self, s: IR.Call, state, tenv) -> GlobalState:
-        """Apply the callee's effect on configuration state."""
-        if not writes_config(s):
-            return state
-        callee = s.proc
-        sub = {}
-        stride_extra = {}
-        callee_tenv = TypeEnv()
-        for formal, actual in zip(callee.args, s.args):
-            if formal.type.is_numeric():
-                callee_tenv.bind_root(formal.name, formal.type, formal.mem)
-                # map the formal's strides onto the actual's strides
-                if formal.type.is_tensor_or_window():
-                    rank = len(formal.type.shape())
-                    for d in range(rank):
-                        stride_extra[(formal.name, d)] = _actual_stride(
-                            actual, d, tenv
-                        )
-            else:
-                sub[formal.name] = lower_ctrl(actual, tenv, state)
-        return self._walk_callee_block(
-            callee.body, sub, stride_extra, callee_tenv, state
-        )
-
-    def _walk_callee_block(self, block, sub, stride_extra, ctenv, state):
-        for s in block:
-            if isinstance(s, (IR.For, IR.If, IR.Call)) and not writes_config(s):
-                continue
-            if isinstance(s, IR.WriteConfig):
-                csym = config_sym(s.config, s.field)
-                t = lower_expr(s.rhs, _StrideEnv(ctenv, stride_extra))
-                t = S.substitute(t, sub)
-                t = state.subst_term(t)
-                state = state.copy()
-                state.set(csym, t)
-            elif isinstance(s, IR.If):
-                st_t = self._walk_callee_block(s.body, sub, stride_extra, ctenv, state)
-                st_e = self._walk_callee_block(s.orelse, sub, stride_extra, ctenv, state)
-                cond = S.substitute(
-                    lower_expr(s.cond, _StrideEnv(ctenv, stride_extra)), sub
-                )
-                cond = state.subst_term(cond)
-                state = _merge_states(cond, st_t, st_e)
-            elif isinstance(s, IR.For):
-                before = state
-                state = self._walk_callee_block(
-                    s.body, sub, stride_extra, ctenv, state
-                )
-                out = state.copy()
-                for f in state.changed_fields(before):
-                    out.havoc(f)
-                state = out
-            elif isinstance(s, IR.Call):
-                # nested call: recurse with composed substitution
-                inner = Walker(s.proc)
-                state = inner._apply_call_inner(s, sub, stride_extra, ctenv, state)
-            elif isinstance(s, (IR.Alloc, IR.WindowStmt)):
-                ctenv.enter_stmt(s)
-        return state
-
-    def _apply_call_inner(self, s, outer_sub, outer_strides, outer_tenv, state):
-        callee = s.proc
-        sub = {}
-        stride_extra = {}
-        ctenv = TypeEnv()
-        for formal, actual in zip(callee.args, s.args):
-            if formal.type.is_numeric():
-                ctenv.bind_root(formal.name, formal.type, formal.mem)
-            else:
-                t = S.substitute(
-                    lower_expr(actual, _StrideEnv(outer_tenv, outer_strides)),
-                    outer_sub,
-                )
-                sub[formal.name] = state.subst_term(t)
-        return self._walk_callee_block(callee.body, sub, stride_extra, ctenv, state)
+        return step(s, state, frame)
 
 
-def _actual_stride(actual: IR.Expr, formal_dim: int, tenv: TypeEnv) -> S.Term:
-    """The stride term of dimension ``formal_dim`` of a buffer argument."""
-    from .ir2smt import stride_sym
-
-    if isinstance(actual, IR.Read) and not actual.idx:
-        return tenv.stride_term(actual.name, formal_dim)
-    if isinstance(actual, IR.WindowExpr):
-        # the formal's dim maps through the window's interval dims
-        iv_dims = [
-            d for d, w in enumerate(actual.idx) if isinstance(w, IR.Interval)
-        ]
-        base_view = tenv.view(actual.name)
-        base_out = iv_dims[formal_dim]
-        root_dim = base_view.root_dim_of_out(base_out)
-        root_typ = tenv.type_of(base_view.root)
-        if not root_typ.is_win():
-            return TypeEnv._dense_stride(base_view.root, root_typ, root_dim)
-        return S.Var(stride_sym(base_view.root, root_dim))
-    return S.Var(Sym("stride_u"))
-
-
-def _merge_states(cond: S.Term, a: GlobalState, b: GlobalState) -> GlobalState:
+def merge_states(cond: S.Term, a: GlobalState, b: GlobalState) -> GlobalState:
+    """The state after ``if cond`` whose branches end in ``a`` and ``b``."""
     out = GlobalState()
     keys = set(a.values) | set(b.values)
     for k in keys:

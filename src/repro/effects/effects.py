@@ -24,12 +24,11 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Optional, Tuple
 
 from ..core import ast as IR
-from ..core.buffers import TypeEnv, lower_widx
+from ..core.buffers import BufView, TypeEnv, VPoint
 from ..core import dataflow as _df
-from ..core.dataflow import GlobalState, _StrideEnv, lower_ctrl, _actual_stride
-from ..core.ir2smt import config_sym, lower_expr
+from ..core.dataflow import GlobalState
+from ..core.ir2smt import config_sym
 from ..core.prelude import InternalError, Sym
-from ..obs import trace as _obs
 from ..smt import terms as S
 
 
@@ -124,43 +123,27 @@ class EffectExtractor:
 
     ``tenv`` must describe every buffer in scope at the block; ``state`` is
     the configuration dataflow state at block entry (``PreValG``, §6.1).
-
-    A ``state_only`` extractor (the loop fixpoint's probes) advances
-    ``state`` exactly as a full one would but builds no effects, and steps
-    over statements that write no config.
+    Inside a callee body, ``sub`` and ``strides`` substitute the formals
+    (:func:`repro.core.dataflow.bind_call`).  How each statement changes
+    ``state`` is decided by :mod:`repro.core.dataflow`; the extractor only
+    builds the effects.
     """
 
-    state_only = False
-
-    def __init__(self, tenv: TypeEnv, state: Optional[GlobalState] = None):
-        self.tenv = tenv
+    def __init__(self, tenv: TypeEnv, state: Optional[GlobalState] = None,
+                 sub=None, strides=None):
+        self.frame = _df.Frame(tenv, sub, strides)
         self.state = (state or GlobalState()).copy()
 
     def _spawn(self, state: GlobalState) -> "EffectExtractor":
-        """A child extractor over the same environment (loop-body probing).
-        Subclasses override to preserve their substitutions."""
-        return EffectExtractor(self.tenv, state)
-
-    def loop_entry(self, body):
-        """``(entry, out)``: the stabilized config state at the top of every
-        iteration of ``body`` from the current state (loop-variant fields
-        havoced), and the state after one iteration from it.  The fixpoint
-        rounds run state-only probes (:func:`repro.core.dataflow.loop_fixpoint`)."""
-
-        def step(st):
-            _obs.incr("dataflow.body_walks")
-            probe = self._spawn(st)
-            probe.state_only = True
-            probe.block_effect(body)
-            return probe.state
-
-        entry, out, _havoc_vars = _df.loop_fixpoint(body, self.state, step)
-        return entry, out
+        """A child extractor over the same frame from ``state``."""
+        f = self.frame
+        return EffectExtractor(f.tenv, state, f.sub, f.strides)
 
     def loop_body(self, body) -> "EffectExtractor":
         """A child extractor positioned at the top of an iteration of
-        ``body``: its state is the stabilized loop-entry state."""
-        entry, _out = self.loop_entry(body)
+        ``body``: its state is the stabilized loop-entry state
+        (:func:`repro.core.dataflow.loop_fixpoint`)."""
+        entry, _out, _havoc_vars = _df.loop_fixpoint(body, self.state, self.frame)
         return self._spawn(entry)
 
     # -- expressions -------------------------------------------------------
@@ -174,7 +157,7 @@ class EffectExtractor:
                 for i in e.idx:
                     walk(i)
                 if e.idx or (e.type is not None and e.type.is_real_scalar()):
-                    view = self.tenv.view(e.name)
+                    view = self.frame.tenv.view(e.name)
                     idx_terms = [self._ctrl(i) for i in e.idx]
                     out.append(ERead(view.root, tuple(view.compose_index(idx_terms))))
             elif isinstance(e, IR.USub):
@@ -199,25 +182,20 @@ class EffectExtractor:
         return eseq(*out)
 
     def _ctrl(self, e: IR.Expr) -> S.Term:
-        return lower_ctrl(e, self.tenv, self.state)
+        return self.frame.lower(e, self.state)
 
     # -- statements ----------------------------------------------------------
 
     def block_effect(self, stmts) -> Eff:
         """Effect of a block; local allocations are scoped out."""
-        saved_tenv = self.tenv
-        self.tenv = self.tenv.copy()
-        if self.state_only:
-            for s in stmts:
-                self._stmt_state(s)
-            self.tenv = saved_tenv
-            return EMPTY
+        saved_frame = self.frame
+        self.frame = saved_frame.scoped()
         local_allocs = set()
         parts = []
         for s in stmts:
             parts.append(self._stmt_effect(s, local_allocs))
         eff = eseq(*parts)
-        self.tenv = saved_tenv
+        self.frame = saved_frame
         if local_allocs:
             eff = _drop_bufs(eff, local_allocs)
         return eff
@@ -236,7 +214,7 @@ class EffectExtractor:
         if isinstance(s, (IR.Assign, IR.Reduce)):
             parts = [self.expr_effect(i) for i in s.idx]
             parts.append(self.expr_effect(s.rhs))
-            view = self.tenv.view(s.name)
+            view = self.frame.tenv.view(s.name)
             idx_terms = [self._ctrl(i) for i in s.idx]
             pt = tuple(view.compose_index(idx_terms))
             leaf = EWrite if isinstance(s, IR.Assign) else EReduce
@@ -244,174 +222,100 @@ class EffectExtractor:
             return eseq(*parts)
         if isinstance(s, IR.WriteConfig):
             csym = config_sym(s.config, s.field)
-            value = self._ctrl(s.rhs)
-            eff = eseq(self.expr_effect(s.rhs), EGlobalWrite(csym, value))
-            self.state.set(csym, value)
-            return eff
+            eff = self.expr_effect(s.rhs)
+            self.state = _df.step(s, self.state, self.frame)
+            return eseq(eff, EGlobalWrite(csym, self.state.get(csym)))
         if isinstance(s, IR.Pass):
             return EMPTY
         if isinstance(s, IR.If):
             cond = self._ctrl(s.cond)
             cond_eff = self.expr_effect(s.cond)
-            st0 = self.state.copy()
+            st0 = self.state
             body = self.block_effect(s.body)
             st_then = self.state
-            self.state = st0.copy()
+            self.state = st0
             orelse = self.block_effect(s.orelse)
-            st_else = self.state
-            from ..core.dataflow import _merge_states
-
-            self.state = _merge_states(cond, st_then, st_else)
+            self.state = _df.merge_states(cond, st_then, self.state)
             out = [cond_eff, EGuard(cond, body)]
             if not isinstance(orelse, EEmpty):
                 out.append(EGuard(S.negate(cond), orelse))
             return eseq(*out)
         if isinstance(s, IR.For):
-            lo = self._ctrl(s.lo)
-            hi = self._ctrl(s.hi)
             bound_eff = eseq(self.expr_effect(s.lo), self.expr_effect(s.hi))
-            # stabilize the config state across iterations (havoc loop-variant
-            # fields), then extract the body under the stabilized state
-            entry, out = self.loop_entry(s.body)
-            _obs.incr("dataflow.body_walks")
-            body = self._spawn(entry).block_effect(s.body)
-            self._exit_loop(entry, out)
-            return eseq(bound_eff, ELoop(s.iter, lo, hi, body))
+            loop = []
+
+            def body(entry, lo, hi):
+                eff = self._spawn(entry).block_effect(s.body)
+                loop.append(ELoop(s.iter, lo, hi, eff))
+
+            self.state = _df.walk_loop(s, self.state, self.frame, visit=body)
+            return eseq(bound_eff, *loop)
         if isinstance(s, IR.Alloc):
-            self.tenv.enter_stmt(s)
+            self.state = _df.step(s, self.state, self.frame)
             local_allocs.add(s.name)
             return EMPTY
         if isinstance(s, IR.WindowStmt):
             eff = self.expr_effect(s.rhs)
-            self.tenv.enter_stmt(s)
+            self.state = _df.step(s, self.state, self.frame)
             return eff
         if isinstance(s, IR.Call):
             return self._call_effect(s)
         raise InternalError(f"effect of unknown statement {type(s).__name__}")
 
-    def _exit_loop(self, entry: GlobalState, out: GlobalState):
-        """Post-loop state: havoc anything the body may change (``out`` is
-        the state after one iteration from the stabilized ``entry``)."""
-        exit_state = self.state.copy()
-        for f in entry.changed_fields(self.state):
-            exit_state.havoc(f)
-        for f in out.changed_fields(entry):
-            exit_state.havoc(f)
-        self.state = exit_state
-
-    def _stmt_state(self, s: IR.Stmt):
-        """The state-only counterpart of :meth:`_stmt_effect`."""
-        if isinstance(s, IR.WriteConfig):
-            self.state.set(config_sym(s.config, s.field), self._ctrl(s.rhs))
-        elif isinstance(s, (IR.Alloc, IR.WindowStmt)):
-            self.tenv.enter_stmt(s)
-        elif not _df.writes_config(s):
-            return
-        elif isinstance(s, IR.If):
-            cond = self._ctrl(s.cond)
-            st0 = self.state.copy()
-            self.block_effect(s.body)
-            st_then = self.state
-            self.state = st0.copy()
-            self.block_effect(s.orelse)
-            self.state = _df._merge_states(cond, st_then, self.state)
-        elif isinstance(s, IR.For):
-            entry, out = self.loop_entry(s.body)
-            self._exit_loop(entry, out)
-        elif isinstance(s, IR.Call):
-            self._call_effect(s)
-
     def _call_effect(self, s: IR.Call) -> Eff:
         callee = s.proc
-        arg_effs = (
-            [] if self.state_only else [self.expr_effect(a) for a in s.args]
-        )
-        # build the callee-side environment mapping formals onto the caller's
-        # terms, views, and strides
-        callee_tenv = TypeEnv()
-        sub = {}
-        stride_extra = {}
+        arg_effs = [self.expr_effect(a) for a in s.args]
+        frame = _df.bind_call(s, self.state, self.frame)
+        # on top of the binding: buffer formals resolve to views in the
+        # caller's root coordinates
         for formal, actual in zip(callee.args, s.args):
-            if formal.type.is_numeric():
-                if formal.type.is_real_scalar():
-                    if isinstance(actual, IR.Read):
-                        view = self.tenv.view(actual.name)
-                        if actual.idx:
-                            # element argument: pin the view at that point
-                            idx_terms = [self._ctrl(i) for i in actual.idx]
-                            pts = view.compose_index(idx_terms)
-                            from ..core.buffers import BufView, VPoint
-
-                            view = BufView(
-                                view.root, tuple(VPoint(p) for p in pts)
-                            )
-                        callee_tenv.types[formal.name] = formal.type
-                        callee_tenv.views[formal.name] = view
-                        self._carry_root(callee_tenv, view)
-                    else:
-                        callee_tenv.bind_root(formal.name, formal.type)
-                    continue
-                if isinstance(actual, IR.Read):
-                    view = self.tenv.view(actual.name)
-                elif isinstance(actual, IR.WindowExpr):
-                    base = self.tenv.view(actual.name)
-                    widx = [
-                        (
-                            ("iv", (self._ctrl(w.lo), self._ctrl(w.hi)))
-                            if isinstance(w, IR.Interval)
-                            else ("pt", self._ctrl(w.pt))
-                        )
-                        for w in actual.idx
-                    ]
-                    view = base.compose_window(widx)
-                else:
-                    raise InternalError("buffer argument must be a name or window")
-                callee_tenv.types[formal.name] = formal.type
-                callee_tenv.views[formal.name] = view
-                self._carry_root(callee_tenv, view)
-                rank = len(formal.type.shape())
-                for d in range(rank):
-                    stride_extra[(formal.name, d)] = _actual_stride(
-                        actual, d, self.tenv
-                    )
-            else:
-                sub[formal.name] = self._ctrl(actual)
+            if not formal.type.is_numeric():
+                continue
+            if formal.type.is_real_scalar() and not isinstance(actual, IR.Read):
+                continue
+            view = self._arg_view(actual)
+            frame.tenv.views[formal.name] = view
+            self._carry_root(frame.tenv, view)
         # preconditions read config fields: conservatively record those reads
         pred_reads = []
         for pred in callee.preds:
             for csym in _config_reads(pred):
                 pred_reads.append(EGlobalRead(csym))
-        inner = _CalleeExtractor(callee_tenv, self.state, sub, stride_extra)
-        inner.state_only = self.state_only
+        inner = EffectExtractor(frame.tenv, self.state, frame.sub, frame.strides)
         body_eff = inner.block_effect(callee.body)
         self.state = inner.state
         return eseq(*arg_effs, *pred_reads, body_eff)
+
+    def _arg_view(self, actual: IR.Expr):
+        """The caller-side view a buffer argument passes to its formal."""
+        if isinstance(actual, IR.Read):
+            view = self.frame.tenv.view(actual.name)
+            if actual.idx:
+                # element argument: pin the view at that point
+                pts = view.compose_index([self._ctrl(i) for i in actual.idx])
+                view = BufView(view.root, tuple(VPoint(p) for p in pts))
+            return view
+        if isinstance(actual, IR.WindowExpr):
+            widx = [
+                (
+                    ("iv", (self._ctrl(w.lo), self._ctrl(w.hi)))
+                    if isinstance(w, IR.Interval)
+                    else ("pt", self._ctrl(w.pt))
+                )
+                for w in actual.idx
+            ]
+            return self.frame.tenv.view(actual.name).compose_window(widx)
+        raise InternalError("buffer argument must be a name or window")
 
     def _carry_root(self, callee_tenv: TypeEnv, view):
         """Carry the root buffer's type/mem into a callee environment, so
         the callee's own calls can still resolve stride terms for windows
         of its formals (views always ground out at the caller's root)."""
         root = view.root
-        if root not in callee_tenv.types and root in self.tenv.types:
-            callee_tenv.types[root] = self.tenv.types[root]
-            callee_tenv.mems[root] = self.tenv.mems.get(root)
-
-
-class _CalleeExtractor(EffectExtractor):
-    """Extractor running inside a callee with formals substituted."""
-
-    def __init__(self, tenv, state, sub, stride_extra):
-        super().__init__(tenv, state)
-        self.sub = sub
-        self.stride_extra = stride_extra
-
-    def _spawn(self, state):
-        return _CalleeExtractor(self.tenv, state, self.sub, self.stride_extra)
-
-    def _ctrl(self, e: IR.Expr) -> S.Term:
-        t = lower_expr(e, _StrideEnv(self.tenv, self.stride_extra))
-        t = S.substitute(t, self.sub)
-        return self.state.subst_term(t)
+        tenv = self.frame.tenv
+        if root not in callee_tenv.types and root in tenv.types:
+            callee_tenv.types[root] = tenv.types[root]
+            callee_tenv.mems[root] = tenv.mems.get(root)
 
 
 def _config_reads(e: IR.Expr):

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Optional, Tuple
 
 from ..core import ast as IR
+from ..core.dataflow import writes_config
 from ..core.prelude import SchedulingError
 
 
@@ -257,20 +258,6 @@ def interior_none(_rel):
     return None
 
 
-def stmts_write_config(stmts, _seen=None) -> bool:
-    """Does this block write config state, directly or through calls?"""
-    if _seen is None:
-        _seen = set()
-    for s in IR.walk_stmts(stmts):
-        if isinstance(s, IR.WriteConfig):
-            return True
-        if isinstance(s, IR.Call) and id(s.proc) not in _seen:
-            _seen.add(id(s.proc))
-            if stmts_write_config(s.proc.body, _seen):
-                return True
-    return False
-
-
 def splice(proc_or_stmts_old, path, old_count, new_count,
            interior=interior_identity, new_stmts=None) -> SpliceForwarder:
     """Build the standard splice forwarder for replacing ``old_count``
@@ -278,7 +265,7 @@ def splice(proc_or_stmts_old, path, old_count, new_count,
     from whether either side of the splice touches config state
     (``proc_or_stmts_old`` may be the old proc, the old block, or None)."""
     dirty = False
-    if new_stmts is not None and stmts_write_config(new_stmts):
+    if new_stmts is not None and writes_config(new_stmts):
         dirty = True
     if not dirty and proc_or_stmts_old is not None:
         old = proc_or_stmts_old
@@ -288,7 +275,7 @@ def splice(proc_or_stmts_old, path, old_count, new_count,
                 IR.get_stmt(old, path[:-1]) if len(path) > 1 else old, fld
             )
             old = block[idx: idx + old_count]
-        dirty = stmts_write_config(old)
+        dirty = writes_config(old)
     return SpliceForwarder(path, old_count, new_count, interior=interior,
                            ctx_dirty=dirty)
 

@@ -24,6 +24,7 @@ from dataclasses import replace as dc_replace
 
 from ..core import ast as IR
 from ..core import types as T
+from ..core.dataflow import writes_config
 from ..core.prelude import SchedulingError, Sym
 from ..effects import api as EA
 from ..effects.effects import EffectExtractor
@@ -36,7 +37,6 @@ from .cursors import (
     interior_identity,
     interior_insert,
     interior_none,
-    stmts_write_config,
 )
 from .pattern import StmtMatch, find_expr, find_stmt, get_expr, replace_expr_at
 from .simplify import simplify_expr
@@ -58,8 +58,8 @@ def _splice(proc, path, old_count, new_stmts, interior=interior_identity,
     fld, idx = path[-1]
     block = EA._block_at(proc, path)
     old_stmts = tuple(block[idx: idx + old_count])
-    dirty = (extra_dirty or stmts_write_config(old_stmts)
-             or stmts_write_config(new_stmts))
+    dirty = (extra_dirty or writes_config(old_stmts)
+             or writes_config(new_stmts))
     new_proc = IR.replace_block(proc, path, old_count, list(new_stmts))
     fwd = SpliceForwarder(path, old_count, len(new_stmts), interior=interior,
                           touched=touched, ctx_dirty=dirty)

@@ -249,6 +249,129 @@ def f(v: f32 @ DRAM):
         _f, state, _t = state_before(proc, calls[1])
         assert state.get(config_sym(cfg, "a")) == S.IntC(9)
 
+    def test_callee_loop_runs_the_fixpoint(self):
+        # h's loop writes CfgY.w = 7 from its second iteration on: the
+        # callee body runs the same loop fixpoint as the caller's, so g's
+        # precondition is refuted at definition (not at interpret())
+        from repro import AssertCheckError
+
+        cfg = Config("CfgY", [("v", T.int_t), ("w", T.int_t)])
+        with pytest.raises(AssertCheckError, match="call to g"):
+            _p(
+                """
+@proc
+def g(n: size, x: f32 @ DRAM):
+    assert CfgY.w == 0
+    x = 0.0
+
+@proc
+def h(n: size, x: f32 @ DRAM):
+    for i in seq(0, n):
+        if CfgY.v == 5:
+            CfgY.w = 7
+        CfgY.v = 5
+
+@proc
+def f(n: size, x: f32 @ DRAM):
+    assert n >= 2
+    CfgY.v = 0
+    CfgY.w = 0
+    h(n, x)
+    g(n, x)
+""",
+                extra={"CfgY": cfg},
+            )
+
+    def test_stride_written_through_call_of_call(self):
+        # the actual's strides reach set_s through fused's frame
+        import numpy as np
+
+        cfg = Config("CfgZ", [("s", T.stride_t)])
+        p = _p(
+            """
+@proc
+def set_s(m: size, y: [f32][m, 8] @ DRAM):
+    CfgZ.s = stride(y, 0)
+
+@proc
+def fused(m: size, y: [f32][m, 8] @ DRAM):
+    set_s(m, y)
+
+@proc
+def use(m: size, y: [f32][m, 8] @ DRAM):
+    assert CfgZ.s == stride(y, 0)
+    y[0, 0] = 1.0
+
+@proc
+def f(n: size, x: f32[n, 8] @ DRAM):
+    fused(n, x[0:n, :])
+    use(n, x[0:n, :])
+""",
+            extra={"CfgZ": cfg},
+        )
+        x = np.zeros((4, 8), dtype=np.float32)
+        p.interpret(4, x)
+        assert x[0, 0] == 1.0
+
+    def test_window_of_formal_strides_like_the_actual(self):
+        # y is dense in set_w, but the actual is a window of a 16-wide x
+        from repro import AssertCheckError
+
+        cfg = Config("CfgV", [("s", T.stride_t)])
+        src = """
+@proc
+def set_w(m: size, y: f32[m, 8] @ DRAM):
+    w = y[0:m, 0:4]
+    CfgV.s = stride(w, 0)
+
+@proc
+def use(m: size, y: [f32][m, 8] @ DRAM):
+    assert CfgV.s == %d
+    y[0, 0] = 1.0
+
+@proc
+def f(n: size, x: f32[n, 16] @ DRAM):
+    set_w(n, x[0:n, 0:8])
+    use(n, x[0:n, 0:8])
+"""
+        _p(src % 16, extra={"CfgV": cfg})
+        with pytest.raises(AssertCheckError, match="call to use"):
+            _p(src % 8, extra={"CfgV": cfg})
+
+    @staticmethod
+    def _bump(pred):
+        cfg = Config("CfgW", [("a", T.int_t), ("b", T.int_t)])
+        src = """
+@proc
+def bump(k: index, x: f32 @ DRAM):
+    CfgW.a = k + 1
+    CfgW.b = k
+    x = 0.0
+
+@proc
+def g(x: f32 @ DRAM):
+    assert %s
+    x = 0.0
+
+@proc
+def f(x: f32 @ DRAM):
+    bump(CfgW.a, x)
+    g(x)
+"""
+        return cfg, _p(src % pred, extra={"CfgW": cfg})
+
+    def test_actual_is_the_value_at_the_call(self):
+        # k is CfgW.a's value at the call, not after bump's own write to it
+        import numpy as np
+
+        from repro import AssertCheckError
+
+        cfg, p = self._bump("CfgW.b + 1 == CfgW.a")
+        state = p.interpret(np.zeros((), np.float32), config_state={(cfg, "a"): 4})
+        assert state[(cfg, "b")] == 4
+        with pytest.raises(AssertCheckError, match="call to g"):
+            self._bump("CfgW.b == CfgW.a")
+
 
 class TestLoopConvergence:
     """The loop stabilization heuristic, observed *inside* the body."""
@@ -370,11 +493,14 @@ def f(n: size, x: f32[n] @ DRAM):
 # The config-write summary: a pure optimization of the walk
 # ---------------------------------------------------------------------------
 
-_CFG_SUMMARY = Config("CfgSum", [("a", T.int_t), ("b", T.int_t)])
+_CFG_SUMMARY = Config(
+    "CfgSum", [("a", T.int_t), ("b", T.int_t), ("s", T.stride_t)]
+)
 
 # ``fused`` writes config only through a call of a call, like Old-lib's
-# fused config+DMA instructions; ``scrub`` is a config-free callee with a
-# loop of its own
+# fused config+DMA instructions, and ``fused_s`` writes a stride that way;
+# ``latch``'s loop writes config under a config-dependent ``if``; ``scrub``
+# is a config-free callee with a loop of its own
 _CALLEES = """
 @proc
 def set_a(k: size):
@@ -384,6 +510,21 @@ def set_a(k: size):
 def fused(k: size, v: f32 @ DRAM):
     set_a(k)
     v = 0.0
+
+@proc
+def set_s(m: size, z: [f32][m] @ DRAM):
+    CfgSum.s = stride(z, 0)
+
+@proc
+def fused_s(m: size, z: [f32][m] @ DRAM):
+    set_s(m, z)
+
+@proc
+def latch(k: size):
+    for j in seq(0, k):
+        if CfgSum.a == 3:
+            CfgSum.b = 7
+        CfgSum.a = 3
 
 @proc
 def scrub(n: size, y: f32[n] @ DRAM):
@@ -411,22 +552,21 @@ def _render(state):
 
 
 def _walk_trace(proc):
-    """Every visit's ``(path, facts, state)`` and the final state."""
+    """Every visit's ``(path, facts, state)``, and the final state."""
     events = []
 
     def visit(_s, path, facts, state, _tenv):
         events.append((path, repr(facts), _render(state)))
 
     final = Walker(proc, visit).run()
-    return _canon(repr(events) + _render(final))
+    return _canon(repr(events)), _canon(_render(final))
 
 
-def _extract(proc, state_only=False):
+def _extract(proc):
     from repro.core.buffers import TypeEnv
     from repro.effects.effects import EffectExtractor
 
     ex = EffectExtractor(TypeEnv(proc), GlobalState())
-    ex.state_only = state_only
     eff = ex.block_effect(proc.body)
     return _canon(repr(eff)), _canon(_render(ex.state))
 
@@ -437,9 +577,13 @@ def _assert_summary_transparent(proc, monkeypatch):
         m.setattr(DF, "writes_config", lambda node: True)
         slow = _walk_trace(proc), _extract(proc)
     assert fast == slow
-    # the fixpoint's state-only probes advance the state exactly as a full
-    # effect extraction does
-    assert _extract(proc, state_only=True)[1] == fast[1][1]
+    # the Walker and the extractor run one transfer and one loop-exit rule:
+    # they end in the same state once the Walker's control facts are
+    # withheld from the exit rule (the extractor holds none)
+    prove_runs = DF._prove_runs
+    with monkeypatch.context() as m:
+        m.setattr(DF, "_prove_runs", lambda _facts, lo, hi: prove_runs((), lo, hi))
+        assert _walk_trace(proc)[1] == fast[1][1]
 
 
 def _app_kernels():
@@ -469,6 +613,9 @@ _LEAVES = [
     "fused(n, v)",
     "fused(4, v)",
     "scrub(n, y)",
+    "fused_s(n, y[0:n])",
+    "latch(n)",
+    "latch(4)",
 ]
 
 
@@ -543,6 +690,32 @@ class TestConfigWriteSummary:
         assert DF.writes_config(stmt)
         assert stmt.__dict__["_writes_config"] is True
         assert stmt == IR.WriteConfig(stmt.config, stmt.field, stmt.rhs, stmt.srcinfo)
+
+
+class TestExitRule:
+    """The Walker and the extractor share one loop-exit rule; only the
+    facts it may use differ."""
+
+    @staticmethod
+    def _after(hi):
+        proc = _summary_proc(
+            [f"    for i0 in seq(0, {hi}):", "        CfgSum.a = 3", "    v = 0.0"]
+        )
+        _f, walker, _t = state_before(proc, [("body", 1)])
+        extractor = _extract(proc)[1]
+        return walker.get(config_sym(_CFG_SUMMARY, "a")), extractor
+
+    def test_trip_provable_without_facts(self):
+        walker, extractor = self._after("4")
+        assert walker == S.IntC(3)
+        a = config_sym(_CFG_SUMMARY, "a")
+        assert extractor == _render(GlobalState({a: S.IntC(3)}))
+
+    def test_trip_provable_only_from_the_procedure_facts(self):
+        # n >= 1 is a fact of f's Walker, not of the extractor
+        walker, extractor = self._after("n")
+        assert walker == S.IntC(3)
+        assert "CfgSum_a_u" in extractor
 
 
 class TestWalkComplexity:
