@@ -14,7 +14,7 @@ The package provides:
 """
 
 from . import analysis, obs
-from .api import Procedure, compile_procs, config, instr, proc, set_check_mode
+from .api import Procedure, compile_procs, config, instr, proc
 from .core import types as _T
 from .core.builtins import fmax, fmin, relu, select, sqrt
 from .core.configs import Config
@@ -63,7 +63,6 @@ __all__ = [
     "StaticMemory",
     "MemGenError",
     "compile_procs",
-    "set_check_mode",
     "ExoError",
     "ParseError",
     "TypeCheckError",

@@ -10,10 +10,11 @@ procedure:
 
 * :mod:`repro.analysis.absint` -- interval / affine-bounds abstract
   interpretation.  A capped Fourier-Motzkin engine over linear integer
-  constraints that fast-paths the bulk of bounds / assertion / parallelism
-  goals in front of the SMT solver (``analysis.absint.*`` obs counters
-  record goals tried / discharged / fell-through), plus the interval-box
-  write-coverage domain used by the sanitizers.
+  constraints; its ``prove`` is the one route by which every safety
+  obligation reaches the SMT solver, fast path first
+  (``analysis.absint.*`` obs counters record goals tried / discharged /
+  fell-through), plus the interval-box write-coverage domain used by the
+  sanitizers.
 
 * :mod:`repro.analysis.sanitize` -- whole-procedure sanitizers reporting
   reads of possibly-uninitialized memory, provably dead buffer and config

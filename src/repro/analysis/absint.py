@@ -23,10 +23,12 @@ refutation engine over linear integer constraints:
   preconditions like ``n % 16 == 0`` connect to loop bounds like
   ``io < n / 16``.
 
-* :func:`prove` wraps the fast path in front of ``Solver.prove`` with
-  ``analysis.absint.*`` obs counters (goals tried / discharged /
-  fell-through, per originating check category), and tags fall-through
-  solver calls with the category via :func:`repro.obs.smtstats.query_category`.
+* :func:`prove` is the single route by which a safety obligation reaches
+  the solver: the fast path first, then ``DEFAULT_SOLVER.prove`` on
+  fall-through, with ``analysis.absint.*`` obs counters (goals tried /
+  discharged / fell-through, per originating check category) and the
+  fall-through query tagged with the category via
+  :func:`repro.obs.smtstats.query_category`.
 
 On top of the same linear engine sits the **write-coverage box domain**
 used by the sanitizers (:mod:`repro.analysis.sanitize`): sets of
@@ -39,7 +41,6 @@ read footprints against it without any SMT call.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Tuple
@@ -48,6 +49,7 @@ from ..core.prelude import Sym
 from ..obs import smtstats as _smtstats
 from ..obs import trace as _obs
 from ..smt import terms as S
+from ..smt.solver import DEFAULT_SOLVER
 
 #: give-up thresholds keeping the fast path strictly cheap: anything larger
 #: falls through to the solver rather than risking FM's worst case
@@ -55,18 +57,6 @@ MAX_VARS = 24
 MAX_CONS = 192
 MAX_COMBOS = 96
 MAX_COEF = 10**15
-
-_FASTPATH = [True]
-
-
-def set_fastpath(enabled: bool):
-    """Globally enable/disable the interval fast path (for measurement)."""
-    _FASTPATH[0] = bool(enabled)
-
-
-def fastpath_enabled() -> bool:
-    return _FASTPATH[0]
-
 
 class NonAffine(Exception):
     """A term or formula outside the affine fragment; bail to the solver."""
@@ -442,24 +432,23 @@ def _count(event: str, category: str):
     _obs.incr(f"analysis.absint.{category}.{event}")
 
 
-def prove(assumptions, goal: S.Term, solver=None, category: str = "other") -> bool:
-    """Discharge ``assumptions ⟹ goal``: interval fast path first, the full
-    SMT solver on fall-through.  Goals the fast path decides never reach
-    the solver; fall-through queries are tagged with ``category`` so
-    :mod:`repro.obs.smtstats` breaks solver load down per check."""
-    if _FASTPATH[0]:
-        _count("tried", category)
-        with _obs.span("analysis.absint"):
-            ok = try_prove(assumptions, goal)
-        if ok:
-            _count("discharged", category)
-            return True
-        _count("fellthrough", category)
-    if solver is None:
-        from ..smt.solver import DEFAULT_SOLVER as solver  # noqa: F811
-
+def prove(assumptions, goal: S.Term, category: str) -> bool:
+    """Discharge ``assumptions ⟹ goal``: the interval fast path first, then
+    :data:`~repro.smt.solver.DEFAULT_SOLVER` (with its canonical verdict
+    cache) on fall-through.  This is the one route by which every safety
+    obligation -- bounds, assert, parallel, rewrite, sanitize, dataflow --
+    reaches the solver; ``category`` tags the ``analysis.absint.*``
+    counters and, via :func:`repro.obs.smtstats.query_category`, the
+    solver queries."""
+    _count("tried", category)
+    with _obs.span("analysis.absint"):
+        ok = try_prove(assumptions, goal)
+    if ok:
+        _count("discharged", category)
+        return True
+    _count("fellthrough", category)
     with _smtstats.query_category(category):
-        return solver.prove(S.implies(S.conj(*assumptions), goal))
+        return DEFAULT_SOLVER.prove(S.implies(S.conj(*assumptions), goal))
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +659,6 @@ def covers_reads(assumptions, read_eff, root: Sym, cover_boxes, category="saniti
     contained in some box of ``cover_boxes``?  Counts toward the
     ``analysis.absint.*`` counters like :func:`prove`'s fast path; a
     ``False`` only means the box domain could not decide it."""
-    if not _FASTPATH[0]:
-        return False
     _count("tried", category)
     with _obs.span("analysis.absint"):
         targets = access_boxes(read_eff, root)
@@ -684,15 +671,3 @@ def covers_reads(assumptions, read_eff, root: Sym, cover_boxes, category="saniti
         return True
     _count("fellthrough", category)
     return False
-
-
-@contextmanager
-def disabled():
-    """Context manager running its body with the fast path off (used by the
-    measurement harness to collect solver-only baselines)."""
-    saved = _FASTPATH[0]
-    _FASTPATH[0] = False
-    try:
-        yield
-    finally:
-        _FASTPATH[0] = saved

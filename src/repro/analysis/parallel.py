@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 from ..core import ast as IR
 from ..core.pprint import expr_to_str
 from ..core.prelude import SchedulingError, Sym
-from ..effects.api import Ctx, checks_enabled
+from ..effects.api import Ctx
 from ..effects.effects import (
     EGuard,
     ELoop,
@@ -49,14 +49,9 @@ from ..effects.effects import (
 from ..obs import trace as _obs
 from ..smt import terms as S
 from ..smt.solver import DEFAULT_SOLVER
+from .absint import prove
 
 _KIND_WORD = {"r": "read", "w": "write", "+": "reduce"}
-
-
-def _prove(assumptions, goal) -> bool:
-    from .absint import prove as _absint_prove
-
-    return _absint_prove(assumptions, goal, category="parallel")
 
 
 def _leaf_accesses(eff, root: Sym, point):
@@ -139,8 +134,6 @@ def check_parallel_loop(proc: IR.Proc, loop_path, what="parallelize"):
     Raises :class:`SchedulingError` naming the conflicting pair of
     accesses (with a concrete counterexample when the solver finds one)
     if any two distinct iterations may race."""
-    if not checks_enabled():
-        return
     loop = IR.get_stmt(proc, loop_path)
     if not isinstance(loop, IR.For):
         raise SchedulingError(f"{what}: not a loop")
@@ -206,7 +199,7 @@ def _check_parallel_loop(proc, loop_path, loop, what):
         for f1, f2 in agg:
             if f1 == S.FALSE or f2 == S.FALSE:
                 continue
-            if not _prove(assumptions, S.negate(S.conj(f1, f2))):
+            if not prove(assumptions, S.negate(S.conj(f1, f2)), "parallel"):
                 clean = False
                 break
         if clean:
@@ -222,7 +215,7 @@ def _check_parallel_loop(proc, loop_path, loop, what):
                 if k1 == "r" and k2 == "r":
                     continue
                 conflict = S.conj(f1, f2)
-                if _prove(assumptions, S.negate(conflict)):
+                if prove(assumptions, S.negate(conflict), "parallel"):
                     continue
                 msg = (
                     f"{what}: loop {x} is not parallelizable\n"

@@ -28,14 +28,12 @@ from .core import ast as IR
 from .core import checks as _checks
 from .core import types as T
 from .core.cgen import compile_procs
-from .core.checks import check_proc as _frontend_check
 from .core.configs import Config, config_from_class
 from .core.dataflow import writes_config
 from .core.interp import run_proc
 from .core.prelude import SchedulingError
 from .core.typecheck import typecheck_proc
 from .effects import api as EA
-from .effects.api import checks_enabled, set_check_mode
 from .frontend.parser import parse_function
 from .obs import journal as _journal
 from .obs import trace as _obs
@@ -68,7 +66,13 @@ class Procedure:
     """A schedulable Exo procedure (the object ``@proc`` returns)."""
 
     def __init__(self, loopir_proc: IR.Proc, _eqv: EqvNode | None = None,
-                 _checked: bool = False):
+                 _parent: "Procedure | None" = None, _fwd=None):
+        # every revision is checked before it exists: a root ``@proc`` in
+        # full, a derived one incrementally against its (checked) parent
+        if _parent is None:
+            _checks.check_proc(loopir_proc)
+        else:
+            _checks.check_proc_incremental(loopir_proc, _fwd)
         self._loopir_proc = loopir_proc
         self._eqv = _eqv or EqvNode()
         #: provenance journal: the directives that derived this procedure
@@ -77,16 +81,9 @@ class Procedure:
         self._root: "Procedure" = self
         #: derivation chain for cursor forwarding: the revision this one
         #: was derived from, and the Forwarder of the deriving rewrite
-        self._parent: "Procedure | None" = None
-        self._fwd = None
-        #: True when this revision's safety obligations have all been
-        #: discharged (directly or incrementally); incremental re-checking
-        #: is only sound on top of a verified parent
-        self._verified: bool = False
+        self._parent = _parent
+        self._fwd = _fwd
         _EQV_OF_IR[id(loopir_proc)] = self._eqv
-        if not _checked and checks_enabled():
-            _frontend_check(loopir_proc)
-            self._verified = True
 
     # -- introspection --------------------------------------------------------
 
@@ -143,17 +140,8 @@ class Procedure:
         if simp_fwd is not None:
             fwd = C.compose(fwd, simp_fwd)
         new_ir = typecheck_proc(new_ir)
-        if checks_enabled():
-            # incremental only on top of a fully-verified parent revision
-            _checks.check_proc_incremental(
-                new_ir, fwd if self._verified else None
-            )
         node = EqvNode(self._eqv, pollution)
-        out = Procedure(new_ir, _eqv=node, _checked=True)
-        out._verified = checks_enabled()
-        out._parent = self
-        out._fwd = fwd
-        return out
+        return Procedure(new_ir, _eqv=node, _parent=self, _fwd=fwd)
 
     # -- cursors ---------------------------------------------------------------
 
@@ -509,8 +497,7 @@ class Procedure:
                 space = _at.Space.action_space(self.name(), self)
         elif space.base is not self:
             rebound = _at.Space(space.name, self, choices=space.choices,
-                                build=space.build,
-                                allow_unchecked=space.allow_unchecked)
+                                build=space.build)
             rebound._action_kwargs = space._action_kwargs
             rebound.depth = space.depth
             space = rebound
@@ -553,13 +540,10 @@ def _journaled(name, fn):
                 _journal.record_failure(self.name(), name, args, err)
             raise
         if isinstance(out, Procedure) and out is not self:
-            verdict = (
-                _journal.VERDICT_OK if checks_enabled()
-                else _journal.VERDICT_UNCHECKED
-            )
             out._journal = self._journal + (
                 _journal.make_record(
-                    name, args, kwargs, verdict, resolve=self._journal_arg
+                    name, args, kwargs, _journal.VERDICT_OK,
+                    resolve=self._journal_arg
                 ),
             )
             out._root = self._root
@@ -648,6 +632,5 @@ __all__ = [
     "proc",
     "instr",
     "config",
-    "set_check_mode",
     "compile_procs",
 ]

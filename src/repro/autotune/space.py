@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import trace as _obs
-from ..obs.journal import VERDICT_OK
 from ..scheduling.actions import Action, enumerate_actions
 
 __all__ = ["Choice", "Candidate", "Space", "enumerate_actions"]
@@ -105,7 +104,6 @@ class Space:
         base,
         choices: Sequence[Choice] = (),
         build: Optional[Callable] = None,
-        allow_unchecked: bool = False,
     ):
         if build is not None and not choices:
             raise ValueError("parameter mode needs at least one Choice")
@@ -113,7 +111,6 @@ class Space:
         self.base = base
         self.choices = tuple(choices)
         self.build = build
-        self.allow_unchecked = allow_unchecked
         self._action_kwargs: Optional[dict] = None
         self.depth = 0
 
@@ -184,18 +181,5 @@ class Space:
         except Exception as e:  # illegal schedule -> pruned, not fatal
             _obs.incr("autotune.candidates_pruned")
             return Candidate(params=params, error=f"{type(e).__name__}: {e}")
-
-        # every rewrite must have been verified by the safety checks; an
-        # unchecked record (checks disabled) would let an unsound schedule
-        # escape the "pruned, never emitted" guarantee
-        log = proc.schedule_log()
-        if not self.allow_unchecked and any(
-            r.verdict != VERDICT_OK for r in log
-        ):
-            _obs.incr("autotune.candidates_pruned")
-            return Candidate(
-                params=params,
-                error="unchecked rewrite in schedule (checks disabled?)",
-            )
         _obs.incr("autotune.candidates_checked")
         return Candidate(params=params, proc=proc)

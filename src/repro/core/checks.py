@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 
+from ..analysis.absint import prove
 from ..obs import trace as _obs
 from ..smt import terms as S
 from ..smt.solver import DEFAULT_SOLVER
@@ -34,38 +35,29 @@ from .ir2smt import proc_assumptions
 from .prelude import AssertCheckError, BoundsCheckError, Sym
 
 
-def _prove(assumptions, goal, solver=None, category="other"):
-    # deferred import: repro.analysis pulls in effects.api, which reaches
-    # back into this module lazily
-    from ..analysis.absint import prove as _absint_prove
-
-    return _absint_prove(assumptions, goal, solver=solver, category=category)
-
-
-def _counterexample(assumptions, goal, solver=None) -> str | None:
+def _counterexample(assumptions, goal) -> str | None:
     """A satisfying assignment of ``assumptions /\\ not goal``, rendered
     ``"i = 4, n = 4"`` -- the concrete inputs under which the unproven
     obligation actually fails (best-effort; None when unavailable)."""
-    solver = solver or DEFAULT_SOLVER
-    model = solver.find_model(S.conj(*assumptions, S.negate(goal)))
+    model = DEFAULT_SOLVER.find_model(S.conj(*assumptions, S.negate(goal)))
     if not model:
         return None
     items = sorted(model.items(), key=lambda kv: (kv[0].name, kv[0].id))
     return ", ".join(f"{s.name} = {v}" for s, v in items[:8])
 
 
-def bounds_check(proc: IR.Proc, solver=None, scope=None):
+def bounds_check(proc: IR.Proc, scope=None):
     """Prove every access in ``proc`` in-bounds; raise on failure.
 
     With a :class:`RecheckScope`, only obligations the scope marks dirty
     are re-proven (the walk still runs in full, maintaining dataflow
     state, but goal assembly and proving are skipped elsewhere)."""
-    _run_checkers(proc, [_BoundsChecker(proc, solver, scope)])
+    _run_checkers(proc, [_BoundsChecker(proc, scope)])
 
 
-def assert_check(proc: IR.Proc, solver=None, scope=None):
+def assert_check(proc: IR.Proc, scope=None):
     """Prove every call's preconditions; raise on failure."""
-    _run_checkers(proc, [_AssertChecker(proc, solver, scope)])
+    _run_checkers(proc, [_AssertChecker(proc, scope)])
 
 
 def _run_checkers(proc: IR.Proc, checkers):
@@ -93,9 +85,8 @@ class _Checker:
     """One obligation family visited during a :class:`Walker` run; a
     subclass names its obs ``span`` and the ``error`` class it raises."""
 
-    def __init__(self, proc: IR.Proc, solver, scope):
+    def __init__(self, proc: IR.Proc, scope):
         self.base = proc_assumptions(proc)
-        self.solver = solver
         self.scope = scope
         self.errors = []
         self.reused = 0
@@ -124,10 +115,10 @@ class _BoundsChecker(_Checker):
     error = BoundsCheckError
 
     def check(self, goal, facts, what, srcinfo, detail=""):
-        if not _prove(self.base + facts, goal, self.solver, category="bounds"):
+        if not prove(self.base + facts, goal, "bounds"):
             msg = f"{srcinfo}: cannot prove {what}"
             extras = [detail] if detail else []
-            cex = _counterexample(self.base + facts, goal, self.solver)
+            cex = _counterexample(self.base + facts, goal)
             if cex:
                 extras.append(f"counterexample: {cex}")
             if extras:
@@ -220,7 +211,7 @@ class _AssertChecker(_Checker):
     def visit(self, s, path, facts, state, tenv):
         if not isinstance(s, IR.Call) or not self.needs(path):
             return
-        base, solver = self.base, self.solver
+        base = self.base
         callee = s.proc
         frame = bind_call(s, state, Frame(tenv))
         shape_goals = []
@@ -243,26 +234,25 @@ class _AssertChecker(_Checker):
                     )
                 )
         for goal, what in shape_goals:
-            if not _prove(base + facts, goal, solver, category="assert"):
+            if not prove(base + facts, goal, "assert"):
                 self.errors.append(
                     f"{s.srcinfo}: call to {callee.name}: cannot prove {what}"
                 )
         for pred in callee.preds:
-            if not _prove(base + facts, frame.lower(pred, state), solver,
-                          category="assert"):
+            if not prove(base + facts, frame.lower(pred, state), "assert"):
                 self.errors.append(
                     f"{s.srcinfo}: call to {callee.name}: cannot prove "
                     f"precondition"
                 )
 
 
-def _check_bounds_and_asserts(proc: IR.Proc, solver=None, scope=None):
+def _check_bounds_and_asserts(proc: IR.Proc, scope=None):
     """:func:`bounds_check` then :func:`assert_check`, from one walk."""
     _run_checkers(
         proc,
         [
-            _BoundsChecker(proc, solver, scope),
-            _AssertChecker(proc, solver, scope),
+            _BoundsChecker(proc, scope),
+            _AssertChecker(proc, scope),
         ],
     )
 
@@ -279,11 +269,11 @@ def _actual_extent(actual, d, tenv, state):
     return None
 
 
-def check_proc(proc: IR.Proc, solver=None):
+def check_proc(proc: IR.Proc):
     """Run the front-end pipeline: bounds, preconditions, and the race
     detector over any ``par`` loops (user-written or rewrite-preserved).
     Bounds and preconditions share one dataflow walk."""
-    _check_bounds_and_asserts(proc, solver)
+    _check_bounds_and_asserts(proc)
     from ..analysis.parallel import check_par_loops  # deferred: avoids cycle
 
     check_par_loops(proc)
@@ -375,7 +365,7 @@ class RecheckScope:
         return any(_is_prefix(path, t) for t in self.touched)
 
 
-def check_proc_incremental(proc: IR.Proc, fwd, solver=None):
+def check_proc_incremental(proc: IR.Proc, fwd):
     """Like :func:`check_proc`, but when ``fwd`` (the rewrite's Forwarder)
     is precise, reuse the parent revision's verdicts for every obligation
     outside the rewrite's blast radius.  ``fwd=None`` or an imprecise
@@ -386,10 +376,10 @@ def check_proc_incremental(proc: IR.Proc, fwd, solver=None):
         or not _INCREMENTAL[0]
     ):
         _obs.incr("analysis.incremental.fallback")
-        return check_proc(proc, solver)
+        return check_proc(proc)
     scope = RecheckScope(proc, fwd.touched, fwd.ctx_dirty)
     with _obs.span("analysis.incremental"):
-        _check_bounds_and_asserts(proc, solver, scope)
+        _check_bounds_and_asserts(proc, scope)
         from ..analysis.parallel import check_par_loops
 
         check_par_loops(proc, scope=scope)

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ..analysis.absint import prove
 from ..obs import trace as _obs
-from ..obs.smtstats import query_category
 from ..smt import terms as S
 from .prelude import InternalError, Sym
 from . import ast as IR
@@ -279,10 +279,7 @@ def walk_loop(s: IR.For, state: GlobalState, frame: Frame, facts=(),
 
 
 def _prove_runs(facts, lo, hi) -> bool:
-    from ..smt.solver import DEFAULT_SOLVER
-
-    with query_category("dataflow"):
-        return DEFAULT_SOLVER.prove(S.implies(S.conj(*facts), S.lt(lo, hi)))
+    return prove(facts, S.lt(lo, hi), "dataflow")
 
 
 class Walker:

@@ -21,14 +21,13 @@ ternary D/M reasoning about configuration:
 
 from __future__ import annotations
 
+from ..analysis.absint import prove
 from ..core import ast as IR
 from ..core.dataflow import GlobalState, state_before
 from ..obs import trace as _obs
-from ..obs.smtstats import query_category as _query_category
 from ..core.ir2smt import proc_assumptions
 from ..core.prelude import SchedulingError, Sym
 from ..smt import terms as S
-from ..smt.solver import DEFAULT_SOLVER
 from .effects import (
     EffectExtractor,
     EGuard,
@@ -42,24 +41,6 @@ from .effects import (
     mem,
     rename_iter,
 )
-
-_CHECKS_ENABLED = [True]
-
-
-def set_check_mode(enabled: bool):
-    """Globally enable/disable scheduling safety checks (for benchmarking)."""
-    _CHECKS_ENABLED[0] = bool(enabled)
-
-
-def checks_enabled() -> bool:
-    return _CHECKS_ENABLED[0]
-
-
-def _prove(assumptions, goal, solver=None) -> bool:
-    solver = solver or DEFAULT_SOLVER
-    with _query_category("rewrite"):
-        return solver.prove(S.implies(S.conj(*assumptions), goal))
-
 
 def _fresh_point(rank: int):
     return [S.Var(Sym(f"p{d}")) for d in range(rank)]
@@ -102,7 +83,7 @@ def _commutes_buffers(assumptions, a1, a2, what):
         for f1, f2, kind in pairs:
             if f1 == S.FALSE or f2 == S.FALSE:
                 continue
-            if not _prove(assumptions, S.negate(S.conj(f1, f2))):
+            if not prove(assumptions, S.negate(S.conj(f1, f2)), "rewrite"):
                 errors.append(
                     f"{what}: cannot prove {kind} accesses to {root} disjoint"
                 )
@@ -118,7 +99,7 @@ def _noop_write(assumptions, eff, g, gamma: GlobalState) -> bool:
     for _guards, loops, value in writes:
         if value is None:
             return False
-        if not _prove(assumptions, S.eq(value, current)):
+        if not prove(assumptions, S.eq(value, current), "rewrite"):
             return False
     return True
 
@@ -138,7 +119,7 @@ def _stable_write(assumptions, eff, g, iter_syms=()) -> bool:
             return False
         if v0 is None:
             v0 = value
-        elif not _prove(assumptions, S.eq(value, v0)):
+        elif not prove(assumptions, S.eq(value, v0), "rewrite"):
             return False
     return True
 
@@ -161,7 +142,7 @@ def _commutes_globals(
         conflict = S.disj(S.conj(w1, S.disj(r2, w2)), S.conj(w2, S.disj(r1, w1)))
         if conflict == S.FALSE:
             continue
-        if _prove(assumptions, S.negate(conflict)):
+        if prove(assumptions, S.negate(conflict), "rewrite"):
             continue
         # exception 1: all writes on both sides are no-ops w.r.t. dataflow
         if _noop_write(assumptions, a1, g, gamma) and _noop_write(
@@ -180,8 +161,6 @@ def _commutes_globals(
 
 
 def check_commutes(ctx: Ctx, a1, a2, what="reorder", fission_pair=None):
-    if not checks_enabled():
-        return
     with _obs.span("effects.commutes"):
         errors = _commutes_buffers(ctx.assumptions, a1, a2, what)
         errors += _commutes_globals(
@@ -198,8 +177,6 @@ def check_commutes(ctx: Ctx, a1, a2, what="reorder", fission_pair=None):
 
 def check_reorder_stmts(proc: IR.Proc, path, n1: int, n2: int):
     """Safety of swapping two adjacent statement blocks."""
-    if not checks_enabled():
-        return
     ctx = Ctx(proc, path)
     fld, idx = path[-1]
     container_block = _block_at(proc, path)
@@ -211,8 +188,6 @@ def check_reorder_stmts(proc: IR.Proc, path, n1: int, n2: int):
 
 def check_fission(proc: IR.Proc, loop_path, split_idx: int, what="fission"):
     """§5.8 loop fission: iterations moved past each other must commute."""
-    if not checks_enabled():
-        return
     loop = IR.get_stmt(proc, loop_path)
     if not isinstance(loop, IR.For):
         raise SchedulingError(f"{what}: not a loop")
@@ -242,8 +217,6 @@ def check_fission(proc: IR.Proc, loop_path, split_idx: int, what="fission"):
 
 def check_reorder_loops(proc: IR.Proc, outer_path):
     """§5.8 loop reordering for a perfectly nested pair."""
-    if not checks_enabled():
-        return
     outer = IR.get_stmt(proc, outer_path)
     if not (
         isinstance(outer, IR.For)
@@ -282,8 +255,6 @@ def check_reorder_loops(proc: IR.Proc, outer_path):
 
 def check_remove_loop(proc: IR.Proc, loop_path):
     """§5.8 loop removal: trip count >= 1 and an idempotent body."""
-    if not checks_enabled():
-        return
     loop = IR.get_stmt(proc, loop_path)
     ctx = Ctx(proc, loop_path)
     ex = ctx.extractor()
@@ -292,7 +263,7 @@ def check_remove_loop(proc: IR.Proc, loop_path):
         raise SchedulingError(
             f"remove_loop: iterator {loop.iter} is used in the loop body"
         )
-    if not _prove(ctx.assumptions, S.lt(lo, hi)):
+    if not prove(ctx.assumptions, S.lt(lo, hi), "rewrite"):
         raise SchedulingError(
             "remove_loop: cannot prove the loop runs at least one iteration"
         )
@@ -302,8 +273,6 @@ def check_remove_loop(proc: IR.Proc, loop_path):
 
 def check_shadows(ctx: Ctx, a1, a2, what="shadow"):
     """Definition 5.7: everything a1 modifies, a2 overwrites without reading."""
-    if not checks_enabled():
-        return
     with _obs.span("effects.shadows"):
         return _check_shadows(ctx, a1, a2, what)
 
@@ -323,7 +292,7 @@ def _check_shadows(ctx: Ctx, a1, a2, what):
             modified,
             S.conj(overwritten, S.negate(read), S.negate(reduced)),
         )
-        if not _prove(ctx.assumptions, goal):
+        if not prove(ctx.assumptions, goal, "rewrite"):
             errors.append(f"{what}: {root} is not provably shadowed")
     for g in globals_of(a1):
         modified = gmem(a1, "w", g)
@@ -332,31 +301,28 @@ def _check_shadows(ctx: Ctx, a1, a2, what):
         goal = S.implies(
             modified, S.conj(gmem(a2, "w", g), S.negate(gmem(a2, "r", g)))
         )
-        if not _prove(ctx.assumptions, goal):
+        if not prove(ctx.assumptions, goal, "rewrite"):
             errors.append(f"{what}: config field {g} is not provably shadowed")
     if errors:
         raise SchedulingError("\n".join(errors))
 
 
 def check_trip_positive(proc: IR.Proc, loop_path, what):
-    if not checks_enabled():
-        return
     loop = IR.get_stmt(proc, loop_path)
     ctx = Ctx(proc, loop_path)
     ex = ctx.extractor()
-    if not _prove(ctx.assumptions, S.lt(ex._ctrl(loop.lo), ex._ctrl(loop.hi))):
+    goal = S.lt(ex._ctrl(loop.lo), ex._ctrl(loop.hi))
+    if not prove(ctx.assumptions, goal, "rewrite"):
         raise SchedulingError(f"{what}: cannot prove the loop body executes")
 
 
 def check_condition(proc: IR.Proc, path, cond: IR.Expr, what):
     """Prove a control condition holds at ``path`` (used by add_guard,
     perfect split divisibility, partition_loop, ...)."""
-    if not checks_enabled():
-        return
     ctx = Ctx(proc, path)
     ex = ctx.extractor()
     goal = ex._ctrl(cond)
-    if not _prove(ctx.assumptions, goal):
+    if not prove(ctx.assumptions, goal, "rewrite"):
         from ..core.checks import _counterexample
 
         cex = _counterexample(ctx.assumptions, goal)
@@ -365,10 +331,8 @@ def check_condition(proc: IR.Proc, path, cond: IR.Expr, what):
 
 
 def check_term_condition(proc: IR.Proc, path, goal: S.Term, what):
-    if not checks_enabled():
-        return
     ctx = Ctx(proc, path)
-    if not _prove(ctx.assumptions, goal):
+    if not prove(ctx.assumptions, goal, "rewrite"):
         raise SchedulingError(f"{what}: condition is not provable")
 
 
@@ -394,8 +358,6 @@ def check_config_pollution(proc: IR.Proc, path, fields):
     *exposed* read of the polluted config fields (a region that definitely
     re-writes the field before reading it is insensitive -- this is the
     sequencing subtraction that makes the §2.4 hoisting flow legal)."""
-    if not checks_enabled():
-        return
     if not fields:
         return
     post = post_effect(proc, path)
@@ -405,7 +367,7 @@ def check_config_pollution(proc: IR.Proc, path, fields):
         f = gmem_exposed(post, g)
         if f == S.FALSE:
             continue
-        if not _prove(ctx.assumptions, S.negate(f)):
+        if not prove(ctx.assumptions, S.negate(f), "rewrite"):
             errors.append(
                 f"configwrite: subsequent code may read polluted config {g}"
             )
@@ -416,8 +378,6 @@ def check_config_pollution(proc: IR.Proc, path, fields):
 def check_contained(ctx: Ctx, eff, root: Sym, rank: int, box, what):
     """Every access of ``root`` in ``eff`` lies inside ``box``
     (a list of (lo_term, hi_term) per dimension)."""
-    if not checks_enabled():
-        return
     p = _fresh_point(rank)
     inside = S.conj(
         *[S.conj(S.ge(pi, lo), S.lt(pi, hi)) for pi, (lo, hi) in zip(p, box)]
@@ -425,7 +385,7 @@ def check_contained(ctx: Ctx, eff, root: Sym, rank: int, box, what):
     accessed = mem(eff, "rw+", root, p)
     if accessed == S.FALSE:
         return
-    if not _prove(ctx.assumptions, S.implies(accessed, inside)):
+    if not prove(ctx.assumptions, S.implies(accessed, inside), "rewrite"):
         raise SchedulingError(
             f"{what}: accesses to {root} are not provably within the staged window"
         )

@@ -3,10 +3,10 @@
 Every scheduling directive on :class:`repro.api.Procedure` appends a
 :class:`RewriteRecord` to the derived procedure's journal — the directive
 name, its arguments (including the match pattern it was steered by), and
-the safety-check verdict (``"ok"`` when the front-end checks ran and
-passed, ``"unchecked"`` when checks were globally disabled).  The journal
-is cumulative from the root ``@proc``, so ``proc.schedule_log()`` is the
-full derivation and :func:`replay` re-executes it mechanically:
+the safety-check verdict (always ``"ok"``: a rewrite enters the journal
+only after its safety checks ran and passed).  The journal is cumulative
+from the root ``@proc``, so ``proc.schedule_log()`` is the full derivation
+and :func:`replay` re-executes it mechanically:
 
     fast = gemm.split("for i in _: _", 16, "io", "ii").reorder("for ii in _: _")
     again = replay(gemm, fast.schedule_log())
@@ -31,9 +31,9 @@ from typing import List, Optional
 #: (proc_name, op, args, error message)
 FAILED_LOG: List[tuple] = []
 
-#: verdicts a journalled rewrite can carry
-VERDICT_OK = "ok"  # safety checks ran and passed
-VERDICT_UNCHECKED = "unchecked"  # checks globally disabled (set_check_mode)
+#: the verdict every journalled rewrite carries: its safety checks ran and
+#: passed (a rewrite that fails them raises and is never journalled)
+VERDICT_OK = "ok"
 
 
 @dataclass(frozen=True)

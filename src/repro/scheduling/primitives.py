@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import replace as dc_replace
 
+from ..analysis.absint import prove
 from ..core import ast as IR
 from ..core import types as T
 from ..core.dataflow import writes_config
@@ -880,15 +881,13 @@ def _covers(ctx, eff, buf, rank, box) -> bool:
     needed even when the block writes the buffer)"""
     from ..effects.effects import mem
     from ..smt import terms as S
-    from ..smt.solver import DEFAULT_SOLVER
 
     p = EA._fresh_point(rank)
     inside = S.conj(
         *[S.conj(S.ge(pi, lo), S.lt(pi, hi)) for pi, (lo, hi) in zip(p, box)]
     )
     written = mem(eff, "w", buf, p)
-    goal = S.implies(S.conj(*ctx.assumptions), S.implies(inside, written))
-    return DEFAULT_SOLVER.prove(goal)
+    return prove(ctx.assumptions, S.implies(inside, written), "rewrite")
 
 
 def _rewrite_accesses(block, buf: Sym, new: Sym, widx):

@@ -582,9 +582,5 @@ def _bool_conflict(bools) -> bool:
 DEFAULT_SOLVER = Solver()
 
 
-def prove(formula) -> bool:
-    return DEFAULT_SOLVER.prove(formula)
-
-
 def satisfiable(formula) -> bool:
     return DEFAULT_SOLVER.satisfiable(formula)

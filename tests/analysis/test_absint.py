@@ -167,37 +167,22 @@ class TestCone:
 
 class TestProveWrapper:
     def test_discharged_goal_skips_solver(self):
-        from repro.smt.solver import Solver
+        from repro.smt.solver import DEFAULT_SOLVER
 
-        solver = Solver()
         x = _v("x")
-        ok = absint.prove(
-            [S.ge(x, S.IntC(0))], S.ge(x, S.IntC(-1)), solver=solver
-        )
-        assert ok
-        assert solver.stats["prove_calls"] == 0
+        before = DEFAULT_SOLVER.stats["prove_calls"]
+        assert absint.prove([S.ge(x, S.IntC(0))], S.ge(x, S.IntC(-1)), "bounds")
+        assert DEFAULT_SOLVER.stats["prove_calls"] == before
 
     def test_fellthrough_goal_reaches_solver(self):
-        from repro.smt.solver import Solver
+        from repro.smt.solver import DEFAULT_SOLVER
 
-        solver = Solver()
         x = _v("x")
         # non-affine goal: the fast path cannot decide it
         goal = S.ge(S.Ite(S.ge(x, S.IntC(0)), x, S.neg(x)), S.IntC(0))
-        assert absint.prove([], goal, solver=solver)
-        assert solver.stats["prove_calls"] == 1
-
-    def test_disabled_context_manager(self):
-        from repro.smt.solver import Solver
-
-        solver = Solver()
-        x = _v("x")
-        with absint.disabled():
-            assert not absint.fastpath_enabled()
-            absint.prove([S.ge(x, S.IntC(0))], S.ge(x, S.IntC(-1)),
-                         solver=solver)
-        assert absint.fastpath_enabled()
-        assert solver.stats["prove_calls"] == 1
+        before = DEFAULT_SOLVER.stats["prove_calls"]
+        assert absint.prove([], goal, "bounds")
+        assert DEFAULT_SOLVER.stats["prove_calls"] == before + 1
 
     def test_counters_flow(self):
         obs.reset()
@@ -214,6 +199,87 @@ class TestProveWrapper:
         finally:
             obs.disable()
             obs.reset()
+
+
+_ROUTED_SRC = """
+from __future__ import annotations
+from repro import proc, DRAM, f32, size
+
+@proc
+def need3(k: size, x: f32 @ DRAM):
+    assert CfgSound.a == 3
+    x = 0.0
+
+@proc
+def latch(n: size, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        CfgSound.a = 3
+    need3(n, y[0])
+
+@proc
+def dead(y: f32[8] @ DRAM):
+    t: f32 @ DRAM
+    t = 1.0
+    t = 2.0
+    for i in seq(0, 8):
+        y[i] = t
+"""
+
+
+class TestRoutedGoalsSound:
+    """Rewrite, stage_mem coverage, dataflow and sanitize goals reach the
+    solver only through :func:`absint.prove`, so the fast path now decides
+    many of them: every goal it proves must also be valid to the solver."""
+
+    def test_fastpath_proofs_agree_with_solver(self, monkeypatch):
+        from repro.analysis import sanitize
+        from repro.api import procs_from_source
+        from repro.apps import gemmini_conv, gemmini_matmul, x86_conv, x86_sgemm
+        from repro.core import dataflow
+        from repro.core import types as T
+        from repro.core.configs import Config
+        from repro.effects import api as effects_api
+        from repro.scheduling import primitives
+        from repro.smt.solver import Solver
+
+        proven = []
+        real_prove = absint.prove
+
+        def recording_prove(assumptions, goal, category):
+            if try_prove(assumptions, goal):
+                proven.append((category, list(assumptions), goal))
+            return real_prove(assumptions, goal, category)
+
+        # the callers of the newly routed goals (sanitize calls absint.prove)
+        for mod in (absint, dataflow, effects_api, primitives):
+            monkeypatch.setattr(mod, "prove", recording_prove)
+
+        # derive the seven compile-benchmark kernels from scratch
+        apps = (gemmini_conv, gemmini_matmul, x86_conv, x86_sgemm)
+        for mod in apps:
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+        gm = gemmini_matmul
+        kernels = [
+            gm.matmul_exo(), gm.matmul_oldlib(), gm.matmul_exo_blocked(4, 4),
+            gemmini_conv.conv_exo(), gemmini_conv.conv_oldlib(),
+            x86_sgemm.sgemm_exo(), x86_conv.conv_exo(),
+        ]
+        # plus a config write inside a loop (dataflow) and a dead store
+        # (sanitize), which the kernels do not exercise
+        cfg = Config("CfgSound", [("a", T.int_t)])
+        extra = procs_from_source(_ROUTED_SRC, {"CfgSound": cfg})
+        for p in kernels + list(extra.values()):
+            sanitize(p)
+
+        categories = {c for c, _a, _g in proven}
+        assert {"rewrite", "dataflow", "sanitize"} <= categories
+        solver = Solver()
+        for category, assumptions, goal in proven:
+            assert solver.prove(S.implies(S.conj(*assumptions), goal)), (
+                category, S.term_to_str(goal)
+            )
 
 
 class TestBoxDomain:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs, set_check_mode
+from repro import obs
 from repro.api import procs_from_source
 from repro.autotune import Choice, Space, enumerate_actions
 from repro.obs.journal import VERDICT_OK
@@ -77,21 +77,6 @@ class TestParameterMode:
         assert "SchedulingError" in c.error
         totals = obs.trace.TRACER.counter_totals()
         assert totals["autotune.candidates_pruned"] == 1
-
-    def test_unchecked_rewrite_is_pruned(self, scal):
-        """With the safety checks disabled, rewrites journal as unchecked;
-        the space must refuse such candidates unless explicitly allowed."""
-        sp = Space("s", scal, choices=[Choice("factor", (4,))],
-                   build=_split_build)
-        set_check_mode(False)
-        try:
-            c = sp.build_candidate({"factor": 4})
-            assert not c.ok and "unchecked" in c.error
-            lax = Space("s", scal, choices=[Choice("factor", (4,))],
-                        build=_split_build, allow_unchecked=True)
-            assert lax.build_candidate({"factor": 4}).ok
-        finally:
-            set_check_mode(True)
 
     def test_params_key_deterministic(self, scal):
         sp = Space("s", scal, choices=[Choice("factor", (4,))],

@@ -156,3 +156,34 @@ class TestQueryCategories:
             solver.prove(S.ge(S.add(x, S.IntC(1)), x))
         after = STATS.by_category["sanitize"]
         assert after["prove_calls"] == before.get("prove_calls", 0) + 1
+
+    def test_stage_mem_coverage_query_is_tagged(self):
+        """Staging a block that writes the buffer without reading it asks
+        whether the block covers the whole window; that goal is a rewrite
+        obligation, tried on the interval fast path and never charged to
+        ``other``."""
+        from repro import obs
+        from repro.api import procs_from_source
+        from repro.obs.smtstats import STATS
+
+        src = (
+            "from __future__ import annotations\n"
+            "from repro import proc, DRAM, f32, size\n"
+            "@proc\n"
+            "def fill(n: size, x: f32[n] @ DRAM):\n"
+            "    for i in seq(0, n):\n"
+            "        x[i] = 1.0\n"
+        )
+        fill = procs_from_source(src)["fill"]
+        was_enabled = obs.enabled()
+        obs.enable()
+        obs.reset()
+        try:
+            fill.stage_mem("for i in _: _", "x[0:n]", "xs")
+            assert "other" not in STATS.snapshot().get("by_category", {})
+            counters = obs.profile_dict()["counters"]
+            assert counters.get("analysis.absint.rewrite.tried", 0) > 0
+        finally:
+            obs.reset()
+            if not was_enabled:
+                obs.disable()
