@@ -321,16 +321,16 @@ def _pos_atoms(t: S.Term, out: List[Lin], lz: Linearizer) -> bool:
     Returns False when a non-conjunctive or non-affine subformula appears.
 
     Stripping ``Exists`` is sound here because the result is only ever
-    *refuted* together with the facts: ``Sym``s are globally unique, so the
-    bound variables occur nowhere else and refuting with them free proves
-    the negation of the existential."""
+    *refuted* together with the facts, and each binder is renamed apart
+    first: the bound variables then occur nowhere else, so refuting with
+    them free proves the negation of the existential."""
     if t == S.TRUE:
         return True
     if t == S.FALSE:
         out.append((-1, {}))
         return True
     if isinstance(t, S.Exists):
-        return _pos_atoms(t.body, out, lz)
+        return _pos_atoms(S.open_binder(t)[1], out, lz)
     if isinstance(t, S.And):
         return all(_pos_atoms(a, out, lz) for a in t.args)
     if isinstance(t, S.Cmp):

@@ -422,8 +422,8 @@ class Solver:
     # -- quantifier elimination ---------------------------------------------
     #
     # Only universal quantifiers require genuine elimination: existential
-    # binders are prenexed into the satisfiability check (their Syms are
-    # globally unique, so pulling them up never captures).
+    # binders are prenexed into the satisfiability check (``_strip_exists``
+    # renames each apart, so pulling them up never captures).
 
     def _elim_foralls(self, t):
         if isinstance(t, S.And):
@@ -550,11 +550,13 @@ class Solver:
 def _strip_exists(t):
     """Prenex existential binders out of an NNF, forall-free formula.
 
-    Returns ``(formula, vars)``; the binders become free variables (sound
-    because every ``Sym`` is globally unique, so no capture can occur)."""
+    Returns ``(formula, vars)``; the binders become free variables, each
+    renamed apart first so that no two existentials (nor an existential and
+    a free variable) are conflated."""
     if isinstance(t, S.Exists):
-        inner, vs = _strip_exists(t.body)
-        return inner, list(t.vars) + vs
+        fresh, body = S.open_binder(t)
+        inner, vs = _strip_exists(body)
+        return inner, list(fresh) + vs
     if isinstance(t, (S.And, S.Or)):
         parts = []
         vs = []

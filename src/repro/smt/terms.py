@@ -423,6 +423,20 @@ def substitute(t: Term, env: dict) -> Term:
     raise InternalError(f"substitute: unknown term {t!r}")
 
 
+def open_binder(t: Term):
+    """The binders and body of a quantifier, renamed apart: returns
+    ``(vars, body)`` with every bound ``Sym`` replaced by a fresh copy.
+
+    Formulas may share a binder -- ``mem`` over an effect and over a
+    substituted copy of it both quantify over the same loop ``Sym`` -- so
+    a caller that drops the quantifier and treats its variables as free
+    must open it first, or two independent existentials would be
+    conflated into one.  Binders are integer loop indices."""
+    fresh = tuple(v.copy() for v in t.vars)
+    body = substitute(t.body, {v: Var(n) for v, n in zip(t.vars, fresh)})
+    return fresh, body
+
+
 def term_to_str(t: Term) -> str:
     if isinstance(t, Var):
         return str(t.sym)

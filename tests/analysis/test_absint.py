@@ -129,9 +129,24 @@ class TestTryProve:
         p = Sym("p")
         pv = S.Var(p)
         goal = S.negate(
-            S.exists([pv], S.conj(S.cmp("==", pv, S.IntC(3)), S.ge(pv, S.IntC(5))))
+            S.exists([p], S.conj(S.cmp("==", pv, S.IntC(3)), S.ge(pv, S.IntC(5))))
         )
         assert try_prove([], goal)
+
+    def test_shared_binder_existentials_not_conflated(self):
+        # x == 0 and y == 1 make both existentials true, so their negated
+        # conjunction is false; with the shared binder k read as one
+        # variable the conjunction would look infeasible (k == 0 == 1)
+        k = Sym("k")
+        x, y, kv = _v("x"), _v("y"), S.Var(k)
+        facts = [S.eq(x, S.IntC(0)), S.eq(y, S.IntC(1))]
+        goal = S.negate(
+            S.conj(
+                S.exists([k], S.conj(S.eq(kv, S.IntC(0)), S.eq(x, kv))),
+                S.exists([k], S.conj(S.eq(kv, S.IntC(1)), S.eq(y, kv))),
+            )
+        )
+        assert not try_prove(facts, goal)
 
     def test_false_context_proves_anything(self):
         x = _v("x")

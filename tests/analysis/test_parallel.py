@@ -191,6 +191,25 @@ def mm(n: size, a: f32[n, n] @ DRAM, b: f32[n, n] @ DRAM,
             p.parallelize("for k in _: _")
         assert "conflicting pair on c" in str(exc.value)
 
+    def test_race_through_inner_loop_rejected(self):
+        # (i, j, 2) and (i + 1, j - 1, 0) write the same cell: the race
+        # needs the two iterations' inner k to differ
+        p = _proc(
+            """
+@proc
+def f(x: f32[4, 4] @ DRAM, w: f32[16] @ DRAM):
+    for i in seq(0, 4):
+        for j in seq(0, 4):
+            for k in seq(0, 3):
+                w[i - j + k + 4] = x[i, j]
+"""
+        )
+        for loop in ("for i in _: _", "for j in _: _"):
+            with pytest.raises(SchedulingError) as exc:
+                p.parallelize(loop)
+            assert "conflicting pair on w" in str(exc.value)
+        p.parallelize("for k in _: _")
+
     def test_direct_call_requires_for_loop(self):
         p = _proc(
             """

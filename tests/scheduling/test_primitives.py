@@ -141,6 +141,24 @@ def f(n: size, x: f32[n, n] @ DRAM):
         with pytest.raises(SchedulingError):
             p.reorder("for i in _: _")
 
+    def test_reorder_rejects_dependence_through_inner_loop(self):
+        # (i, j, 2) and (i + 1, j - 1, 0) write the same cell of w, in an
+        # order the interchange reverses.  Both copies of the effect
+        # quantify over the same inner binder k; conflating the two
+        # existentials would make the overlap look infeasible.
+        p = _p(
+            """
+@proc
+def f(x: f32[4, 4] @ DRAM, w: f32[16] @ DRAM):
+    for i in seq(0, 4):
+        for j in seq(0, 4):
+            for k in seq(0, 3):
+                w[i - j + k + 4] = x[i, j]
+"""
+        )
+        with pytest.raises(SchedulingError):
+            p.reorder("for i in _: _")
+
 
 class TestUnroll:
     def test_unroll(self):

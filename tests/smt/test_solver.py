@@ -101,6 +101,18 @@ class TestQuantifiers:
             S.forall([y], S.exists([x], S.eq(V(y), S.scale(2, V(x)))))
         )
 
+    def test_shared_binder_existentials_not_conflated(self, solver):
+        # two existentials over the same Sym are independent: both hold at
+        # x == 0, y == 1 although no single k satisfies both bodies
+        k, x, y = Sym("k"), Sym("x"), Sym("y")
+        both = S.conj(
+            S.exists([k], S.conj(S.eq(V(k), S.IntC(0)), S.eq(V(x), V(k)))),
+            S.exists([k], S.conj(S.eq(V(k), S.IntC(1)), S.eq(V(y), V(k)))),
+        )
+        facts = S.conj(S.eq(V(x), S.IntC(0)), S.eq(V(y), S.IntC(1)))
+        assert solver.satisfiable(S.conj(facts, both))
+        assert not solver.prove(S.implies(facts, S.negate(both)))
+
     def test_residue_coverage(self, solver):
         # forall p exists i, j in [0,16): p = 16i + j
         p, i, j = Sym("p"), Sym("i"), Sym("j")
