@@ -1,18 +1,21 @@
-"""Scheduling wall-clock: cursor forwarding + incremental re-checking.
+"""Scheduling wall-clock: full vs incremental re-checking per revision.
 
-Times the two flagship derivations — the Fig. 4a Gemmini matmul schedule
-and the x86 SGEMM schedule — with incremental re-checking ON (the
-default: each rewrite re-discharges only the obligations inside its blast
-radius, reusing the parent revision's verdicts elsewhere) and OFF (every
-rewrite re-proves the whole procedure, the pre-cursor behavior).
+Derives the two flagship schedules — the Fig. 4a Gemmini matmul schedule
+and the x86 SGEMM schedule — then walks each result's derivation chain
+(``Procedure._parent``) and, for every derived revision, times the full
+check ``check_proc(ir)`` against the scoped check ``check_proc(ir, fwd)``
+that re-discharges only the obligations inside the deriving rewrite's
+blast radius (``fwd`` is that rewrite's forwarder).  Every timing starts
+from a cleared solver cache.
 
 Emits ``bench.sched.*`` counters into ``BENCH_obs.json``:
 
-* ``bench.sched.fig4a_incr_us`` / ``fig4a_full_us`` — Fig. 4a derivation
-* ``bench.sched.sgemm_incr_us`` / ``sgemm_full_us`` — SGEMM derivation
+* ``bench.sched.fig4a_full_us`` / ``fig4a_incr_us`` — Fig. 4a chain
+* ``bench.sched.sgemm_full_us`` / ``sgemm_incr_us`` — SGEMM chain
 * ``bench.sched.fig4a_speedup_x100`` / ``sgemm_speedup_x100``
-* ``bench.sched.incremental_reused`` — obligation verdicts reused across
-  both incremental runs (must be > 0 for the mechanism to be live)
+* ``bench.sched.incremental_reused`` — obligation verdicts the scoped
+  checks reused across both chains (must be > 0 for the mechanism to be
+  live)
 """
 
 from __future__ import annotations
@@ -20,61 +23,59 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.core import checks as _checks
+from repro.core.checks import check_proc
 from repro.reporting import table
 from repro.smt.solver import DEFAULT_SOLVER
-
-
-def _cold():
-    """Reset every cross-run cache so each timed derivation is cold."""
-    from repro.apps import gemmini_matmul as gm
-    from repro.apps import x86_sgemm as sg
-
-    DEFAULT_SOLVER.qcache.clear()
-    for fn in (gm.matmul_exo, gm.matmul_oldlib, gm.matmul_tiled,
-               sg.make_microkernel, sg.sgemm_exo):
-        fn.cache_clear()
-
-
-def _time_derivation(build) -> float:
-    _cold()
-    t0 = time.perf_counter()
-    build()
-    return (time.perf_counter() - t0) * 1e3  # ms
 
 
 def _derive_fig4a():
     from repro.apps import gemmini_matmul as gm
 
-    gm.matmul_exo.__wrapped__()
+    return gm.matmul_exo.__wrapped__()
 
 
 def _derive_sgemm():
     from repro.apps import x86_sgemm as sg
 
-    sg.sgemm_exo.__wrapped__()
+    return sg.sgemm_exo.__wrapped__()
+
+
+def _revisions(proc) -> list:
+    """Every derived revision on ``proc``'s chain, root-most first."""
+    out = []
+    while proc._parent is not None:
+        out.append(proc)
+        proc = proc._parent
+    return out[::-1]
+
+
+def _time_check(ir, fwd=None) -> float:
+    DEFAULT_SOLVER.qcache.clear()
+    t0 = time.perf_counter()
+    check_proc(ir, fwd)
+    return (time.perf_counter() - t0) * 1e3  # ms
+
+
+def _reused() -> int:
+    return obs.trace.TRACER.counter_totals().get(
+        "analysis.incremental.reused", 0)
 
 
 def test_schedule_time():
     results = []
     reused_total = 0
     for name, build in (("fig4a", _derive_fig4a), ("sgemm", _derive_sgemm)):
-        prev = _checks.set_incremental(False)
-        try:
-            full_ms = _time_derivation(build)
-        finally:
-            _checks.set_incremental(prev)
-
-        before = obs.trace.TRACER.counter_totals().get(
-            "analysis.incremental.reused", 0)
-        incr_ms = _time_derivation(build)
-        after = obs.trace.TRACER.counter_totals().get(
-            "analysis.incremental.reused", 0)
-        reused = after - before
+        revs = _revisions(build())
+        full_ms = incr_ms = 0.0
+        before = _reused()
+        for rev in revs:
+            full_ms += _time_check(rev.ir())
+            incr_ms += _time_check(rev.ir(), rev._fwd)
+        reused = _reused() - before
         reused_total += reused
 
         speedup = full_ms / incr_ms if incr_ms > 0 else float("inf")
-        results.append((name, full_ms, incr_ms, speedup, reused))
+        results.append((name, len(revs), full_ms, incr_ms, speedup, reused))
         obs.incr(f"bench.sched.{name}_full_us", int(full_ms * 1000))
         obs.incr(f"bench.sched.{name}_incr_us", int(incr_ms * 1000))
         obs.incr(f"bench.sched.{name}_speedup_x100", int(speedup * 100))
@@ -83,10 +84,11 @@ def test_schedule_time():
 
     print()
     print(table(
-        "Derivation wall-clock: full re-check vs incremental",
-        ["schedule", "full ms", "incremental ms", "speedup", "reused"],
-        [(n, f"{f:.1f}", f"{i:.1f}", f"{s:.2f}x", r)
-         for n, f, i, s, r in results],
+        "Re-checking every revision: full vs incremental",
+        ["schedule", "revisions", "full ms", "incremental ms", "speedup",
+         "reused"],
+        [(n, k, f"{f:.1f}", f"{i:.1f}", f"{s:.2f}x", r)
+         for n, k, f, i, s, r in results],
     ))
 
     # the mechanism must actually reuse verdicts on these derivations

@@ -493,55 +493,51 @@ def _binder_split(t: S.Term, bsyms) -> Optional[Tuple[Dict[Sym, int], S.Term]]:
     return None  # FloorDiv / Mod / Ite over a binder: non-affine
 
 
-def _dense_box(idx, binders, assumptions) -> Optional[Box]:
-    """The box covered by a write ``buf[idx]`` iterated over ``binders``
-    (``(sym, lo, hi)`` tuples, outermost first), or ``None`` when density
-    cannot be established.
+def _nest_box(idx, binders, dense: bool = False) -> Optional[Box]:
+    """The box ``buf[idx]`` spans while each binder ``(sym, lo, hi)``
+    (outermost first) ranges over ``[lo, hi)``, or ``None`` when the nest
+    is not rectangular (a binder's bounds mention another binder) or an
+    index is non-affine in the binders.
 
-    Density per dimension: binders sorted by ascending \\|coeff\\| must
-    satisfy ``|c_0| = 1`` and ``|c_k| <= reach_{k-1} + 1`` where ``reach``
-    accumulates ``|c|*(extent-1)`` -- every intermediate extent must be a
-    literal.  A binder may feed at most one dimension (otherwise only a
-    diagonal is written), binder bounds must not depend on other binders
-    (rectangular nests only), and every binder's loop must provably run."""
+    ``dense`` asks for a box the accesses *fill*, not just one containing
+    them: a binder may feed at most one dimension (otherwise only a
+    diagonal is written), and per dimension the binders sorted by
+    ascending \\|coeff\\| must satisfy ``|c_0| = 1`` and
+    ``|c_k| <= reach_{k-1} + 1`` where ``reach`` accumulates
+    ``|c|*(extent-1)`` -- every intermediate extent must be a literal."""
     bsyms = {b for b, _lo, _hi in binders}
     bounds = {b: (lo, hi) for b, lo, hi in binders}
-    # rectangular check + provable trip for every enclosing binder
     for b, lo, hi in binders:
         if (S.free_vars(lo) | S.free_vars(hi)) & (bsyms - {b}):
             # bounds may reference *outer* binders only if unused below;
             # conservatively require full independence
             return None
-        if not try_prove(assumptions, S.lt(lo, hi)):
-            return None
-    used: Dict[Sym, int] = {}
-    dims: List[Tuple[Dict[Sym, int], S.Term]] = []
+    used = set()
+    los, his = [], []
     for t in idx:
         split = _binder_split(t, bsyms)
         if split is None:
             return None
         coeffs, rest = split
-        coeffs = {k: v for k, v in coeffs.items() if v}
-        for b in coeffs:
-            used[b] = used.get(b, 0) + 1
-            if used[b] > 1:
+        terms = [(b, c) for b, c in coeffs.items() if c]
+        if dense:
+            fed = {b for b, _c in terms}
+            if used & fed:
                 return None  # same binder in two dims: diagonal footprint
-        dims.append((coeffs, rest))
-    los, his = [], []
-    for coeffs, rest in dims:
-        ranked = sorted(coeffs.items(), key=lambda kv: abs(kv[1]))
-        reach = 0
-        for i, (b, c) in enumerate(ranked):
-            if abs(c) > reach + 1:
-                return None  # stride gap: footprint has holes
-            if i + 1 < len(ranked):
-                lo_b, hi_b = bounds[b]
-                extent = S.sub(hi_b, lo_b)
-                if not isinstance(extent, S.IntC) or extent.val < 1:
-                    return None
-                reach += abs(c) * (extent.val - 1)
+            used |= fed
+            terms.sort(key=lambda bc: abs(bc[1]))
+            reach = 0
+            for i, (b, c) in enumerate(terms):
+                if abs(c) > reach + 1:
+                    return None  # stride gap: footprint has holes
+                if i + 1 < len(terms):
+                    lo_b, hi_b = bounds[b]
+                    extent = S.sub(hi_b, lo_b)
+                    if not isinstance(extent, S.IntC) or extent.val < 1:
+                        return None
+                    reach += abs(c) * (extent.val - 1)
         lo_t, hi_t = rest, rest
-        for b, c in ranked:
+        for b, c in terms:
             lo_b, hi_b = bounds[b]
             top = S.sub(hi_b, S.IntC(1))
             if c > 0:
@@ -553,6 +549,19 @@ def _dense_box(idx, binders, assumptions) -> Optional[Box]:
         los.append(lo_t)
         his.append(S.add(hi_t, S.IntC(1)))
     return Box(tuple(los), tuple(his))
+
+
+def _dense_box(idx, binders, assumptions) -> Optional[Box]:
+    """The box covered by a write ``buf[idx]`` iterated over ``binders``
+    (see :func:`_nest_box` with ``dense``), or ``None`` when density
+    cannot be established -- which includes a binder's loop that does not
+    provably run."""
+    box = _nest_box(idx, binders, dense=True)
+    if box is None or not all(
+        try_prove(assumptions, S.lt(lo, hi)) for _b, lo, hi in binders
+    ):
+        return None
+    return box
 
 
 def write_boxes(eff, root: Sym, assumptions) -> List[Box]:
@@ -589,41 +598,13 @@ def access_boxes(eff, root: Sym, kinds: str = "r+") -> Optional[List[Box]]:
     leaf_types = tuple(E._LEAF[k] for k in kinds)
     out: List[Box] = []
 
-    def leaf_box(idx, binders) -> Optional[Box]:
-        bsyms = {b for b, _lo, _hi in binders}
-        bounds = {b: (lo, hi) for b, lo, hi in binders}
-        for b, lo, hi in binders:
-            if (S.free_vars(lo) | S.free_vars(hi)) & (bsyms - {b}):
-                return None
-        los, his = [], []
-        for t in idx:
-            split = _binder_split(t, bsyms)
-            if split is None:
-                return None
-            coeffs, rest = split
-            lo_t, hi_t = rest, rest
-            for b, c in coeffs.items():
-                if not c:
-                    continue
-                lo_b, hi_b = bounds[b]
-                top = S.sub(hi_b, S.IntC(1))
-                if c > 0:
-                    lo_t = S.add(lo_t, S.scale(c, lo_b))
-                    hi_t = S.add(hi_t, S.scale(c, top))
-                else:
-                    lo_t = S.add(lo_t, S.scale(c, top))
-                    hi_t = S.add(hi_t, S.scale(c, lo_b))
-            los.append(lo_t)
-            his.append(S.add(hi_t, S.IntC(1)))
-        return Box(tuple(los), tuple(his))
-
     ok = [True]
 
     def walk(e, binders):
         if not ok[0]:
             return
         if isinstance(e, leaf_types) and e.buf is root:
-            box = leaf_box(e.idx, binders)
+            box = _nest_box(e.idx, binders)
             if box is None:
                 ok[0] = False
             else:

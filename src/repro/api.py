@@ -50,7 +50,7 @@ from .scheduling.pattern import (
     get_expr,
     parse_fragment_expr,
 )
-from .scheduling.simplify import simplify_proc_fwd
+from .scheduling.simplify import simplify_proc
 
 
 #: global counter of scheduling directives applied (Fig. 7 reports the
@@ -68,11 +68,8 @@ class Procedure:
     def __init__(self, loopir_proc: IR.Proc, _eqv: EqvNode | None = None,
                  _parent: "Procedure | None" = None, _fwd=None):
         # every revision is checked before it exists: a root ``@proc`` in
-        # full, a derived one incrementally against its (checked) parent
-        if _parent is None:
-            _checks.check_proc(loopir_proc)
-        else:
-            _checks.check_proc_incremental(loopir_proc, _fwd)
+        # full, a derived one where its forwarder says the rewrite changed it
+        _checks.check_proc(loopir_proc, _fwd)
         self._loopir_proc = loopir_proc
         self._eqv = _eqv or EqvNode()
         #: provenance journal: the directives that derived this procedure
@@ -131,14 +128,10 @@ class Procedure:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _derive(self, new_ir: IR.Proc, pollution=frozenset(),
-                fwd=None) -> "Procedure":
+    def _derive(self, new_ir: IR.Proc, pollution, fwd) -> "Procedure":
         SCHEDULE_OP_COUNT[0] += 1
-        if fwd is None:
-            fwd = C.FallbackForwarder("this rewrite provides no forwarding")
-        new_ir, simp_fwd = simplify_proc_fwd(new_ir)
-        if simp_fwd is not None:
-            fwd = C.compose(fwd, simp_fwd)
+        new_ir, simp_fwd = simplify_proc(new_ir)
+        fwd = C.compose(fwd, simp_fwd)
         new_ir = typecheck_proc(new_ir)
         node = EqvNode(self._eqv, pollution)
         return Procedure(new_ir, _eqv=node, _parent=self, _fwd=fwd)
@@ -189,10 +182,6 @@ class Procedure:
             )
         path = cursor.path
         for p in reversed(chain):
-            if p._fwd is None:
-                raise InvalidCursorError(
-                    "no forwarding information across this derivation step"
-                )
             path = p._fwd.map_path(path)
         return _dc_replace(cursor, proc=self, path=path)
 
@@ -245,11 +234,13 @@ class Procedure:
     def rename(self, name: str) -> "Procedure":
         return self._derive(
             _dc_replace(self._loopir_proc, name=name),
-            fwd=C.IdentityForwarder(),
+            P.NO_POLLUTION,
+            C.IdentityForwarder(),
         )
 
     def simplify(self) -> "Procedure":
-        return self._derive(self._loopir_proc, fwd=C.IdentityForwarder())
+        return self._derive(self._loopir_proc, P.NO_POLLUTION,
+                            C.IdentityForwarder())
 
     def split(self, loop, factor: int, hi: str, lo: str,
               tail: str = "guard") -> "Procedure":
@@ -394,7 +385,7 @@ class Procedure:
         ir = U.replace_block(
             self._loopir_proc, m.path, m.count, subproc._loopir_proc
         )
-        return self._derive(ir, fwd=self._replace_fwd(m, subproc))
+        return self._derive(ir, P.NO_POLLUTION, self._replace_fwd(m, subproc))
 
     def replace_all(self, subproc: "Procedure") -> "Procedure":
         """Replace every block matching ``subproc``'s body shape."""
@@ -410,7 +401,8 @@ class Procedure:
                     )
                 except SchedulingError:
                     continue
-                out = out._derive(ir, fwd=out._replace_fwd(m, subproc))
+                out = out._derive(ir, P.NO_POLLUTION,
+                                  out._replace_fwd(m, subproc))
                 progress = True
                 break
         return out

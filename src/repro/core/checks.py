@@ -10,19 +10,17 @@
   resolve config-field reads (so ``assert Config.src_stride == stride(src,
   0)`` is provable right after the corresponding config write).
 
-* **Incremental re-checking**: when a scheduling rewrite supplies a precise
-  :class:`~repro.scheduling.cursors.Forwarder`, :func:`check_proc_incremental`
-  re-discharges only the obligations the rewrite could have invalidated —
-  those inside a touched subtree, or (when config state moved) downstream
-  of a touched path — and reuses the parent revision's verdicts for the
-  rest.  ``analysis.incremental.{reused,rechecked,fallback}`` counters
-  record the savings; set ``REPRO_INCREMENTAL=0`` (or
-  :func:`set_incremental`) to force the full pipeline.
+* **Incremental re-checking**: :func:`check_proc` checks a root procedure
+  in full.  A derived revision comes with the deriving rewrite's
+  :class:`~repro.scheduling.cursors.Forwarder` (every rewrite has one), and
+  only the obligations that rewrite could have invalidated are
+  re-discharged — those inside a touched subtree, or (when config state
+  moved) downstream of a touched path; the parent revision's verdicts
+  stand for the rest.  ``analysis.incremental.{reused,rechecked}``
+  counters record the savings.
 """
 
 from __future__ import annotations
-
-import os
 
 from ..analysis.absint import prove
 from ..obs import trace as _obs
@@ -269,32 +267,9 @@ def _actual_extent(actual, d, tenv, state):
     return None
 
 
-def check_proc(proc: IR.Proc):
-    """Run the front-end pipeline: bounds, preconditions, and the race
-    detector over any ``par`` loops (user-written or rewrite-preserved).
-    Bounds and preconditions share one dataflow walk."""
-    _check_bounds_and_asserts(proc)
-    from ..analysis.parallel import check_par_loops  # deferred: avoids cycle
-
-    check_par_loops(proc)
-
-
 # ---------------------------------------------------------------------------
 # Incremental re-checking (driven by rewrite forwarders)
 # ---------------------------------------------------------------------------
-
-_INCREMENTAL = [os.environ.get("REPRO_INCREMENTAL", "1") != "0"]
-
-
-def incremental_enabled() -> bool:
-    return _INCREMENTAL[0]
-
-
-def set_incremental(on: bool) -> bool:
-    """Toggle incremental re-checking; returns the previous setting."""
-    prev = _INCREMENTAL[0]
-    _INCREMENTAL[0] = bool(on)
-    return prev
 
 
 def _is_prefix(a, b) -> bool:
@@ -365,21 +340,17 @@ class RecheckScope:
         return any(_is_prefix(path, t) for t in self.touched)
 
 
-def check_proc_incremental(proc: IR.Proc, fwd):
-    """Like :func:`check_proc`, but when ``fwd`` (the rewrite's Forwarder)
-    is precise, reuse the parent revision's verdicts for every obligation
-    outside the rewrite's blast radius.  ``fwd=None`` or an imprecise
-    forwarder falls back to the full pipeline."""
-    if (
-        fwd is None
-        or not getattr(fwd, "precise", False)
-        or not _INCREMENTAL[0]
-    ):
-        _obs.incr("analysis.incremental.fallback")
-        return check_proc(proc)
-    scope = RecheckScope(proc, fwd.touched, fwd.ctx_dirty)
-    with _obs.span("analysis.incremental"):
-        _check_bounds_and_asserts(proc, scope)
-        from ..analysis.parallel import check_par_loops
+def check_proc(proc: IR.Proc, fwd=None):
+    """Run the front-end pipeline: bounds, preconditions, and the race
+    detector over any ``par`` loops (user-written or rewrite-preserved).
+    Bounds and preconditions share one dataflow walk.
 
-        check_par_loops(proc, scope=scope)
+    ``fwd`` is the Forwarder of the rewrite that derived ``proc`` from an
+    already-checked parent; only the obligations outside its blast radius
+    keep the parent's verdicts.  Without one, ``proc`` is checked in full."""
+    scope = None if fwd is None else RecheckScope(proc, fwd.touched,
+                                                  fwd.ctx_dirty)
+    _check_bounds_and_asserts(proc, scope)
+    from ..analysis.parallel import check_par_loops  # deferred: avoids cycle
+
+    check_par_loops(proc, scope=scope)

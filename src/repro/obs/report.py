@@ -112,10 +112,10 @@ def absint_fastpath(counters: dict) -> dict:
 
 def incremental_recheck(counters: dict) -> dict:
     """Incremental re-checking totals from the ``analysis.incremental.*``
-    counters: ``{reused, rechecked, fallback}``, empty when incremental
-    re-checking never ran."""
+    counters: ``{reused, rechecked}``, empty when incremental re-checking
+    never ran."""
     out = {}
-    for event in ("reused", "rechecked", "fallback"):
+    for event in ("reused", "rechecked"):
         n = counters.get(f"analysis.incremental.{event}", 0)
         if n:
             out[event] = n
@@ -186,7 +186,7 @@ def compile_profile() -> str:
     if inc:
         sites = inc.get("reused", 0) + inc.get("rechecked", 0)
         inc_rows = [
-            (ev, n, f"{100.0 * n / (sites or 1):.0f}%" if ev != "fallback" else "-")
+            (ev, n, f"{100.0 * n / (sites or 1):.0f}%")
             for ev, n in sorted(inc.items())
         ]
         out.append(table("Incremental re-checking",

@@ -1,23 +1,24 @@
 """Cursors & forwarding: durable references into a procedure (Exo 2).
 
 A :class:`Cursor` points at a statement, block, gap, or expression inside
-one :class:`~repro.api.Procedure` *revision*.  Every scheduling primitive
-now computes a :class:`Forwarder` alongside its rewritten IR: a function
-from pre-rewrite statement paths to post-rewrite paths.  Forwarders give
-us two things at once:
+one :class:`~repro.api.Procedure` *revision*.  Every rewrite — each
+scheduling primitive and the post-rewrite simplifier alike — computes a
+:class:`Forwarder` alongside its rewritten IR: a function from
+pre-rewrite statement paths to post-rewrite paths.  Forwarders give us two
+things at once:
 
 * **Live cursors.**  ``p2.forward(cursor)`` composes the forwarders along
   the derivation chain from ``cursor.proc`` to ``p2``, so a cursor taken
   before a rewrite remains a valid handle afterwards — the prerequisite
-  for composable user-defined scheduling operators.
+  for composable user-defined scheduling operators.  Only a cursor to a
+  statement the rewrite destroyed fails to forward.
 
 * **Incremental re-checking.**  A forwarder also reports ``touched`` (the
   post-rewrite paths of the statements the rewrite inserted or rewrote)
   and ``ctx_dirty`` (whether config-state writes moved, which can change
   the dataflow facts of *later* statements).  :mod:`repro.core.checks`
   uses this to re-discharge only the safety obligations a rewrite could
-  have invalidated, falling back to the full check whenever a forwarder
-  is imprecise.
+  have invalidated.
 
 Paths are the same tuples of ``(field, index)`` steps used throughout
 :mod:`repro.core.ast` (``get_stmt`` / ``replace_block``).
@@ -26,6 +27,7 @@ Paths are the same tuples of ``(field, index)`` steps used throughout
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
+from itertools import islice
 from typing import Callable, Optional, Tuple
 
 from ..core import ast as IR
@@ -55,12 +57,7 @@ class Forwarder:
     ``ctx_dirty`` — True when the rewrite added, removed, or moved a
     config-state write, so the dataflow state of statements *after* the
     rewrite site may differ and their obligations must be re-proven.
-
-    ``precise`` — False means ``map_path`` is unreliable and callers must
-    fall back to full re-checking (cursor forwarding raises).
     """
-
-    precise = True
 
     def __init__(self, touched=(), ctx_dirty: bool = False):
         self.touched = tuple(touched)
@@ -76,20 +73,6 @@ class IdentityForwarder(Forwarder):
 
     def map_path(self, path):
         return path
-
-
-class FallbackForwarder(Forwarder):
-    """An imprecise forwarder: incremental checking falls back to the full
-    pipeline and forwarding any cursor through it fails."""
-
-    precise = False
-
-    def __init__(self, why: str = "rewrite does not support forwarding"):
-        super().__init__(touched=(), ctx_dirty=True)
-        self.why = why
-
-    def map_path(self, path):
-        raise InvalidCursorError(f"cannot forward cursor: {self.why}")
 
 
 class SpliceForwarder(Forwarder):
@@ -142,9 +125,10 @@ class SpliceForwarder(Forwarder):
 
 
 class MapForwarder(Forwarder):
-    """An explicit old-path -> new-path dictionary (``None`` values mark
-    deleted statements).  Used by whole-proc cleanups — ``delete_pass`` and
-    the post-rewrite simplifier — whose effect is not a single splice."""
+    """An explicit old-path -> new-path dictionary over every statement of
+    the old procedure (``None`` marks a deleted statement).  A
+    :class:`Sweep` records it while a whole-proc cleanup — ``delete_pass``
+    or the post-rewrite simplifier — rebuilds the statement tree."""
 
     def __init__(self, mapping: dict, touched=(), ctx_dirty: bool = False):
         super().__init__(touched=touched, ctx_dirty=ctx_dirty)
@@ -152,18 +136,78 @@ class MapForwarder(Forwarder):
 
     def map_path(self, q):
         q = tuple(q)
-        if q in self.mapping:
-            new = self.mapping[q]
-            if new is None:
-                raise InvalidCursorError(
-                    "cursor points at a statement the rewrite deleted"
-                )
-            return new
-        # unmapped statement paths are gone; expression-carrying callers
-        # may probe ancestors themselves
-        raise InvalidCursorError(
-            "cursor points at a statement the rewrite destroyed"
-        )
+        if q not in self.mapping:
+            raise InvalidCursorError(
+                "cursor path does not resolve in the rewritten procedure"
+            )
+        new = self.mapping[q]
+        if new is None:
+            raise InvalidCursorError(
+                "cursor points at a statement the rewrite deleted"
+            )
+        return new
+
+
+class Sweep:
+    """One rebuild of a statement tree that records where every statement
+    went: the shared engine of the whole-proc cleanups, whose
+    :class:`MapForwarder` is built from ``mapping``, ``edits`` and
+    ``ctx_dirty``.
+
+    ``rewrite(sweep, s, old, new)`` returns the statement that takes the
+    place of ``s`` (old path ``old``) at new path ``new``, or None to
+    delete it; it rebuilds a child block with :meth:`block`, and appends
+    ``new`` to ``edits`` when it restructures ``s`` itself."""
+
+    def __init__(self, rewrite):
+        self.rewrite = rewrite
+        self.mapping = {}
+        #: new paths of the statements the cleanup restructured, and the
+        #: slots its deletions left
+        self.edits = []
+        #: a deleted or restructured statement wrote config state
+        self.ctx_dirty = False
+
+    def block(self, stmts, fld, oldp, newp, new_fld=None) -> tuple:
+        """Rebuild block ``fld`` of the statement at ``oldp`` as block
+        ``new_fld`` (default: the same field) of the one at ``newp``."""
+        new_fld = new_fld or fld
+        out = []
+        for i, s in enumerate(stmts):
+            old = oldp + ((fld, i),)
+            new = newp + ((new_fld, len(out)),)
+            mark = len(self.edits)
+            r = self.rewrite(self, s, old, new)
+            if r is None:
+                self.delete(s, old)
+                self.edits.append(new)
+            else:
+                self.mapping[old] = new
+                out.append(r)
+            if len(self.edits) > mark and new in self.edits[mark:]:
+                # edits inside a deleted or restructured statement
+                # collapse to its slot
+                del self.edits[mark:]
+                self.edits.append(new)
+        return tuple(out)
+
+    def delete(self, s, old):
+        """Record ``s`` (at ``old``) and its whole subtree as deleted."""
+        self.ctx_dirty = self.ctx_dirty or writes_config(s)
+        self.mapping[old] = None
+        for fld, blk in IR.sub_bodies(s):
+            for i, c in enumerate(blk):
+                self.delete(c, old + ((fld, i),))
+
+    def lift(self, mark: int, new):
+        """The block rebuilt into the body of the statement at ``new``
+        since the mapping held ``mark`` entries kept one statement, which
+        takes ``new``'s own place: move every path recorded since."""
+        cut = len(new) + 1
+        for old in islice(self.mapping, mark, None):
+            path = self.mapping[old]
+            if path is not None:
+                self.mapping[old] = new + path[cut:]
 
 
 class OverrideForwarder(Forwarder):
@@ -175,7 +219,6 @@ class OverrideForwarder(Forwarder):
         super().__init__(touched=base.touched, ctx_dirty=base.ctx_dirty)
         self.base = base
         self.overrides = {tuple(k): tuple(v) for k, v in overrides.items()}
-        self.precise = base.precise
 
     def map_path(self, q):
         q = tuple(q)
@@ -205,7 +248,6 @@ class ChainForwarder(Forwarder):
             ctx_dirty=any(p.ctx_dirty for p in parts),
         )
         self.parts = parts
-        self.precise = all(p.precise for p in parts)
 
     def map_path(self, q):
         for part in self.parts:

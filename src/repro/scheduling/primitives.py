@@ -34,6 +34,7 @@ from .cursors import (
     MapForwarder,
     OverrideForwarder,
     SpliceForwarder,
+    Sweep,
     compose,
     interior_identity,
     interior_insert,
@@ -566,35 +567,27 @@ def delete_pass(proc):
     """Remove all Pass statements (keeping bodies non-empty).
 
     A whole-proc cleanup rather than a single splice, so its forwarding is
-    an explicit old-path -> new-path map recorded during the sweep.
-    Deleting ``pass`` invalidates nothing: the touched set is empty."""
-    mapping = {}
+    the map a :class:`Sweep` records.  Deleting ``pass`` invalidates
+    nothing: the touched set is empty."""
 
-    def clean(block, fld, oldp, newp):
-        out = []
-        for i, s in enumerate(block):
-            old = oldp + ((fld, i),)
-            if isinstance(s, IR.Pass):
-                mapping[old] = None
-                continue
-            new = newp + ((fld, len(out)),)
-            if isinstance(s, IR.If):
-                s = dc_replace(
-                    s,
-                    body=clean(s.body, "body", old, new) or (IR.Pass(),),
-                    orelse=clean(s.orelse, "orelse", old, new),
-                )
-            elif isinstance(s, IR.For):
-                s = dc_replace(
-                    s, body=clean(s.body, "body", old, new) or (IR.Pass(),)
-                )
-            mapping[old] = new
-            out.append(s)
-        return tuple(out)
+    def clean(sw, s, old, new):
+        if isinstance(s, IR.Pass):
+            return None
+        if isinstance(s, IR.If):
+            return dc_replace(
+                s,
+                body=sw.block(s.body, "body", old, new) or (IR.Pass(),),
+                orelse=sw.block(s.orelse, "orelse", old, new),
+            )
+        if isinstance(s, IR.For):
+            return dc_replace(
+                s, body=sw.block(s.body, "body", old, new) or (IR.Pass(),)
+            )
+        return s
 
-    body = clean(proc.body, "body", (), ()) or (IR.Pass(),)
-    fwd = MapForwarder(mapping, touched=(), ctx_dirty=False)
-    return dc_replace(proc, body=body), NO_POLLUTION, fwd
+    sw = Sweep(clean)
+    body = sw.block(proc.body, "body", (), ()) or (IR.Pass(),)
+    return dc_replace(proc, body=body), NO_POLLUTION, MapForwarder(sw.mapping)
 
 
 # ---------------------------------------------------------------------------

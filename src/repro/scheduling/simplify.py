@@ -13,6 +13,8 @@ from dataclasses import replace as dc_replace
 
 from ..core import ast as IR
 from ..core import types as T
+from ..core.dataflow import writes_config
+from .cursors import MapForwarder, Sweep
 
 
 def simplify_expr(e: IR.Expr) -> IR.Expr:
@@ -157,16 +159,9 @@ def _from_linear(lin, orig: IR.Expr) -> IR.Expr:
     return out
 
 
-def simplify_stmts(stmts) -> tuple:
-    out = []
-    for s in stmts:
-        s = _simplify_stmt(s)
-        if s is not None:
-            out.append(s)
-    return tuple(out)
-
-
-def _simplify_stmt(s: IR.Stmt):
+def _simplify_stmt(sw: Sweep, s: IR.Stmt, old, new):
+    """``s`` simplified, or None when it is dead; child blocks are rebuilt
+    through ``sw`` so every statement's new path is recorded."""
     if isinstance(s, (IR.Assign, IR.Reduce)):
         return dc_replace(
             s,
@@ -177,35 +172,46 @@ def _simplify_stmt(s: IR.Stmt):
         return dc_replace(s, rhs=simplify_expr(s.rhs))
     if isinstance(s, IR.If):
         cond = simplify_expr(s.cond)
-        body = simplify_stmts(s.body)
-        orelse = simplify_stmts(s.orelse)
         if isinstance(cond, IR.Const):
-            taken = body if cond.val else orelse
+            arm, dead = ("body", "orelse") if cond.val else ("orelse", "body")
+            mark = len(sw.mapping)
+            taken = sw.block(getattr(s, arm), arm, old, new, "body")
             if not taken:
                 return None
+            if getattr(s, dead) or len(taken) == 1:
+                # the If changes shape, and the config state after it no
+                # longer joins a dead arm
+                sw.edits.append(new)
+                sw.ctx_dirty = sw.ctx_dirty or writes_config(s)
+                for k, d in enumerate(getattr(s, dead)):
+                    sw.delete(d, old + ((dead, k),))
             if len(taken) == 1:
+                # the one surviving statement takes the If's own place
+                sw.lift(mark, new)
                 return taken[0]
             # splice multi-statement blocks via a trivially-true guard
             return dc_replace(s, cond=IR.Const(True, T.bool_t, s.srcinfo),
                               body=taken, orelse=())
+        body = sw.block(s.body, "body", old, new)
+        orelse = sw.block(s.orelse, "orelse", old, new)
         if not body and not orelse:
             return None
-        if not body and orelse:
-            return None if not orelse else dc_replace(
+        if not body:
+            return dc_replace(
                 s, cond=cond, body=(IR.Pass(s.srcinfo),), orelse=orelse
             )
         return dc_replace(s, cond=cond, body=body, orelse=orelse)
     if isinstance(s, IR.For):
         lo = simplify_expr(s.lo)
         hi = simplify_expr(s.hi)
-        body = simplify_stmts(s.body)
-        if not body:
-            return None
         if (
             isinstance(lo, IR.Const)
             and isinstance(hi, IR.Const)
             and hi.val <= lo.val
         ):
+            return None
+        body = sw.block(s.body, "body", old, new)
+        if not body:
             return None
         return dc_replace(s, lo=lo, hi=hi, body=body)
     if isinstance(s, IR.Alloc):
@@ -249,35 +255,12 @@ def _simplify_arg(e: IR.Expr) -> IR.Expr:
     return _simplify_data(e)
 
 
-def simplify_proc(proc: IR.Proc) -> IR.Proc:
-    return dc_replace(proc, body=simplify_stmts(proc.body))
-
-
-def _same_skeleton(a_stmts, b_stmts) -> bool:
-    """Do two blocks have the same statement-tree shape (so that every
-    statement path valid in one is valid, and means the same slot, in the
-    other)?  Expression contents are free to differ."""
-    if len(a_stmts) != len(b_stmts):
-        return False
-    for a, b in zip(a_stmts, b_stmts):
-        if type(a) is not type(b):
-            return False
-        for (fa, sa), (fb, sb) in zip(IR.sub_bodies(a), IR.sub_bodies(b)):
-            if fa != fb or not _same_skeleton(sa, sb):
-                return False
-    return True
-
-
-def simplify_proc_fwd(proc: IR.Proc):
-    """Simplify and report forwarding: ``(new_proc, fwd)`` where ``fwd`` is
-    None when the statement skeleton is preserved (paths forward
-    unchanged), or an imprecise :class:`FallbackForwarder` when the
-    simplifier deleted or unwrapped statements (empty blocks, zero-trip
-    constant loops, constant conditionals) — cursor forwarding then fails
-    and re-checking falls back to the full pipeline."""
-    new = simplify_proc(proc)
-    if _same_skeleton(proc.body, new.body):
+def simplify_proc(proc: IR.Proc):
+    """Simplify and report forwarding: ``(new_proc, fwd)``.  ``fwd`` is
+    the :class:`MapForwarder` the sweep recorded, or None when no
+    statement was deleted or unwrapped (every path forwards unchanged)."""
+    sw = Sweep(_simplify_stmt)
+    new = dc_replace(proc, body=sw.block(proc.body, "body", (), ()))
+    if not sw.edits:
         return new, None
-    from .cursors import FallbackForwarder
-
-    return new, FallbackForwarder("the simplifier restructured the procedure")
+    return new, MapForwarder(sw.mapping, sw.edits, sw.ctx_dirty)

@@ -1,5 +1,5 @@
 """Incremental re-checking: the RecheckScope predicate, the obs counters,
-and the soundness fallbacks (imprecise forwarder, disabled switch)."""
+and a full-check oracle over every revision of a derivation chain."""
 
 from __future__ import annotations
 
@@ -7,12 +7,9 @@ import pytest
 
 from repro import SchedulingError, obs
 from repro.api import procs_from_source
-from repro.core.checks import (
-    RecheckScope,
-    _precedes,
-    incremental_enabled,
-    set_incremental,
-)
+from repro.core import types as T
+from repro.core.checks import RecheckScope, _precedes, check_proc
+from repro.core.configs import Config
 
 HEADER = (
     "from __future__ import annotations\n"
@@ -27,6 +24,31 @@ def f(N: size, A: f32[N] @ DRAM, B: f32[N] @ DRAM):
         A[i] = 1.0
     for w in seq(0, N):
         B[w] += 2.0
+"""
+
+
+#: SRC plus a constant loop, and a constant loop that writes config
+#: state read by a later call's precondition
+CHAIN_SRC = HEADER + """
+@proc
+def g(x: f32 @ DRAM):
+    assert CfgInc.a == 7
+    x = 0.0
+
+@proc
+def f(N: size, A: f32[N] @ DRAM, B: f32[N] @ DRAM, D: f32[8] @ DRAM,
+      x: f32 @ DRAM):
+    assert N % 8 == 0
+    for i in seq(0, N):
+        A[i] = 1.0
+    for w in seq(0, N):
+        B[w] += 2.0
+    for d in seq(0, 8):
+        D[d] = 3.0
+    for c in seq(0, 8):
+        CfgInc.a = 7
+        D[c] = 4.0
+    g(x)
 """
 
 
@@ -113,37 +135,29 @@ class TestIncrementalPipeline:
         p.split("for i in _: _", 8, "io", "ii", tail="guard")
         c = _inc_counters()
         assert c.get("reused", 0) > 0
-        assert c.get("fallback", 0) == 0
-
-    def test_disabled_switch_falls_back(self):
-        p = _p()
-        prev = set_incremental(False)
-        try:
-            assert not incremental_enabled()
-            obs.reset()
-            p.split("for i in _: _", 8, "io", "ii", tail="guard")
-            c = _inc_counters()
-            assert c.get("fallback", 0) > 0
-            assert c.get("reused", 0) == 0
-        finally:
-            set_incremental(prev)
 
     def test_incremental_and_full_accept_the_same_schedules(self):
-        """Differential: a chain of rewrites passes checks identically with
-        incremental re-checking on and off."""
-        def chain(p):
-            p = p.split("for i in _: _", 8, "io", "ii", tail="guard")
-            p = p.split("for w in _: _", 8, "wo", "wi", tail="perfect")
-            p = p.bind_expr("two", "2.0")
-            return p
-
-        out_inc = str(chain(_p()))
-        prev = set_incremental(False)
-        try:
-            out_full = str(chain(_p()))
-        finally:
-            set_incremental(prev)
-        assert out_inc == out_full
+        """Oracle: every revision the scoped re-check accepted along a
+        derivation chain also passes the full check.  The chain includes
+        rewrites after which the simplifier deletes statements: the empty
+        remainder of a ``tail="cut"`` split whose factor divides a constant
+        loop, and a zero-trip loop that writes config."""
+        cfg = Config("CfgInc", [("a", T.int_t)])
+        p = procs_from_source(CHAIN_SRC, extra_globals={"CfgInc": cfg})["f"]
+        p = p.split("for i in _: _", 8, "io", "ii", tail="guard")
+        p = p.split("for w in _: _", 8, "wo", "wi", tail="perfect")
+        p = p.bind_expr("two", "2.0")
+        p = p.split("for d in _: _", 4, "do", "di", tail="cut")
+        p = p.partition_loop("for c in _: _", 8)
+        p = p.split("for c in _: _", 2, "co", "ci", tail="perfect")
+        # both zero-trip loops were deleted
+        assert "dit" not in str(p) and "seq(8, 8)" not in str(p)
+        revisions = 0
+        while p._parent is not None:
+            check_proc(p.ir())
+            revisions += 1
+            p = p._parent
+        assert revisions == 6
 
     def test_incremental_still_rejects_bad_rewrites(self):
         """A rewrite that creates an out-of-bounds access in the touched

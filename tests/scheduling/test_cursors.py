@@ -20,7 +20,6 @@ from repro.core import types as T
 from repro.scheduling.cursors import (
     BlockCursor,
     ExprCursor,
-    FallbackForwarder,
     GapCursor,
     IdentityForwarder,
     InvalidCursorError,
@@ -163,6 +162,29 @@ def f(N: size, A: f32[N] @ DRAM, B: f32[N] @ DRAM):
         B[w] += 2.0
 """
 
+FOLDING = """
+@proc
+def f(N: size, A: f32[8] @ DRAM, B: f32[N] @ DRAM):
+    if 1 < 2:
+        A[0] = 1.0
+    else:
+        A[1] = 2.0
+    if 2 < 1:
+        A[2] = 3.0
+    else:
+        A[3] = 4.0
+    if 1 < 2:
+        A[4] = 5.0
+        A[5] = 6.0
+    if 2 < 1:
+        A[6] = 7.0
+    else:
+        A[7] = 8.0
+        A[0] = 9.0
+    for w in seq(0, N):
+        B[w] += 2.0
+"""
+
 #: (fixture source, directive) — directive rewrites something disjoint
 #: from the observed ``for w`` loop
 LAW_CASES = {
@@ -172,6 +194,10 @@ LAW_CASES = {
                                            tail="guard")),
     "split_cut": (SIB, lambda p: p.split("for i in _: _", 8, "io", "ii",
                                          tail="cut")),
+    # the factor divides the constant trip count: the simplifier deletes
+    # the empty remainder loop just before the observed one
+    "split_cut_divides": (CONST, lambda p: p.split("for i in _: _", 2, "io",
+                                                   "ii", tail="cut")),
     "reorder": (NESTED, lambda p: p.reorder("for i in _: _")),
     "unroll": (CONST, lambda p: p.unroll("for i in _: _")),
     "inline": (CALLED, lambda p: p.inline("g(_)")),
@@ -282,6 +308,49 @@ class TestCursorInvalidation:
             bogus.stmts()
 
 
+class TestSimplifierForwarding:
+    """The post-rewrite simplifier deletes and unwraps statements; its
+    forwarder still maps every surviving statement to its new place."""
+
+    def test_cut_split_of_divisible_loop_keeps_loop_cursors(self):
+        p = _p(CONST)
+        loop = p.find("for i in _: _")
+        body = p.find("A[i] = 1.0")
+        q = p.split(loop, 2, "io", "ii", tail="cut")
+        assert "iit" not in str(q)  # the remainder loop was deleted
+        fl = IR.get_stmt(q.ir(), q.forward(loop).path)
+        assert isinstance(fl, IR.For) and fl.iter.name == "io"
+        fb = IR.get_stmt(q.ir(), q.forward(body).path)
+        assert isinstance(fb, IR.Assign) and fb.rhs.val == 1.0
+        # the forwarded cursor still steers a directive
+        assert "for ioo in" in str(q.split(loop, 2, "ioo", "ioi",
+                                           tail="perfect"))
+
+    @pytest.mark.parametrize("pattern", [
+        "A[0] = 1.0",  # true arm, one statement: lifted into the If's place
+        "A[3] = 4.0",  # false arm, one statement
+        "A[5] = 6.0",  # true arm, two statements
+        "A[0] = 9.0",  # false arm, two statements
+        OBSERVED,
+    ])
+    def test_cursor_survives_constant_if(self, pattern):
+        p = _p(FOLDING)
+        cur = p.find(pattern)
+        q = p.rename("g")
+        assert "<" not in str(q)  # every condition folded away
+        assert alpha_equiv(IR.get_stmt(p.ir(), cur.path),
+                           IR.get_stmt(q.ir(), q.forward(cur).path))
+
+    @pytest.mark.parametrize("pattern", ["A[1] = 2.0", "A[2] = 3.0",
+                                         "A[6] = 7.0"])
+    def test_cursor_into_dead_arm_is_deleted(self, pattern):
+        p = _p(FOLDING)
+        cur = p.find(pattern)
+        q = p.rename("g")
+        with pytest.raises(InvalidCursorError, match="deleted"):
+            q.forward(cur)
+
+
 class TestCursorAPI:
     def test_find_kinds(self):
         p = _p(SIB)
@@ -354,12 +423,6 @@ class TestForwarderAlgebra:
     def test_compose_drops_identities(self):
         f = compose(IdentityForwarder(), IdentityForwarder())
         assert f.map_path((("body", 3),)) == (("body", 3),)
-
-    def test_fallback_raises(self):
-        f = FallbackForwarder("because")
-        assert not f.precise
-        with pytest.raises(InvalidCursorError):
-            f.map_path((("body", 0),))
 
     def test_splice_shifts_siblings(self):
         f = SpliceForwarder((("body", 1),), 1, 3)
