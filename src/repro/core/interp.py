@@ -52,8 +52,55 @@ def run_proc(proc: IR.Proc, *args, config_state=None, instr_hook=None):
     """
     config_state = config_state if config_state is not None else {}
     interp = _Interp(config_state, instr_hook)
+    check_shapes(proc, bind_args(proc, list(args)))
     interp.call(proc, list(args))
     return config_state
+
+
+def bind_args(proc: IR.Proc, arg_values) -> dict:
+    """The environment binding ``proc``'s formals to ``arg_values``, each
+    coerced as the formal's type requires."""
+    if len(arg_values) != len(proc.args):
+        raise InterpError(
+            f"{proc.name}: expected {len(proc.args)} arguments, "
+            f"got {len(arg_values)}"
+        )
+    return {formal.name: _coerce_arg(formal, val)
+            for formal, val in zip(proc.args, arg_values)}
+
+
+def _coerce_arg(formal: IR.FnArg, val):
+    typ = formal.type
+    if typ.is_numeric():
+        if typ.is_real_scalar():
+            if isinstance(val, (int, float)):
+                return np.asarray(val, dtype=dtype_of(typ))
+            return val
+        if not isinstance(val, np.ndarray):
+            raise InterpError(
+                f"argument {formal.name} must be a numpy array"
+            )
+        return val
+    if typ.is_bool():
+        return bool(val)
+    return int(val)
+
+
+def check_shapes(proc: IR.Proc, env):
+    """Raise :class:`InterpError` unless every tensor argument in ``env``
+    has the shape its formal declares, evaluated from the control
+    arguments (numpy would otherwise clamp or wrap out-of-shape slices)."""
+    interp = _Interp({}, None)
+    for formal in proc.args:
+        if not formal.type.is_tensor_or_window():
+            continue
+        want = tuple(interp.eval(h, env) for h in formal.type.shape())
+        got = env[formal.name].shape
+        if got != want:
+            raise InterpError(
+                f"{proc.name}: argument {formal.name} has shape "
+                f"{list(got)}, but its type declares {list(want)}"
+            )
 
 
 class _Interp:
@@ -64,14 +111,7 @@ class _Interp:
     # -- procedure calls ---------------------------------------------------
 
     def call(self, proc: IR.Proc, arg_values):
-        if len(arg_values) != len(proc.args):
-            raise InterpError(
-                f"{proc.name}: expected {len(proc.args)} arguments, "
-                f"got {len(arg_values)}"
-            )
-        env = {}
-        for formal, val in zip(proc.args, arg_values):
-            env[formal.name] = self._coerce_arg(formal, val)
+        env = bind_args(proc, arg_values)
         # the hook runs first: a timing-only tracer skips bodies (and hence
         # the dynamic precondition sanity checks, which need config state)
         if proc.instr is not None and self.instr_hook is not None:
@@ -83,23 +123,6 @@ class _Interp:
                     f"{proc.name}: precondition failed: {pred}"
                 )
         self.exec_block(proc.body, env)
-
-    @staticmethod
-    def _coerce_arg(formal: IR.FnArg, val):
-        typ = formal.type
-        if typ.is_numeric():
-            if typ.is_real_scalar():
-                if isinstance(val, (int, float)):
-                    return np.asarray(val, dtype=dtype_of(typ))
-                return val
-            if not isinstance(val, np.ndarray):
-                raise InterpError(
-                    f"argument {formal.name} must be a numpy array"
-                )
-            return val
-        if typ.is_bool():
-            return bool(val)
-        return int(val)
 
     # -- statements ----------------------------------------------------------
 

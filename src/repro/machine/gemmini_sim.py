@@ -24,7 +24,7 @@ short configuration drain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from .trace import Event
@@ -72,6 +72,9 @@ _UNIT = {
     "st_acc_i8": "ST", "st_acc_i8_noact": "ST",
     "do_st_acc_i8": "ST", "do_st_acc_i8_noact": "ST",
 }
+_UNITS = ("LD", "EX", "ST")
+_EX = _UNITS.index("EX")
+_UNIT_INDEX = {name: _UNITS.index(unit) for name, unit in _UNIT.items()}
 _CONFIGS = {"config_ld", "config_ld_b", "config_st", "config_matmul"}
 #: fused instructions implicitly rewrite their config register -> flush
 _FUSED = {"ld_i8", "ld_i8_b", "st_acc_i8", "st_acc_i8_noact"}
@@ -93,25 +96,22 @@ class SimResult:
         return self.macs / (PEAK_MACS_PER_CYCLE * self.cycles)
 
 
-class _IntervalMap:
-    """Tracks, per allocation, when byte intervals were last produced/used."""
+#: hazard-state updates remembered per buffer, separately for reads and
+#: writes: an access conflicting only with an older update is not delayed
+HAZARD_WINDOW = 96
 
-    def __init__(self, cap: int = 96):
-        self.by_base: Dict[int, List] = {}
-        self.cap = cap
 
-    def query(self, region) -> float:
-        t = 0.0
-        for other, when in self.by_base.get(region.base, ()):
-            if when > t and region.overlaps(other):
-                t = when
-        return t
-
-    def update(self, region, when: float):
-        lst = self.by_base.setdefault(region.base, [])
-        lst.append((region, when))
-        if len(lst) > self.cap:
-            del lst[: len(lst) - self.cap]
+def _hazard_ready(hist, region, ready: float) -> float:
+    """``ready`` raised to the latest time in ``hist`` (one buffer's update
+    window) of an interval overlapping ``region`` (``Region.overlaps``)."""
+    lo, hi = region.lo, region.hi
+    pitch, col_lo, col_hi = region.pitch, region.col_lo, region.col_hi
+    for olo, ohi, opitch, ocol_lo, ocol_hi, when in hist:
+        if (when > ready and lo < ohi and olo < hi
+                and not (pitch and pitch == opitch
+                         and (col_hi <= ocol_lo or ocol_hi <= col_lo))):
+            ready = when
+    return ready
 
 
 class GemminiSim:
@@ -142,66 +142,77 @@ class GemminiSim:
 
     def run(self, events: List[Event]) -> SimResult:
         p = self.p
-        unit_free = {"LD": 0.0, "EX": 0.0, "ST": 0.0}
-        last_write = _IntervalMap()
-        last_read = _IntervalMap()
-        now = p.startup
-        for u in unit_free:
-            unit_free[u] = now
+        issue_cost = p.issue_cost
+        config_drain = p.config_drain
+        matmul_latency = p.matmul_latency
+        unit_free = [p.startup] * len(_UNITS)
+        # per buffer: the last HAZARD_WINDOW updates, as
+        # (lo, hi, pitch, col_lo, col_hi, when) tuples
+        last_write: Dict[int, list] = {}
+        last_read: Dict[int, list] = {}
         macs = 0
         flushes = 0
         dma_cycles = 0.0
         ex_cycles = 0.0
 
-        issue_free = now
+        issue_free = p.startup
         for ev in events:
+            name = ev.name
             occ = self._latency(ev)
             # the host core issues every instruction in order
-            n_issue = 2.0 if ev.name == "matmul_acc_i8" else 1.0
-            issued = issue_free + n_issue * p.issue_cost
+            is_matmul = name == "matmul_acc_i8"
+            issued = issue_free + (2.0 if is_matmul else 1.0) * issue_cost
             issue_free = issued
-            if ev.name in _CONFIGS or ev.name in _FUSED:
+            if name in _CONFIGS or name in _FUSED:
                 flushes += 1
-                drain = max(max(unit_free.values()), issued)
-                start = drain + p.config_drain
+                start = max(max(unit_free), issued) + config_drain
                 issue_free = start
-                for u in unit_free:
-                    unit_free[u] = start
-                if ev.name in _CONFIGS:
+                unit_free = [start] * len(_UNITS)
+                if name in _CONFIGS:
                     continue  # pure config: no data movement
-            unit = _UNIT.get(ev.name, "EX")
+            unit = _UNIT_INDEX.get(name, _EX)
             ready = max(unit_free[unit], issued)
-            for op in _READS.get(ev.name, ()):
-                if op in ev.operands:
-                    ready = max(ready, last_write.query(ev.operands[op]))
-            for op in _WRITES.get(ev.name, ()):
-                if op in ev.operands:
-                    ready = max(ready, last_write.query(ev.operands[op]))
-                    ready = max(ready, last_read.query(ev.operands[op]))
+            ops = ev.operands
+            reads = [ops[op] for op in _READS.get(name, ()) if op in ops]
+            writes = [ops[op] for op in _WRITES.get(name, ()) if op in ops]
+            for r in reads:
+                hist = last_write.get(r.base)
+                if hist:
+                    ready = _hazard_ready(hist, r, ready)
+            for r in writes:
+                hist = last_write.get(r.base)
+                if hist:
+                    ready = _hazard_ready(hist, r, ready)
+                hist = last_read.get(r.base)
+                if hist:
+                    ready = _hazard_ready(hist, r, ready)
             start = ready
-            if ev.name == "matmul_acc_i8":
-                finish = start + p.matmul_latency
+            if is_matmul:
+                finish = start + matmul_latency
+                ctrl = ev.ctrl
                 macs += (
-                    int(ev.ctrl.get("n", DIM))
-                    * int(ev.ctrl.get("m", DIM))
-                    * int(ev.ctrl.get("k", DIM))
+                    int(ctrl.get("n", DIM))
+                    * int(ctrl.get("m", DIM))
+                    * int(ctrl.get("k", DIM))
                 )
                 ex_cycles += occ
             else:
                 finish = start + occ
-                if unit in ("LD", "ST"):
+                if unit != _EX:
                     dma_cycles += occ
             unit_free[unit] = start + occ
-            for op in _READS.get(ev.name, ()):
-                if op in ev.operands:
-                    last_read.update(ev.operands[op], finish)
-            for op in _WRITES.get(ev.name, ()):
-                if op in ev.operands:
-                    last_write.update(ev.operands[op], finish)
+            for hazards, regions in ((last_read, reads), (last_write, writes)):
+                for r in regions:
+                    hist = hazards.get(r.base)
+                    if hist is None:
+                        hist = hazards[r.base] = []
+                    hist.append((r.lo, r.hi, r.pitch, r.col_lo, r.col_hi,
+                                 finish))
+                    if len(hist) > HAZARD_WINDOW:
+                        del hist[0]
 
-        cycles = max(unit_free.values())
         return SimResult(
-            cycles=cycles,
+            cycles=max(unit_free),
             macs=macs,
             flushes=flushes,
             events=len(events),

@@ -2,26 +2,39 @@
 
 Because Exo programs are static control programs, the sequence of
 ``@instr`` calls a kernel issues is determined entirely by its control
-arguments.  The tracer runs the reference interpreter over the kernel with
-a hook that records one :class:`Event` per instruction call.  In
-``functional=False`` mode instruction bodies are skipped, which makes
-tracing a 12544x64x256 GEMM (~10^8 scalar operations, but only ~10^5
-instructions) feasible in Python.
+arguments.  :func:`trace_kernel` records one :class:`Event` per
+instruction call:
 
-Each event records precise memory *intervals* for every buffer operand
-(derived from the numpy views the interpreter passes around), which is what
-lets the timing simulators resolve RAW/WAR hazards exactly.
+* in timing mode (the default) it runs the kernel's *compiled trace*:
+  :mod:`repro.core.pygen` lowers the procedure once, on its first trace,
+  to a Python function whose loops are ``range`` loops and whose operand
+  regions come from offsets and strides.  Instruction bodies are skipped,
+  which makes tracing a 12544x64x256 GEMM (~10^8 scalar operations, but
+  only ~10^5 instructions) cheap;
+* with ``functional=True`` the reference interpreter runs the kernel with
+  a hook (:class:`Tracer`) that records each call and then executes the
+  instruction body.  The :class:`Tracer` in timing mode is the oracle the
+  compiled traces are differential-tested against.
+
+Each event records precise memory *intervals* for every buffer operand,
+which is what lets the timing simulators resolve RAW/WAR hazards exactly.
+``Region.base`` is the operand's *buffer identity*: every dynamic
+allocation is its own buffer, and tensor arguments that view one root
+array share its identity.  Identities are unique within one trace; two
+traces of the same kernel may number them differently.  A freed buffer's
+memory is never treated as reused: a kernel is charged WAR hazards
+between loop iterations only when it reuses one allocation across them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class Region:
     """A (possibly strided) byte region within one underlying allocation.
 
@@ -32,7 +45,7 @@ class Region:
     accumulator tiles would appear to conflict and serialize the model.
     """
 
-    base: int  # id() of the root numpy allocation
+    base: int  # buffer identity (see the module docstring)
     lo: int
     hi: int  # exclusive
     bytes: int  # dense payload size (excludes stride gaps)
@@ -52,17 +65,23 @@ class Region:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     name: str
     ctrl: Dict[str, int]
     operands: Dict[str, Region]
 
 
-def _region_of(view: np.ndarray, space: str) -> Region:
+def root_of(view: np.ndarray):
+    """The array that owns the memory ``view`` aliases."""
     base = view.base if view.base is not None else view
     while getattr(base, "base", None) is not None:
         base = base.base
+    return base
+
+
+def _region_of(view: np.ndarray, space: str) -> Region:
+    base = root_of(view)
     start = view.__array_interface__["data"][0]
     base_start = base.__array_interface__["data"][0]
     lo = start - base_start
@@ -93,11 +112,16 @@ def _region_of(view: np.ndarray, space: str) -> Region:
 
 
 class Tracer:
-    """Collects the instruction trace of one kernel execution."""
+    """Collects the instruction trace of one interpreted kernel execution.
+
+    The root of every operand stays pinned for the tracer's lifetime, so
+    the ``id()`` that identifies it is never reused by a later allocation:
+    each dynamic allocation is its own buffer."""
 
     def __init__(self, functional: bool = False):
         self.functional = functional
         self.events: List[Event] = []
+        self.pinned: Dict[int, object] = {}
 
     def hook(self, proc_ir, env) -> bool:
         ctrl = {}
@@ -106,6 +130,8 @@ class Tracer:
             val = env[formal.name]
             if isinstance(val, np.ndarray) and val.ndim > 0:
                 space = formal.mem.name() if formal.mem is not None else "dram"
+                root = root_of(val)
+                self.pinned.setdefault(id(root), root)
                 operands[str(formal.name)] = _region_of(val, space)
             elif isinstance(val, np.ndarray):
                 ctrl[str(formal.name)] = float(val[()])
@@ -121,8 +147,13 @@ class Tracer:
 
 
 def trace_kernel(procedure, *args, functional: bool = False) -> List[Event]:
-    tracer = Tracer(functional=functional)
-    return tracer.run(procedure, *args)
+    """The instruction trace of ``procedure`` on ``args``: compiled in
+    timing mode, interpreted (instruction bodies run) in functional mode."""
+    if functional:
+        return Tracer(functional=True).run(procedure, *args)
+    from ..core.pygen import trace
+
+    return trace(procedure.ir(), args)
 
 
 def count_by_name(events) -> Dict[str, int]:
