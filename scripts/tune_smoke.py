@@ -10,7 +10,11 @@ Runs the :mod:`repro.autotune` grid search over the SGEMM tuning space
   SGEMM schedule's;
 * every candidate either passed the safety checks or was pruned with a
   recorded reason — no unchecked schedule is ever emitted;
-* the winner replays byte-identically from its recorded journal.
+* the winner replays byte-identically from its recorded journal;
+* a depth-3 action-space beam search over ``sgemm_tune_base()``, which
+  builds every candidate on its parent, elects the same candidates
+  (descriptions, ok flags, error texts, costs) and winner C as rebuilding
+  each one by replaying its whole action prefix from the base.
 
 Writes ``BENCH_tune.json`` through the shared artifact machinery in
 ``benchmarks/conftest.py`` so the artifact is identical whether produced
@@ -35,8 +39,10 @@ from repro.apps.x86_sgemm import (  # noqa: E402
     TUNE_N,
     sgemm_exo,
     sgemm_space,
+    sgemm_tune_base,
 )
 from repro.autotune import (  # noqa: E402
+    Space,
     TuneConfig,
     TuneDB,
     X86_MODEL,
@@ -77,6 +83,22 @@ def main() -> int:
     replayed = db.replay("sgemm", base)
     assert str(replayed) == str(r1.best.proc), "replay is not byte-identical"
 
+    # incremental beam candidates equal their from-base replays
+    space = Space.action_space("sgemm_beam", sgemm_tune_base(), depth=3)
+    beam = search(space, TuneConfig(seed=0, budget=40))
+    for c in beam.candidates:
+        again = space.build_candidate(c.params)
+        if again.ok:
+            again.cost = cost_of(again.proc, None, X86_MODEL)
+        got = (c.describe(), c.ok, c.error, c.cost and c.cost.cycles)
+        want = (again.describe(), again.ok, again.error,
+                again.cost and again.cost.cycles)
+        assert got == want, f"incremental {got} != replayed {want}"
+    replayed = space.build_candidate(beam.best.params)
+    assert replayed.proc.c_code() == beam.best.proc.c_code(), (
+        "incremental beam winner's C differs from its from-base replay"
+    )
+
     conftest.record_artifact("BENCH_tune.json", tune_report({"sgemm": r1}))
     paths = conftest.flush_artifacts()
 
@@ -85,6 +107,8 @@ def main() -> int:
           f"hand-written {hand.cycles:.0f}")
     print(f"candidates: {r1.stats['candidates']}  "
           f"pruned: {r1.stats['pruned']}")
+    print(f"beam: {beam.stats['candidates']} candidates, winner "
+          f"{beam.best.describe()} matches its from-base replay")
     print("wrote:", ", ".join(os.path.relpath(p, REPO) for p in paths))
     return 0
 

@@ -17,7 +17,8 @@ under OpenMP.
 On failure the detector names the exact conflicting pair of accesses by
 checking each pair of effect leaves separately, and asks the solver for a
 satisfying assignment of the overlap formula -- a concrete counterexample
-(iteration numbers, sizes, the shared location).
+(iteration numbers, sizes, the shared location).  The search for it is the
+error's ``witness``: it runs only when the message is formatted.
 
 :func:`lint` runs the check over every loop of a procedure and classifies
 each as ``parallel`` / ``sequential(reason)`` / ``unknown`` (the analysis
@@ -223,10 +224,12 @@ def _check_parallel_loop(proc, loop_path, loop, what):
                     f"{_describe(k1, root, idx1)} (iteration {x.name}) with "
                     f"{_describe(k2, root, idx2d)} (iteration {x.name}')"
                 )
-                witness = _counterexample(assumptions, conflict, x, x2, p, root)
-                if witness:
-                    msg += f"\n  counterexample: {witness}"
-                raise SchedulingError(msg)
+
+                def render():
+                    witness = _counterexample(assumptions, conflict, x, x2, p, root)
+                    return f"{msg}\n  counterexample: {witness}" if witness else msg
+
+                raise SchedulingError(msg, witness=render)
         # the aggregate failed but no single pair did: should not happen
         # (the aggregate is the disjunction of the pairs), but stay safe
         raise SchedulingError(

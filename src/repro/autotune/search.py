@@ -9,6 +9,9 @@ Two strategies, both deterministic under a fixed seed:
   each round expands every beam state with the deterministic action
   enumeration (seeded-sampled down to ``branch`` per state), prices the
   survivors with the cost model, and keeps the ``beam_width`` cheapest.
+  A successor is built incrementally: its one new action is applied to
+  the beam state's already-checked procedure, never replayed from the
+  base.
 
 Ranking uses :func:`repro.autotune.cost.cost_of` cycles with the
 candidate's parameter key as a deterministic tiebreak, so equal-cost
@@ -134,7 +137,8 @@ def _search_beam(space: Space, config: TuneConfig, rng: random.Random):
                     continue
                 seen.add(key)
                 built += 1
-                cand = _price(space.build_candidate(params), config)
+                cand = _price(space.build_candidate(params, parent=state),
+                              config)
                 all_cands.append(cand)
                 if cand.ok:
                     successors.append(cand)

@@ -17,7 +17,9 @@ fails — an unprovable split divisibility, a racy ``parallelize``, an
 instruction pattern that does not unify — raises, and
 :meth:`Space.build_candidate` converts that into a *pruned* candidate
 (``autotune.candidates_pruned``): illegal schedules are discarded before
-they exist.  Surviving candidates carry an all-``ok``-verdict provenance
+they exist.  The pruned candidate keeps the exception; its message (and
+any counterexample in it) is rendered only when ``Candidate.error`` is
+read.  Surviving candidates carry an all-``ok``-verdict provenance
 journal, which is how the tuner later proves the winner was fully
 checked and replays it byte-identically.
 """
@@ -49,11 +51,11 @@ class Choice:
 @dataclass
 class Candidate:
     """One point of a space: its parameters, the scheduled procedure (or
-    the pruning error), and — once ranked/measured — its costs."""
+    the pruning exception), and — once ranked/measured — its costs."""
 
     params: Dict
     proc: Optional[object] = None  # api.Procedure
-    error: Optional[str] = None
+    exc: Optional[Exception] = None  # why it was pruned; no traceback
     cost: Optional[object] = None  # autotune.cost.Cost
     measured_s: Optional[float] = None
     measure_error: Optional[str] = None
@@ -61,6 +63,12 @@ class Candidate:
     @property
     def ok(self) -> bool:
         return self.proc is not None
+
+    @property
+    def error(self) -> Optional[str]:
+        """The pruning reason, ``"<ExceptionType>: <message>"``.  Reading it
+        formats the exception, which renders its witness (once)."""
+        return None if self.exc is None else f"{type(self.exc).__name__}: {self.exc}"
 
     def describe(self) -> str:
         if "actions" in self.params:
@@ -159,15 +167,32 @@ class Space:
 
     # -- candidate construction ---------------------------------------------
 
-    def build_candidate(self, params: Dict) -> Candidate:
+    def build_candidate(
+        self, params: Dict, parent: Optional[Candidate] = None
+    ) -> Candidate:
         """Materialize one candidate.  Never raises for *illegal schedule*
-        reasons: directive failures become a pruned Candidate with the
-        error message attached."""
+        reasons: directive failures become a pruned Candidate that keeps
+        the exception.
+
+        In action mode, ``parent`` is a surviving candidate whose actions
+        are a prefix of ``params["actions"]``; only the remaining actions
+        are applied, to ``parent.proc``.  The result is the same procedure
+        (and journal) as replaying every action from ``base``."""
+        if parent is not None:
+            done = parent.params["actions"]
+            if not parent.ok or params["actions"][: len(done)] != done:
+                raise ValueError(
+                    "parent must be a surviving candidate whose actions "
+                    "prefix the child's"
+                )
         _obs.incr("autotune.candidates_generated")
         try:
             if "actions" in params:
-                proc = self.base
-                for act in params["actions"]:
+                if parent is None:
+                    proc, todo = self.base, params["actions"]
+                else:
+                    proc, todo = parent.proc, params["actions"][len(done):]
+                for act in todo:
                     proc = act.apply(proc)
             elif self.build is not None:
                 proc = self.build(self.base, **params)
@@ -180,6 +205,7 @@ class Space:
                 raise ValueError("build returned None")
         except Exception as e:  # illegal schedule -> pruned, not fatal
             _obs.incr("autotune.candidates_pruned")
-            return Candidate(params=params, error=f"{type(e).__name__}: {e}")
+            # the traceback would pin every frame of the failed derivation
+            return Candidate(params=params, exc=e.with_traceback(None))
         _obs.incr("autotune.candidates_checked")
         return Candidate(params=params, proc=proc)

@@ -86,6 +86,8 @@ class _Checker:
     def __init__(self, proc: IR.Proc, scope):
         self.base = proc_assumptions(proc)
         self.scope = scope
+        # each a message line, or a thunk rendering one with its
+        # counterexample (run only when the raised error is formatted)
         self.errors = []
         self.reused = 0
         self.rechecked = 0
@@ -105,7 +107,10 @@ class _Checker:
         if self.rechecked:
             _obs.incr("analysis.incremental.rechecked", self.rechecked)
         if self.errors:
-            raise self.error("\n".join(self.errors))
+            lines = self.errors
+            raise self.error(witness=lambda: "\n".join(
+                line if isinstance(line, str) else line() for line in lines
+            ))
 
 
 class _BoundsChecker(_Checker):
@@ -113,15 +118,18 @@ class _BoundsChecker(_Checker):
     error = BoundsCheckError
 
     def check(self, goal, facts, what, srcinfo, detail=""):
-        if not prove(self.base + facts, goal, "bounds"):
-            msg = f"{srcinfo}: cannot prove {what}"
-            extras = [detail] if detail else []
-            cex = _counterexample(self.base + facts, goal)
-            if cex:
-                extras.append(f"counterexample: {cex}")
-            if extras:
-                msg += f" ({'; '.join(extras)})"
-            self.errors.append(msg)
+        assumptions = self.base + facts
+        if not prove(assumptions, goal, "bounds"):
+
+            def line():
+                extras = [detail] if detail else []
+                cex = _counterexample(assumptions, goal)
+                if cex:
+                    extras.append(f"counterexample: {cex}")
+                msg = f"{srcinfo}: cannot prove {what}"
+                return f"{msg} ({'; '.join(extras)})" if extras else msg
+
+            self.errors.append(line)
 
     def check_idx(self, name, idx_terms, shape, facts, srcinfo, tenv, state):
         for i_t, extent in zip(idx_terms, shape):

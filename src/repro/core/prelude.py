@@ -19,7 +19,28 @@ from dataclasses import dataclass, field
 
 
 class ExoError(Exception):
-    """Base class for every user-facing error raised by this library."""
+    """Base class for every user-facing error raised by this library.
+
+    ``witness``, when given, is a zero-argument callable returning the
+    complete message -- typically one that embeds a counterexample the
+    solver must search for.  It runs the first time the error is
+    formatted, and its text then replaces ``args``; an error that is
+    caught and never read (a pruned autotuning candidate) never pays for
+    it."""
+
+    def __init__(self, *args, witness=None):
+        super().__init__(*args)
+        self._witness = witness
+
+    def __str__(self):
+        if self._witness is not None:
+            self.args = (self._witness(),)
+            self._witness = None
+        return super().__str__()
+
+    def __reduce__(self):
+        str(self)  # a witness closure does not pickle; its text does
+        return super().__reduce__()
 
 
 class ParseError(ExoError):
@@ -63,8 +84,10 @@ _sym_counter = itertools.count(1)
 class Sym:
     """A unique identifier.
 
-    ``Sym('x') != Sym('x')``: identity is per-object, not per-name.  Use
-    :meth:`copy` to mint a fresh binder with the same display name.
+    ``Sym('x') != Sym('x')``: identity is per-object, not per-name, so
+    equality and hashing are ``object``'s own (no Python-level dunders on
+    this hot path).  Use :meth:`copy` to mint a fresh binder with the same
+    display name.
     """
 
     __slots__ = ("name", "id")
@@ -78,15 +101,6 @@ class Sym:
     def copy(self) -> "Sym":
         """Return a fresh ``Sym`` sharing this one's display name."""
         return Sym(self.name)
-
-    def __eq__(self, other):
-        return self is other
-
-    def __ne__(self, other):
-        return self is not other
-
-    def __hash__(self):
-        return id(self)
 
     def __repr__(self):
         return f"{self.name}#{self.id}"

@@ -325,9 +325,14 @@ def check_condition(proc: IR.Proc, path, cond: IR.Expr, what):
     if not prove(ctx.assumptions, goal, "rewrite"):
         from ..core.checks import _counterexample
 
-        cex = _counterexample(ctx.assumptions, goal)
-        extra = f" (counterexample: {cex})" if cex else ""
-        raise SchedulingError(f"{what}: cannot prove condition{extra}")
+        msg = f"{what}: cannot prove condition"
+        assumptions = ctx.assumptions
+
+        def render():
+            cex = _counterexample(assumptions, goal)
+            return f"{msg} (counterexample: {cex})" if cex else msg
+
+        raise SchedulingError(msg, witness=render)
 
 
 def check_term_condition(proc: IR.Proc, path, goal: S.Term, what):

@@ -492,10 +492,15 @@ class Solver:
         split = self._choose_residue_split(literals) if depth < 8 else None
         if split is not None:
             v, d = split
+            # literals without ``v`` pass to every branch as they are
+            mentions = [v in S.free_vars(lit) for lit in literals]
             for r in range(d):
                 fresh = S.Var(Sym(v.name))
                 repl = S.add(S.scale(d, fresh), S.IntC(r))
-                branch = [S.substitute(lit, {v: repl}) for lit in literals]
+                branch = [
+                    S.substitute(lit, {v: repl}) if m else lit
+                    for lit, m in zip(literals, mentions)
+                ]
                 branch = [b for b in branch if b != S.TRUE]
                 if any(b == S.FALSE for b in branch):
                     continue

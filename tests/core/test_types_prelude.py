@@ -21,6 +21,15 @@ class TestSym:
         s = Sym("x")
         assert {s: 1}[s] == 1
 
+    def test_object_identity_is_equality(self):
+        s, t = Sym("x"), Sym("x")
+        assert s == s and not (s != s)
+        assert s != t and not (s == t)
+        assert {s: 1, t: 2} == {s: 1, t: 2} and len({s, t, s}) == 2
+        assert t not in {s} and {s: 1}.get(t) is None
+        # equality and hashing are object's own, not Python-level dunders
+        assert not {"__eq__", "__ne__", "__hash__"} & set(vars(Sym))
+
     def test_ids_monotone(self):
         a, b = Sym("a"), Sym("b")
         assert b.id > a.id

@@ -352,6 +352,47 @@ def _eval_formula(t, env):
     raise AssertionError(t)
 
 
+class TestResidueSplit:
+    """The Cooper residue split rewrites only the literals that mention the
+    split variable; the others reach every branch untouched."""
+
+    @staticmethod
+    def _lits(x, y, z):
+        return [
+            S.eq(S.mod(V(x), 4), S.IntC(1)),
+            S.le(S.IntC(3), V(y)),
+            S.le(V(y), V(z)),
+        ]
+
+    def test_verdicts(self, solver):
+        x, y, z = Sym("x"), Sym("y"), Sym("z")
+        lits = self._lits(x, y, z)
+        assert solver.satisfiable(S.conj(*lits))
+        odd_even = S.eq(S.mod(V(x), 2), S.IntC(0))  # x = 1 (mod 4) is odd
+        assert not solver.satisfiable(S.conj(*lits, odd_even))
+        assert not solver.satisfiable(
+            S.conj(*lits, S.lt(V(z), S.IntC(3)))
+        )
+
+    def test_untouched_literals_are_shared(self, solver, monkeypatch):
+        x, y, z = Sym("x"), Sym("y"), Sym("z")
+        lits = self._lits(x, y, z)
+        calls = []
+        inner = solver._feasible_rec
+
+        def spy(literals, depth):
+            calls.append((depth, list(literals)))
+            return inner(literals, depth)
+
+        monkeypatch.setattr(solver, "_feasible_rec", spy)
+        assert solver._feasible_rec(lits, 0)
+        deeper = [ls for depth, ls in calls if depth == 1]
+        assert deeper
+        for ls in deeper:
+            assert ls[-2] is lits[1] and ls[-1] is lits[2]
+            assert not any(x in S.free_vars(lit) for lit in ls)
+
+
 def _eval_t(t, env):
     if isinstance(t, S.Var):
         return env[t.sym]
