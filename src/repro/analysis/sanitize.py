@@ -40,8 +40,7 @@ from ..core import ast as IR
 from ..core.dataflow import iter_contexts, lower_ctrl
 from ..core.ir2smt import config_sym, proc_assumptions
 from ..core.pprint import expr_to_str
-from ..core.prelude import Sym
-from ..effects.api import post_effect
+from ..effects.api import fresh_point, post_effect
 from ..effects.effects import (
     EffectExtractor,
     global_writes,
@@ -107,10 +106,6 @@ class SanitizeReport:
         return "\n".join(lines)
 
 
-def _fresh_point(rank: int):
-    return [S.Var(Sym(f"p{d}")) for d in range(rank)]
-
-
 def _witness(assumptions, formula, point) -> str:
     """Render a model of ``assumptions ∧ formula`` -- the concrete location
     and inputs under which the unproven read is actually uninitialized."""
@@ -142,7 +137,7 @@ def _check_alloc(proc, path, s, base, facts, state, tenv, report, dead_allocs):
     rest = IR.get_block(parent, fld)[idx + 1 :]
     buf = s.name
     rank = len(s.type.shape()) if s.type.is_tensor_or_window() else 0
-    p = _fresh_point(rank)
+    p = fresh_point(rank)
     assumptions = base + facts
     tenv = tenv.copy()
     tenv.enter_stmt(s)
@@ -255,7 +250,7 @@ def _check_dead_store(proc, path, s, base, facts, state, tenv, report, dead_allo
     is_local = root not in {a.name for a in proc.args}
     idx_terms = [lower_ctrl(i, tenv, state) for i in s.idx]
     pt = list(view.compose_index(idx_terms))
-    p = _fresh_point(len(pt))
+    p = fresh_point(len(pt))
     wrote = S.conj(*[S.eq(pi, t) for pi, t in zip(p, pt)])
     post = post_effect(proc, path)
     exposed = mem_exposed(post, "r+", root, p)

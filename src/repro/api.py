@@ -57,10 +57,6 @@ from .scheduling.simplify import simplify_proc
 #: number of directives per app); reset it around a derivation to measure
 SCHEDULE_OP_COUNT = [0]
 
-#: registry mapping raw IR procs to their provenance nodes, so that
-#: call_eqv can recover the equivalence class of a call's current target
-_EQV_OF_IR: dict = {}
-
 
 class Procedure:
     """A schedulable Exo procedure (the object ``@proc`` returns)."""
@@ -80,7 +76,10 @@ class Procedure:
         #: was derived from, and the Forwarder of the deriving rewrite
         self._parent = _parent
         self._fwd = _fwd
-        _EQV_OF_IR[id(loopir_proc)] = self._eqv
+        # the raw IR proc carries its provenance node, so that call_eqv can
+        # recover the equivalence class of a call's current target (frozen
+        # dataclass: the entry lives outside its fields, and dies with it)
+        loopir_proc.__dict__["_eqv"] = self._eqv
 
     # -- introspection --------------------------------------------------------
 
@@ -279,7 +278,7 @@ class Procedure:
         call_stmt = IR.get_stmt(self._loopir_proc, m.path)
         if not isinstance(call_stmt, IR.Call):
             raise SchedulingError("call_eqv: pattern must match a call")
-        old_node = _EQV_OF_IR.get(id(call_stmt.proc))
+        old_node = call_stmt.proc.__dict__.get("_eqv")
         if old_node is None:
             raise SchedulingError(
                 "call_eqv: the current callee has no provenance record"

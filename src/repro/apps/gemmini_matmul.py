@@ -79,23 +79,6 @@ def _tile(p):
     return p
 
 
-def _tile_patterns(p):
-    """The pre-cursor, pattern-string-steered version of :func:`_tile`;
-    kept as a compatibility reference for the byte-identical-C test."""
-    p = p.split("for i in _: _", 16, "io", "ii", tail="perfect")
-    p = p.split("for j in _: _", 16, "jo", "ji", tail="perfect")
-    p = p.reorder("for ii in _: _")  # io, jo, ii, ji
-    p = p.expand_dim("res : _", "16", "ji")
-    p = p.expand_dim("res : _", "16", "ii")
-    p = p.lift_alloc("res : _", 2)
-    p = p.fission_after("res[_] = 0.0", 2)
-    p = p.fission_after("for k in _: _", 2)
-    p = p.split("for k in _: _", 16, "ko", "ki", tail="perfect")
-    p = p.reorder("for ji in _: _ #1")  # ji <-> ko under ii
-    p = p.reorder("for ii in _: _ #1")  # ii <-> ko
-    return p
-
-
 def _stage(p):
     """Stage the A and B tiles into new buffers (to become scratchpad)."""
     p = p.stage_mem(
@@ -105,20 +88,6 @@ def _stage(p):
     )
     p = p.stage_mem(
         p.find("for ii in _: _ #1"),
-        "B[16*ko:16*ko+16, 16*jo:16*jo+16]",
-        "b",
-    )
-    return p
-
-
-def _stage_patterns(p):
-    p = p.stage_mem(
-        "for ii in _: _ #1",
-        "A[16*io:16*io+16, 16*ko:16*ko+16]",
-        "a",
-    )
-    p = p.stage_mem(
-        "for ii in _: _ #1",
         "B[16*ko:16*ko+16, 16*jo:16*jo+16]",
         "b",
     )
@@ -169,31 +138,8 @@ def _hoist_configs(p):
 @lru_cache(maxsize=None)
 def matmul_exo():
     """The Exo-lib schedule of Fig. 4a (hoisted configs, staged tiles)."""
-    p = matmul_base.rename("matmul_exo")
-    p = _tile(p)
-    p = _stage(p)
-    # establish the configuration state once, at the top of the kernel,
-    # *before* selecting the split (assert-carrying) instructions: the
-    # assertion checker then proves every do_ld/do_st precondition from the
-    # config dataflow
-    p = _hoist_configs(p)
-    p = _select_instrs(p, fused=False)
-    p = _set_memories(p)
-    return p
-
-
-@lru_cache(maxsize=None)
-def matmul_exo_patterns():
-    """The Exo-lib schedule steered purely by pattern strings (the
-    pre-cursor style); its C output is asserted byte-identical to
-    :func:`matmul_exo`'s."""
-    p = matmul_base.rename("matmul_exo")
-    p = _tile_patterns(p)
-    p = _stage_patterns(p)
-    p = _hoist_configs(p)
-    p = _select_instrs(p, fused=False)
-    p = _set_memories(p)
-    return p
+    return build_matmul_candidate(matmul_base.rename("matmul_exo"),
+                                  "hoisted", True)
 
 
 @lru_cache(maxsize=None)
@@ -201,12 +147,8 @@ def matmul_oldlib():
     """A schedule imitating Gemmini's handwritten library: every DMA
     transfer re-writes its config register (fused config+mvin), flushing
     the accelerator pipeline each time."""
-    p = matmul_base.rename("matmul_oldlib")
-    p = _tile(p)
-    p = _stage(p)
-    p = _select_instrs(p, fused=True)
-    p = _set_memories(p)
-    return p
+    return build_matmul_candidate(matmul_base.rename("matmul_oldlib"),
+                                  "fused", True)
 
 
 @lru_cache(maxsize=None)
@@ -312,6 +254,10 @@ def build_matmul_candidate(base, style: str, stage: bool):
     if style == "scalar":
         return p
     if style == "hoisted":
+        # establish the configuration state once, at the top of the kernel,
+        # *before* selecting the split (assert-carrying) instructions: the
+        # assertion checker then proves every do_ld/do_st precondition from
+        # the config dataflow
         p = _hoist_configs(p)
         p = _select_instrs(p, fused=False)
     elif style == "fused":
@@ -338,13 +284,3 @@ def matmul_space():
         ],
         build=build_matmul_candidate,
     )
-
-
-@lru_cache(maxsize=None)
-def matmul_tiled():
-    """The tiled-and-staged kernel before instruction selection (useful for
-    tests and as the starting point for custom schedules)."""
-    p = matmul_base.rename("matmul_tiled")
-    p = _tile(p)
-    p = _stage(p)
-    return p

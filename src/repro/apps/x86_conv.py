@@ -7,8 +7,9 @@ covers ``XB`` output positions by ``OCV`` 16-lane channel vectors, and the
 reduction streams over (ky, kx, ic) with broadcast-FMAs -- the same
 instruction set as SGEMM.
 
-A no-op ``@instr`` carrying an OpenMP pragma provides the §9 multicore
-escape hatch without any compiler support.
+The §9 multicore variant needs no kernel of its own: ``parallelize`` on
+the batch loop emits ``#pragma omp parallel for`` once the race detector
+proves the iterations independent.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ..api import procs_from_source
 from ..platforms.avx512 import (
     AVX512,
     mm512_fmadd_bcast_ps,
-    mm512_loadu_ps,
     mm512_relu_storeu_ps,
     mm512_setzero_ps,
 )
@@ -79,14 +79,3 @@ def _schedule(p, xb: int, ocv: int):
 def conv_exo(xb: int = XB, ocv: int = OCV):
     p = _conv_algorithm("conv_exo_x86", xb, ocv)
     return _schedule(p, xb, ocv)
-
-
-@lru_cache(maxsize=None)
-def conv_exo_omp(xb: int = XB, ocv: int = OCV):
-    """The §9 variant: inject '#pragma omp parallel for' above the batch
-    loop through a no-op instruction (the replace()-as-escape-hatch trick).
-    """
-    from .. import proc as _proc  # noqa: F401  (documentational)
-
-    p = conv_exo(xb, ocv).rename("conv_exo_x86_omp")
-    return p

@@ -11,6 +11,8 @@ scheduled variant.
 ``make_microkernel(mr, nv)`` is that metaprogram: it returns both the
 algorithmic micro-kernel (used for unification) and the AVX-512-scheduled
 equivalent, for any register tile of ``mr`` rows by ``nv`` 16-lane vectors.
+``build_sgemm_candidate`` is the one outer derivation: :func:`sgemm_exo`
+applies it to the size-generic algorithm, the tuner to size-literal ones.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from functools import lru_cache
 
 from .. import DRAM, f32, proc
 from ..api import Procedure
-from ..frontend.parser import parse_function
-from ..core.typecheck import typecheck_proc
 from ..platforms.avx512 import (
     AVX512,
     mm512_fmadd_bcast_ps,
@@ -37,7 +37,8 @@ def _microkernel_algorithm(mr: int, nv: int):
     """The naive rank-1-update micro-kernel algorithm for an mr x (nv*16)
     register tile.  Built once per shape via exec-based metaprogramming so
     that the sizes appear as literals (the paper specializes its kernels to
-    constants the same way)."""
+    constants the same way).  Its formals are windows (``[f32][...]``):
+    the outer kernel passes strided panels of A, B and C."""
     nw = nv * 16
     src = f"""
 from __future__ import annotations
@@ -45,9 +46,9 @@ from repro import proc, DRAM, f32, size
 
 @proc
 def ukernel_{mr}x{nw}(K: size,
-                      A: f32[{mr}, K] @ DRAM,
-                      B: f32[K, {nw}] @ DRAM,
-                      C: f32[{mr}, {nw}] @ DRAM):
+                      A: [f32][{mr}, K] @ DRAM,
+                      B: [f32][K, {nw}] @ DRAM,
+                      C: [f32][{mr}, {nw}] @ DRAM):
     assert K >= 1
     for k in seq(0, K):
         for i in seq(0, {mr}):
@@ -85,42 +86,6 @@ def _schedule_microkernel(p: Procedure, mr: int, nv: int) -> Procedure:
 def make_microkernel(mr: int = MR, nv: int = NV):
     """Returns ``(algorithm, scheduled)`` micro-kernel Procedures."""
     algo = _microkernel_algorithm(mr, nv)
-    sched = _schedule_microkernel(
-        algo.rename(f"ukernel_{mr}x{nv * 16}_avx512"), mr, nv
-    )
-    return algo, sched
-
-
-def _microkernel_algorithm_win(mr: int, nv: int):
-    """Like :func:`_microkernel_algorithm` but with *window* formals
-    (``[f32][...]``), so the generated C accepts the strided panels the
-    outer kernel passes after ``replace()`` — required when candidates
-    are actually compiled and run (the tuner's measured mode)."""
-    nw = nv * 16
-    src = f"""
-from __future__ import annotations
-from repro import proc, DRAM, f32, size
-
-@proc
-def ukernel_{mr}x{nw}(K: size,
-                      A: [f32][{mr}, K] @ DRAM,
-                      B: [f32][K, {nw}] @ DRAM,
-                      C: [f32][{mr}, {nw}] @ DRAM):
-    assert K >= 1
-    for k in seq(0, K):
-        for i in seq(0, {mr}):
-            for j in seq(0, {nw}):
-                C[i, j] += A[i, k] * B[k, j]
-"""
-    from ..api import procs_from_source
-
-    return procs_from_source(src)[f"ukernel_{mr}x{nw}"]
-
-
-@lru_cache(maxsize=None)
-def make_microkernel_win(mr: int = MR, nv: int = NV):
-    """Window-formal twin of :func:`make_microkernel` (same schedule)."""
-    algo = _microkernel_algorithm_win(mr, nv)
     sched = _schedule_microkernel(
         algo.rename(f"ukernel_{mr}x{nv * 16}_avx512"), mr, nv
     )
@@ -166,50 +131,9 @@ def sgemm_exo(M: size, N: size, K: size,
 def sgemm_exo(mr: int = MR, nv: int = NV):
     """The main SGEMM kernel (divisible sizes): tile, rewrite the inner
     nest into the rank-1-update order, abstract it into the micro-kernel by
-    unification, and swap in the vectorized equivalent.
-
-    Scheduled in cursor style: loops are located once with ``find`` and
-    forwarded across the intervening rewrites automatically when used as
-    directive targets."""
-    nw = nv * 16
-    algo, sched = make_microkernel(mr, nv)
-    p = _sgemm_algorithm(mr, nw)
-    i_loop = p.find("for i in _: _")
-    j_loop = p.find("for j in _: _")
-    k_loop = p.find("for k in _: _")
-    p = p.split(i_loop, mr, "io", "ii", tail="perfect")
-    p = p.split(j_loop, nw, "jo", "ji", tail="perfect")
-    p = p.reorder(p.find("for ii in _: _"))  # io, jo, ii, ji, k
-    # bring k outermost within the tile: ii, ji, k -> k, ii, ji
-    p = p.reorder(p.find("for ji in _: _"))  # ji <-> k
-    p = p.reorder(p.find("for ii in _: _"))  # ii <-> k
-    p = p.replace(algo, k_loop)
-    p = p.call_eqv(sched, f"ukernel_{mr}x{nw}(_)")
-    return p
-
-
-@lru_cache(maxsize=None)
-def sgemm_exo_patterns(mr: int = MR, nv: int = NV):
-    """The same derivation steered purely by pattern strings (the pre-cursor
-    style); kept as a compatibility reference — its C output is asserted
-    byte-identical to :func:`sgemm_exo`'s."""
-    nw = nv * 16
-    algo, sched = make_microkernel(mr, nv)
-    p = _sgemm_algorithm(mr, nw)
-    p = p.split("for i in _: _", mr, "io", "ii", tail="perfect")
-    p = p.split("for j in _: _", nw, "jo", "ji", tail="perfect")
-    p = p.reorder("for ii in _: _")  # io, jo, ii, ji, k
-    # bring k outermost within the tile: ii, ji, k -> k, ii, ji
-    p = p.reorder("for ji in _: _")  # ji <-> k
-    p = p.reorder("for ii in _: _")  # ii <-> k
-    p = p.replace(algo, "for k in _: _")
-    p = p.call_eqv(sched, f"ukernel_{mr}x{nw}(_)")
-    return p
-
-
-def sgemm_interpret(p: Procedure, M, N, K, A, B, C):
-    """Convenience wrapper running an SGEMM procedure on numpy arrays."""
-    return p.interpret(M, N, K, A, B, C)
+    unification, and swap in the vectorized equivalent -- the tuner's
+    vectorized candidate, applied to the size-generic algorithm."""
+    return build_sgemm_candidate(_sgemm_algorithm(mr, 16 * nv), mr, nv, True)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +183,7 @@ def build_sgemm_candidate(base: Procedure, mr: int, nv: int,
     p = p.reorder("for ji in _: _")  # ji <-> k
     p = p.reorder("for ii in _: _")  # ii <-> k
     if vectorize:
-        algo, sched = make_microkernel_win(mr, nv)
+        algo, sched = make_microkernel(mr, nv)
         p = p.replace(algo, "for k in _: _")
         p = p.call_eqv(sched, f"ukernel_{mr}x{nw}(_)")
     return p

@@ -597,11 +597,6 @@ def replace_block(proc: Proc, path, count: int, new_stmts) -> Proc:
     return rebuild(proc, list(path))
 
 
-def replace_stmt(proc: Proc, path, new_stmts) -> Proc:
-    """Splice ``new_stmts`` (a list) over the single statement at ``path``."""
-    return replace_block(proc, path, 1, new_stmts)
-
-
 def stmts_after(proc: Proc, path):
     """All statements that execute after the statement at ``path`` within the
     procedure, in source order, from innermost block outward.
@@ -620,16 +615,4 @@ def stmts_after(proc: Proc, path):
     for container, (fld, idx) in reversed(containers):
         block = get_block(container, fld)
         out.extend(block[idx + 1 :])
-    return out
-
-
-def enclosing_loops(proc: Proc, path):
-    """The For statements enclosing the statement at ``path``, outermost
-    first (excluding the statement itself)."""
-    out = []
-    node = proc
-    for fld, idx in path[:-1]:
-        node = get_block(node, fld)[idx]
-        if isinstance(node, For):
-            out.append(node)
     return out

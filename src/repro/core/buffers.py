@@ -130,9 +130,6 @@ class TypeEnv:
     def type_of(self, name: Sym) -> T.Type:
         return self.types[name]
 
-    def mem_of(self, name: Sym):
-        return self.mems.get(name)
-
     def view(self, name: Sym) -> BufView:
         if name not in self.views:
             raise InternalError(f"no view for {name}")

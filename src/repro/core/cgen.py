@@ -366,10 +366,6 @@ class _ProcCompiler:
             return self.make_window_struct(actual.name, actual.idx, ftyp)
         raise InternalError("buffer arguments must be names or windows")
 
-    def scalar_ref(self, name: Sym) -> str:
-        typ, _mem, is_win = self.tenv[name]
-        return self.nm(name) if False else f"{self.nm(name)}"
-
     def buffer_ptr(self, name: Sym) -> str:
         return self.nm(name)
 

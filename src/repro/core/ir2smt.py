@@ -108,23 +108,6 @@ def _is_bool_term(t: S.Term) -> bool:
     return isinstance(t, (S.Cmp, S.Not, S.And, S.Or))
 
 
-def dense_strides(shape_terms):
-    """Row-major stride terms for a dense tensor with the given extents."""
-    n = len(shape_terms)
-    strides = [S.IntC(1)] * n
-    for d in range(n - 2, -1, -1):
-        nxt = shape_terms[d + 1]
-        if isinstance(strides[d + 1], S.IntC) and isinstance(nxt, S.IntC):
-            strides[d] = S.IntC(strides[d + 1].val * nxt.val)
-        else:
-            strides[d] = None  # symbolic product is non-affine; leave opaque
-            # all outer strides are then opaque too
-            for dd in range(d, -1, -1):
-                strides[dd] = None
-            break
-    return strides
-
-
 def proc_assumptions(proc: IR.Proc):
     """Facts the analysis may assume inside ``proc``:
 

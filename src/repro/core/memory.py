@@ -46,10 +46,6 @@ class Memory:
         return f"free({new_name});"
 
     @classmethod
-    def can_read(cls) -> bool:
-        return cls.addressable
-
-    @classmethod
     def window(cls, basetyp, baseptr: str, indices, strides, srcinfo) -> str:
         """C expression computing the address of an element."""
         if not cls.addressable:
@@ -63,23 +59,8 @@ class Memory:
 
 
 class DRAM(Memory):
-    """Default memory: heap-allocated system DRAM (malloc/free)."""
-
-    @classmethod
-    def alloc(cls, new_name, prim_type, shape, srcinfo):
-        if not shape:
-            return f"{prim_type} {new_name};"
-        total = " * ".join(f"({s})" for s in shape)
-        return (
-            f"{prim_type} *{new_name} = "
-            f"({prim_type}*) malloc({total} * sizeof({prim_type}));"
-        )
-
-    @classmethod
-    def free(cls, new_name, prim_type, shape, srcinfo):
-        if not shape:
-            return ""
-        return f"free({new_name});"
+    """Default memory: heap-allocated system DRAM (malloc/free), the base
+    class's C code."""
 
 
 class StaticMemory(Memory):

@@ -145,9 +145,6 @@ class _FreshNamer:
         self.assigned[sym] = candidate
         return candidate
 
-    def reserve(self, name: str):
-        self.used.add(name)
-
 
 _C_KEYWORDS = frozenset(
     """auto break case char const continue default do double else enum extern

@@ -186,6 +186,9 @@ class _TypeChecker:
                 elif ft.is_tensor_or_window():
                     if not at.is_tensor_or_window():
                         self.err(s, f"call to {callee.name}: expected a tensor for {formal.name}")
+                    # §3.1: a window carries its strides, a dense formal assumes its own
+                    if at.is_win() and not ft.is_win():
+                        self.err(s, f"call to {callee.name}: window passed to dense formal {formal.name}")
                     if len(at.shape()) != len(ft.shape()):
                         self.err(
                             s,

@@ -269,12 +269,6 @@ class Tensor(Type):
     def as_window(self) -> "Tensor":
         return Tensor(self.basetype_, self.hi, True)
 
-    def as_tensor(self) -> "Tensor":
-        return Tensor(self.basetype_, self.hi, False)
-
-    def with_basetype(self, base) -> "Tensor":
-        return Tensor(base, self.hi, self.is_window)
-
     def __str__(self):
         dims = ", ".join(str(e) for e in self.hi)
         if self.is_window:

@@ -42,7 +42,8 @@ from .effects import (
     rename_iter,
 )
 
-def _fresh_point(rank: int):
+def fresh_point(rank: int):
+    """A point of ``rank`` fresh integer variables, for membership queries."""
     return [S.Var(Sym(f"p{d}")) for d in range(rank)]
 
 
@@ -73,7 +74,7 @@ def _commutes_buffers(assumptions, a1, a2, what):
     bufs1, bufs2 = buffers_of(a1), buffers_of(a2)
     for root in set(bufs1) & set(bufs2):
         rank = bufs1[root]
-        p = _fresh_point(rank)
+        p = fresh_point(rank)
         pairs = [
             (mem(a1, "w", root, p), mem(a2, "rw+", root, p), "write/any"),
             (mem(a2, "w", root, p), mem(a1, "rw+", root, p), "any/write"),
@@ -281,7 +282,7 @@ def _check_shadows(ctx: Ctx, a1, a2, what):
     errors = []
     bufs1, bufs2 = buffers_of(a1), buffers_of(a2)
     for root, rank in bufs1.items():
-        p = _fresh_point(rank)
+        p = fresh_point(rank)
         modified = S.disj(mem(a1, "w", root, p), mem(a1, "+", root, p))
         if modified == S.FALSE:
             continue
@@ -307,15 +308,6 @@ def _check_shadows(ctx: Ctx, a1, a2, what):
         raise SchedulingError("\n".join(errors))
 
 
-def check_trip_positive(proc: IR.Proc, loop_path, what):
-    loop = IR.get_stmt(proc, loop_path)
-    ctx = Ctx(proc, loop_path)
-    ex = ctx.extractor()
-    goal = S.lt(ex._ctrl(loop.lo), ex._ctrl(loop.hi))
-    if not prove(ctx.assumptions, goal, "rewrite"):
-        raise SchedulingError(f"{what}: cannot prove the loop body executes")
-
-
 def check_condition(proc: IR.Proc, path, cond: IR.Expr, what):
     """Prove a control condition holds at ``path`` (used by add_guard,
     perfect split divisibility, partition_loop, ...)."""
@@ -333,12 +325,6 @@ def check_condition(proc: IR.Proc, path, cond: IR.Expr, what):
             return f"{msg} (counterexample: {cex})" if cex else msg
 
         raise SchedulingError(msg, witness=render)
-
-
-def check_term_condition(proc: IR.Proc, path, goal: S.Term, what):
-    ctx = Ctx(proc, path)
-    if not prove(ctx.assumptions, goal, "rewrite"):
-        raise SchedulingError(f"{what}: condition is not provable")
 
 
 def post_effect(proc: IR.Proc, path):
@@ -383,7 +369,7 @@ def check_config_pollution(proc: IR.Proc, path, fields):
 def check_contained(ctx: Ctx, eff, root: Sym, rank: int, box, what):
     """Every access of ``root`` in ``eff`` lies inside ``box``
     (a list of (lo_term, hi_term) per dimension)."""
-    p = _fresh_point(rank)
+    p = fresh_point(rank)
     inside = S.conj(
         *[S.conj(S.ge(pi, lo), S.lt(pi, hi)) for pi, (lo, hi) in zip(p, box)]
     )

@@ -18,20 +18,7 @@ cost model, differing only in the properties the paper attributes to it:
 
 from __future__ import annotations
 
-from math import ceil
-
 from .x86_sim import DEFAULT, X86Params, conv_cost, sgemm_cost
-
-
-def _best_tile(M: int, N: int, tiles):
-    """Pick the kernel shape minimizing padded work."""
-    best = None
-    for mr, nv in tiles:
-        nw = nv * 16
-        eff = (M / (ceil(M / mr) * mr)) * (N / (ceil(N / nw) * nw))
-        if best is None or eff > best[0]:
-            best = (eff, mr, nv)
-    return best[1], best[2]
 
 
 def openblas_sgemm_gflops(M: int, N: int, K: int,

@@ -3,7 +3,7 @@
 Every scheduling rewrite discharges its safety obligations (``Commutes``,
 ``Shadows``, bounds, preconditions, ...) as validity queries against
 :mod:`repro.smt.solver`.  Identical obligations recur constantly — e.g.
-:func:`repro.effects.api._fresh_point` mints *fresh* ``Sym`` variables for
+:func:`repro.effects.api.fresh_point` mints *fresh* ``Sym`` variables for
 every membership query, so the solver's identity-keyed cache never sees a
 repeat even when the formula is the same modulo variable names.
 

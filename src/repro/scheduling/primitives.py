@@ -875,7 +875,7 @@ def _covers(ctx, eff, buf, rank, box) -> bool:
     from ..effects.effects import mem
     from ..smt import terms as S
 
-    p = EA._fresh_point(rank)
+    p = EA.fresh_point(rank)
     inside = S.conj(
         *[S.conj(S.ge(pi, lo), S.lt(pi, hi)) for pi, (lo, hi) in zip(p, box)]
     )

@@ -495,10 +495,6 @@ class _Unifier:
         return {k: v for k, v in out.items() if v != 0} or {None: Fraction(0)}
 
 
-def _in_callee_binders(uni, sym):
-    return sym in uni.binders
-
-
 def _same_opaque(a, b) -> bool:
     if isinstance(a, IR.StrideExpr) and isinstance(b, IR.StrideExpr):
         return a.name is b.name and a.dim == b.dim

@@ -144,9 +144,6 @@ def dnf_stream(t, prune=None) -> Iterable[List]:
     (from ``forall`` elimination) tractable.
     """
 
-    def is_literal(f):
-        return not isinstance(f, (S.And, S.Or, S.BoolC))
-
     def go(pending, literals):
         # absorb cheap work first: literals and conjunctions
         pending = list(pending)

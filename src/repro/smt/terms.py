@@ -118,10 +118,6 @@ FALSE = BoolC(False)
 # ---------------------------------------------------------------------------
 
 
-def mk_int(v: int) -> Term:
-    return IntC(int(v))
-
-
 def mk_bool(v: bool) -> Term:
     return TRUE if v else FALSE
 

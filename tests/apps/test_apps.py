@@ -184,16 +184,33 @@ class TestDerivationProperties:
         assert 5 < SCHEDULE_OP_COUNT[0] < 60
 
 
+def _matmul_exo_patterns():
+    """``matmul_exo``'s derivation steered purely by pattern strings (the
+    pre-cursor style)."""
+    from repro.apps import gemmini_matmul as gm
+
+    p = matmul_base.rename("matmul_exo")
+    p = p.split("for i in _: _", 16, "io", "ii", tail="perfect")
+    p = p.split("for j in _: _", 16, "jo", "ji", tail="perfect")
+    p = p.reorder("for ii in _: _")
+    p = p.expand_dim("res : _", "16", "ji")
+    p = p.expand_dim("res : _", "16", "ii")
+    p = p.lift_alloc("res : _", 2)
+    p = p.fission_after("res[_] = 0.0", 2)
+    p = p.fission_after("for k in _: _", 2)
+    p = p.split("for k in _: _", 16, "ko", "ki", tail="perfect")
+    p = p.reorder("for ji in _: _ #1")
+    p = p.reorder("for ii in _: _ #1")
+    p = p.stage_mem("for ii in _: _ #1", "A[16*io:16*io+16, 16*ko:16*ko+16]", "a")
+    p = p.stage_mem("for ii in _: _ #1", "B[16*ko:16*ko+16, 16*jo:16*jo+16]", "b")
+    p = gm._hoist_configs(p)
+    p = gm._select_instrs(p, fused=False)
+    return gm._set_memories(p)
+
+
 class TestCursorPortByteIdentical:
     """The cursor-style app schedules must produce byte-identical C to
     their original pattern-string derivations."""
 
     def test_gemmini_matmul_exo(self):
-        from repro.apps.gemmini_matmul import matmul_exo_patterns
-
-        assert matmul_exo().c_code() == matmul_exo_patterns().c_code()
-
-    def test_x86_sgemm_exo(self):
-        from repro.apps.x86_sgemm import sgemm_exo_patterns
-
-        assert sgemm_exo().c_code() == sgemm_exo_patterns().c_code()
+        assert matmul_exo().c_code() == _matmul_exo_patterns().c_code()

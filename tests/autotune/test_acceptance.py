@@ -59,7 +59,7 @@ class TestSgemmAcceptance:
         assert r.stats["pruned"] > 0
 
     def test_sgemm_winner_replays_byte_identically(self):
-        from repro.apps.x86_sgemm import make_microkernel_win, sgemm_space
+        from repro.apps.x86_sgemm import sgemm_space
 
         space = sgemm_space()
         r = search(space, TuneConfig(seed=0, budget=30))
@@ -72,7 +72,7 @@ class TestSgemmAcceptance:
         assert rep.c_code() == r.best.proc.c_code()
 
     def test_sgemm_winner_survives_json_roundtrip(self, tmp_path):
-        from repro.apps.x86_sgemm import make_microkernel_win, sgemm_space
+        from repro.apps.x86_sgemm import make_microkernel, sgemm_space
 
         space = sgemm_space()
         r = search(space, TuneConfig(seed=0, budget=30))
@@ -85,7 +85,7 @@ class TestSgemmAcceptance:
         # procedures by name, replay on the base algorithm
         mr = r.best.params["mr"]
         nv = r.best.params["nv"]
-        algo, sched = make_microkernel_win(mr, nv)
+        algo, sched = make_microkernel(mr, nv)
         procs = {algo.name(): algo, sched.name(): sched}
         fresh = TuneDB(path)
         rep = fresh.replay("sgemm", space.base, procs=procs)

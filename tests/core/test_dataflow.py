@@ -314,13 +314,14 @@ def f(n: size, x: f32[n, 8] @ DRAM):
         assert x[0, 0] == 1.0
 
     def test_window_of_formal_strides_like_the_actual(self):
-        # y is dense in set_w, but the actual is a window of a 16-wide x
+        # y is a window formal of set_w: its strides are those of the
+        # actual, a window of a 16-wide x
         from repro import AssertCheckError
 
         cfg = Config("CfgV", [("s", T.stride_t)])
         src = """
 @proc
-def set_w(m: size, y: f32[m, 8] @ DRAM):
+def set_w(m: size, y: [f32][m, 8] @ DRAM):
     w = y[0:m, 0:4]
     CfgV.s = stride(w, 0)
 

@@ -284,3 +284,79 @@ def f(x: f32[8, 8] @ DRAM):
     x[0, 0] = 0.0
 """
         )
+
+
+class TestCallSiteWindows:
+    """§3.1: a window carries its strides, a dense formal assumes its own,
+    so a window never reaches a dense tensor formal."""
+
+    G = """
+@proc
+def g(m: size, y: f32[m, 8] @ DRAM):
+    assert m >= 2
+    y[1, 0] = 1.0
+"""
+
+    def test_window_expr_at_dense_formal_rejected(self):
+        # interpret() would write x[1, 0], a dense C callee x[0, 8]
+        with pytest.raises(TypeCheckError, match=r"call to g: .*dense formal y"):
+            _ok(self.G + """
+@proc
+def f(n: size, x: f32[n, 16] @ DRAM):
+    g(n, x[0:n, 0:8])
+""")
+
+    def test_window_name_at_dense_formal_rejected(self):
+        with pytest.raises(TypeCheckError, match=r"call to g: .*dense formal y"):
+            _ok(self.G + """
+@proc
+def f(n: size, x: [f32][n, 8] @ DRAM):
+    g(n, x)
+""")
+        with pytest.raises(TypeCheckError, match=r"call to g: .*dense formal y"):
+            _ok(self.G + """
+@proc
+def f(n: size, x: f32[n, 16] @ DRAM):
+    w = x[0:n, 0:8]
+    g(n, w)
+""")
+
+    def test_dense_and_window_actuals_at_window_formal_accepted(self):
+        _ok("""
+@proc
+def h(m: size, y: [f32][m, 8] @ DRAM):
+    assert m >= 2
+    y[1, 0] = 1.0
+
+@proc
+def f(n: size, x: f32[n, 8] @ DRAM, z: f32[n, 16] @ DRAM):
+    assert n >= 2
+    h(n, x)
+    h(n, z[0:n, 0:8])
+""")
+
+    def test_dense_actual_at_dense_formal_accepted(self):
+        _ok(self.G + """
+@proc
+def f(n: size, x: f32[n, 8] @ DRAM):
+    assert n >= 2
+    g(n, x)
+""")
+
+    def test_replace_with_dense_formal_rejected(self):
+        # unification would abstract x's strided panel into g's dense y
+        procs = procs_from_source(HEADER + """
+@proc
+def g(y: f32[2, 8] @ DRAM):
+    for i in seq(0, 2):
+        for j in seq(0, 8):
+            y[i, j] = 0.0
+
+@proc
+def f(x: f32[4, 16] @ DRAM):
+    for i in seq(0, 2):
+        for j in seq(0, 8):
+            x[i + 2, j] = 0.0
+""")
+        with pytest.raises(TypeCheckError, match=r"call to g: .*dense formal y"):
+            procs["f"].replace(procs["g"], "for i in _: _")

@@ -78,7 +78,7 @@ class TestSolverCanonicalCache:
         assert solver.stats["cache_hits"] >= 1
 
     def test_fresh_point_style_requeries_hit(self):
-        # mimics effects.api._fresh_point: every obligation mints new Syms
+        # mimics effects.api.fresh_point: every obligation mints new Syms
         solver = Solver()
         outcomes = set()
         for _ in range(5):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import SchedulingError
@@ -49,6 +52,33 @@ class TestEqvLattice:
         b = EqvNode(EqvNode())
         with pytest.raises(SchedulingError):
             eqv_pollution(a, b)
+
+
+class TestProvenanceLifetime:
+    SRC = """
+from __future__ import annotations
+from repro import proc, DRAM, f32
+
+@proc
+def zero8(x: f32[8] @ DRAM):
+    for i in seq(0, 8):
+        x[i] = 0.0
+"""
+
+    def test_dropped_revisions_release_their_eqv_nodes(self):
+        # a revision's provenance node lives exactly as long as its IR: an
+        # id()-keyed registry would keep every node alive and let a reused
+        # id() return a dead revision's node
+        from repro.api import procs_from_source
+
+        base = procs_from_source(self.SRC)["zero8"]
+        refs = []
+        for _ in range(50):
+            rev = base.split("for i in _: _", 2, "io", "ii", tail="perfect")
+            refs.append(weakref.ref(rev._eqv))
+            del rev
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
 
 
 class TestReporting:
