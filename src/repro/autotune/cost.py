@@ -11,15 +11,14 @@ Two layers live here:
   byte traffic (DRAM vs scratchpad vs accumulator vs register), trip-
   weighted config writes (a pipeline flush on accelerators), and call /
   loop overheads.  A :class:`MachineModel` converts those counts into a
-  scalar cycle estimate.  The model is intentionally *relative*: it exists
-  to rank candidate schedules, and is validated against the hand-
-  calibrated per-kernel models below on the schedules both can price.
+  scalar cycle estimate (:attr:`Cost.cycles`).  The model is
+  intentionally *relative*: it exists to rank candidate schedules.
 
-* the x86 pricing core shared with :mod:`repro.machine.x86_sim` —
-  :class:`X86Params`, :class:`CostBreakdown`, and :func:`price_x86` were
-  factored out of the per-kernel ``sgemm_cost`` / ``conv_cost`` helpers
-  (which are now thin count-assembly wrappers over :func:`price_x86`),
-  so there is exactly one implementation of "counts -> cycles" pricing.
+* the x86 pricing core of :mod:`repro.machine.x86_sim` --
+  :class:`X86Params`, :class:`CostBreakdown`, and :func:`price_x86`, which
+  the closed-form ``sgemm_cost`` / ``conv_cost`` helpers there delegate
+  to.  :func:`cost_of` does not use it: the two are separate models, and
+  no test compares their cycle counts.
 
 Costs are cached by (procedure text, sizes, model); repeated queries for
 the same candidate — common when beam search revisits a state — are

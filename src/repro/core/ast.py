@@ -398,13 +398,46 @@ def map_expr(fn, e: Expr) -> Expr:
     return fn(e2)
 
 
-def subst_expr(env: dict, e: Expr) -> Expr:
-    """Substitute reads of names in ``env`` (Sym -> Expr) within ``e``.
+def map_stmts(fn, stmts) -> tuple:
+    """Rebuild a block, applying ``fn`` bottom-up (as :func:`map_expr`) to
+    every expression in it: indices, right-hand sides, conditions, loop
+    bounds, allocation shapes, call arguments and window bindings.
 
-    A scalar ``Read`` of a mapped name becomes the mapped expression.  Reads
-    with indices, windows, and stride expressions require the substituted
-    value to itself be a name (``Read`` with no indices) or a window.
+    An ``Assign``/``Reduce`` target is passed to ``fn`` as
+    ``Read(name, idx)`` (with no type) and must come back as a ``Read``,
+    whose name and indices become the new target.  Binders (loop
+    iterators, allocated and window names) are left alone.
     """
+
+    def m(e):
+        return map_expr(fn, e)
+
+    out = []
+    for s in stmts:
+        if isinstance(s, (Assign, Reduce)):
+            tgt = m(Read(s.name, s.idx, None, s.srcinfo))
+            if not isinstance(tgt, Read):
+                raise InternalError(f"cannot rewrite write target {s.name}")
+            s = dc_replace(s, name=tgt.name, idx=tgt.idx, rhs=m(s.rhs))
+        elif isinstance(s, (WriteConfig, WindowStmt)):
+            s = dc_replace(s, rhs=m(s.rhs))
+        elif isinstance(s, If):
+            s = dc_replace(s, cond=m(s.cond), body=map_stmts(fn, s.body),
+                           orelse=map_stmts(fn, s.orelse))
+        elif isinstance(s, For):
+            s = dc_replace(s, lo=m(s.lo), hi=m(s.hi), body=map_stmts(fn, s.body))
+        elif isinstance(s, Alloc) and s.type.is_tensor_or_window():
+            typ = s.type
+            shape = tuple(m(h) for h in typ.shape())
+            s = dc_replace(s, type=T.Tensor(typ.basetype(), shape, typ.is_win()))
+        elif isinstance(s, Call):
+            s = dc_replace(s, args=tuple(m(a) for a in s.args))
+        out.append(s)
+    return tuple(out)
+
+
+def _subst_fn(env: dict):
+    """The node function of :func:`subst_expr` / :func:`subst_stmts`."""
 
     def fn(node):
         if isinstance(node, Read) and node.name in env:
@@ -425,69 +458,24 @@ def subst_expr(env: dict, e: Expr) -> Expr:
             raise InternalError(f"cannot substitute window of {node.name}")
         return node
 
-    return map_expr(fn, e)
+    return fn
+
+
+def subst_expr(env: dict, e: Expr) -> Expr:
+    """Substitute reads of names in ``env`` (Sym -> Expr) within ``e``.
+
+    A scalar ``Read`` of a mapped name becomes the mapped expression.  Reads
+    with indices, windows, and stride expressions require the substituted
+    value to itself be a name (``Read`` with no indices) or a window.
+    """
+    return map_expr(_subst_fn(env), e)
 
 
 def subst_stmts(env: dict, stmts) -> tuple:
     """Substitute names through a statement block (no capture handling:
     callers must ensure bound names are fresh, e.g. via :func:`alpha_rename`).
     """
-    out = []
-    for s in stmts:
-        if isinstance(s, (Assign, Reduce)):
-            name = s.name
-            if name in env:
-                repl = env[name]
-                if isinstance(repl, Sym):
-                    name = repl
-                elif isinstance(repl, Read) and not repl.idx:
-                    name = repl.name
-                else:
-                    raise InternalError(f"cannot substitute write target {s.name}")
-            out.append(
-                dc_replace(
-                    s,
-                    name=name,
-                    idx=tuple(subst_expr(env, i) for i in s.idx),
-                    rhs=subst_expr(env, s.rhs),
-                )
-            )
-        elif isinstance(s, WriteConfig):
-            out.append(dc_replace(s, rhs=subst_expr(env, s.rhs)))
-        elif isinstance(s, If):
-            out.append(
-                dc_replace(
-                    s,
-                    cond=subst_expr(env, s.cond),
-                    body=subst_stmts(env, s.body),
-                    orelse=subst_stmts(env, s.orelse),
-                )
-            )
-        elif isinstance(s, For):
-            out.append(
-                dc_replace(
-                    s,
-                    lo=subst_expr(env, s.lo),
-                    hi=subst_expr(env, s.hi),
-                    body=subst_stmts(env, s.body),
-                )
-            )
-        elif isinstance(s, Alloc):
-            typ = s.type
-            if typ.is_tensor_or_window():
-                typ = T.Tensor(
-                    typ.basetype(),
-                    tuple(subst_expr(env, h) for h in typ.shape()),
-                    typ.is_win(),
-                )
-            out.append(dc_replace(s, type=typ))
-        elif isinstance(s, Call):
-            out.append(dc_replace(s, args=tuple(subst_expr(env, a) for a in s.args)))
-        elif isinstance(s, WindowStmt):
-            out.append(dc_replace(s, rhs=subst_expr(env, s.rhs)))
-        else:
-            out.append(s)
-    return tuple(out)
+    return map_stmts(_subst_fn(env), stmts)
 
 
 def alpha_rename(stmts) -> tuple:

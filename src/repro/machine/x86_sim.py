@@ -11,11 +11,12 @@ innermost cache level it fits in given the kernel's loop structure, with
 per-level bandwidth converting traffic into cycles.  Tests validate the
 count formulas against real instruction traces at small sizes.
 
-The pricing core (counts -> cycles) lives in :mod:`repro.autotune.cost`
-and is shared with the autotuner's IR-driven model; ``sgemm_cost`` /
-``conv_cost`` below only assemble the per-kernel counts and delegate to
-:func:`repro.autotune.cost.price_x86`.  ``X86Params`` / ``CostBreakdown``
-are re-exported here for backward compatibility.
+The pricing core (counts -> cycles) is
+:func:`repro.autotune.cost.price_x86`; ``sgemm_cost`` / ``conv_cost``
+below only assemble the per-kernel counts and delegate to it.  The
+autotuner's IR-driven ``cost_of`` is a separate model (``MachineModel`` /
+``Cost.cycles``) and does not go through ``price_x86``.  ``X86Params`` /
+``CostBreakdown`` are re-exported here for backward compatibility.
 """
 
 from __future__ import annotations

@@ -437,10 +437,7 @@ def resolve_fragment(expr, scope: dict):
                 return dc_replace(e, name=scope[name])
         return e
 
-    out = IR.map_expr(fn, expr)
-    # map_expr doesn't rewrite WindowExpr interval bounds of None; also
-    # resolve the buffer name of a window at the top
-    return out
+    return IR.map_expr(fn, expr)
 
 
 def parse_fragment_expr(proc: IR.Proc, path, src: str):

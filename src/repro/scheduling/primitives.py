@@ -500,60 +500,21 @@ def expand_dim(proc, match: StmtMatch, extent: IR.Expr, index: IR.Expr):
     new_alloc = dc_replace(alloc, type=new_typ)
     name = alloc.name
 
-    def fix_expr(e):
-        def fn(node):
-            if isinstance(node, IR.Read) and node.name is name:
-                return dc_replace(node, idx=(index,) + node.idx)
-            if isinstance(node, IR.WindowExpr) and node.name is name:
-                raise SchedulingError(
-                    "expand_dim: windows of the expanded buffer are not supported"
-                )
-            return node
-
-        return IR.map_expr(fn, e)
-
-    def fix_block(stmts):
-        out = []
-        for s in stmts:
-            if isinstance(s, (IR.Assign, IR.Reduce)):
-                idx = tuple(fix_expr(i) for i in s.idx)
-                if s.name is name:
-                    idx = (index,) + idx
-                out.append(dc_replace(s, idx=idx, rhs=fix_expr(s.rhs)))
-            elif isinstance(s, IR.WriteConfig):
-                out.append(dc_replace(s, rhs=fix_expr(s.rhs)))
-            elif isinstance(s, IR.If):
-                out.append(
-                    dc_replace(
-                        s, cond=fix_expr(s.cond), body=fix_block(s.body),
-                        orelse=fix_block(s.orelse),
-                    )
-                )
-            elif isinstance(s, IR.For):
-                out.append(
-                    dc_replace(
-                        s, lo=fix_expr(s.lo), hi=fix_expr(s.hi),
-                        body=fix_block(s.body),
-                    )
-                )
-            elif isinstance(s, IR.Call):
-                out.append(
-                    dc_replace(s, args=tuple(fix_expr(a) for a in s.args))
-                )
-            elif isinstance(s, IR.WindowStmt):
-                if s.rhs.name is name:
-                    raise SchedulingError(
-                        "expand_dim: windows of the expanded buffer are not supported"
-                    )
-                out.append(s)
-            else:
-                out.append(s)
-        return tuple(out)
+    def fn(node):
+        if isinstance(node, IR.Read) and node.name is name:
+            return dc_replace(node, idx=(index,) + node.idx)
+        if isinstance(node, IR.StrideExpr) and node.name is name:
+            return dc_replace(node, dim=node.dim + 1)
+        if isinstance(node, IR.WindowExpr) and node.name is name:
+            raise SchedulingError(
+                "expand_dim: windows of the expanded buffer are not supported"
+            )
+        return node
 
     # rewrite the rest of the enclosing block after the allocation
     block = EA._block_at(proc, match.path)
     idx0 = match.path[-1][1]
-    rest = fix_block(block[idx0 + 1 :])
+    rest = IR.map_stmts(fn, block[idx0 + 1 :])
     new_stmts = [new_alloc] + list(rest)
     # same statement skeleton, but every access to the buffer gained an
     # index: the whole region is touched (the default), positions are stable
@@ -771,7 +732,7 @@ def stage_mem(proc, match: StmtMatch, window: IR.WindowExpr, new_name: str,
             offs.append(w.lo)
         else:
             pt = ex._ctrl(w.pt)
-            box.append((pt, S.add(pt, S.IntC(1)) if False else _succ(pt)))
+            box.append((pt, _succ(pt)))
             offs.append(w.pt)
             shape.append(None)
     block = list(
@@ -884,98 +845,39 @@ def _covers(ctx, eff, buf, rank, box) -> bool:
 
 
 def _rewrite_accesses(block, buf: Sym, new: Sym, widx):
-    """Rewrite accesses of ``buf`` into the staged buffer coordinates."""
-    offs = []
-    keep = []
-    for w in widx:
-        if isinstance(w, IR.Interval):
-            offs.append(w.lo)
-            keep.append(True)
-        else:
-            offs.append(None)
-            keep.append(False)
+    """Rewrite accesses of ``buf`` into the staged buffer coordinates
+    (``stride(buf, d)`` stays on ``buf``)."""
+    if any(isinstance(s, IR.WindowStmt) and s.rhs.name is buf
+           for s in IR.walk_stmts(block)):
+        raise SchedulingError(
+            "stage_mem: windows of the staged buffer inside the "
+            "block are not supported"
+        )
+    # the staged offset of each kept (interval) coordinate; points drop out
+    offs = [w.lo if isinstance(w, IR.Interval) else None for w in widx]
 
-    def fix_idx(idx):
-        out = []
-        for i, (off, k) in zip(idx, zip(offs, keep)):
-            if not k:
-                continue
-            out.append(simplify_expr(IR.BinOp("-", i, off, T.index_t)))
-        return tuple(out)
+    def shift(e, off):
+        return simplify_expr(IR.BinOp("-", e, off, T.index_t))
 
-    def fix_expr(e):
-        def fn(node):
-            if isinstance(node, IR.Read) and node.name is buf and node.idx:
-                return dc_replace(node, name=new, idx=fix_idx(node.idx))
-            return node
-
-        return IR.map_expr(fn, e)
-
-    def fix_block(stmts):
-        out = []
-        for s in stmts:
-            if isinstance(s, (IR.Assign, IR.Reduce)) and s.name is buf:
-                s = dc_replace(s, name=new, idx=fix_idx(s.idx), rhs=fix_expr(s.rhs))
-            elif isinstance(s, (IR.Assign, IR.Reduce)):
-                s = dc_replace(
-                    s,
-                    idx=tuple(fix_expr(i) for i in s.idx),
-                    rhs=fix_expr(s.rhs),
+    def fn(node):
+        if isinstance(node, IR.Read) and node.name is buf:
+            if not node.idx:
+                raise SchedulingError(
+                    "stage_mem: cannot stage a buffer passed whole to a call"
                 )
-            elif isinstance(s, IR.WriteConfig):
-                s = dc_replace(s, rhs=fix_expr(s.rhs))
-            elif isinstance(s, IR.If):
-                s = dc_replace(
-                    s,
-                    cond=fix_expr(s.cond),
-                    body=fix_block(s.body),
-                    orelse=fix_block(s.orelse),
-                )
-            elif isinstance(s, IR.For):
-                s = dc_replace(
-                    s, lo=fix_expr(s.lo), hi=fix_expr(s.hi), body=fix_block(s.body)
-                )
-            elif isinstance(s, IR.Call):
-                new_args = []
-                for a in s.args:
-                    if isinstance(a, IR.Read) and a.name is buf and not a.idx:
-                        raise SchedulingError(
-                            "stage_mem: cannot stage a buffer passed whole to a call"
-                        )
-                    if isinstance(a, IR.WindowExpr) and a.name is buf:
-                        new_widx = []
-                        k = 0
-                        for w, off, kp in zip(a.idx, offs, keep):
-                            if not kp:
-                                continue
-                            if isinstance(w, IR.Interval):
-                                new_widx.append(
-                                    IR.Interval(
-                                        simplify_expr(IR.BinOp("-", w.lo, off, T.index_t)),
-                                        simplify_expr(IR.BinOp("-", w.hi, off, T.index_t)),
-                                    )
-                                )
-                            else:
-                                new_widx.append(
-                                    IR.Point(
-                                        simplify_expr(IR.BinOp("-", w.pt, off, T.index_t))
-                                    )
-                                )
-                        a = dc_replace(a, name=new, idx=tuple(new_widx))
-                    else:
-                        a = fix_expr(a) if not isinstance(a, IR.WindowExpr) else a
-                    new_args.append(a)
-                s = dc_replace(s, args=tuple(new_args))
-            elif isinstance(s, IR.WindowStmt):
-                if s.rhs.name is buf:
-                    raise SchedulingError(
-                        "stage_mem: windows of the staged buffer inside the "
-                        "block are not supported"
-                    )
-            out.append(s)
-        return tuple(out)
+            idx = tuple(shift(i, off) for i, off in zip(node.idx, offs)
+                        if off is not None)
+            return dc_replace(node, name=new, idx=idx)
+        if isinstance(node, IR.WindowExpr) and node.name is buf:
+            idx = tuple(
+                IR.Interval(shift(w.lo, off), shift(w.hi, off))
+                if isinstance(w, IR.Interval) else IR.Point(shift(w.pt, off))
+                for w, off in zip(node.idx, offs) if off is not None
+            )
+            return dc_replace(node, name=new, idx=idx)
+        return node
 
-    return fix_block(block)
+    return IR.map_stmts(fn, block)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,78 +941,24 @@ def _subst_buffer_window(stmts, formal: Sym, wexpr: IR.WindowExpr):
     composing accesses (so no intermediate window binding is needed and
     ``stride(formal, d)`` resolves to the root buffer's stride)."""
 
-    def fix_expr(e):
-        def fn(node):
-            if isinstance(node, IR.Read) and node.name is formal and node.idx:
-                return IR.Read(
-                    wexpr.name, _win_compose_idx(wexpr, list(node.idx)),
-                    node.type, node.srcinfo,
-                )
-            if isinstance(node, IR.WindowExpr) and node.name is formal:
-                return _win_compose_widx(wexpr, list(node.idx))
-            if isinstance(node, IR.StrideExpr) and node.name is formal:
-                return IR.StrideExpr(
-                    wexpr.name, _win_root_dim(wexpr, node.dim), node.type,
-                    node.srcinfo,
-                )
-            if isinstance(node, IR.Read) and node.name is formal:
-                return _win_compose_widx(
-                    wexpr,
-                    [IR.Interval(None, None)],
-                ) if False else node
-            return node
+    def fn(node):
+        if isinstance(node, IR.Read) and node.name is formal:
+            if not node.idx:  # the whole buffer, passed on to a call
+                return dc_replace(wexpr, srcinfo=node.srcinfo)
+            return IR.Read(
+                wexpr.name, _win_compose_idx(wexpr, list(node.idx)),
+                node.type, node.srcinfo,
+            )
+        if isinstance(node, IR.WindowExpr) and node.name is formal:
+            return _win_compose_widx(wexpr, list(node.idx))
+        if isinstance(node, IR.StrideExpr) and node.name is formal:
+            return IR.StrideExpr(
+                wexpr.name, _win_root_dim(wexpr, node.dim), node.type,
+                node.srcinfo,
+            )
+        return node
 
-        return IR.map_expr(fn, e)
-
-    def fix_block(block):
-        out = []
-        for s in block:
-            if isinstance(s, (IR.Assign, IR.Reduce)):
-                if s.name is formal:
-                    out.append(
-                        type(s)(
-                            wexpr.name,
-                            _win_compose_idx(wexpr, list(fix_expr(i) for i in s.idx)),
-                            fix_expr(s.rhs),
-                            s.srcinfo,
-                        )
-                    )
-                else:
-                    out.append(
-                        dc_replace(
-                            s,
-                            idx=tuple(fix_expr(i) for i in s.idx),
-                            rhs=fix_expr(s.rhs),
-                        )
-                    )
-            elif isinstance(s, IR.WriteConfig):
-                out.append(dc_replace(s, rhs=fix_expr(s.rhs)))
-            elif isinstance(s, IR.If):
-                out.append(
-                    dc_replace(s, cond=fix_expr(s.cond), body=fix_block(s.body),
-                               orelse=fix_block(s.orelse))
-                )
-            elif isinstance(s, IR.For):
-                out.append(
-                    dc_replace(s, lo=fix_expr(s.lo), hi=fix_expr(s.hi),
-                               body=fix_block(s.body))
-                )
-            elif isinstance(s, IR.Call):
-                new_args = []
-                for a in s.args:
-                    if isinstance(a, IR.Read) and a.name is formal and not a.idx:
-                        # pass the whole window through
-                        new_args.append(dc_replace(wexpr, srcinfo=a.srcinfo))
-                    else:
-                        new_args.append(fix_expr(a))
-                out.append(dc_replace(s, args=tuple(new_args)))
-            elif isinstance(s, IR.WindowStmt):
-                out.append(dc_replace(s, rhs=fix_expr(s.rhs)))
-            else:
-                out.append(s)
-        return tuple(out)
-
-    return fix_block(stmts)
+    return IR.map_stmts(fn, stmts)
 
 
 def inline_call(proc, match: StmtMatch):

@@ -381,6 +381,52 @@ def f(n: size, x: f32[n] @ DRAM):
         assert len(alloc.type.shape()) == 1
         assert_equiv(p, q, lambda rng: [8, rand_f32(rng, 8)])
 
+    def test_expand_dim_shifts_stride_dims(self):
+        # the new dimension is prepended, so stride(t, 0) must become
+        # stride(t, 1): the innermost stride is still 1 and the guard holds
+        p = _p(
+            """
+@proc
+def f(n: size, x: f32[n, 8] @ DRAM):
+    for i in seq(0, n):
+        t: f32[8]
+        for j in seq(0, 8):
+            t[j] = x[i, j]
+        if stride(t, 0) == 1:
+            for j in seq(0, 8):
+                x[i, j] = t[j] + 1.0
+"""
+        )
+        q = p.expand_dim("t : _", "n", "i")
+        assert_equiv(p, q, lambda rng: [4, rand_f32(rng, 4, 8)])
+        strides = [e for s in IR.walk_stmts(q.ir().body)
+                   for e in IR.stmt_exprs(s) for e in IR.walk_exprs(e)
+                   if isinstance(e, IR.StrideExpr)]
+        assert [e.dim for e in strides] == [1]
+
+    @pytest.mark.parametrize("use", ["w = t[0:4]", "g(t[0:4])"],
+                             ids=["window_stmt", "window_arg"])
+    def test_expand_dim_of_windowed_buffer_rejected(self, use):
+        p = _p(
+            f"""
+@proc
+def g(y: [f32][4] @ DRAM):
+    for j in seq(0, 4):
+        y[j] = 0.0
+
+@proc
+def f(n: size, x: f32[n, 4] @ DRAM):
+    for i in seq(0, n):
+        t: f32[4]
+        for j in seq(0, 4):
+            t[j] = x[i, j]
+        {use}
+"""
+        )
+        with pytest.raises(SchedulingError, match="windows of the expanded "
+                                                  "buffer are not supported"):
+            p.expand_dim("t : _", "n", "i")
+
     def test_set_memory(self, gemm):
         from repro import StaticMemory
 
@@ -640,6 +686,39 @@ def f(x: f32[8] @ DRAM):
         # fully-covered write-only staging needs no copy-in loop
         loops = [s for s in q.ir().body if isinstance(s, IR.For)]
         assert len(loops) == 2  # compute + copy-out
+
+    def test_stage_buffer_passed_whole_rejected(self):
+        p = _p(
+            """
+@proc
+def g(y: f32[8] @ DRAM):
+    for j in seq(0, 8):
+        y[j] = 0.0
+
+@proc
+def f(x: f32[8] @ DRAM):
+    for i in seq(0, 2):
+        g(x)
+"""
+        )
+        with pytest.raises(SchedulingError, match="cannot stage a buffer "
+                                                  "passed whole to a call"):
+            p.stage_mem("for i in _: _", "x[0:8]", "xt")
+
+    def test_stage_window_binding_in_block_rejected(self):
+        p = _p(
+            """
+@proc
+def f(x: f32[8] @ DRAM):
+    for i in seq(0, 2):
+        w = x[4 * i:4 * i + 4]
+        for j in seq(0, 4):
+            w[j] = 1.0
+"""
+        )
+        with pytest.raises(SchedulingError, match="windows of the staged "
+                                                  "buffer inside the block"):
+            p.stage_mem("for i in _: _", "x[0:8]", "xt")
 
 
 class TestBindOps:
