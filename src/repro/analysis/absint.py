@@ -36,7 +36,10 @@ per-dimension ``[lo, hi)`` interval boxes over buffer points, the abstract
 counterpart of §5's ``Locs`` location sets.  :func:`write_boxes`
 under-approximates the definitely-written footprint of an effect (dense,
 unguarded, provably-executed writes only) and :func:`covers_reads` checks
-read footprints against it without any SMT call.
+read footprints against it without any SMT call.  Both box queries walk
+the effect through :func:`repro.effects.effects.leaves`: a leaf's
+enclosing loops are its box binders, an enclosing guard makes its write a
+maybe-write.
 """
 
 from __future__ import annotations
@@ -572,20 +575,15 @@ def write_boxes(eff, root: Sym, assumptions) -> List[Box]:
     from ..effects import effects as E
 
     out: List[Box] = []
-
-    def walk(e, binders):
-        if isinstance(e, E.EWrite) and e.buf is root:
-            box = _dense_box(e.idx, binders, assumptions)
+    for leaf, ctx in E.leaves(eff):
+        if isinstance(leaf, E.EWrite) and leaf.buf is root:
+            guards, loops = E.split_ctx(ctx)
+            if guards:
+                continue
+            binders = [(n.iter, n.lo, n.hi) for n in loops]
+            box = _dense_box(leaf.idx, binders, assumptions)
             if box is not None:
                 out.append(box)
-        elif isinstance(e, E.ESeq):
-            for p in e.parts:
-                walk(p, binders)
-        elif isinstance(e, E.ELoop):
-            walk(e.body, binders + [(e.iter, e.lo, e.hi)])
-        # EGuard: a maybe-write covers nothing
-
-    walk(eff, [])
     return out
 
 
@@ -597,28 +595,14 @@ def access_boxes(eff, root: Sym, kinds: str = "r+") -> Optional[List[Box]]:
 
     leaf_types = tuple(E._LEAF[k] for k in kinds)
     out: List[Box] = []
-
-    ok = [True]
-
-    def walk(e, binders):
-        if not ok[0]:
-            return
-        if isinstance(e, leaf_types) and e.buf is root:
-            box = _nest_box(e.idx, binders)
+    for leaf, ctx in E.leaves(eff):
+        if isinstance(leaf, leaf_types) and leaf.buf is root:
+            loops = E.split_ctx(ctx)[1]
+            box = _nest_box(leaf.idx, [(n.iter, n.lo, n.hi) for n in loops])
             if box is None:
-                ok[0] = False
-            else:
-                out.append(box)
-        elif isinstance(e, E.ESeq):
-            for p in e.parts:
-                walk(p, binders)
-        elif isinstance(e, E.EGuard):
-            walk(e.body, binders)
-        elif isinstance(e, E.ELoop):
-            walk(e.body, binders + [(e.iter, e.lo, e.hi)])
-
-    walk(eff, [])
-    return out if ok[0] else None
+                return None
+            out.append(box)
+    return out
 
 
 def box_covers(assumptions, cover: Box, target: Box) -> bool:

@@ -15,7 +15,9 @@ sequential reordering, but C ``+=`` is not atomic, so it still races
 under OpenMP.
 
 On failure the detector names the exact conflicting pair of accesses by
-checking each pair of effect leaves separately, and asks the solver for a
+checking each pair of effect leaves separately (each from
+:func:`repro.effects.effects.leaves`, wrapped in its enclosing guards and
+loop existentials by ``within``), and asks the solver for a
 satisfying assignment of the overlap formula -- a concrete counterexample
 (iteration numbers, sizes, the shared location).  The search for it is the
 error's ``witness``: it runs only when the message is formatted.
@@ -35,17 +37,16 @@ from ..core.pprint import expr_to_str
 from ..core.prelude import SchedulingError, Sym
 from ..effects.api import Ctx
 from ..effects.effects import (
-    EGuard,
-    ELoop,
     ERead,
     EReduce,
-    ESeq,
     EWrite,
     buffers_of,
     global_writes,
     globals_of,
+    leaves,
     mem,
     rename_iter,
+    within,
 )
 from ..obs import trace as _obs
 from ..smt import terms as S
@@ -53,6 +54,9 @@ from ..smt.solver import DEFAULT_SOLVER
 from .absint import prove
 
 _KIND_WORD = {"r": "read", "w": "write", "+": "reduce"}
+
+
+_LEAF_KIND = {ERead: "r", EWrite: "w", EReduce: "+"}
 
 
 def _leaf_accesses(eff, root: Sym, point):
@@ -63,30 +67,12 @@ def _leaf_accesses(eff, root: Sym, point):
     disjunction of these, so checking pairs of leaves refines the
     aggregate disjointness query without changing its verdict."""
     out = []
-
-    def walk(e, wrap):
-        if isinstance(e, (ERead, EWrite, EReduce)):
-            if e.buf is root:
-                kind = {ERead: "r", EWrite: "w", EReduce: "+"}[type(e)]
-                f = S.conj(*[S.eq(p, i) for p, i in zip(point, e.idx)])
-                out.append((kind, e.idx, wrap(f)))
-        elif isinstance(e, ESeq):
-            for p in e.parts:
-                walk(p, wrap)
-        elif isinstance(e, EGuard):
-            walk(e.body, lambda f, w=wrap, c=e.cond: w(S.conj(c, f)))
-        elif isinstance(e, ELoop):
-            def w2(f, w=wrap, x=e.iter, lo=e.lo, hi=e.hi):
-                return w(
-                    S.exists(
-                        [x],
-                        S.conj(S.le(lo, S.Var(x)), S.lt(S.Var(x), hi), f),
-                    )
-                )
-
-            walk(e.body, w2)
-
-    walk(eff, lambda f: f)
+    for leaf, ctx in leaves(eff):
+        if type(leaf) in _LEAF_KIND and leaf.buf is root:
+            f = S.conj(*[S.eq(p, i) for p, i in zip(point, leaf.idx)])
+            for node in reversed(ctx):
+                f = within(node, f)
+            out.append((_LEAF_KIND[type(leaf)], leaf.idx, f))
     return out
 
 
@@ -150,8 +136,9 @@ def check_par_loops(proc: IR.Proc, scope=None):
     because this runs from :func:`repro.core.checks.check_proc`, every
     scheduling rewrite re-verifies that it kept existing ``par`` markings
     race-free."""
-    for path, loop, _depth in _walk_loops(proc.body, (), 0):
-        if getattr(loop, "kind", "seq") == "par":
+    for path, block, i in IR.walk_paths(proc.body):
+        loop = block[i]
+        if isinstance(loop, IR.For) and loop.kind == "par":
             if scope is not None:
                 if not scope.needs_subtree(path):
                     _obs.incr("analysis.incremental.reused")
@@ -295,23 +282,18 @@ class LintReport:
         return iter(self.verdicts)
 
 
-def _walk_loops(stmts, prefix, depth, fld="body"):
-    """Yield (path, For, depth) for every loop, outermost first."""
-    for i, s in enumerate(stmts):
-        path = prefix + ((fld, i),)
-        if isinstance(s, IR.For):
-            yield path, s, depth
-            yield from _walk_loops(s.body, path, depth + 1)
-        elif isinstance(s, IR.If):
-            yield from _walk_loops(s.body, path, depth)
-            yield from _walk_loops(s.orelse, path, depth, fld="orelse")
-
-
 def lint_proc(proc: IR.Proc) -> LintReport:
     """Classify every loop of a raw IR procedure (see :func:`lint`)."""
     report = LintReport(proc.name)
     with _obs.span("analysis.lint"):
-        for path, loop, depth in _walk_loops(proc.body, (), 0):
+        for path, block, i in IR.walk_paths(proc.body):
+            loop = block[i]
+            if not isinstance(loop, IR.For):
+                continue
+            depth = sum(  # loops among the enclosing statements
+                isinstance(IR.get_stmt(proc, path[:k]), IR.For)
+                for k in range(1, len(path))
+            )
             header = (
                 f"for {loop.iter} in seq({expr_to_str(loop.lo)}, "
                 f"{expr_to_str(loop.hi)})"

@@ -549,18 +549,19 @@ del _dname
 
 
 def _candidate_blocks(proc: IR.Proc, callee: IR.Proc):
-    """Blocks whose leading statement shape matches the callee body."""
-    from .scheduling.pattern import StmtMatch, _iter_blocks
+    """Blocks whose leading statement shape matches the callee body, block
+    by block in pre-order (a block is entered at its first position)."""
+    from .scheduling.pattern import StmtMatch
 
     want = len([s for s in callee.body if not isinstance(s, IR.Pass)])
     first = callee.body[0]
     out = []
-    for prefix, block in _iter_blocks(proc):
+    for path, block, i0 in IR.walk_paths(proc.body):
+        if i0:
+            continue
         for i, s in enumerate(block):
             if type(s) is type(first) and i + want <= len(block):
-                out.append(
-                    StmtMatch(prefix[:-1] + ((prefix[-1][0], i),), want)
-                )
+                out.append(StmtMatch(path[:-1] + ((path[-1][0], i),), want))
     return out
 
 

@@ -325,6 +325,21 @@ def walk_stmts(stmts):
             yield from walk_stmts(blk)
 
 
+def walk_paths(stmts):
+    """Yield ``(path, block, i)`` for every statement position in
+    ``stmts``, depth-first, pre-order: ``block[i]`` is the statement at
+    ``path`` (top-level positions are ``(("body", i),)``)."""
+
+    def go(prefix, fld, block):
+        for i, s in enumerate(block):
+            path = prefix + ((fld, i),)
+            yield path, block, i
+            for sub_fld, sub in sub_bodies(s):
+                yield from go(path, sub_fld, sub)
+
+    yield from go((), "body", stmts)
+
+
 def expr_reads(e: Expr):
     """Names read by expression ``e`` (buffers, windows, control vars)."""
     out = set()

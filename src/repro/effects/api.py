@@ -30,8 +30,6 @@ from ..core.prelude import SchedulingError, Sym
 from ..smt import terms as S
 from .effects import (
     EffectExtractor,
-    EGuard,
-    ELoop,
     buffers_of,
     eff_subst,
     global_writes,
@@ -72,8 +70,9 @@ class Ctx:
 def _commutes_buffers(assumptions, a1, a2, what):
     errors = []
     bufs1, bufs2 = buffers_of(a1), buffers_of(a2)
-    for root in set(bufs1) & set(bufs2):
-        rank = bufs1[root]
+    for root, rank in bufs1.items():
+        if root not in bufs2:
+            continue
         p = fresh_point(rank)
         pairs = [
             (mem(a1, "w", root, p), mem(a2, "rw+", root, p), "write/any"),
@@ -135,7 +134,9 @@ def _commutes_globals(
     exception (see module docstring)."""
     errors = []
     g1, g2 = globals_of(a1), globals_of(a2)
-    for g in g1 & g2:
+    for g in g1:
+        if g not in g2:
+            continue
         w1 = gmem(a1, "w", g)
         w2 = gmem(a2, "w", g)
         r1 = gmem(a1, "r", g)

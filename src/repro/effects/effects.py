@@ -152,29 +152,14 @@ class EffectExtractor:
         """Read effects of an expression (data reads + config reads)."""
         out = []
 
-        def walk(e):
+        def walk(e):  # post-order: index reads precede the access
+            for sub in IR.sub_exprs(e):
+                walk(sub)
             if isinstance(e, IR.Read):
-                for i in e.idx:
-                    walk(i)
                 if e.idx or (e.type is not None and e.type.is_real_scalar()):
                     view = self.frame.tenv.view(e.name)
                     idx_terms = [self._ctrl(i) for i in e.idx]
                     out.append(ERead(view.root, tuple(view.compose_index(idx_terms))))
-            elif isinstance(e, IR.USub):
-                walk(e.arg)
-            elif isinstance(e, IR.BinOp):
-                walk(e.lhs)
-                walk(e.rhs)
-            elif isinstance(e, IR.Extern):
-                for a in e.args:
-                    walk(a)
-            elif isinstance(e, IR.WindowExpr):
-                for w in e.idx:
-                    if isinstance(w, IR.Interval):
-                        walk(w.lo)
-                        walk(w.hi)
-                    else:
-                        walk(w.pt)
             elif isinstance(e, IR.ReadConfig):
                 out.append(EGlobalRead(config_sym(e.config, e.field)))
 
@@ -372,56 +357,57 @@ def rename_iter(eff: Eff, old: Sym, new: Sym) -> Eff:
     return eff_subst(eff, {old: S.Var(new)})
 
 
+def leaves(eff: Eff):
+    """Yield ``(leaf, ctx)`` for every access leaf of ``eff`` in program
+    order, where ``ctx`` is the tuple of :class:`EGuard`/:class:`ELoop`
+    nodes enclosing the leaf, outermost first.  ``EEmpty`` yields
+    nothing."""
+    stack = [(eff, ())]
+    while stack:
+        e, ctx = stack.pop()
+        if isinstance(e, ESeq):
+            stack.extend((p, ctx) for p in reversed(e.parts))
+        elif isinstance(e, (EGuard, ELoop)):
+            stack.append((e.body, ctx + (e,)))
+        elif not isinstance(e, EEmpty):
+            yield e, ctx
+
+
+def within(node: Eff, f: S.Term) -> S.Term:
+    """``f`` under one enclosing guard (``cond ∧ f``) or loop
+    (``∃ iter. lo ≤ iter < hi ∧ f``)."""
+    if f == S.FALSE:
+        return f
+    if isinstance(node, EGuard):
+        return S.conj(node.cond, f)
+    x = S.Var(node.iter)
+    return S.exists([node.iter], S.conj(S.le(node.lo, x), S.lt(x, node.hi), f))
+
+
+def split_ctx(ctx):
+    """A leaf's ``ctx`` as (guard conditions, enclosing loops)."""
+    return (
+        tuple(n.cond for n in ctx if isinstance(n, EGuard)),
+        tuple(n for n in ctx if isinstance(n, ELoop)),
+    )
+
+
 def buffers_of(eff: Eff) -> dict:
-    """Map from root buffer Sym to its access rank."""
-    out = {}
-
-    def walk(e):
-        if isinstance(e, (ERead, EWrite, EReduce)):
-            out[e.buf] = len(e.idx)
-        elif isinstance(e, ESeq):
-            for p in e.parts:
-                walk(p)
-        elif isinstance(e, (EGuard, ELoop)):
-            walk(e.body)
-
-    walk(eff)
-    return out
+    """Map from root buffer Sym to its access rank, in first-access order."""
+    return {leaf.buf: len(leaf.idx) for leaf, _ctx in leaves(eff)
+            if isinstance(leaf, (ERead, EWrite, EReduce))}
 
 
-def globals_of(eff: Eff) -> set:
-    out = set()
-
-    def walk(e):
-        if isinstance(e, (EGlobalRead, EGlobalWrite)):
-            out.add(e.sym)
-        elif isinstance(e, ESeq):
-            for p in e.parts:
-                walk(p)
-        elif isinstance(e, (EGuard, ELoop)):
-            walk(e.body)
-
-    walk(eff)
-    return out
+def globals_of(eff: Eff) -> dict:
+    """The config fields ``eff`` accesses, in first-access order (keys)."""
+    return dict.fromkeys(leaf.sym for leaf, _ctx in leaves(eff)
+                         if isinstance(leaf, (EGlobalRead, EGlobalWrite)))
 
 
-def global_writes(eff: Eff, csym: Sym, under=()):
+def global_writes(eff: Eff, csym: Sym):
     """All (guards, loop_binders, value) triples writing ``csym``."""
-    out = []
-
-    def walk(e, guards, loops):
-        if isinstance(e, EGlobalWrite) and e.sym is csym:
-            out.append((tuple(guards), tuple(loops), e.value))
-        elif isinstance(e, ESeq):
-            for p in e.parts:
-                walk(p, guards, loops)
-        elif isinstance(e, EGuard):
-            walk(e.body, guards + [e.cond], loops)
-        elif isinstance(e, ELoop):
-            walk(e.body, guards, loops + [e])
-
-    walk(eff, list(under), [])
-    return out
+    return [(*split_ctx(ctx), leaf.value) for leaf, ctx in leaves(eff)
+            if isinstance(leaf, EGlobalWrite) and leaf.sym is csym]
 
 
 # ---------------------------------------------------------------------------
@@ -433,71 +419,73 @@ WRITE = "w"
 REDUCE = "+"
 
 _LEAF = {READ: ERead, WRITE: EWrite, REDUCE: EReduce}
+_GLOBAL_LEAF = {READ: EGlobalRead, WRITE: EGlobalWrite}
+
+
+def _member(eff: Eff, hit) -> S.Term:
+    """Membership in the location set whose leaves ``hit`` maps to a
+    formula (``S.FALSE`` for a leaf outside it): the disjunction over the
+    leaves, each under its enclosing guards and loops."""
+    if isinstance(eff, ESeq):
+        return S.disj(*[_member(p, hit) for p in eff.parts])
+    if isinstance(eff, (EGuard, ELoop)):
+        return within(eff, _member(eff.body, hit))
+    return hit(eff)
+
+
+def _exposed(eff: Eff, hit, write_hit) -> S.Term:
+    """Like :func:`_member`, but a leaf in sequence after a part that
+    definitely writes the location (``write_hit``) is shadowed: the
+    sequencing subtraction of Definition 5.5.  The write membership
+    appears negated, so it takes the *definite* reading.  Loops take the
+    conservative per-iteration view: shadowing by earlier iterations of
+    the same loop is not credited."""
+    if isinstance(eff, ESeq):
+        out = []
+        for i, part in enumerate(eff.parts):
+            exposed = _exposed(part, hit, write_hit)
+            if exposed == S.FALSE:
+                continue
+            shadows = [S.negate(_member(prev, write_hit))
+                       for prev in eff.parts[:i]]
+            out.append(S.conj(exposed, *shadows))
+        return S.disj(*out)
+    if isinstance(eff, (EGuard, ELoop)):
+        return within(eff, _exposed(eff.body, hit, write_hit))
+    return hit(eff)
+
+
+def _buf_hit(kinds: str, root: Sym, point):
+    leaf_types = tuple(_LEAF[k] for k in kinds)
+
+    def hit(e):
+        if isinstance(e, leaf_types) and e.buf is root:
+            return S.conj(*[S.eq(p, i) for p, i in zip(point, e.idx)])
+        return S.FALSE
+
+    return hit
+
+
+def _global_hit(kinds: str, csym: Sym):
+    leaf_types = tuple(_GLOBAL_LEAF[k] for k in kinds if k in _GLOBAL_LEAF)
+    return lambda e: S.mk_bool(isinstance(e, leaf_types) and e.sym is csym)
 
 
 def mem(eff: Eff, kinds: str, root: Sym, point) -> S.Term:
     """Membership formula: is buffer ``root`` at ``point`` in any of the
     access sets named by ``kinds`` (a string of 'r', 'w', '+')?"""
-    if isinstance(eff, (ERead, EWrite, EReduce)):
-        for k in kinds:
-            if isinstance(eff, _LEAF[k]) and eff.buf is root:
-                return S.conj(*[S.eq(p, i) for p, i in zip(point, eff.idx)])
-        return S.FALSE
-    if isinstance(eff, ESeq):
-        return S.disj(*[mem(p, kinds, root, point) for p in eff.parts])
-    if isinstance(eff, EGuard):
-        return S.conj(eff.cond, mem(eff.body, kinds, root, point))
-    if isinstance(eff, ELoop):
-        inner = mem(eff.body, kinds, root, point)
-        if inner == S.FALSE:
-            return S.FALSE
-        x = eff.iter
-        return S.exists(
-            [x],
-            S.conj(S.le(eff.lo, S.Var(x)), S.lt(S.Var(x), eff.hi), inner),
-        )
-    return S.FALSE
+    return _member(eff, _buf_hit(kinds, root, point))
 
 
 def mem_exposed(eff: Eff, kinds: str, root: Sym, point) -> S.Term:
     """Membership of ``point`` in the *exposed* access set of buffer
     ``root``: accesses of the given kinds not preceded by a definite write
     within ``eff`` -- the buffer-side analogue of :func:`gmem_exposed`,
-    realizing the sequencing subtraction ``Rd(a1;a2) = Rd(a1) ∪ (Rd(a2) −
-    DWr(a1))`` of Definition 5.5 for ``Locs``.  The shadowing write
-    membership appears negated, so it takes the *definite* reading.
-
-    Loops take the conservative per-iteration view: an access exposed
-    within one iteration counts as exposed (shadowing by *earlier
-    iterations* of the same loop is not credited)."""
-    if isinstance(eff, (ERead, EWrite, EReduce)):
-        for k in kinds:
-            if isinstance(eff, _LEAF[k]) and eff.buf is root:
-                return S.conj(*[S.eq(p, i) for p, i in zip(point, eff.idx)])
-        return S.FALSE
-    if isinstance(eff, ESeq):
-        out = []
-        for i, part in enumerate(eff.parts):
-            exposed = mem_exposed(part, kinds, root, point)
-            if exposed == S.FALSE:
-                continue
-            shadows = [
-                S.negate(mem(prev, "w", root, point)) for prev in eff.parts[:i]
-            ]
-            out.append(S.conj(exposed, *shadows))
-        return S.disj(*out)
-    if isinstance(eff, EGuard):
-        return S.conj(eff.cond, mem_exposed(eff.body, kinds, root, point))
-    if isinstance(eff, ELoop):
-        inner = mem_exposed(eff.body, kinds, root, point)
-        if inner == S.FALSE:
-            return S.FALSE
-        x = eff.iter
-        return S.exists(
-            [x],
-            S.conj(S.le(eff.lo, S.Var(x)), S.lt(S.Var(x), eff.hi), inner),
-        )
-    return S.FALSE
+    realizing ``Rd(a1;a2) = Rd(a1) ∪ (Rd(a2) − DWr(a1))`` of Definition
+    5.5 for ``Locs``."""
+    return _exposed(
+        eff, _buf_hit(kinds, root, point), _buf_hit(WRITE, root, point)
+    )
 
 
 def gmem_exposed(eff: Eff, csym: Sym) -> S.Term:
@@ -507,55 +495,9 @@ def gmem_exposed(eff: Eff, csym: Sym) -> S.Term:
     Definition 5.5).  This is the set the §6.2 context condition needs: a
     code region that definitely re-establishes a polluted config field
     before reading it is insensitive to the pollution."""
-    if isinstance(eff, EGlobalRead):
-        return S.mk_bool(eff.sym is csym)
-    if isinstance(eff, EGlobalWrite):
-        return S.FALSE
-    if isinstance(eff, ESeq):
-        out = []
-        for i, part in enumerate(eff.parts):
-            exposed = gmem_exposed(part, csym)
-            if exposed == S.FALSE:
-                continue
-            # shadowed by a definite write in any earlier part; the write
-            # membership appears negated, so it takes the D reading
-            shadows = [
-                S.negate(gmem(prev, "w", csym)) for prev in eff.parts[:i]
-            ]
-            out.append(S.conj(exposed, *shadows))
-        return S.disj(*out)
-    if isinstance(eff, EGuard):
-        return S.conj(eff.cond, gmem_exposed(eff.body, csym))
-    if isinstance(eff, ELoop):
-        # conservative: a read exposed within one iteration is exposed
-        inner = gmem_exposed(eff.body, csym)
-        if inner == S.FALSE:
-            return S.FALSE
-        x = eff.iter
-        return S.exists(
-            [x],
-            S.conj(S.le(eff.lo, S.Var(x)), S.lt(S.Var(x), eff.hi), inner),
-        )
-    return S.FALSE
+    return _exposed(eff, _global_hit(READ, csym), _global_hit(WRITE, csym))
 
 
 def gmem(eff: Eff, kinds: str, csym: Sym) -> S.Term:
     """Membership formula for global (config) location sets."""
-    if isinstance(eff, EGlobalRead):
-        return S.mk_bool("r" in kinds and eff.sym is csym)
-    if isinstance(eff, EGlobalWrite):
-        return S.mk_bool("w" in kinds and eff.sym is csym)
-    if isinstance(eff, ESeq):
-        return S.disj(*[gmem(p, kinds, csym) for p in eff.parts])
-    if isinstance(eff, EGuard):
-        return S.conj(eff.cond, gmem(eff.body, kinds, csym))
-    if isinstance(eff, ELoop):
-        inner = gmem(eff.body, kinds, csym)
-        if inner == S.FALSE:
-            return S.FALSE
-        x = eff.iter
-        return S.exists(
-            [x],
-            S.conj(S.le(eff.lo, S.Var(x)), S.lt(S.Var(x), eff.hi), inner),
-        )
-    return S.FALSE
+    return _member(eff, _global_hit(kinds, csym))

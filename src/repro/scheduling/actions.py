@@ -23,12 +23,12 @@ relies on for reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core import ast as IR
 from .cursors import StmtCursor
 
-__all__ = ["Action", "enumerate_actions", "walk_stmt_paths"]
+__all__ = ["Action", "enumerate_actions"]
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,6 @@ class Action:
         return (self.op, self.target or (), args, self.kwargs)
 
 
-def walk_stmt_paths(proc: IR.Proc) -> Iterator[Tuple[Tuple, IR.Stmt]]:
-    """Pre-order (path, stmt) pairs over every statement in ``proc``."""
-
-    def go_block(stmts, prefix, fld):
-        for i, s in enumerate(stmts):
-            path = prefix + ((fld, i),)
-            yield path, s
-            if isinstance(s, IR.For):
-                yield from go_block(s.body, path, "body")
-            elif isinstance(s, IR.If):
-                yield from go_block(s.body, path, "body")
-                yield from go_block(s.orelse, path, "orelse")
-
-    yield from go_block(proc.body, (), "body")
-
-
 def _const_extent(loop: IR.For) -> Optional[int]:
     lo, hi = loop.lo, loop.hi
     if isinstance(lo, IR.Const) and isinstance(hi, IR.Const):
@@ -111,7 +95,8 @@ def enumerate_actions(
     ir = procedure._loopir_proc
     want = set(include)
     out: list[Action] = []
-    for path, s in walk_stmt_paths(ir):
+    for path, block, i in IR.walk_paths(ir.body):
+        s = block[i]
         if isinstance(s, IR.For):
             it = str(s.iter)
             ext = _const_extent(s)

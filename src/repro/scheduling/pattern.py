@@ -223,33 +223,6 @@ def _match_stmt(p, s) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _iter_blocks(proc: IR.Proc):
-    """Yield (path_prefix, block) for every statement block."""
-
-    def go(prefix, block):
-        yield prefix, block
-        for i, s in enumerate(block):
-            here = prefix[:-1] + ((prefix[-1][0], i),)
-            for fld, sub in IR.sub_bodies(s):
-                yield from go(here + ((fld, None),), sub)
-
-    yield from go((("body", None),), proc.body)
-
-
-def _iter_positions(proc: IR.Proc):
-    """Yield (path, block, i) for every statement position, in strict
-    program order (a statement is visited before its nested bodies)."""
-
-    def go(prefix, block):
-        for i, s in enumerate(block):
-            here = prefix[:-1] + ((prefix[-1][0], i),)
-            yield here, block, i
-            for fld, sub in IR.sub_bodies(s):
-                yield from go(here + ((fld, None),), sub)
-
-    yield from go((("body", None),), proc.body)
-
-
 def find_stmt(proc: IR.Proc, pattern: str, index: Optional[int] = None,
               one: bool = False):
     """All statement matches of ``pattern``, or the ``#index``-th one.
@@ -264,13 +237,13 @@ def find_stmt(proc: IR.Proc, pattern: str, index: Optional[int] = None,
     matches = []
     if kind == "alloc":
         name = payload
-        for path, block, i in _iter_positions(proc):
+        for path, block, i in IR.walk_paths(proc.body):
             s = block[i]
             if isinstance(s, IR.Alloc) and str(s.name) == name:
                 matches.append(StmtMatch(path, 1, origin=pattern))
     elif kind == "stmts":
         pats = list(payload)
-        for path, block, i in _iter_positions(proc):
+        for path, block, i in IR.walk_paths(proc.body):
             n = _match_block(pats, list(block[i:]))
             if n is not None and n > 0:
                 matches.append(StmtMatch(path, n, origin=pattern))
@@ -301,7 +274,7 @@ def find_expr(proc: IR.Proc, pattern: str, index: Optional[int] = None,
         for step, sub in subs:
             search_expr(sub, path, expr_path + (step,))
 
-    for path, block, i in _iter_positions(proc):
+    for path, block, i in IR.walk_paths(proc.body):
         for step, e in _stmt_expr_slots(block[i]):
             search_expr(e, path, (step,))
     return _select(proc, matches, pattern, index, one)
@@ -332,7 +305,7 @@ def _nearby_candidates(proc, parsed) -> list:
     else:
         return []
     out = []
-    for path, block, i in _iter_positions(proc):
+    for path, block, i in IR.walk_paths(proc.body):
         if isinstance(block[i], want):
             out.append(StmtMatch(path, 1))
     return out

@@ -502,6 +502,11 @@ def expand_dim(proc, match: StmtMatch, extent: IR.Expr, index: IR.Expr):
 
     def fn(node):
         if isinstance(node, IR.Read) and node.name is name:
+            if not node.idx and old_typ.is_tensor_or_window():
+                raise SchedulingError(
+                    f"expand_dim: cannot expand {name}, which is passed "
+                    f"whole to a call"
+                )
             return dc_replace(node, idx=(index,) + node.idx)
         if isinstance(node, IR.StrideExpr) and node.name is name:
             return dc_replace(node, dim=node.dim + 1)
@@ -806,28 +811,12 @@ def _succ(t):
 
 
 def _access_kinds(eff, buf):
-    from ..effects.effects import ERead, EReduce, ESeq, EGuard, ELoop, EWrite
+    """Does ``eff`` (reads, writes) ``buf``?  A reduce does both."""
+    from ..effects.effects import ERead, EReduce, EWrite, leaves
 
-    reads = False
-    writes = False
-
-    def walk(e):
-        nonlocal reads, writes
-        if isinstance(e, ERead) and e.buf is buf:
-            reads = True
-        elif isinstance(e, EWrite) and e.buf is buf:
-            writes = True
-        elif isinstance(e, EReduce) and e.buf is buf:
-            reads = True
-            writes = True
-        elif isinstance(e, ESeq):
-            for p in e.parts:
-                walk(p)
-        elif isinstance(e, (EGuard, ELoop)):
-            walk(e.body)
-
-    walk(eff)
-    return reads, writes
+    kinds = {type(leaf) for leaf, _ctx in leaves(eff)
+             if isinstance(leaf, (ERead, EWrite, EReduce)) and leaf.buf is buf}
+    return bool(kinds - {EWrite}), bool(kinds - {ERead})
 
 
 def _covers(ctx, eff, buf, rank, box) -> bool:

@@ -41,9 +41,7 @@ def _state_at_call(p):
 
 
 def _positions(proc):
-    from repro.scheduling.pattern import _iter_positions
-
-    for path, block, i in _iter_positions(proc):
+    for path, block, i in IR.walk_paths(proc.body):
         yield (path,)
 
 

@@ -15,7 +15,8 @@ from repro.core.configs import Config
 from repro.core.ir2smt import config_sym
 from repro.core.prelude import SchedulingError
 from repro.core import types as T
-from repro.effects.api import check_config_pollution, check_remove_loop
+from repro.effects.api import (check_config_pollution, check_remove_loop,
+                               check_reorder_stmts)
 
 HEADER = (
     "from __future__ import annotations\n"
@@ -133,3 +134,23 @@ def f(n: size, x: f32[1] @ DRAM):
 """
         )
         check_remove_loop(ir, (("body", 0),))
+
+
+class TestRejectionOrder:
+    def test_reorder_lists_buffers_in_declaration_order(self):
+        # the shared buffers are checked in the first block's access order,
+        # not in the order of a set of Syms (which follows object addresses)
+        names = [f"a{k}" for k in range(8)]
+        shuffled = ["a1", "a7", "a4", "a2", "a0", "a5", "a3", "a6"]
+        args = ", ".join(f"{n}: f32[4] @ DRAM" for n in names)
+        first = "".join(f"    {n}[0] = 1.0\n" for n in names)
+        second = "".join(f"    {n}[0] = 2.0\n" for n in shuffled)
+        src = f"\n@proc\ndef f({args}):\n{first}{second}"
+        for _ in range(5):  # fresh Syms, at fresh addresses, each time
+            with pytest.raises(SchedulingError) as exc:
+                check_reorder_stmts(_ir(src), (("body", 0),), 8, 8)
+            listed = [
+                line.split(" accesses to ")[1].split()[0]
+                for line in str(exc.value).splitlines()
+            ]
+            assert list(dict.fromkeys(listed)) == names

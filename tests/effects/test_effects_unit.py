@@ -7,6 +7,8 @@ import pytest
 from repro.api import procs_from_source
 from repro.core import ast as IR
 from repro.effects.effects import (
+    EMPTY,
+    EGlobalWrite,
     EGuard,
     ELoop,
     ERead,
@@ -16,9 +18,11 @@ from repro.effects.effects import (
     EffectExtractor,
     buffers_of,
     eff_subst,
+    global_writes,
     gmem,
     gmem_exposed,
     globals_of,
+    leaves,
     mem,
     rename_iter,
 )
@@ -279,3 +283,34 @@ def f(n: size, x: f32[8] @ DRAM):
         (g,) = globals_of(eff)
         # a maybe-write does not shadow the later read
         assert DEFAULT_SOLVER.satisfiable(gmem_exposed(eff, g))
+
+
+class TestLeaves:
+    def _nest(self):
+        x, i, j, c = Sym("x"), Sym("i"), Sym("j"), Sym("c")
+        cond = S.lt(S.Var(i), S.IntC(4))
+        write = EWrite(x, (S.Var(j),))
+        cfg = EGlobalWrite(c, S.IntC(1))
+        inner = ELoop(j, S.IntC(0), S.IntC(8), ESeq((write, EMPTY)))
+        guard = EGuard(cond, ESeq((inner, cfg)))
+        outer = ELoop(i, S.IntC(0), S.IntC(8), guard)
+        return outer, guard, inner, write, cfg
+
+    def test_skips_empty(self):
+        assert list(leaves(EMPTY)) == []
+        outer, _guard, _inner, write, cfg = self._nest()
+        assert [leaf for leaf, _ctx in leaves(outer)] == [write, cfg]
+
+    def test_ctx_outermost_first(self):
+        outer, guard, inner, write, cfg = self._nest()
+        assert dict(leaves(outer)) == {
+            write: (outer, guard, inner),
+            cfg: (outer, guard),
+        }
+
+    def test_global_writes_take_guards_and_loops_from_ctx(self):
+        outer, guard, _inner, _write, cfg = self._nest()
+        assert global_writes(outer, cfg.sym) == [
+            ((guard.cond,), (outer,), cfg.value)
+        ]
+        assert global_writes(outer, Sym("c")) == []

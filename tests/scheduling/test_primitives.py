@@ -427,6 +427,29 @@ def f(n: size, x: f32[n, 4] @ DRAM):
                                                   "buffer are not supported"):
             p.expand_dim("t : _", "n", "i")
 
+    def test_expand_dim_of_buffer_passed_whole_rejected(self):
+        # g(t) must not become the element argument g(t[i])
+        p = _p(
+            """
+@proc
+def g(y: f32[4] @ DRAM):
+    for j in seq(0, 4):
+        y[j] = 0.0
+
+@proc
+def f(n: size, x: f32[n, 4] @ DRAM):
+    for i in seq(0, n):
+        t: f32[4]
+        g(t)
+        for j in seq(0, 4):
+            x[i, j] = t[j]
+"""
+        )
+        with pytest.raises(SchedulingError,
+                           match="expand_dim: cannot expand t, which is "
+                                 "passed whole to a call"):
+            p.expand_dim("t : _", "n", "i")
+
     def test_set_memory(self, gemm):
         from repro import StaticMemory
 
