@@ -17,8 +17,7 @@ Runs the :mod:`repro.autotune` grid search over the SGEMM tuning space
   each one by replaying its whole action prefix from the base.
 
 Writes ``BENCH_tune.json`` through the shared artifact machinery in
-``benchmarks/conftest.py`` so the artifact is identical whether produced
-here or by ``benchmarks/bench_tune.py`` under pytest.
+``benchmarks/conftest.py`` (``record_artifact`` / ``flush_artifacts``).
 """
 
 from __future__ import annotations

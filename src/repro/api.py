@@ -29,17 +29,14 @@ from .core import checks as _checks
 from .core import types as T
 from .core.cgen import compile_procs
 from .core.configs import Config, config_from_class
-from .core.dataflow import writes_config
 from .core.interp import run_proc
 from .core.prelude import SchedulingError
 from .core.typecheck import typecheck_proc
-from .effects import api as EA
 from .frontend.parser import parse_function
 from .obs import journal as _journal
 from .obs import trace as _obs
 from .scheduling import cursors as C
 from .scheduling import primitives as P
-from .scheduling import unify as U
 from .scheduling.cursors import InvalidCursorError
 from .scheduling.eqv import EqvNode, eqv_pollution
 from .scheduling.pattern import (
@@ -101,9 +98,9 @@ class Procedure:
     # -- provenance ------------------------------------------------------------
 
     def schedule_log(self) -> list:
-        """The provenance journal: every directive (name, arguments, match
-        pattern, check verdict) that derived this procedure from its root
-        ``@proc``, in application order."""
+        """The provenance journal: every directive (name, arguments, check
+        verdict) that derived this procedure from its root ``@proc``, in
+        application order."""
         return list(self._journal)
 
     def replay_schedule(self, base: "Procedure | None" = None) -> "Procedure":
@@ -234,12 +231,11 @@ class Procedure:
         return self._derive(
             _dc_replace(self._loopir_proc, name=name),
             P.NO_POLLUTION,
-            C.IdentityForwarder(),
+            C.Forwarder(),
         )
 
     def simplify(self) -> "Procedure":
-        return self._derive(self._loopir_proc, P.NO_POLLUTION,
-                            C.IdentityForwarder())
+        return self._derive(self._loopir_proc, P.NO_POLLUTION, C.Forwarder())
 
     def split(self, loop, factor: int, hi: str, lo: str,
               tail: str = "guard") -> "Procedure":
@@ -364,27 +360,11 @@ class Procedure:
         ir, pol, fwd = P.configwrite_root(self._loopir_proc, config, field, rhs_e)
         return self._derive(ir, pol, fwd)
 
-    def _replace_fwd(self, m: StmtMatch, subproc: "Procedure"):
-        """Forwarder for a unification replace: the matched region collapses
-        to a single call, so cursors inside it die; siblings shift."""
-        old_stmts = EA._block_at(self._loopir_proc, m.path)
-        fld, i = m.path[-1]
-        region = old_stmts[i : i + m.count]
-        dirty = (
-            writes_config(region)
-            or writes_config(subproc._loopir_proc.body)
-        )
-        return C.SpliceForwarder(
-            m.path, m.count, 1, interior=None, ctx_dirty=dirty
-        )
-
     def replace(self, subproc: "Procedure", block) -> "Procedure":
         """§3.4 unification-based replacement / instruction selection."""
         m = self._resolve_stmt(block, "replace")
-        ir = U.replace_block(
-            self._loopir_proc, m.path, m.count, subproc._loopir_proc
-        )
-        return self._derive(ir, P.NO_POLLUTION, self._replace_fwd(m, subproc))
+        ir, pol, fwd = P.replace(self._loopir_proc, m, subproc._loopir_proc)
+        return self._derive(ir, pol, fwd)
 
     def replace_all(self, subproc: "Procedure") -> "Procedure":
         """Replace every block matching ``subproc``'s body shape."""
@@ -395,13 +375,12 @@ class Procedure:
             matches = _candidate_blocks(out._loopir_proc, subproc._loopir_proc)
             for m in matches:
                 try:
-                    ir = U.replace_block(
-                        out._loopir_proc, m.path, m.count, subproc._loopir_proc
+                    ir, pol, fwd = P.replace(
+                        out._loopir_proc, m, subproc._loopir_proc
                     )
                 except SchedulingError:
                     continue
-                out = out._derive(ir, P.NO_POLLUTION,
-                                  out._replace_fwd(m, subproc))
+                out = out._derive(ir, pol, fwd)
                 progress = True
                 break
         return out
@@ -505,7 +484,7 @@ class Procedure:
 #
 # Each public directive is wrapped so that (a) its wall time is traced under
 # ``sched.directive.<name>``, (b) the derived procedure's journal extends its
-# parent's with a RewriteRecord (directive, args, match pattern, verdict),
+# parent's with a RewriteRecord (directive, args, verdict),
 # and (c) rejected rewrites land in ``repro.obs.journal.FAILED_LOG`` while
 # tracing is enabled.  ``schedule_log()`` / ``replay_schedule()`` above are
 # the read side.

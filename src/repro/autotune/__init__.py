@@ -9,7 +9,8 @@ primitives; this package searches that program space automatically:
   rewrite and illegal schedules are pruned, never emitted.
 * :mod:`.cost`   — an analytical cost model over scheduled IR
   (trip-count-weighted flops, per-``Memory`` traffic, accelerator-
-  instruction credit) shared with ``machine/x86_sim.py``.
+  instruction credit) that ranks candidates; the closed-form x86 kernel
+  pricing lives in ``machine/x86_sim.py``.
 * :mod:`.search` — deterministic seeded random + beam search, with an
   optional *measured* mode that compiles top-k candidates in a
   crash-isolated ``multiprocessing`` pool.
@@ -19,14 +20,11 @@ primitives; this package searches that program space automatically:
 
 from .cost import (
     Cost,
-    CostBreakdown,
     MachineModel,
     GEMMINI_MODEL,
     X86_MODEL,
-    X86Params,
     cost_of,
     model_by_name,
-    price_x86,
 )
 from .space import Action, Candidate, Choice, Space, enumerate_actions
 from .search import SearchResult, TuneConfig, search
@@ -37,7 +35,6 @@ __all__ = [
     "Candidate",
     "Choice",
     "Cost",
-    "CostBreakdown",
     "GEMMINI_MODEL",
     "MachineModel",
     "SearchResult",
@@ -45,11 +42,9 @@ __all__ = [
     "TuneConfig",
     "TuneDB",
     "X86_MODEL",
-    "X86Params",
     "cost_of",
     "enumerate_actions",
     "model_by_name",
-    "price_x86",
     "search",
     "tune_report",
 ]

@@ -1,24 +1,18 @@
-"""Analytic cost model over scheduled LoopIR (tentpole part 2).
+"""Analytic cost model over scheduled LoopIR.
 
-Two layers live here:
-
-* :func:`cost_of` — the IR-driven model the search loop ranks candidates
-  by.  It walks a scheduled procedure under a concrete size assignment,
-  accumulating trip-count-weighted scalar flops, *accelerator-instruction*
-  flops (work inside ``@instr`` call bodies, priced at the machine's
-  vector/systolic throughput — the "credit" a schedule earns by
-  ``replace()``-ing loop nests with instructions), per-``Memory``-class
-  byte traffic (DRAM vs scratchpad vs accumulator vs register), trip-
-  weighted config writes (a pipeline flush on accelerators), and call /
-  loop overheads.  A :class:`MachineModel` converts those counts into a
-  scalar cycle estimate (:attr:`Cost.cycles`).  The model is
-  intentionally *relative*: it exists to rank candidate schedules.
-
-* the x86 pricing core of :mod:`repro.machine.x86_sim` --
-  :class:`X86Params`, :class:`CostBreakdown`, and :func:`price_x86`, which
-  the closed-form ``sgemm_cost`` / ``conv_cost`` helpers there delegate
-  to.  :func:`cost_of` does not use it: the two are separate models, and
-  no test compares their cycle counts.
+:func:`cost_of` is the IR-driven model the search loop ranks candidates
+by.  It walks a scheduled procedure under a concrete size assignment,
+accumulating trip-count-weighted scalar flops, *accelerator-instruction*
+flops (work inside ``@instr`` call bodies, priced at the machine's
+vector/systolic throughput — the "credit" a schedule earns by
+``replace()``-ing loop nests with instructions), per-``Memory``-class byte
+traffic (DRAM vs scratchpad vs accumulator vs register), trip-weighted
+config writes (a pipeline flush on accelerators), and call / loop
+overheads.  A :class:`MachineModel` converts those counts into a scalar
+cycle estimate (:attr:`Cost.cycles`).  The model is intentionally
+*relative*: it exists to rank candidate schedules.  It is separate from
+the closed-form x86 pricing of :mod:`repro.machine.x86_sim`
+(``price_x86``), and no test compares their cycle counts.
 
 Costs are cached by (procedure text, sizes, model); repeated queries for
 the same candidate — common when beam search revisits a state — are
@@ -34,92 +28,6 @@ from typing import Dict, Mapping, Optional, Tuple
 from ..core import ast as IR
 from ..core.memory import DRAM
 from ..obs import trace as _obs
-
-# ---------------------------------------------------------------------------
-# The shared x86 pricing core (absorbed from machine/x86_sim.py)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class X86Params:
-    """One Tiger Lake core with AVX-512 (the paper's i7-1185G7, §7.2)."""
-
-    freq_ghz: float = 4.3
-    fma_ports: float = 1.0  # 512-bit FMA issue per cycle
-    load_ports: float = 2.0
-    store_ports: float = 1.0
-    l1_bytes: int = 48 * 1024
-    l2_bytes: int = 1280 * 1024
-    l3_bytes: int = 12 * 1024 * 1024
-    l2_bw: float = 64.0  # bytes/cycle
-    l3_bw: float = 30.0
-    dram_bw: float = 14.0
-    call_overhead: float = 18.0  # cycles per micro-kernel invocation
-    loop_overhead: float = 2.0  # cycles per k iteration (pointer bumps)
-
-    @property
-    def peak_gflops(self) -> float:
-        return self.freq_ghz * 32.0 * self.fma_ports
-
-
-DEFAULT = X86Params()
-
-
-@dataclass
-class CostBreakdown:
-    """Cycle estimate with its port/memory components (x86 models)."""
-
-    cycles: float
-    fma_cycles: float
-    load_cycles: float
-    store_cycles: float
-    mem_cycles: float
-    overhead_cycles: float
-    flops: float
-
-    def gflops(self, params: X86Params = DEFAULT) -> float:
-        secs = self.cycles / (params.freq_ghz * 1e9)
-        return self.flops / secs / 1e9
-
-    def pct_peak(self, params: X86Params = DEFAULT) -> float:
-        return 100.0 * self.gflops(params) / params.peak_gflops
-
-
-def price_x86(
-    fma_ops: float,
-    loads: float,
-    stores: float,
-    mem_cycles: float,
-    overhead_cycles: float,
-    flops: float,
-    params: X86Params = DEFAULT,
-    core_scale: float = 1.0,
-    fma_derate: float = 1.0,
-    threads: int = 1,
-) -> CostBreakdown:
-    """Port-pressure pricing shared by every x86 kernel model.
-
-    ``core_scale`` multiplies the whole core-bound term (narrow-shape
-    penalties); ``fma_derate`` multiplies only the FMA pipe (short
-    reduction chains / strided access stalls); ``threads`` applies the
-    near-linear §9 multicore scaling.
-    """
-    fma_cycles = fma_ops / params.fma_ports
-    load_cycles = loads / params.load_ports
-    store_cycles = stores / params.store_ports
-    core = max(fma_cycles * fma_derate, load_cycles, store_cycles) * core_scale
-    cycles = max(core + overhead_cycles, mem_cycles)
-    cycles /= max(1, threads) ** 0.97
-    return CostBreakdown(
-        cycles=cycles,
-        fma_cycles=fma_cycles,
-        load_cycles=load_cycles,
-        store_cycles=store_cycles,
-        mem_cycles=mem_cycles,
-        overhead_cycles=overhead_cycles,
-        flops=flops,
-    )
-
 
 # ---------------------------------------------------------------------------
 # Machine models for the IR-driven cost

@@ -105,17 +105,18 @@ def encode_record(rec: RewriteRecord) -> dict:
         "op": rec.op,
         "args": [_encode_arg(a) for a in rec.args],
         "kwargs": [[k, _encode_arg(v)] for k, v in rec.kwargs],
-        "pattern": rec.pattern,
         "verdict": rec.verdict,
     }
 
 
 def decode_record(d: dict, procs: Optional[Dict] = None) -> RewriteRecord:
+    """Inverse of :func:`encode_record`.  Entries written before records
+    dropped their ``"pattern"`` key still decode: the key is ignored (the
+    pattern is one of the ``args``)."""
     return RewriteRecord(
         op=d["op"],
         args=tuple(_decode_arg(a, procs) for a in d["args"]),
         kwargs=tuple((k, _decode_arg(v, procs)) for k, v in d["kwargs"]),
-        pattern=d.get("pattern"),
         verdict=d.get("verdict", "ok"),
     )
 

@@ -11,12 +11,11 @@ innermost cache level it fits in given the kernel's loop structure, with
 per-level bandwidth converting traffic into cycles.  Tests validate the
 count formulas against real instruction traces at small sizes.
 
-The pricing core (counts -> cycles) is
-:func:`repro.autotune.cost.price_x86`; ``sgemm_cost`` / ``conv_cost``
-below only assemble the per-kernel counts and delegate to it.  The
-autotuner's IR-driven ``cost_of`` is a separate model (``MachineModel`` /
-``Cost.cycles``) and does not go through ``price_x86``.  ``X86Params`` /
-``CostBreakdown`` are re-exported here for backward compatibility.
+The pricing core (counts -> cycles) is :func:`price_x86`; ``sgemm_cost``
+/ ``conv_cost`` below only assemble the per-kernel counts and delegate to
+it.  The autotuner's IR-driven ``cost_of`` is a separate model
+(``MachineModel`` / ``Cost.cycles``) and does not go through
+``price_x86``.
 """
 
 from __future__ import annotations
@@ -25,14 +24,93 @@ import os
 import shutil
 import subprocess
 import tempfile
+from dataclasses import dataclass
 from math import ceil
 
-from ..autotune.cost import (  # noqa: F401  (re-exported API)
-    DEFAULT,
-    CostBreakdown,
-    X86Params,
-    price_x86,
-)
+# ---------------------------------------------------------------------------
+# The x86 pricing core
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class X86Params:
+    """One Tiger Lake core with AVX-512 (the paper's i7-1185G7, §7.2)."""
+
+    freq_ghz: float = 4.3
+    fma_ports: float = 1.0  # 512-bit FMA issue per cycle
+    load_ports: float = 2.0
+    store_ports: float = 1.0
+    l1_bytes: int = 48 * 1024
+    l2_bytes: int = 1280 * 1024
+    l3_bytes: int = 12 * 1024 * 1024
+    l2_bw: float = 64.0  # bytes/cycle
+    l3_bw: float = 30.0
+    dram_bw: float = 14.0
+    call_overhead: float = 18.0  # cycles per micro-kernel invocation
+    loop_overhead: float = 2.0  # cycles per k iteration (pointer bumps)
+
+    @property
+    def peak_gflops(self) -> float:
+        return self.freq_ghz * 32.0 * self.fma_ports
+
+
+DEFAULT = X86Params()
+
+
+@dataclass
+class CostBreakdown:
+    """Cycle estimate with its port/memory components (x86 models)."""
+
+    cycles: float
+    fma_cycles: float
+    load_cycles: float
+    store_cycles: float
+    mem_cycles: float
+    overhead_cycles: float
+    flops: float
+
+    def gflops(self, params: X86Params = DEFAULT) -> float:
+        secs = self.cycles / (params.freq_ghz * 1e9)
+        return self.flops / secs / 1e9
+
+    def pct_peak(self, params: X86Params = DEFAULT) -> float:
+        return 100.0 * self.gflops(params) / params.peak_gflops
+
+
+def price_x86(
+    fma_ops: float,
+    loads: float,
+    stores: float,
+    mem_cycles: float,
+    overhead_cycles: float,
+    flops: float,
+    params: X86Params = DEFAULT,
+    core_scale: float = 1.0,
+    fma_derate: float = 1.0,
+    threads: int = 1,
+) -> CostBreakdown:
+    """Port-pressure pricing shared by every x86 kernel model.
+
+    ``core_scale`` multiplies the whole core-bound term (narrow-shape
+    penalties); ``fma_derate`` multiplies only the FMA pipe (short
+    reduction chains / strided access stalls); ``threads`` applies the
+    near-linear §9 multicore scaling.
+    """
+    fma_cycles = fma_ops / params.fma_ports
+    load_cycles = loads / params.load_ports
+    store_cycles = stores / params.store_ports
+    core = max(fma_cycles * fma_derate, load_cycles, store_cycles) * core_scale
+    cycles = max(core + overhead_cycles, mem_cycles)
+    cycles /= max(1, threads) ** 0.97
+    return CostBreakdown(
+        cycles=cycles,
+        fma_cycles=fma_cycles,
+        load_cycles=load_cycles,
+        store_cycles=store_cycles,
+        mem_cycles=mem_cycles,
+        overhead_cycles=overhead_cycles,
+        flops=flops,
+    )
 
 
 def sgemm_counts(M: int, N: int, K: int, mr: int = 6, nv: int = 4):

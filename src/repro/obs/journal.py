@@ -57,7 +57,6 @@ class RewriteRecord:
     op: str  # directive name, e.g. "split"
     args: tuple  # positional arguments, by reference
     kwargs: tuple = ()  # sorted (key, value) pairs
-    pattern: Optional[str] = None  # the match pattern argument, if any
     verdict: str = VERDICT_OK
 
     def describe(self) -> str:
@@ -73,7 +72,7 @@ def _short(v, limit: int = 40) -> str:
 
 def make_record(op: str, args: tuple, kwargs: dict, verdict: str,
                 resolve=None) -> RewriteRecord:
-    """Build a record, sniffing the match pattern from the first str arg.
+    """Build a record of one applied directive.
 
     ``resolve`` (supplied by the directive layer) maps live cursor
     arguments to serializable :class:`PathRef` stand-ins; other arguments
@@ -81,12 +80,10 @@ def make_record(op: str, args: tuple, kwargs: dict, verdict: str,
     if resolve is not None:
         args = tuple(resolve(a) for a in args)
         kwargs = {k: resolve(v) for k, v in kwargs.items()}
-    pattern = next((a for a in args if isinstance(a, str) and ("_" in a or " " in a)), None)
     return RewriteRecord(
         op=op,
         args=tuple(args),
         kwargs=tuple(sorted(kwargs.items())),
-        pattern=pattern,
         verdict=verdict,
     )
 
@@ -107,7 +104,6 @@ def record_to_dict(rec: RewriteRecord) -> dict:
         "op": rec.op,
         "args": [safe(a) for a in rec.args],
         "kwargs": {k: safe(v) for k, v in rec.kwargs},
-        "pattern": rec.pattern,
         "verdict": rec.verdict,
     }
 

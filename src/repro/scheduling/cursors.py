@@ -20,15 +20,22 @@ things at once:
   uses this to re-discharge only the safety obligations a rewrite could
   have invalidated.
 
+A rewrite step comes from one of three places: a scheduling primitive's
+``_splice`` (:mod:`repro.scheduling.primitives`), which builds a
+:class:`SpliceForwarder` from the primitive's interior map; a
+:class:`Sweep`, whose :class:`MapForwarder` records a whole-proc cleanup;
+or the identity step, the base :class:`Forwarder`.  :func:`compose`
+chains them along a derivation.
+
 Paths are the same tuples of ``(field, index)`` steps used throughout
 :mod:`repro.core.ast` (``get_stmt`` / ``replace_block``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from ..core import ast as IR
 from ..core.dataflow import writes_config
@@ -48,7 +55,9 @@ class InvalidCursorError(SchedulingError):
 
 class Forwarder:
     """Maps statement paths in the pre-rewrite proc to paths in the
-    post-rewrite proc.
+    post-rewrite proc.  The base class is the identity step, for rewrites
+    that keep the statement tree's shape (rename, simplify, retyping an
+    argument).
 
     ``touched`` — paths (in the *new* proc) of every statement the rewrite
     inserted or structurally rewrote; obligations outside these subtrees
@@ -64,14 +73,6 @@ class Forwarder:
         self.ctx_dirty = ctx_dirty
 
     def map_path(self, path: tuple) -> tuple:
-        raise NotImplementedError
-
-
-class IdentityForwarder(Forwarder):
-    """For rewrites that keep the statement tree's shape (rename, simplify,
-    parallelize, set_memory, ...)."""
-
-    def map_path(self, path):
         return path
 
 
@@ -210,23 +211,6 @@ class Sweep:
                 self.mapping[old] = new + path[cut:]
 
 
-class OverrideForwarder(Forwarder):
-    """Wrap a forwarder with exact-path overrides (e.g. lift_alloc knows
-    precisely where the hoisted allocation landed, while the underlying
-    removal splice would report it destroyed)."""
-
-    def __init__(self, base: Forwarder, overrides: dict):
-        super().__init__(touched=base.touched, ctx_dirty=base.ctx_dirty)
-        self.base = base
-        self.overrides = {tuple(k): tuple(v) for k, v in overrides.items()}
-
-    def map_path(self, q):
-        q = tuple(q)
-        if q in self.overrides:
-            return self.overrides[q]
-        return self.base.map_path(q)
-
-
 class ChainForwarder(Forwarder):
     """Sequential composition of forwarders (first applied first)."""
 
@@ -260,7 +244,7 @@ def compose(*fwds) -> Forwarder:
     dropping identities."""
     flat = []
     for f in fwds:
-        if f is None or (type(f) is IdentityForwarder and not f.touched
+        if f is None or (type(f) is Forwarder and not f.touched
                          and not f.ctx_dirty):
             continue
         if isinstance(f, ChainForwarder):
@@ -268,7 +252,7 @@ def compose(*fwds) -> Forwarder:
         else:
             flat.append(f)
     if not flat:
-        return IdentityForwarder()
+        return Forwarder()
     if len(flat) == 1:
         return flat[0]
     return ChainForwarder(flat)
@@ -294,32 +278,6 @@ def interior_insert(steps):
         return (rel[0],) + steps + tuple(rel[1:])
 
     return go
-
-
-def interior_none(_rel):
-    return None
-
-
-def splice(proc_or_stmts_old, path, old_count, new_count,
-           interior=interior_identity, new_stmts=None) -> SpliceForwarder:
-    """Build the standard splice forwarder for replacing ``old_count``
-    statements at ``path`` by ``new_count``.  ``ctx_dirty`` is derived
-    from whether either side of the splice touches config state
-    (``proc_or_stmts_old`` may be the old proc, the old block, or None)."""
-    dirty = False
-    if new_stmts is not None and writes_config(new_stmts):
-        dirty = True
-    if not dirty and proc_or_stmts_old is not None:
-        old = proc_or_stmts_old
-        if isinstance(old, IR.Proc):
-            fld, idx = path[-1]
-            block = IR.get_block(
-                IR.get_stmt(old, path[:-1]) if len(path) > 1 else old, fld
-            )
-            old = block[idx: idx + old_count]
-        dirty = writes_config(old)
-    return SpliceForwarder(path, old_count, new_count, interior=interior,
-                           ctx_dirty=dirty)
 
 
 # ---------------------------------------------------------------------------

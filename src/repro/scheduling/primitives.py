@@ -9,9 +9,17 @@ config fields (Definition 4.2), which the provenance system tracks; the
 paths to post-rewrite paths (Exo 2 cursor forwarding) and reports which
 paths the rewrite touched, which drives incremental re-checking.
 
-Every operator funnels its IR surgery through the shared :func:`_splice`
-kernel (locate → rewrite → forward), so the forwarder falls out of the
-same edit that performs the rewrite.  The caller
+Every operator builds its rewrite step with the shared :func:`_splice`
+kernel (locate → rewrite → forward): the operator supplies the new
+statements and an *interior map* (where each surviving statement of the
+replaced region went), and ``_splice`` derives the new IR, the
+:class:`~repro.scheduling.cursors.SpliceForwarder`, the touched set and
+config dirtiness from that one edit.  A multi-step operator
+(``fission_after``, ``lift_alloc``) composes one splice per step; the
+whole-proc ``delete_pass`` is a :class:`~repro.scheduling.cursors.Sweep`;
+an operator that only edits the signature returns the identity
+:class:`~repro.scheduling.cursors.Forwarder`.  No operator builds a
+forwarder by hand.  The caller
 (:class:`repro.api.Procedure`) re-runs type checking and the front-end
 safety checks after every rewrite (incrementally, using the forwarder),
 so operators here may rely on well-typedness of their inputs and need not
@@ -30,38 +38,36 @@ from ..core.prelude import SchedulingError, Sym
 from ..effects import api as EA
 from ..effects.effects import EffectExtractor
 from .cursors import (
-    IdentityForwarder,
+    Forwarder,
     MapForwarder,
-    OverrideForwarder,
     SpliceForwarder,
     Sweep,
     compose,
     interior_identity,
     interior_insert,
-    interior_none,
 )
-from .pattern import StmtMatch, find_expr, find_stmt, get_expr, replace_expr_at
+from .pattern import StmtMatch, find_stmt, replace_expr_at
 from .simplify import simplify_expr
+from .unify import unify_call
 
 NO_POLLUTION = frozenset()
 
 
 def _splice(proc, path, old_count, new_stmts, interior=interior_identity,
-            extra_dirty: bool = False, touched=None):
+            touched=None):
     """The shared rewrite kernel: replace ``old_count`` statements at
     ``path`` by ``new_stmts`` and compute the :class:`SpliceForwarder`
     describing the edit.
 
     ``interior`` maps region-relative paths of surviving statements (see
-    :mod:`repro.scheduling.cursors`); ``touched`` overrides the default
+    :mod:`repro.scheduling.cursors`), or is None when the region's
+    statements do not survive; ``touched`` overrides the default
     touched-set (every inserted statement); config-state dirtiness is
-    derived from both sides of the splice unless forced by
-    ``extra_dirty``."""
+    derived from both sides of the splice."""
     fld, idx = path[-1]
     block = EA._block_at(proc, path)
     old_stmts = tuple(block[idx: idx + old_count])
-    dirty = (extra_dirty or writes_config(old_stmts)
-             or writes_config(new_stmts))
+    dirty = writes_config(old_stmts) or writes_config(new_stmts)
     new_proc = IR.replace_block(proc, path, old_count, list(new_stmts))
     fwd = SpliceForwarder(path, old_count, len(new_stmts), interior=interior,
                           touched=touched, ctx_dirty=dirty)
@@ -225,7 +231,7 @@ def unroll(proc, match: StmtMatch):
     for v in range(lo.val, hi.val):
         body = IR.subst_stmts({loop.iter: _c(v)}, loop.body)
         copies.extend(IR.alpha_rename(body))
-    new_proc, fwd = _splice(proc, match.path, 1, copies, interior=interior_none)
+    new_proc, fwd = _splice(proc, match.path, 1, copies, interior=None)
     return new_proc, NO_POLLUTION, fwd
 
 
@@ -452,13 +458,13 @@ def lift_alloc(proc, match: StmtMatch, n_lifts: int = 1):
     alloc = IR.get_stmt(proc, match.path)
     if not isinstance(alloc, IR.Alloc):
         raise SchedulingError("lift_alloc: pattern must match an allocation")
-    path = list(match.path)
+    path = tuple(match.path)
     fwds = []
     for _ in range(n_lifts):
         if len(path) < 2:
             raise SchedulingError("lift_alloc: no enclosing statement to lift out of")
         # the allocation's extents must not depend on enclosing binders
-        parent_path = tuple(path[:-1])
+        parent_path = path[:-1]
         parent = IR.get_stmt(proc, parent_path)
         if isinstance(parent, IR.For):
             for h in alloc.type.shape():
@@ -466,22 +472,25 @@ def lift_alloc(proc, match: StmtMatch, n_lifts: int = 1):
                     raise SchedulingError(
                         "lift_alloc: allocation size depends on the loop iterator"
                     )
-        proc, removal = _splice(proc, tuple(path), 1, [], interior=None)
-        target = IR.get_stmt(proc, parent_path)
-        # re-insert ahead of the parent; only the moved alloc is "touched"
-        # (hoisting a binding cannot invalidate obligations under the
-        # parent, whose own subtree merely shifts one slot right)
-        proc, insertion = _splice(
-            proc, parent_path, 1, [alloc, target],
-            interior=lambda rel: ((rel[0][0], rel[0][1] + 1),) + tuple(rel[1:]),
-            touched=(parent_path,),
-        )
-        fwds.append(
-            OverrideForwarder(
-                compose(removal, insertion), {tuple(path): parent_path}
-            )
-        )
-        path = list(parent_path)
+        bf, ai = path[-1]
+        blk = IR.get_block(parent, bf)
+        rest = dc_replace(parent, **{bf: blk[:ai] + blk[ai + 1:]})
+
+        def interior(rel, _bf=bf, _ai=ai):
+            (fld, _), sub = rel[0], tuple(rel[1:])
+            if sub == ((_bf, _ai),):
+                return ((fld, 0),)  # the alloc lands ahead of its parent
+            if sub and sub[0][0] == _bf and sub[0][1] > _ai:
+                sub = ((_bf, sub[0][1] - 1),) + sub[1:]  # closes the gap
+            return ((fld, 1),) + sub
+
+        # only the moved alloc is "touched": hoisting a binding cannot
+        # invalidate obligations under the parent, whose own subtree merely
+        # shifts one slot right
+        proc, fwd = _splice(proc, parent_path, 1, [alloc, rest],
+                            interior=interior, touched=(parent_path,))
+        fwds.append(fwd)
+        path = parent_path
     return proc, NO_POLLUTION, compose(*fwds)
 
 
@@ -590,7 +599,7 @@ def set_memory(proc, name: str, mem):
         new_args.append(a)
     if not hit:
         raise SchedulingError(f"set_memory: no allocation or argument {name!r}")
-    return dc_replace(proc, args=tuple(new_args)), NO_POLLUTION, IdentityForwarder()
+    return dc_replace(proc, args=tuple(new_args)), NO_POLLUTION, Forwarder()
 
 
 def set_precision(proc, name: str, typ: T.Type):
@@ -619,7 +628,7 @@ def set_precision(proc, name: str, typ: T.Type):
         new_args.append(a)
     if not hit:
         raise SchedulingError(f"set_precision: no allocation or argument {name!r}")
-    return dc_replace(proc, args=tuple(new_args)), NO_POLLUTION, IdentityForwarder()
+    return dc_replace(proc, args=tuple(new_args)), NO_POLLUTION, Forwarder()
 
 
 def bind_expr(proc, matches, new_name: str):
@@ -870,7 +879,7 @@ def _rewrite_accesses(block, buf: Sym, new: Sym, widx):
 
 
 # ---------------------------------------------------------------------------
-# Procedures: inline & call_eqv
+# Procedures: inline, call_eqv & replace
 # ---------------------------------------------------------------------------
 
 
@@ -980,7 +989,7 @@ def inline_call(proc, match: StmtMatch):
         body = _subst_buffer_window(body, formal, wexpr)
     body = IR.alpha_rename(body)
     new_proc, fwd = _splice(
-        proc, match.path, 1, list(body), interior=interior_none
+        proc, match.path, 1, list(body), interior=None
     )
     return new_proc, NO_POLLUTION, fwd
 
@@ -1002,40 +1011,11 @@ def call_eqv(proc, match: StmtMatch, new_callee: IR.Proc, pollution: frozenset):
     return new_proc, pollution, fwd
 
 
-# ---------------------------------------------------------------------------
-# Observability hooks
-# ---------------------------------------------------------------------------
-#
-# Every primitive rewrite is wrapped with a tracing span (``sched.<name>``)
-# and an application counter, so a compile profile shows exactly which
-# rewrites dominate scheduling time.  The wrapping is a no-op while tracing
-# is disabled (see :mod:`repro.obs.trace`).
-
-_PRIMITIVES = (
-    "split", "reorder_loops", "parallelize", "unroll", "partition_loop", "remove_loop",
-    "fuse_loops", "fission_after", "lift_if", "add_guard", "reorder_stmts",
-    "lift_alloc", "expand_dim", "delete_pass", "set_memory", "set_precision",
-    "bind_expr", "bind_config", "configwrite_after", "configwrite_root",
-    "stage_mem", "inline_call", "call_eqv",
-)
-
-
-def _instrument(name, fn):
-    import functools
-
-    from ..obs import trace as _obs
-
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        if not _obs.enabled():
-            return fn(*args, **kwargs)
-        _obs.incr(f"sched.applied.{name}")
-        with _obs.span(f"sched.{name}"):
-            return fn(*args, **kwargs)
-
-    return wrapped
-
-
-for _name in _PRIMITIVES:
-    globals()[_name] = _instrument(_name, globals()[_name])
-del _name
+def replace(proc, match: StmtMatch, callee: IR.Proc):
+    """Replace the matched block by a call to ``callee`` (§3.4), with the
+    call's arguments found by unification.  The block's statements do not
+    survive: cursors into it die, siblings shift."""
+    call = unify_call(proc, match.path, match.count, callee)
+    new_proc, fwd = _splice(proc, match.path, match.count, [call],
+                            interior=None)
+    return new_proc, NO_POLLUTION, fwd

@@ -12,6 +12,8 @@ dimensions become point coordinates, and interval offsets must agree
 across every access.
 
 When ``foo`` is an ``@instr``, this rewrite *is* instruction selection.
+This module only finds the call (:func:`unify_call`);
+:func:`repro.scheduling.primitives.replace` splices it in.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ class UnifyError(SchedulingError):
     pass
 
 
-def replace_block(proc: IR.Proc, path, count: int, callee: IR.Proc):
-    """Replace ``count`` statements at ``path`` with a call to ``callee``."""
+def unify_call(proc: IR.Proc, path, count: int, callee: IR.Proc) -> IR.Call:
+    """The call to ``callee`` that can replace the ``count`` statements at
+    ``path``: unify the callee body with the block, solve for the
+    arguments, and prove the residual equalities at the site."""
     block = _get_block(proc, path, count)
     uni = _Unifier(callee)
     uni.match_block(list(callee.body), list(block))
@@ -45,8 +49,7 @@ def replace_block(proc: IR.Proc, path, count: int, callee: IR.Proc):
         EA.check_condition(
             proc, path, cond, "replace: matched code requires an equality"
         )
-    call = IR.Call(callee, tuple(args), block[0].srcinfo)
-    return IR.replace_block(proc, path, count, [call])
+    return IR.Call(callee, tuple(args), block[0].srcinfo)
 
 
 def _get_block(proc, path, count):

@@ -343,12 +343,16 @@ class Solver:
         if self._deadline is not None and time.perf_counter() > self._deadline:
             raise SmtTimeout()
 
+    def _ground(self, formula):
+        """``formula`` as the DNF enumeration reads it: ite-free, in NNF,
+        universals eliminated, and the existential prefix stripped (free
+        for satisfiability)."""
+        f = self._elim_foralls(nnf(elim_ite(formula)))
+        return _strip_exists(f)[0]
+
     def satisfiable(self, formula) -> bool:
         _SMT_STATS.sat_calls += 1
-        f = elim_ite(formula)
-        f = nnf(f)
-        f = self._elim_foralls(f)
-        f, _extra = _strip_exists(f)  # existential prefix: free for sat-checking
+        f = self._ground(formula)
         for _literals in dnf_stream(f, prune=self._conjunct_feasible):
             return True  # first surviving conjunct is feasible
         return False
@@ -361,10 +365,7 @@ class Solver:
         but a satisfiable one may too (values outside the probed range, or
         terms the linear backend cannot purify).  Returns ``{Sym: int}``."""
         try:
-            f = elim_ite(formula)
-            f = nnf(f)
-            f = self._elim_foralls(f)
-            f, _extra = _strip_exists(f)
+            f = self._ground(formula)
             for literals in dnf_stream(f, prune=self._conjunct_feasible):
                 model = self._model_of_conjunct(literals)
                 if model is not None:
@@ -374,25 +375,11 @@ class Solver:
         return None
 
     def _model_of_conjunct(self, literals):
-        pur = _Purifier()
-        cons = []
-        bools = []
-        for lit in literals:
-            if isinstance(lit, S.Cmp):
-                cons.extend(pur.atom(lit))
-            elif isinstance(lit, (S.Var, S.Not)):
-                bools.append(lit)
-            elif isinstance(lit, S.BoolC):
-                if not lit.val:
-                    return None
-            else:
-                return None
-        if _bool_conflict(bools):
+        system = _linear_system(literals)
+        if system is None or not feasible(system[0]):
             return None
-        cons.extend(pur.aux_cons)
-        if not feasible(cons):
-            return None
-        aux = set(pur.aux_vars)
+        cons, _bools, aux_vars = system
+        aux = set(aux_vars)
         vars_ = []
         for c in cons:
             for v, _coeff in c.expr.coeffs:
@@ -441,25 +428,11 @@ class Solver:
         qvars = list(qvars) + extra
         disjuncts = []
         for literals in dnf_stream(body, prune=self._conjunct_feasible):
-            pur = _Purifier()
-            cons = []
-            bools = []
-            ok = True
-            for lit in literals:
-                if isinstance(lit, S.Cmp):
-                    cons.extend(pur.atom(lit))
-                elif isinstance(lit, (S.Var, S.Not)):
-                    bools.append(lit)
-                elif isinstance(lit, S.BoolC):
-                    if not lit.val:
-                        ok = False
-                        break
-                else:
-                    raise InternalError(f"qe: unexpected literal {lit!r}")
-            if not ok or _bool_conflict(bools):
+            system = _linear_system(literals, "qe")
+            if system is None:
                 continue
-            cons.extend(pur.aux_cons)
-            elim = list(qvars) + pur.aux_vars
+            cons, bools, aux_vars = system
+            elim = list(qvars) + aux_vars
             for out_cons in project(cons, elim):
                 parts = [_constraint_to_formula(c) for c in out_cons] + bools
                 disjuncts.append(S.conj(*parts))
@@ -530,23 +503,35 @@ class Solver:
 
     def _omega_feasible(self, literals) -> bool:
         self.stats["omega_conjuncts"] += 1
-        pur = _Purifier()
-        cons = []
-        bools = []
-        for lit in literals:
-            if isinstance(lit, S.Cmp):
-                cons.extend(pur.atom(lit))
-            elif isinstance(lit, (S.Var, S.Not)):
-                bools.append(lit)
-            elif isinstance(lit, S.BoolC):
-                if not lit.val:
-                    return False
-            else:
-                raise InternalError(f"sat: unexpected literal {lit!r}")
-        if _bool_conflict(bools):
-            return False
-        cons.extend(pur.aux_cons)
-        return feasible(cons)
+        system = _linear_system(literals, "sat")
+        return system is not None and feasible(system[0])
+
+
+def _linear_system(literals, what=None):
+    """Purify a conjunct's literals into Omega constraints.
+
+    Returns ``(constraints, bool literals, auxiliary vars)``, or None when
+    the conjunct holds a FALSE literal or a boolean conflict.  Any other
+    literal is unexpected: with ``what`` (the caller's name) it raises
+    :class:`InternalError`, without it the conjunct is given up (None)."""
+    pur = _Purifier()
+    cons = []
+    bools = []
+    for lit in literals:
+        if isinstance(lit, S.Cmp):
+            cons.extend(pur.atom(lit))
+        elif isinstance(lit, (S.Var, S.Not)):
+            bools.append(lit)
+        elif isinstance(lit, S.BoolC):
+            if not lit.val:
+                return None
+        elif what is None:
+            return None
+        else:
+            raise InternalError(f"{what}: unexpected literal {lit!r}")
+    if _bool_conflict(bools):
+        return None
+    return cons + pur.aux_cons, bools, pur.aux_vars
 
 
 def _strip_exists(t):

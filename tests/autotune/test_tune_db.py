@@ -55,8 +55,7 @@ def _space(base):
 class TestCodec:
     def test_primitives_roundtrip(self):
         rec = RewriteRecord(op="split", args=("for i in _: _", 4, "io", "ii"),
-                            kwargs=(("tail", "perfect"),), pattern=None,
-                            verdict="ok")
+                            kwargs=(("tail", "perfect"),), verdict="ok")
         back = decode_record(encode_record(rec))
         assert back == rec
 
@@ -64,14 +63,25 @@ class TestCodec:
         ref = PathRef(path=(("body", 0), ("body", 1)), count=2,
                       expr_path=(("rhs", 0),))
         rec = RewriteRecord(op="reorder", args=(ref,), kwargs=(),
-                            pattern="for i in _: _", verdict="ok")
+                            verdict="ok")
         back = decode_record(encode_record(rec))
         assert back.args[0] == ref
-        assert back.pattern == "for i in _: _"
+
+    def test_old_entry_with_pattern_key_decodes(self):
+        """Entries written while records carried a sniffed ``pattern``
+        still decode; the key is ignored."""
+        old = {"op": "split", "args": ["for i in _: _", 4, "io", "ii"],
+               "kwargs": [["tail", "perfect"]], "pattern": "for i in _: _",
+               "verdict": "ok"}
+        back = decode_record(old)
+        assert back == RewriteRecord(
+            op="split", args=("for i in _: _", 4, "io", "ii"),
+            kwargs=(("tail", "perfect"),), verdict="ok")
+        assert "pattern" not in encode_record(back)
 
     def test_memory_roundtrip(self):
         rec = RewriteRecord(op="set_memory", args=("t", DRAM), kwargs=(),
-                            pattern=None, verdict="ok")
+                            verdict="ok")
         enc = encode_record(rec)
         assert enc["args"][1] == {"$memory": "DRAM"}
         assert decode_record(enc).args[1] is DRAM
@@ -84,7 +94,7 @@ class TestCodec:
 
     def test_proc_arg_needs_mapping(self, scal):
         rec = RewriteRecord(op="call_eqv", args=(scal,), kwargs=(),
-                            pattern=None, verdict="ok")
+                            verdict="ok")
         enc = encode_record(rec)
         assert enc["args"][0] == {"$proc": "scal"}
         with pytest.raises(ValueError):

@@ -60,7 +60,6 @@ class TestJournal:
         assert [r.op for r in log] == ["split", "reorder"]
         assert log[0].args == ("for i in _: _", 4, "io", "ii")
         assert log[0].kwargs == (("tail", "perfect"),)
-        assert log[0].pattern == "for i in _: _"
         assert all(r.verdict == journal.VERDICT_OK for r in log)
 
     def test_journal_is_cumulative_and_immutable_per_proc(self):

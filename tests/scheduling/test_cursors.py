@@ -21,7 +21,7 @@ from repro.scheduling.cursors import (
     BlockCursor,
     ExprCursor,
     GapCursor,
-    IdentityForwarder,
+    Forwarder,
     InvalidCursorError,
     SpliceForwarder,
     StmtCursor,
@@ -273,6 +273,75 @@ def f(N: size, A: f32[N] @ DRAM, B: f32[N] @ DRAM):
             g.forward(doomed)
 
 
+LIFTABLE = """
+@proc
+def f(N: size, A: f32[N, N] @ DRAM, B: f32[N] @ DRAM):
+    for i in seq(0, N):
+        for j in seq(0, N):
+            A[i, j] = 0.0
+            t: f32 @ DRAM
+            t = 1.0
+            A[i, j] += t
+    for w in seq(0, N):
+        B[w] += 2.0
+"""
+
+
+class TestLiftAllocForwarding:
+    """lift_alloc moves the allocation ahead of its parent: cursors to the
+    alloc, to its siblings on either side and to the observed loop land on
+    alpha-equivalent statements, and cursors to the loops it leaves land
+    on the same loops (whose bodies lost the alloc)."""
+
+    @pytest.mark.parametrize("n_lifts", [1, 2])
+    @pytest.mark.parametrize("pattern", [
+        "t : _", "A[i, j] = 0.0", "t = 1.0", "A[i, j] += t", OBSERVED,
+    ])
+    def test_cursor_lands_alpha_equiv(self, n_lifts, pattern):
+        p = _p(LIFTABLE)
+        cur = p.find(pattern)
+        q = p.lift_alloc("t : _", n_lifts=n_lifts)
+        old = IR.get_stmt(p.ir(), cur.path)
+        new = IR.get_stmt(q.ir(), q.forward(cur).path)
+        assert alpha_equiv(old, new), pattern
+
+    @pytest.mark.parametrize("n_lifts", [1, 2])
+    @pytest.mark.parametrize("pattern", ["for j in _: _", "for i in _: _"])
+    def test_parent_loop_cursor_lands_on_the_loop(self, n_lifts, pattern):
+        p = _p(LIFTABLE)
+        cur = p.find(pattern)
+        q = p.lift_alloc("t : _", n_lifts=n_lifts)
+        fcur = q.forward(cur)
+        assert fcur.path == q.find(pattern).path
+        assert fcur.stmt().iter is cur.stmt().iter
+
+    @pytest.mark.parametrize("n_lifts", [1, 2])
+    def test_alloc_cursor_lands_on_hoisted_alloc(self, n_lifts):
+        p = _p(LIFTABLE)
+        cur = p.find("t : _")
+        q = p.lift_alloc(cur, n_lifts=n_lifts)
+        fcur = q.forward(cur)
+        assert len(fcur.path) == 3 - n_lifts
+        assert fcur.path == q.find("t : _").path
+        assert isinstance(fcur.stmt(), IR.Alloc)
+
+
+class TestDestroyedInterior:
+    def test_cursor_into_unrolled_body_raises(self):
+        p = _p(CONST)
+        cur = p.find("A[i] = 1.0")
+        q = p.unroll("for i in _: _")
+        with pytest.raises(InvalidCursorError):
+            q.forward(cur)
+
+    def test_cursor_into_inlined_call_raises(self):
+        p = _p(CALLED)
+        cur = p.find("g(_)")
+        q = p.inline("g(_)")
+        with pytest.raises(InvalidCursorError):
+            q.forward(cur)
+
+
 class TestCursorInvalidation:
     def test_destroyed_region_raises(self):
         p = _p(REMOVABLE)
@@ -421,7 +490,7 @@ def f(N: size, A: f32[N, N] @ DRAM, B: f32[N, N] @ DRAM):
 
 class TestForwarderAlgebra:
     def test_compose_drops_identities(self):
-        f = compose(IdentityForwarder(), IdentityForwarder())
+        f = compose(Forwarder(), Forwarder())
         assert f.map_path((("body", 3),)) == (("body", 3),)
 
     def test_splice_shifts_siblings(self):
