@@ -12,9 +12,10 @@ arguments in order, and runs two jobs in one process:
 * the depth-3 action-space beam search over ``sgemm_tune_base()``
   (seed 0, budget 40).
 
-It prints the call count per entry point and two sha256 digests of the
-obligation stream: ``raw`` hashes each obligation's ``repr`` as is, so
-it includes every ``Sym``'s process-wide id; ``renumbered`` first
+It prints the call count per entry point; ``facts``, the total length
+of the assumption lists passed to ``try_prove``; and two sha256 digests
+of the obligation stream: ``raw`` hashes each obligation's ``repr`` as
+is, so it includes every ``Sym``'s process-wide id; ``renumbered`` first
 renumbers the ``Sym`` ids within each obligation by first appearance,
 so it only moves when the formulas or their order do.
 
@@ -46,7 +47,8 @@ def _renumber(text: str) -> str:
 
 def _record(log):
     """Wrap the three obligation entry points so each call appends
-    ``(kind, repr of its arguments)`` to ``log``."""
+    ``(kind, repr of its arguments, number of assumptions)`` to ``log``
+    (the assumptions are ``try_prove``'s first argument)."""
     from repro.analysis import absint
     from repro.smt.solver import Solver
 
@@ -56,7 +58,8 @@ def _record(log):
         def recorded(*args):
             # drop the solver instance: its repr carries an address
             shown = args[1:] if isinstance(owner, type) else args
-            log.append((kind, repr(shown)))
+            facts = len(shown[0]) if kind == "try_prove" else 0
+            log.append((kind, repr(shown), facts))
             return inner(*args)
 
         setattr(owner, name, recorded)
@@ -102,11 +105,12 @@ def digest() -> dict:
     log = []
     _record(log)
     _jobs()
-    counts = {"try_prove": 0, "prove": 0, "find_model": 0}
+    counts = {"try_prove": 0, "prove": 0, "find_model": 0, "facts": 0}
     raw = hashlib.sha256()
     renumbered = hashlib.sha256()
-    for kind, text in log:
+    for kind, text, facts in log:
         counts[kind] += 1
+        counts["facts"] += facts
         raw.update(f"{kind}\t{text}\n".encode())
         renumbered.update(f"{kind}\t{_renumber(text)}\n".encode())
     return {**counts, "raw": raw.hexdigest(),

@@ -26,7 +26,6 @@ from . import absint
 from .parallel import (
     LintReport,
     LoopVerdict,
-    check_par_loops,
     check_parallel_loop,
     lint,
     lint_proc,
@@ -44,7 +43,6 @@ from .sanitize import (
 
 __all__ = [
     "absint",
-    "check_par_loops",
     "check_parallel_loop",
     "lint",
     "lint_proc",

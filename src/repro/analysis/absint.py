@@ -17,11 +17,12 @@ refutation engine over linear integer constraints:
   (what FM decides, tightened with gcd normalization over the integers)
   implies integer infeasibility, which implies validity.
 
-* Quasi-affine ``/`` and ``%`` are purified into quotient pseudo-variables
-  keyed by the *structural* ``FloorDiv`` term, so every occurrence of
-  ``n / 16`` across facts and goal shares one variable and divisibility
-  preconditions like ``n % 16 == 0`` connect to loop bounds like
-  ``io < n / 16``.
+* Quasi-affine ``/`` and ``%`` are purified by
+  :class:`~repro.smt.linear.Linearizer` (the solver's converter too) into
+  quotient pseudo-variables keyed by the *structural* ``FloorDiv`` term,
+  so every occurrence of ``n / 16`` across facts and goal shares one
+  variable and divisibility preconditions like ``n % 16 == 0`` connect
+  to loop bounds like ``io < n / 16``.
 
 * :func:`prove` is the single route by which a safety obligation reaches
   the solver: the fast path first, then ``DEFAULT_SOLVER.prove`` on
@@ -52,6 +53,7 @@ from ..core.prelude import Sym
 from ..obs import smtstats as _smtstats
 from ..obs import trace as _obs
 from ..smt import terms as S
+from ..smt.linear import Lin, Linearizer, NonAffine
 from ..smt.solver import DEFAULT_SOLVER
 
 #: give-up thresholds keeping the fast path strictly cheap: anything larger
@@ -60,125 +62,6 @@ MAX_VARS = 24
 MAX_CONS = 192
 MAX_COMBOS = 96
 MAX_COEF = 10**15
-
-class NonAffine(Exception):
-    """A term or formula outside the affine fragment; bail to the solver."""
-
-
-# ---------------------------------------------------------------------------
-# Linearization with div/mod purification
-# ---------------------------------------------------------------------------
-#
-# A linear form is ``(const, {Sym: coeff})``; a constraint is a linear form
-# asserted ``>= 0``.
-
-
-Lin = Tuple[int, Dict[Sym, int]]
-
-
-class Linearizer:
-    """Turns terms into linear forms, purifying ``/`` and ``%``.
-
-    Quotient pseudo-variables are keyed by the structural ``FloorDiv`` term
-    (frozen dataclasses compare by structure), so repeated occurrences of
-    the same division share one variable; ``t % d`` is rewritten to
-    ``t - d*(t / d)``.  Each fresh quotient ``q`` contributes the defining
-    constraints ``t - d*q >= 0`` and ``d*q + (d-1) - t >= 0`` to
-    :attr:`cons`."""
-
-    def __init__(self):
-        self._quot: Dict[S.FloorDiv, Sym] = {}
-        self.cons: List[Lin] = []
-
-    def _qvar(self, fd: S.FloorDiv) -> Sym:
-        q = self._quot.get(fd)
-        if q is None:
-            q = Sym(f"absq{len(self._quot)}")
-            self._quot[fd] = q
-            c, m = self.lin(fd.arg)
-            d = fd.divisor
-            m1 = dict(m)
-            m1[q] = m1.get(q, 0) - d
-            self.cons.append((c, m1))
-            m2 = {k: -v for k, v in m.items()}
-            m2[q] = m2.get(q, 0) + d
-            self.cons.append((d - 1 - c, m2))
-        return q
-
-    def lin(self, t: S.Term) -> Lin:
-        if isinstance(t, bool):
-            raise NonAffine(t)
-        if isinstance(t, int):  # raw literal in a Cmp operand
-            return (t, {})
-        if isinstance(t, S.IntC):
-            return (t.val, {})
-        if isinstance(t, S.Var):
-            if t.sort != S.INT:
-                raise NonAffine(t)
-            return (0, {t.sym: 1})
-        if isinstance(t, S.Add):
-            c = 0
-            m: Dict[Sym, int] = {}
-            for a in t.args:
-                ca, ma = self.lin(a)
-                c += ca
-                for k, v in ma.items():
-                    m[k] = m.get(k, 0) + v
-            return (c, m)
-        if isinstance(t, S.Scale):
-            c, m = self.lin(t.arg)
-            return (c * t.coeff, {k: v * t.coeff for k, v in m.items()})
-        if isinstance(t, S.FloorDiv):
-            return (0, {self._qvar(t): 1})
-        if isinstance(t, S.Mod):
-            # t % d  =  t - d * (t / d), sharing the quotient variable
-            q = self._qvar(S.FloorDiv(t.arg, t.divisor))
-            c, m = self.lin(t.arg)
-            m = dict(m)
-            m[q] = m.get(q, 0) - t.divisor
-            return (c, m)
-        raise NonAffine(t)
-
-    # -- atoms -------------------------------------------------------------
-
-    def _diff(self, lhs: S.Term, rhs: S.Term) -> Lin:
-        cl, ml = self.lin(lhs)
-        cr, mr = self.lin(rhs)
-        m = dict(ml)
-        for k, v in mr.items():
-            m[k] = m.get(k, 0) - v
-        return (cl - cr, m)
-
-    def atom_cons(self, t: S.Cmp) -> List[Lin]:
-        """GEQ-form constraints equivalent to the atom ``t``."""
-        c, m = self._diff(t.lhs, t.rhs)
-        neg = (-c, {k: -v for k, v in m.items()})
-        if t.op == "==":
-            return [(c, m), neg]
-        if t.op == ">=":
-            return [(c, m)]
-        if t.op == ">":
-            return [(c - 1, m)]
-        if t.op == "<=":
-            return [neg]
-        if t.op == "<":
-            return [(neg[0] - 1, neg[1])]
-        raise NonAffine(t)
-
-    def neg_atom_cons(self, t: S.Cmp) -> List[Lin]:
-        """GEQ-form constraints equivalent to ``not t`` (integer negation).
-        ``!=`` is a disjunction and has no conjunctive form: raises."""
-        c, m = self._diff(t.lhs, t.rhs)
-        neg = (-c, {k: -v for k, v in m.items()})
-        if t.op == ">=":  # not(l >= r)  <=>  l < r
-            return [(neg[0] - 1, neg[1])]
-        if t.op == ">":
-            return [neg]
-        if t.op == "<=":
-            return [(c - 1, m)]
-        if t.op == "<":
-            return [(c, m)]
-        raise NonAffine(t)
 
 
 # ---------------------------------------------------------------------------

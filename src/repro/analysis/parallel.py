@@ -22,9 +22,14 @@ satisfying assignment of the overlap formula -- a concrete counterexample
 (iteration numbers, sizes, the shared location).  The search for it is the
 error's ``witness``: it runs only when the message is formatted.
 
-:func:`lint` runs the check over every loop of a procedure and classifies
-each as ``parallel`` / ``sequential(reason)`` / ``unknown`` (the analysis
+The check takes the loop's :class:`~repro.effects.api.Ctx` from a walk
+that visits it: :func:`repro.core.checks.check_proc` re-checks every
+``par`` loop from its one walk of the procedure, and :func:`lint` runs
+the check over every loop of a procedure from one walk, classifying each
+as ``parallel`` / ``sequential(reason)`` / ``unknown`` (the analysis
 itself crashed -- a bug, surfaced loudly so the detector stays total).
+Only the ``parallelize`` directive, which asks about one loop, walks to
+it alone (:func:`check_parallel_loop`).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core import ast as IR
+from ..core.dataflow import iter_contexts
 from ..core.pprint import expr_to_str
 from ..core.prelude import SchedulingError, Sym
 from ..effects.api import Ctx
@@ -76,15 +82,6 @@ def _leaf_accesses(eff, root: Sym, point):
     return out
 
 
-def _loop_body_effect(ctx: Ctx, loop: IR.For):
-    """The loop body's effect with config state stabilized across
-    iterations (same fixpoint the fission check computes)."""
-    ex = ctx.extractor()
-    lo = ex._ctrl(loop.lo)
-    hi = ex._ctrl(loop.hi)
-    return ex.loop_body(loop.body).block_effect(loop.body), lo, hi
-
-
 def _describe(kind: str, root: Sym, idx) -> str:
     if idx:
         return f"{_KIND_WORD[kind]} {root}[{', '.join(S.term_to_str(i) for i in idx)}]"
@@ -125,32 +122,17 @@ def check_parallel_loop(proc: IR.Proc, loop_path, what="parallelize"):
     if not isinstance(loop, IR.For):
         raise SchedulingError(f"{what}: not a loop")
     with _obs.span("analysis.parallel"):
-        _check_parallel_loop(proc, loop_path, loop, what)
+        _check_parallel_loop(Ctx.at(proc, loop_path), loop, what)
 
 
-def check_par_loops(proc: IR.Proc, scope=None):
-    """Definition-time guard over user-written ``par`` loops.
-
-    A loop written ``for i in par(lo, hi):`` in ``@proc`` source gets the
-    same scrutiny as one marked by the ``parallelize`` directive — and
-    because this runs from :func:`repro.core.checks.check_proc`, every
-    scheduling rewrite re-verifies that it kept existing ``par`` markings
-    race-free."""
-    for path, block, i in IR.walk_paths(proc.body):
-        loop = block[i]
-        if isinstance(loop, IR.For) and loop.kind == "par":
-            if scope is not None:
-                if not scope.needs_subtree(path):
-                    _obs.incr("analysis.incremental.reused")
-                    continue
-                _obs.incr("analysis.incremental.rechecked")
-            check_parallel_loop(proc, path, what="par loop")
-
-
-def _check_parallel_loop(proc, loop_path, loop, what):
-    ctx = Ctx(proc, loop_path)
+def _check_parallel_loop(ctx: Ctx, loop: IR.For, what):
+    """The race check of ``loop`` in its context ``ctx``."""
     x = loop.iter
-    a, lo, hi = _loop_body_effect(ctx, loop)
+    ex = ctx.extractor()
+    lo, hi = ex._ctrl(loop.lo), ex._ctrl(loop.hi)
+    # the body's effect with config state stabilized across iterations
+    # (the fixpoint the fission check computes)
+    a = ex.loop_body(loop.body).block_effect(loop.body)
 
     # config state is shared and sequential: any write in the body races
     # with the next iteration's read or write of the same register
@@ -283,11 +265,11 @@ class LintReport:
 
 
 def lint_proc(proc: IR.Proc) -> LintReport:
-    """Classify every loop of a raw IR procedure (see :func:`lint`)."""
+    """Classify every loop of a raw IR procedure (see :func:`lint`), each
+    in its context from one walk of ``proc``."""
     report = LintReport(proc.name)
     with _obs.span("analysis.lint"):
-        for path, block, i in IR.walk_paths(proc.body):
-            loop = block[i]
+        for loop, path, facts, state, tenv in iter_contexts(proc):
             if not isinstance(loop, IR.For):
                 continue
             depth = sum(  # loops among the enclosing statements
@@ -299,7 +281,8 @@ def lint_proc(proc: IR.Proc) -> LintReport:
                 f"{expr_to_str(loop.hi)})"
             )
             try:
-                check_parallel_loop(proc, path, what="lint")
+                with _obs.span("analysis.parallel"):
+                    _check_parallel_loop(Ctx(facts, state, tenv), loop, "lint")
                 verdict, reason = PARALLEL, ""
             except SchedulingError as err:
                 verdict, reason = SEQUENTIAL, str(err)

@@ -38,7 +38,7 @@ from typing import List
 
 from ..core import ast as IR
 from ..core.dataflow import iter_contexts, lower_ctrl
-from ..core.ir2smt import config_sym, proc_assumptions
+from ..core.ir2smt import config_sym
 from ..core.pprint import expr_to_str
 from ..effects.api import fresh_point, post_effect
 from ..effects.effects import (
@@ -131,14 +131,13 @@ def _witness(assumptions, formula, point) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_alloc(proc, path, s, base, facts, state, tenv, report, dead_allocs):
+def _check_alloc(proc, path, s, assumptions, state, tenv, report, dead_allocs):
     fld, idx = path[-1]
     parent = proc if len(path) == 1 else IR.get_stmt(proc, path[:-1])
     rest = IR.get_block(parent, fld)[idx + 1 :]
     buf = s.name
     rank = len(s.type.shape()) if s.type.is_tensor_or_window() else 0
     p = fresh_point(rank)
-    assumptions = base + facts
     tenv = tenv.copy()
     tenv.enter_stmt(s)
     ex = EffectExtractor(tenv, state.copy())
@@ -240,7 +239,9 @@ def _enclosing_loop_reads(proc, path, root, tenv) -> bool:
     return False
 
 
-def _check_dead_store(proc, path, s, base, facts, state, tenv, report, dead_allocs):
+def _check_dead_store(
+    proc, path, s, assumptions, state, tenv, report, dead_allocs
+):
     view = tenv.view(s.name)
     root = view.root
     if root in dead_allocs:
@@ -252,9 +253,8 @@ def _check_dead_store(proc, path, s, base, facts, state, tenv, report, dead_allo
     pt = list(view.compose_index(idx_terms))
     p = fresh_point(len(pt))
     wrote = S.conj(*[S.eq(pi, t) for pi, t in zip(p, pt)])
-    post = post_effect(proc, path)
+    post = post_effect(proc, path, tenv)
     exposed = mem_exposed(post, "r+", root, p)
-    assumptions = base + facts
     if exposed != S.FALSE:
         goal = S.implies(wrote, S.negate(exposed))
         if not absint.prove(assumptions, goal, "sanitize"):
@@ -310,14 +310,14 @@ def _block_touches_config(stmts, csym) -> bool:
     return False
 
 
-def _check_dead_config(proc, path, s, base, facts, report):
+def _check_dead_config(proc, path, s, assumptions, tenv, report):
     csym = config_sym(s.config, s.field)
     for container in IR.get_enclosing(proc, path)[1:]:
         if isinstance(container, IR.For) and _block_touches_config(
             container.body, csym
         ):
             return  # a later iteration may read the written value
-    post = post_effect(proc, path)
+    post = post_effect(proc, path, tenv)
     # deadness needs a *definite* later overwrite (unguarded, loop-free):
     # config state persists past the procedure, so the caller observes it
     if not any(
@@ -326,7 +326,7 @@ def _check_dead_config(proc, path, s, base, facts, report):
         return
     exposed = gmem_exposed(post, csym)
     if exposed != S.FALSE and not absint.prove(
-        base + facts, S.negate(exposed), "sanitize"
+        assumptions, S.negate(exposed), "sanitize"
     ):
         return
     report.findings.append(
@@ -349,22 +349,19 @@ def _check_dead_config(proc, path, s, base, facts, report):
 def sanitize_proc(proc: IR.Proc) -> SanitizeReport:
     """Run all sanitizers over a raw IR procedure (see :func:`sanitize`)."""
     report = SanitizeReport(proc.name)
-    base = proc_assumptions(proc)
     with _obs.span("analysis.sanitize"):
         ctxs = iter_contexts(proc)
         dead_allocs = set()
         for s, path, facts, state, tenv in ctxs:
             if isinstance(s, IR.Alloc) and s.type.is_numeric():
-                _check_alloc(
-                    proc, path, s, base, facts, state, tenv, report, dead_allocs
-                )
+                _check_alloc(proc, path, s, facts, state, tenv, report, dead_allocs)
         for s, path, facts, state, tenv in ctxs:
             if isinstance(s, (IR.Assign, IR.Reduce)):
                 _check_dead_store(
-                    proc, path, s, base, facts, state, tenv, report, dead_allocs
+                    proc, path, s, facts, state, tenv, report, dead_allocs
                 )
             elif isinstance(s, IR.WriteConfig):
-                _check_dead_config(proc, path, s, base, facts, report)
+                _check_dead_config(proc, path, s, facts, tenv, report)
     _obs.incr("analysis.sanitize.findings", len(report.findings))
     return report
 

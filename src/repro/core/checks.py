@@ -10,6 +10,10 @@
   resolve config-field reads (so ``assert Config.src_stride == stride(src,
   0)`` is provable right after the corresponding config write).
 
+* **Race checking** of ``par`` loops: every loop marked parallel, in the
+  source or by ``parallelize``, is proven to have independent iterations
+  (:mod:`repro.analysis.parallel`).
+
 * **Incremental re-checking**: :func:`check_proc` checks a root procedure
   in full.  A derived revision comes with the deriving rewrite's
   :class:`~repro.scheduling.cursors.Forwarder` (every rewrite has one), and
@@ -18,19 +22,24 @@
   moved) downstream of a touched path; the parent revision's verdicts
   stand for the rest.  ``analysis.incremental.{reused,rechecked}``
   counters record the savings.
+
+:func:`check_proc` discharges all three families from ONE
+execution-ordered :class:`~repro.core.dataflow.Walker` run, ``par`` loops
+included: each obligation assumes the walk's facts at its statement,
+which start with the procedure's assumptions.
 """
 
 from __future__ import annotations
 
+from ..analysis import parallel as _parallel
 from ..analysis.absint import prove
+from ..effects.api import Ctx
 from ..obs import trace as _obs
 from ..smt import terms as S
 from ..smt.solver import DEFAULT_SOLVER
 from . import ast as IR
-from . import types as T
 from .dataflow import Frame, Walker, bind_call, lower_ctrl
-from .ir2smt import proc_assumptions
-from .prelude import AssertCheckError, BoundsCheckError, Sym
+from .prelude import AssertCheckError, BoundsCheckError
 
 
 def _counterexample(assumptions, goal) -> str | None:
@@ -42,20 +51,6 @@ def _counterexample(assumptions, goal) -> str | None:
         return None
     items = sorted(model.items(), key=lambda kv: (kv[0].name, kv[0].id))
     return ", ".join(f"{s.name} = {v}" for s, v in items[:8])
-
-
-def bounds_check(proc: IR.Proc, scope=None):
-    """Prove every access in ``proc`` in-bounds; raise on failure.
-
-    With a :class:`RecheckScope`, only obligations the scope marks dirty
-    are re-proven (the walk still runs in full, maintaining dataflow
-    state, but goal assembly and proving are skipped elsewhere)."""
-    _run_checkers(proc, [_BoundsChecker(proc, scope)])
-
-
-def assert_check(proc: IR.Proc, scope=None):
-    """Prove every call's preconditions; raise on failure."""
-    _run_checkers(proc, [_AssertChecker(proc, scope)])
 
 
 def _run_checkers(proc: IR.Proc, checkers):
@@ -81,10 +76,11 @@ def _run_checkers(proc: IR.Proc, checkers):
 
 class _Checker:
     """One obligation family visited during a :class:`Walker` run; a
-    subclass names its obs ``span`` and the ``error`` class it raises."""
+    subclass names its obs ``span`` and the ``error`` class it raises.
+    Each obligation assumes the walk's ``facts`` at its statement: the
+    procedure's assumptions, then the enclosing control facts."""
 
-    def __init__(self, proc: IR.Proc, scope):
-        self.base = proc_assumptions(proc)
+    def __init__(self, scope):
         self.scope = scope
         # each a message line, or a thunk rendering one with its
         # counterexample (run only when the raised error is formatted)
@@ -118,12 +114,11 @@ class _BoundsChecker(_Checker):
     error = BoundsCheckError
 
     def check(self, goal, facts, what, srcinfo, detail=""):
-        assumptions = self.base + facts
-        if not prove(assumptions, goal, "bounds"):
+        if not prove(facts, goal, "bounds"):
 
             def line():
                 extras = [detail] if detail else []
-                cex = _counterexample(assumptions, goal)
+                cex = _counterexample(facts, goal)
                 if cex:
                     extras.append(f"counterexample: {cex}")
                 msg = f"{srcinfo}: cannot prove {what}"
@@ -164,30 +159,19 @@ class _BoundsChecker(_Checker):
                         ok = S.conj(
                             S.ge(lo, S.IntC(0)), S.le(lo, hi), S.le(hi, ext_t)
                         )
-                        self.check(
-                            ok,
-                            facts,
-                            f"window of {sub.name} in bounds",
-                            sub.srcinfo,
-                            detail=(
-                                f"interval [{S.term_to_str(lo)}, "
-                                f"{S.term_to_str(hi)}) vs extent "
-                                f"{S.term_to_str(ext_t)}"
-                            ),
-                        )
+                        shown = (f"interval [{S.term_to_str(lo)}, "
+                                 f"{S.term_to_str(hi)})")
                     else:
                         pt = lower_ctrl(w.pt, tenv, state)
                         ok = S.conj(S.ge(pt, S.IntC(0)), S.lt(pt, ext_t))
-                        self.check(
-                            ok,
-                            facts,
-                            f"window of {sub.name} in bounds",
-                            sub.srcinfo,
-                            detail=(
-                                f"index {S.term_to_str(pt)} vs extent "
-                                f"{S.term_to_str(ext_t)}"
-                            ),
-                        )
+                        shown = f"index {S.term_to_str(pt)}"
+                    self.check(
+                        ok,
+                        facts,
+                        f"window of {sub.name} in bounds",
+                        sub.srcinfo,
+                        detail=f"{shown} vs extent {S.term_to_str(ext_t)}",
+                    )
 
     def visit(self, s, path, facts, state, tenv):
         if not self.needs(path):
@@ -217,7 +201,6 @@ class _AssertChecker(_Checker):
     def visit(self, s, path, facts, state, tenv):
         if not isinstance(s, IR.Call) or not self.needs(path):
             return
-        base = self.base
         callee = s.proc
         frame = bind_call(s, state, Frame(tenv))
         shape_goals = []
@@ -240,27 +223,46 @@ class _AssertChecker(_Checker):
                     )
                 )
         for goal, what in shape_goals:
-            if not prove(base + facts, goal, "assert"):
+            if not prove(facts, goal, "assert"):
                 self.errors.append(
                     f"{s.srcinfo}: call to {callee.name}: cannot prove {what}"
                 )
         for pred in callee.preds:
-            if not prove(base + facts, frame.lower(pred, state), "assert"):
+            if not prove(facts, frame.lower(pred, state), "assert"):
                 self.errors.append(
                     f"{s.srcinfo}: call to {callee.name}: cannot prove "
                     f"precondition"
                 )
 
 
-def _check_bounds_and_asserts(proc: IR.Proc, scope=None):
-    """:func:`bounds_check` then :func:`assert_check`, from one walk."""
-    _run_checkers(
-        proc,
-        [
-            _BoundsChecker(proc, scope),
-            _AssertChecker(proc, scope),
-        ],
-    )
+class _ParLoopChecker:
+    """The race check of every ``par`` loop, user-written or kept by a
+    rewrite: the walk records each loop's context, and :meth:`finish`
+    checks the loops in program order until the first race raises."""
+
+    span = "analysis.parallel"
+
+    def __init__(self, scope):
+        self.scope = scope
+        self.loops = []  # (loop, its Ctx, or None when its verdict stands)
+
+    def visit(self, s, path, facts, state, tenv):
+        if not (isinstance(s, IR.For) and s.kind == "par"):
+            return
+        ctx = None
+        if self.scope is None or self.scope.needs_subtree(path):
+            ctx = Ctx(facts, state.copy(), tenv.copy())
+        self.loops.append((s, ctx))
+
+    def finish(self):
+        for loop, ctx in self.loops:
+            if ctx is None:
+                _obs.incr("analysis.incremental.reused")
+                continue
+            if self.scope is not None:
+                _obs.incr("analysis.incremental.rechecked")
+            with _obs.span(self.span):
+                _parallel._check_parallel_loop(ctx, loop, "par loop")
 
 
 def _actual_extent(actual, d, tenv, state):
@@ -349,16 +351,20 @@ class RecheckScope:
 
 
 def check_proc(proc: IR.Proc, fwd=None):
-    """Run the front-end pipeline: bounds, preconditions, and the race
-    detector over any ``par`` loops (user-written or rewrite-preserved).
-    Bounds and preconditions share one dataflow walk.
+    """Run the front-end pipeline from ONE dataflow walk: bounds,
+    preconditions, and the race detector over any ``par`` loops
+    (user-written or rewrite-preserved), reported in that order.
 
     ``fwd`` is the Forwarder of the rewrite that derived ``proc`` from an
     already-checked parent; only the obligations outside its blast radius
     keep the parent's verdicts.  Without one, ``proc`` is checked in full."""
     scope = None if fwd is None else RecheckScope(proc, fwd.touched,
                                                   fwd.ctx_dirty)
-    _check_bounds_and_asserts(proc, scope)
-    from ..analysis.parallel import check_par_loops  # deferred: avoids cycle
-
-    check_par_loops(proc, scope=scope)
+    _run_checkers(
+        proc,
+        [
+            _BoundsChecker(scope),
+            _AssertChecker(scope),
+            _ParLoopChecker(scope),
+        ],
+    )

@@ -33,7 +33,7 @@ from ..smt import terms as S
 from .prelude import InternalError, Sym
 from . import ast as IR
 from .buffers import TypeEnv
-from .ir2smt import config_sym, lower_expr
+from .ir2smt import config_sym, lower_expr, proc_assumptions
 
 
 class GlobalState:
@@ -286,7 +286,11 @@ class Walker:
     """Execution-ordered walk of a procedure with dataflow and facts.
 
     ``visit(stmt, path, facts, state, tenv)`` is called for every statement
-    in program order with the *pre*-state.  Loop bodies are visited once,
+    in program order with the *pre*-state.  ``facts`` are the procedure's
+    assumptions (:func:`~repro.core.ir2smt.proc_assumptions`, seeded
+    here once) followed by the enclosing loop bounds and branch
+    conditions: an obligation posed at ``stmt`` assumes exactly these.
+    Loop bodies are visited once,
     under the stabilized entry state and with the iteration-bound facts in
     scope; the loop-entry fixpoint rounds and callee bodies run the
     non-visiting :func:`walk_state`, so each loop body is walked once per
@@ -299,10 +303,8 @@ class Walker:
         self.visit = visit
 
     def run(self, state: Optional[GlobalState] = None) -> GlobalState:
-        from .ir2smt import proc_assumptions
-
         state = state or GlobalState()
-        facts = list(proc_assumptions(self.proc))
+        facts = proc_assumptions(self.proc)
         return self._walk_block(
             self.proc.body, [("body", None)], facts, state, Frame(TypeEnv(self.proc))
         )
@@ -366,8 +368,9 @@ def iter_contexts(proc: IR.Proc) -> list:
 
     This is the bulk counterpart of :func:`state_before` (which re-walks
     the whole procedure per query): whole-procedure analyses -- the
-    sanitizers in :mod:`repro.analysis.sanitize` -- visit every statement
-    and would otherwise pay a quadratic number of walks."""
+    sanitizers in :mod:`repro.analysis.sanitize` and the parallelism lint
+    -- visit every statement or loop and would otherwise pay a quadratic
+    number of walks."""
     out = []
 
     def visit(s, path, facts, state, tenv):
@@ -383,8 +386,8 @@ class _Found(Exception):
 
 # (proc, {path: (facts, state, tenv)}): the contexts computed for the most
 # recently queried procedure.  A scheduling directive runs all its checks on
-# one (immutable) procedure, and several of them -- ``Ctx``, ``post_effect``
-# -- ask for the same path, so the memo spans one directive's checks and is
+# one (immutable) procedure, and several of them ask for the same path
+# (each its own ``Ctx.at``), so the memo spans one directive's checks and is
 # replaced by the next directive's procedure.
 _STATE_BEFORE_MEMO = [None, {}]
 

@@ -109,11 +109,16 @@ def _is_bool_term(t: S.Term) -> bool:
 
 
 def proc_assumptions(proc: IR.Proc):
-    """Facts the analysis may assume inside ``proc``:
+    """Facts the analysis may assume inside ``proc``, each once, in
+    first-occurrence order (``n >= 1`` for a size ``n`` is also the
+    positivity of every extent ``n``):
 
     * every ``size``-typed argument is strictly positive,
     * every declared predicate (static assertion) holds,
     * tensor extents are strictly positive.
+
+    The :class:`~repro.core.dataflow.Walker` seeds every walk's facts with
+    this list; nothing else adds it again.
     """
     facts = []
     for a in proc.args:
@@ -124,4 +129,4 @@ def proc_assumptions(proc: IR.Proc):
                 facts.append(S.ge(lower_expr(h), S.IntC(1)))
     for p in proc.preds:
         facts.append(lower_expr(p))
-    return facts
+    return list(dict.fromkeys(facts))

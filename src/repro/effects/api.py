@@ -25,7 +25,6 @@ from ..analysis.absint import prove
 from ..core import ast as IR
 from ..core.dataflow import GlobalState, state_before
 from ..obs import trace as _obs
-from ..core.ir2smt import proc_assumptions
 from ..core.prelude import SchedulingError, Sym
 from ..smt import terms as S
 from .effects import (
@@ -46,17 +45,22 @@ def fresh_point(rank: int):
 
 
 class Ctx:
-    """The contextual data for a rewrite at ``path`` (§6.1)."""
+    """The contextual data for an obligation at a statement (§6.1): the
+    facts a walk holds there -- the procedure's assumptions, then the
+    enclosing control facts (``CtrlPred``) -- which are the obligation's
+    ``assumptions``, and the config state (``PreValG``) and type
+    environment before the statement.  A walk that visits the statement
+    builds one from what it holds; :meth:`at` walks to it."""
 
-    def __init__(self, proc: IR.Proc, path):
-        self.proc = proc
-        self.path = tuple(path)
-        with _obs.span("effects.context"):
-            facts, state, tenv = state_before(proc, path)
-        self.facts = facts
+    def __init__(self, facts, state: GlobalState, tenv):
+        self.assumptions = facts
         self.state = state
         self.tenv = tenv
-        self.assumptions = proc_assumptions(proc) + facts
+
+    @classmethod
+    def at(cls, proc: IR.Proc, path) -> "Ctx":
+        with _obs.span("effects.context"):
+            return cls(*state_before(proc, path))
 
     def extractor(self) -> EffectExtractor:
         return EffectExtractor(self.tenv.copy(), self.state.copy())
@@ -179,7 +183,7 @@ def check_commutes(ctx: Ctx, a1, a2, what="reorder", fission_pair=None):
 
 def check_reorder_stmts(proc: IR.Proc, path, n1: int, n2: int):
     """Safety of swapping two adjacent statement blocks."""
-    ctx = Ctx(proc, path)
+    ctx = Ctx.at(proc, path)
     fld, idx = path[-1]
     container_block = _block_at(proc, path)
     ex = ctx.extractor()
@@ -193,7 +197,7 @@ def check_fission(proc: IR.Proc, loop_path, split_idx: int, what="fission"):
     loop = IR.get_stmt(proc, loop_path)
     if not isinstance(loop, IR.For):
         raise SchedulingError(f"{what}: not a loop")
-    ctx = Ctx(proc, loop_path)
+    ctx = Ctx.at(proc, loop_path)
     x = loop.iter
     ex = ctx.extractor()
     lo = ex._ctrl(loop.lo)
@@ -212,8 +216,7 @@ def check_fission(proc: IR.Proc, loop_path, split_idx: int, what="fission"):
         S.lt(S.Var(x2), hi),
         S.lt(S.Var(x2), S.Var(x)),
     ]
-    ctx2 = Ctx(proc, loop_path)
-    ctx2.assumptions = ctx.assumptions + bound
+    ctx2 = Ctx(ctx.assumptions + bound, ctx.state, ctx.tenv)
     check_commutes(ctx2, a1, a2r, what, fission_pair=(x, x2))
 
 
@@ -227,7 +230,7 @@ def check_reorder_loops(proc: IR.Proc, outer_path):
     ):
         raise SchedulingError("reorder: requires two perfectly nested loops")
     inner = outer.body[0]
-    ctx = Ctx(proc, outer_path)
+    ctx = Ctx.at(proc, outer_path)
     ex = ctx.extractor()
     lo1, hi1 = ex._ctrl(outer.lo), ex._ctrl(outer.hi)
     x = outer.iter
@@ -250,15 +253,14 @@ def check_reorder_loops(proc: IR.Proc, outer_path):
         S.lt(S.Var(x), S.Var(x2)),
         S.lt(S.Var(y2), S.Var(y)),
     ]
-    ctx2 = Ctx(proc, outer_path)
-    ctx2.assumptions = ctx.assumptions + bound
+    ctx2 = Ctx(ctx.assumptions + bound, ctx.state, ctx.tenv)
     check_commutes(ctx2, a, a2, "reorder")
 
 
 def check_remove_loop(proc: IR.Proc, loop_path):
     """§5.8 loop removal: trip count >= 1 and an idempotent body."""
     loop = IR.get_stmt(proc, loop_path)
-    ctx = Ctx(proc, loop_path)
+    ctx = Ctx.at(proc, loop_path)
     ex = ctx.extractor()
     lo, hi = ex._ctrl(loop.lo), ex._ctrl(loop.hi)
     if loop.iter in IR.free_vars(loop.body):
@@ -312,7 +314,7 @@ def _check_shadows(ctx: Ctx, a1, a2, what):
 def check_condition(proc: IR.Proc, path, cond: IR.Expr, what):
     """Prove a control condition holds at ``path`` (used by add_guard,
     perfect split divisibility, partition_loop, ...)."""
-    ctx = Ctx(proc, path)
+    ctx = Ctx.at(proc, path)
     ex = ctx.extractor()
     goal = ex._ctrl(cond)
     if not prove(ctx.assumptions, goal, "rewrite"):
@@ -328,10 +330,10 @@ def check_condition(proc: IR.Proc, path, cond: IR.Expr, what):
         raise SchedulingError(msg, witness=render)
 
 
-def post_effect(proc: IR.Proc, path):
+def post_effect(proc: IR.Proc, path, tenv):
     """PostEff (§6.1): the effect of everything after the stmt at ``path``,
-    with configuration state havoced (sound for read-set queries)."""
-    _facts, _state, tenv = state_before(proc, path)
+    whose context's type environment is ``tenv``, with configuration
+    state havoced (sound for read-set queries)."""
     stmt = IR.get_stmt(proc, path)
     tenv = tenv.copy()
     tenv.enter_stmt(stmt)
@@ -352,8 +354,8 @@ def check_config_pollution(proc: IR.Proc, path, fields):
     sequencing subtraction that makes the §2.4 hoisting flow legal)."""
     if not fields:
         return
-    post = post_effect(proc, path)
-    ctx = Ctx(proc, path)
+    ctx = Ctx.at(proc, path)
+    post = post_effect(proc, path, ctx.tenv)
     errors = []
     for g in fields:
         f = gmem_exposed(post, g)

@@ -711,8 +711,7 @@ def configwrite_root(proc, config, field: str, rhs: IR.Expr):
 # ---------------------------------------------------------------------------
 
 
-def stage_mem(proc, match: StmtMatch, window: IR.WindowExpr, new_name: str,
-              init_zero: bool = False):
+def stage_mem(proc, match: StmtMatch, window: IR.WindowExpr, new_name: str):
     """Stage a window of a buffer through a new buffer around a block.
 
     Inserts ``new = buf[window]`` copy-in loops before the block and
@@ -721,7 +720,7 @@ def stage_mem(proc, match: StmtMatch, window: IR.WindowExpr, new_name: str,
     the block touches ``buf`` only within the window.
     """
     buf = window.name
-    ctx = EA.Ctx(proc, match.path)
+    ctx = EA.Ctx.at(proc, match.path)
     view = ctx.tenv.view(buf)
     if view.root is not buf:
         raise SchedulingError("stage_mem: buffer must be an argument or allocation")
@@ -800,7 +799,7 @@ def stage_mem(proc, match: StmtMatch, window: IR.WindowExpr, new_name: str,
     # rewrite accesses within the block
     new_block = _rewrite_accesses(block, buf, sym, window.idx)
     stmts = [alloc]
-    if reads or (writes and not _covers(ctx, eff, buf, rank, box)) or init_zero:
+    if reads or (writes and not _covers(ctx, eff, buf, rank, box)):
         stmts.append(copy_loops(store=False))
     off = len(stmts)  # alloc + optional copy-in precede the block
     stmts.extend(new_block)

@@ -3,8 +3,9 @@
 ``Solver.prove(phi)`` decides validity of a quantified LIA formula by
 refuting its negation; ``Solver.satisfiable(phi)`` decides satisfiability.
 Quantifiers are eliminated recursively with the Omega test
-(:mod:`repro.smt.omega`); quasi-affine ``/`` and ``%`` are purified into
-fresh existential variables with defining constraints; boolean variables
+(:mod:`repro.smt.omega`); quasi-affine ``/`` and ``%`` are purified by
+:class:`~repro.smt.linear.Linearizer` into existential quotient variables
+with defining constraints, one per distinct division; boolean variables
 (used by the ternary-logic encoding of the effect analysis) are treated as
 opaque literals.
 """
@@ -21,6 +22,7 @@ from ..obs import trace as _obs
 from ..obs.smtstats import STATS as _SMT_STATS
 from ..obs.smtstats import QueryCache, canonical_key, current_category
 from . import terms as S
+from .linear import Linearizer, NonAffine
 from .omega import DIV, EQ, GEQ, Constraint, LinExpr, feasible, project
 
 _CMP_NEG = {"==": "!=", "<=": ">", "<": ">=", ">=": "<", ">": "<="}
@@ -177,69 +179,8 @@ def dnf_stream(t, prune=None) -> Iterable[List]:
 
 
 # ---------------------------------------------------------------------------
-# Atom -> linear constraints
+# Linear constraints -> formulas
 # ---------------------------------------------------------------------------
-
-
-class _Purifier:
-    """Collects fresh variables and defining constraints for div/mod."""
-
-    def __init__(self):
-        self.aux_vars = []
-        self.aux_cons = []
-
-    def to_lin(self, t) -> LinExpr:
-        if isinstance(t, S.Var):
-            if t.sort != S.INT:
-                raise InternalError("boolean variable in arithmetic position")
-            return LinExpr.var(t.sym)
-        if isinstance(t, S.IntC):
-            return LinExpr.constant(t.val)
-        if isinstance(t, S.Add):
-            out = LinExpr.constant(0)
-            for a in t.args:
-                out = out.add(self.to_lin(a))
-            return out
-        if isinstance(t, S.Scale):
-            return self.to_lin(t.arg).scale(t.coeff)
-        if isinstance(t, S.FloorDiv):
-            la = self.to_lin(t.arg)
-            q = Sym("q")
-            self.aux_vars.append(q)
-            dq = LinExpr.var(q, t.divisor)
-            # la - d*q >= 0   and   d*q + (d-1) - la >= 0
-            self.aux_cons.append(Constraint(la.add(dq.scale(-1)), GEQ))
-            self.aux_cons.append(
-                Constraint(dq.add(la.scale(-1)).add(LinExpr.constant(t.divisor - 1)), GEQ)
-            )
-            return LinExpr.var(q)
-        if isinstance(t, S.Mod):
-            la = self.to_lin(t.arg)
-            q = Sym("q")
-            self.aux_vars.append(q)
-            r = la.add(LinExpr.var(q, -t.divisor))
-            self.aux_cons.append(Constraint(r, GEQ))
-            self.aux_cons.append(
-                Constraint(r.scale(-1).add(LinExpr.constant(t.divisor - 1)), GEQ)
-            )
-            return r
-        raise InternalError(f"to_lin: non-linear term {t!r}")
-
-    def atom(self, t: S.Cmp) -> List[Constraint]:
-        l = self.to_lin(t.lhs)
-        r = self.to_lin(t.rhs)
-        diff = l.add(r.scale(-1))
-        if t.op == "==":
-            return [Constraint(diff, EQ)]
-        if t.op == ">=":
-            return [Constraint(diff, GEQ)]
-        if t.op == ">":
-            return [Constraint(diff.add(LinExpr.constant(-1)), GEQ)]
-        if t.op == "<=":
-            return [Constraint(diff.scale(-1), GEQ)]
-        if t.op == "<":
-            return [Constraint(diff.scale(-1).add(LinExpr.constant(-1)), GEQ)]
-        raise InternalError(f"atom: unknown op {t.op}")
 
 
 def _lin_to_term(e: LinExpr):
@@ -508,18 +449,27 @@ class Solver:
 
 
 def _linear_system(literals, what=None):
-    """Purify a conjunct's literals into Omega constraints.
+    """A conjunct's literals as Omega constraints, from the
+    :class:`~repro.smt.linear.Linearizer`'s rows: an ``EQ`` per ``==``
+    atom, ``GEQ`` otherwise and for the quotients' defining rows.
 
-    Returns ``(constraints, bool literals, auxiliary vars)``, or None when
-    the conjunct holds a FALSE literal or a boolean conflict.  Any other
-    literal is unexpected: with ``what`` (the caller's name) it raises
+    Returns ``(constraints, bool literals, quotient vars)``, or None when
+    the conjunct holds a FALSE literal or a boolean conflict.  A
+    non-linear term raises :class:`InternalError`.  Any other literal is
+    unexpected: with ``what`` (the caller's name) it raises
     :class:`InternalError`, without it the conjunct is given up (None)."""
-    pur = _Purifier()
-    cons = []
+    lz = Linearizer()
+    rows = []
     bools = []
     for lit in literals:
         if isinstance(lit, S.Cmp):
-            cons.extend(pur.atom(lit))
+            try:
+                if lit.op == "==":
+                    rows.append((lz.diff(lit.lhs, lit.rhs), EQ))
+                else:
+                    rows.extend((r, GEQ) for r in lz.atom_cons(lit))
+            except NonAffine:
+                raise InternalError(f"non-linear atom {lit!r}") from None
         elif isinstance(lit, (S.Var, S.Not)):
             bools.append(lit)
         elif isinstance(lit, S.BoolC):
@@ -531,7 +481,9 @@ def _linear_system(literals, what=None):
             raise InternalError(f"{what}: unexpected literal {lit!r}")
     if _bool_conflict(bools):
         return None
-    return cons + pur.aux_cons, bools, pur.aux_vars
+    rows.extend((r, GEQ) for r in lz.cons)
+    cons = [Constraint(LinExpr.make(m, c), kind) for (c, m), kind in rows]
+    return cons, bools, list(lz.quotients.values())
 
 
 def _strip_exists(t):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.prelude import Sym
+from repro.core.prelude import InternalError, Sym
 from repro.smt import terms as S
-from repro.smt.solver import Solver, dnf_stream, elim_ite, nnf
+from repro.smt.omega import EQ, GEQ
+from repro.smt.solver import Solver, _linear_system, dnf_stream, elim_ite, nnf
 
 
 @pytest.fixture
@@ -272,6 +273,25 @@ def _contains_ite(t):
 
 
 class TestInternals:
+    def test_linear_system_shares_a_division_quotient(self):
+        n = Sym("n")
+        lits = [
+            S.ge(S.floordiv(V(n), 4), S.IntC(1)),
+            S.eq(S.mod(V(n), 4), S.IntC(0)),
+        ]
+        cons, _bools, quotients = _linear_system(lits, "sat")
+        # n / 4 and n % 4 share one quotient and its two defining rows
+        assert len(quotients) == 1
+        assert [c.kind for c in cons] == [GEQ, EQ, GEQ, GEQ]
+
+    def test_non_linear_term_is_an_internal_error(self, solver):
+        bad = S.Cmp(">=", S.Var(Sym("b"), S.BOOL), S.IntC(0))
+        with pytest.raises(InternalError):
+            _linear_system([bad], "sat")
+        with pytest.raises(InternalError):
+            solver.satisfiable(bad)
+        assert solver.find_model(bad) is None
+
     def test_nnf_pushes_negation(self):
         x = Sym("x")
         a = S.lt(V(x), S.IntC(1))
