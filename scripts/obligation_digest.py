@@ -12,12 +12,13 @@ arguments in order, and runs two jobs in one process:
 * the depth-3 action-space beam search over ``sgemm_tune_base()``
   (seed 0, budget 40).
 
-It prints the call count per entry point; ``facts``, the total length
-of the assumption lists passed to ``try_prove``; and two sha256 digests
-of the obligation stream: ``raw`` hashes each obligation's ``repr`` as
-is, so it includes every ``Sym``'s process-wide id; ``renumbered`` first
-renumbers the ``Sym`` ids within each obligation by first appearance,
-so it only moves when the formulas or their order do.
+It prints the call count per entry point; ``facts``, the total number
+of fact terms in the ``Facts`` contexts passed to ``try_prove``; and two
+sha256 digests of the obligation stream: ``raw`` hashes each
+obligation's ``repr`` as is, so it includes every ``Sym``'s process-wide
+id; ``renumbered`` first renumbers the ``Sym`` ids within each
+obligation by first appearance, so it only moves when the formulas or
+their order do.
 
 Running it twice must print the same raw digest: an obligation stream
 that depends on object addresses does not (CI runs it three times).
@@ -58,7 +59,7 @@ def _record(log):
         def recorded(*args):
             # drop the solver instance: its repr carries an address
             shown = args[1:] if isinstance(owner, type) else args
-            facts = len(shown[0]) if kind == "try_prove" else 0
+            facts = len(shown[0].terms) if kind == "try_prove" else 0
             log.append((kind, repr(shown), facts))
             return inner(*args)
 

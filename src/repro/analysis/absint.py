@@ -6,16 +6,23 @@ show solver time dominating ``check_proc`` even with the canonical query
 cache.  Yet the overwhelming majority of those goals are trivial affine
 facts: ``0 <= 16*io + ii < n`` under ``0 <= io < n/16, 0 <= ii < 16``.
 
-This module decides exactly that fragment with a capped Fourier-Motzkin
-refutation engine over linear integer constraints:
+This module decides exactly that fragment, and bounded disjunctions of
+it, with a capped Fourier-Motzkin refutation engine over linear integer
+constraints:
 
-* :func:`try_prove` -- can ``assumptions ⟹ goal`` be established by affine
+* :func:`try_prove` -- can ``facts ⟹ goal`` be established by affine
   reasoning alone?  It only ever answers *proved* or *unknown*, never
   *disproved*, so callers fall through to the solver on unknown and no
-  verdict can flip.  Soundness: the goal's negation is conjoined with the
-  (weakened) context facts and refuted; infeasibility over the rationals
-  (what FM decides, tightened with gcd normalization over the integers)
-  implies integer infeasibility, which implies validity.
+  verdict can flip.  Soundness: the goal's negation, expanded into at
+  most :data:`MAX_BRANCHES` conjunctive branches (:func:`_branches`), is
+  conjoined branch by branch with the (weakened) context facts and
+  refuted; infeasibility over the rationals (what FM decides, tightened
+  with gcd normalization over the integers) implies integer
+  infeasibility, which implies validity.
+
+* :class:`Facts` -- an obligation's context: the fact terms, their rows
+  linearized once per scope of a walk (:meth:`Facts.push` adds a nested
+  scope's facts), and a memo of the goals already decided under them.
 
 * Quasi-affine ``/`` and ``%`` are purified by
   :class:`~repro.smt.linear.Linearizer` (the solver's converter too) into
@@ -53,7 +60,7 @@ from ..core.prelude import Sym
 from ..obs import smtstats as _smtstats
 from ..obs import trace as _obs
 from ..smt import terms as S
-from ..smt.linear import Lin, Linearizer, NonAffine
+from ..smt.linear import NEGATED, Lin, Linearizer, NonAffine
 from ..smt.solver import DEFAULT_SOLVER
 
 #: give-up thresholds keeping the fast path strictly cheap: anything larger
@@ -62,6 +69,8 @@ MAX_VARS = 24
 MAX_CONS = 192
 MAX_COMBOS = 96
 MAX_COEF = 10**15
+#: the most conjunctive branches a negated goal may expand into
+MAX_BRANCHES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +103,24 @@ def _dedupe(cons: List[Lin]) -> List[Lin]:
     return list(best.values())
 
 
+def _elimination_var(work: List[Lin], vars_) -> Tuple[Sym, int]:
+    """The variable to eliminate next and its cost: the fewest pos*neg
+    pairings, ties to the lowest ``Sym`` id.  (``vars_`` is a set, ordered
+    by object address; the caps make the outcome depend on the order, so
+    the choice must not.)  Rows are normalized: every stored coefficient
+    is nonzero."""
+    pos: Dict[Sym, int] = {}
+    neg: Dict[Sym, int] = {}
+    for _c, m in work:
+        for k, a in m.items():
+            side = pos if a > 0 else neg
+            side[k] = side.get(k, 0) + 1
+    return min(
+        ((v, pos.get(v, 0) * neg.get(v, 0)) for v in vars_),
+        key=lambda vc: (vc[1], vc[0].id),
+    )
+
+
 def refute(cons: List[Lin]) -> bool:
     """Is the conjunction of ``cons`` (each ``const + Σ coeff·var >= 0``)
     infeasible?  ``True`` is a proof of infeasibility (over the rationals,
@@ -114,19 +141,7 @@ def refute(cons: List[Lin]) -> bool:
     if len(vars_) > MAX_VARS:
         return False
     while vars_:
-        # eliminate the variable with the fewest pos*neg pairings
-        # (rows are normalized: every stored coefficient is nonzero)
-        pos: Dict[Sym, int] = {}
-        neg: Dict[Sym, int] = {}
-        for _c, m in work:
-            for k, a in m.items():
-                side = pos if a > 0 else neg
-                side[k] = side.get(k, 0) + 1
-        best_v, best_cost = None, None
-        for v in vars_:
-            cost = pos.get(v, 0) * neg.get(v, 0)
-            if best_cost is None or cost < best_cost:
-                best_v, best_cost = v, cost
+        best_v, best_cost = _elimination_var(work, vars_)
         if best_cost > MAX_COMBOS:
             return False
         keep, pos_rows, neg_rows = [], [], []
@@ -165,7 +180,7 @@ def refute(cons: List[Lin]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Goal decomposition
+# Fact contexts
 # ---------------------------------------------------------------------------
 
 
@@ -202,30 +217,125 @@ def _collect_fact(f: S.Term, out: List[Lin], lz: Linearizer):
     # Or, quantifiers, boolean variables: drop (weakening)
 
 
-def _pos_atoms(t: S.Term, out: List[Lin], lz: Linearizer) -> bool:
-    """Flatten a positive conjunction (through ``Exists``) into constraints.
-    Returns False when a non-conjunctive or non-affine subformula appears.
+class Facts:
+    """The facts an obligation assumes, linearized once for every goal
+    posed under them.
 
-    Stripping ``Exists`` is sound here because the result is only ever
-    *refuted* together with the facts, and each binder is renamed apart
-    first: the bound variables then occur nowhere else, so refuting with
-    them free proves the negation of the existential."""
-    if t == S.TRUE:
-        return True
-    if t == S.FALSE:
-        out.append((-1, {}))
-        return True
-    if isinstance(t, S.Exists):
-        return _pos_atoms(S.open_binder(t)[1], out, lz)
-    if isinstance(t, S.And):
-        return all(_pos_atoms(a, out, lz) for a in t.args)
+    A ``Facts`` is immutable.  :attr:`terms` are the fact terms, in order:
+    the solver fallback and counterexample searches take them (a
+    ``Facts`` iterates over them, so ``S.conj(*facts)`` works).  The fast
+    path takes their rows: the affine facts as GEQ constraints, then the
+    defining rows of the divisions they purify, built on the first goal
+    and shared by every later one.  :meth:`push` opens a nested scope --
+    a loop body's iteration bounds, a branch's condition -- whose rows
+    extend its parent's, so each fact is linearized once per walk.
+    :attr:`memo` maps each goal already asked under these facts to the
+    fast path's answer: the same access or condition checked twice in one
+    scope is refuted once."""
+
+    __slots__ = ("terms", "memo", "_parent", "_new", "_lin")
+
+    def __init__(self, terms: tuple, parent: Optional["Facts"], new: tuple):
+        self.terms = terms
+        #: goal -> the fast path's answer under these facts
+        self.memo: Dict[S.Term, bool] = {}
+        self._parent = parent
+        self._new = new
+        self._lin = None
+
+    @classmethod
+    def of(cls, terms) -> "Facts":
+        """A root context holding ``terms``."""
+        terms = tuple(terms)
+        return cls(terms, None, terms)
+
+    def push(self, terms) -> "Facts":
+        """The context of a nested scope: these facts, then ``terms``."""
+        new = tuple(terms)
+        return Facts(self.terms + new, self, new)
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, Facts) and self.terms == other.terms
+
+    def __repr__(self):
+        return f"Facts({list(self.terms)!r})"
+
+    def _linearized(self):
+        """``(rows, qrows, context, quotients)``: the fact rows, the
+        quotients' defining rows, the two concatenated (the context every
+        goal is refuted against), and the division -> quotient map a
+        goal's converter starts from.  Built on first use from the
+        parent's, linearizing only this scope's own facts."""
+        lin = self._lin
+        if lin is None:
+            if self._parent is None:
+                rows, qrows, quotients = [], [], None
+            else:
+                rows, qrows, _context, quotients = self._parent._linearized()
+            lz = Linearizer(quotients)
+            rows = list(rows)
+            _collect_facts(self._new, rows, lz)
+            qrows = qrows + lz.cons
+            lin = self._lin = (rows, qrows, rows + qrows, lz.quotients)
+        return lin
+
+
+# ---------------------------------------------------------------------------
+# Goal decomposition
+# ---------------------------------------------------------------------------
+
+def _branches(t: S.Term, positive: bool = False
+              ) -> Optional[List[Tuple[S.Cmp, ...]]]:
+    """``not t`` (or ``t`` when ``positive``) as a disjunction of
+    conjunctive branches of comparisons, in negation normal form: a goal
+    ``t`` is valid under the facts when the facts refute every branch.
+    ``None`` (unknown) when the formula has a universal quantifier under
+    positive polarity, a non-arithmetic atom, or more than
+    :data:`MAX_BRANCHES` branches.
+
+    Opening an existential under positive polarity is sound because each
+    branch is only ever *refuted* together with the facts, and each
+    binder is renamed apart first (:func:`~repro.smt.terms.open_binder`):
+    the bound variables then occur nowhere else, so refuting the branch
+    with them free refutes the existential."""
+    if isinstance(t, S.BoolC):
+        return [()] if t.val == positive else []
+    if isinstance(t, S.Not):
+        return _branches(t.arg, not positive)
     if isinstance(t, S.Cmp):
-        try:
-            out.extend(lz.atom_cons(t))
-        except NonAffine:
-            return False
-        return True
-    return False
+        if positive:
+            return [(t,)]
+        if t.op == "==":
+            return [(S.Cmp(">", t.lhs, t.rhs),), (S.Cmp("<", t.lhs, t.rhs),)]
+        return [(S.Cmp(NEGATED[t.op], t.lhs, t.rhs),)]
+    if isinstance(t, (S.And, S.Or)):
+        if isinstance(t, S.And) == positive:  # a conjunction: cross product
+            out = [()]
+            for a in t.args:
+                part = _branches(a, positive)
+                if part is None:
+                    return None
+                out = [b + c for b in out for c in part]
+                if len(out) > MAX_BRANCHES:
+                    return None
+            return out
+        out = []
+        for a in t.args:
+            part = _branches(a, positive)
+            if part is None:
+                return None
+            out += part
+            if len(out) > MAX_BRANCHES:
+                return None
+        return out
+    if isinstance(t, (S.Exists, S.ForAll)):
+        if isinstance(t, S.Exists) != positive:
+            return None  # a universal: no conjunctive form
+        return _branches(S.open_binder(t)[1], positive)
+    return None  # boolean variables, if-then-else formulas
 
 
 def _cone(context: List[Lin], goal_rows: List[Lin]) -> List[Lin]:
@@ -265,47 +375,38 @@ def _refute_goal(context: List[Lin], goal_rows: List[Lin]) -> bool:
     return refute(context + goal_rows)
 
 
-def _prove_goal(goal: S.Term, facts: List[Lin], lz: Linearizer) -> bool:
-    if goal == S.TRUE:
+def _decide(facts: Facts, goal: S.Term) -> bool:
+    branches = _branches(goal)
+    if branches is None:
+        return False
+    if not branches:
         return True
-    if isinstance(goal, S.And):
-        return all(_prove_goal(a, facts, lz) for a in goal.args)
-    if isinstance(goal, S.Cmp):
+    _rows, _qrows, context, quotients = facts._linearized()
+    for branch in branches:
+        lz = Linearizer(quotients)
         try:
-            if goal.op == "==":
-                # prove both directions: refute facts ∧ (l > r), facts ∧ (l < r)
-                le_dir = lz.neg_atom_cons(S.Cmp("<=", goal.lhs, goal.rhs))
-                ge_dir = lz.neg_atom_cons(S.Cmp(">=", goal.lhs, goal.rhs))
-                return _refute_goal(facts + lz.cons, le_dir) and _refute_goal(
-                    facts + lz.cons, ge_dir
-                )
-            neg = lz.neg_atom_cons(goal)
+            rows = [r for atom in branch for r in lz.atom_cons(atom)]
         except NonAffine:
             return False
-        return _refute_goal(facts + lz.cons, neg)
-    if isinstance(goal, S.Not):
-        atoms: List[Lin] = []
-        if not _pos_atoms(goal.arg, atoms, lz):
+        if not _refute_goal(context + lz.cons, rows):
             return False
-        return _refute_goal(facts + lz.cons, atoms)
-    return False
+    return True
 
 
-def try_prove(assumptions, goal: S.Term) -> bool:
-    """Can affine reasoning alone establish ``assumptions ⟹ goal``?
+def try_prove(facts: Facts, goal: S.Term) -> bool:
+    """Can affine reasoning alone establish ``facts ⟹ goal``?
 
     Only ever answers ``True`` (proved) or ``False`` (unknown) -- it never
     claims a goal false, so callers can always fall through to the full
-    solver on ``False``."""
-    if goal == S.TRUE:
-        return True
+    solver on ``False``.  The answer is remembered in ``facts.memo``."""
+    memo = facts.memo
     try:
-        lz = Linearizer()
-        facts: List[Lin] = []
-        _collect_facts(assumptions, facts, lz)
-        return _prove_goal(goal, facts, lz)
-    except (NonAffine, RecursionError):
+        ok = memo.get(goal)
+        if ok is None:
+            ok = memo[goal] = _decide(facts, goal)
+    except RecursionError:
         return False
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +419,8 @@ def _count(event: str, category: str):
     _obs.incr(f"analysis.absint.{category}.{event}")
 
 
-def prove(assumptions, goal: S.Term, category: str) -> bool:
-    """Discharge ``assumptions ⟹ goal``: the interval fast path first, then
+def prove(facts: Facts, goal: S.Term, category: str) -> bool:
+    """Discharge ``facts ⟹ goal``: the interval fast path first, then
     :data:`~repro.smt.solver.DEFAULT_SOLVER` (with its canonical verdict
     cache) on fall-through.  This is the one route by which every safety
     obligation -- bounds, assert, parallel, rewrite, sanitize, dataflow --
@@ -328,13 +429,13 @@ def prove(assumptions, goal: S.Term, category: str) -> bool:
     solver queries."""
     _count("tried", category)
     with _obs.span("analysis.absint"):
-        ok = try_prove(assumptions, goal)
+        ok = try_prove(facts, goal)
     if ok:
         _count("discharged", category)
         return True
     _count("fellthrough", category)
     with _smtstats.query_category(category):
-        return DEFAULT_SOLVER.prove(S.implies(S.conj(*assumptions), goal))
+        return DEFAULT_SOLVER.prove(S.implies(S.conj(*facts), goal))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ it alone (:func:`check_parallel_loop`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..core import ast as IR
 from ..core.dataflow import iter_contexts
@@ -153,7 +153,7 @@ def _check_parallel_loop(ctx: Ctx, loop: IR.For, what):
         S.lt(S.Var(x2), hi),
         S.lt(S.Var(x2), S.Var(x)),
     ]
-    assumptions = ctx.assumptions + bound
+    assumptions = ctx.assumptions.push(bound)
 
     bufs = buffers_of(a)
     for root in sorted(bufs, key=lambda s: (s.name, s.id)):

@@ -26,7 +26,6 @@ from dataclasses import replace as _dc_replace
 
 from .core import ast as IR
 from .core import checks as _checks
-from .core import types as T
 from .core.cgen import compile_procs
 from .core.configs import Config, config_from_class
 from .core.interp import run_proc

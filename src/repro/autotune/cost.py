@@ -22,7 +22,6 @@ answered from the cache (``autotune.cost_cache_hits``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core import ast as IR

@@ -19,13 +19,12 @@ memory-addressability are validated immediately before code generation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .prelude import BackendError, InternalError, Sym, _FreshNamer
 from . import ast as IR
 from . import types as T
-from .buffers import TypeEnv
-from .memory import DRAM, Memory
+from .memory import DRAM
 
 
 # ---------------------------------------------------------------------------

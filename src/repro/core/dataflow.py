@@ -25,9 +25,9 @@ through it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-from ..analysis.absint import prove
+from ..analysis.absint import Facts, prove
 from ..obs import trace as _obs
 from ..smt import terms as S
 from .prelude import InternalError, Sym
@@ -245,15 +245,15 @@ def loop_fixpoint(body, state: GlobalState, frame: Frame):
     raise InternalError("config dataflow failed to converge")
 
 
-def walk_loop(s: IR.For, state: GlobalState, frame: Frame, facts=(),
-              visit=None) -> GlobalState:
+def walk_loop(s: IR.For, state: GlobalState, frame: Frame,
+              facts: Optional[Facts] = None, visit=None) -> GlobalState:
     """The config state after loop ``s``: :func:`loop_fixpoint`, then the
     exit rule.  ``visit(entry, lo, hi)``, when given, walks the body once
     under the stabilized entry state.
 
     The exit rule: a field whose exit value is the same definite,
     iteration-independent term every iteration keeps that value when the
-    loop provably runs (``lo < hi`` under ``facts``, the control facts the
+    loop provably runs (``lo < hi`` under ``facts``, the :class:`Facts` the
     walk holds -- none, outside the :class:`Walker`'s own statements); this
     is the config-hoisting pattern of §2.4.  Anything else the loop may
     change is havoced (zero-or-variant trips)."""
@@ -270,7 +270,9 @@ def walk_loop(s: IR.For, state: GlobalState, frame: Frame, facts=(),
         fv = S.free_vars(v)
         if s.iter not in fv and not (fv & havoc_vars):
             if runs is None:
-                runs = _prove_runs(facts, lo, hi)
+                runs = _prove_runs(
+                    facts if facts is not None else Facts.of(()), lo, hi
+                )
             if runs:
                 exit_state.set(f, v)
                 continue
@@ -286,10 +288,13 @@ class Walker:
     """Execution-ordered walk of a procedure with dataflow and facts.
 
     ``visit(stmt, path, facts, state, tenv)`` is called for every statement
-    in program order with the *pre*-state.  ``facts`` are the procedure's
-    assumptions (:func:`~repro.core.ir2smt.proc_assumptions`, seeded
-    here once) followed by the enclosing loop bounds and branch
-    conditions: an obligation posed at ``stmt`` assumes exactly these.
+    in program order with the *pre*-state.  ``facts`` is the
+    :class:`~repro.analysis.absint.Facts` of the statement's scope: the
+    procedure's assumptions (:func:`~repro.core.ir2smt.proc_assumptions`,
+    the root, seeded here once), then the enclosing loop bounds and
+    branch conditions, each pushed on entering its scope.  An obligation
+    posed at ``stmt`` assumes exactly these, and the statements of one
+    scope share one ``Facts``: its linearized rows and its verdict memo.
     Loop bodies are visited once,
     under the stabilized entry state and with the iteration-bound facts in
     scope; the loop-entry fixpoint rounds and callee bodies run the
@@ -304,7 +309,7 @@ class Walker:
 
     def run(self, state: Optional[GlobalState] = None) -> GlobalState:
         state = state or GlobalState()
-        facts = proc_assumptions(self.proc)
+        facts = Facts.of(proc_assumptions(self.proc))
         return self._walk_block(
             self.proc.body, [("body", None)], facts, state, Frame(TypeEnv(self.proc))
         )
@@ -315,7 +320,7 @@ class Walker:
         for i, s in enumerate(block):
             path = prefix[:-1] + [(prefix[-1][0], i)]
             if self.visit is not None:
-                self.visit(s, tuple(path), list(facts), state, frame.tenv)
+                self.visit(s, tuple(path), facts, state, frame.tenv)
             state = self._walk_stmt(s, path, facts, state, frame)
         return state
 
@@ -323,12 +328,12 @@ class Walker:
         if isinstance(s, IR.If):
             cond = frame.lower(s.cond, state)
             st_then = self._walk_block(
-                s.body, path + [("body", None)], facts + [cond], state.copy(),
-                frame.scoped(),
+                s.body, path + [("body", None)], facts.push([cond]),
+                state.copy(), frame.scoped(),
             )
             st_else = self._walk_block(
-                s.orelse, path + [("orelse", None)], facts + [S.negate(cond)],
-                state.copy(), frame.scoped(),
+                s.orelse, path + [("orelse", None)],
+                facts.push([S.negate(cond)]), state.copy(), frame.scoped(),
             )
             return merge_states(cond, st_then, st_else)
         if isinstance(s, IR.For):
@@ -336,8 +341,8 @@ class Walker:
             def visit_body(entry, lo, hi):
                 bound = [S.le(lo, S.Var(s.iter)), S.lt(S.Var(s.iter), hi)]
                 self._walk_block(
-                    s.body, path + [("body", None)], facts + bound, entry.copy(),
-                    frame.scoped(),
+                    s.body, path + [("body", None)], facts.push(bound),
+                    entry.copy(), frame.scoped(),
                 )
 
             return walk_loop(
@@ -393,7 +398,7 @@ _STATE_BEFORE_MEMO = [None, {}]
 
 
 def state_before(proc: IR.Proc, path) -> tuple:
-    """(facts, GlobalState, TypeEnv) immediately before the stmt at ``path``."""
+    """(Facts, GlobalState, TypeEnv) immediately before the stmt at ``path``."""
     target = tuple(path)
     memo = _STATE_BEFORE_MEMO
     if memo[0] is not proc:
@@ -412,4 +417,4 @@ def state_before(proc: IR.Proc, path) -> tuple:
         else:
             raise InternalError(f"path {path} not found in {proc.name}")
     facts, state, tenv = found
-    return list(facts), state.copy(), tenv.copy()
+    return facts, state.copy(), tenv.copy()

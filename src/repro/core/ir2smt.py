@@ -18,7 +18,6 @@ from __future__ import annotations
 from ..smt import terms as S
 from ..core.prelude import InternalError, Sym
 from . import ast as IR
-from . import types as T
 
 _config_syms = {}
 _stride_syms = {}

@@ -22,7 +22,7 @@ from dataclasses import replace as dc_replace
 from ..obs import trace as _obs
 from . import ast as IR
 from . import types as T
-from .prelude import Sym, TypeCheckError
+from .prelude import TypeCheckError
 
 
 def typecheck_proc(proc: IR.Proc) -> IR.Proc:

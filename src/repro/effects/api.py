@@ -21,7 +21,7 @@ ternary D/M reasoning about configuration:
 
 from __future__ import annotations
 
-from ..analysis.absint import prove
+from ..analysis.absint import Facts, prove
 from ..core import ast as IR
 from ..core.dataflow import GlobalState, state_before
 from ..obs import trace as _obs
@@ -46,13 +46,16 @@ def fresh_point(rank: int):
 
 class Ctx:
     """The contextual data for an obligation at a statement (§6.1): the
-    facts a walk holds there -- the procedure's assumptions, then the
-    enclosing control facts (``CtrlPred``) -- which are the obligation's
-    ``assumptions``, and the config state (``PreValG``) and type
-    environment before the statement.  A walk that visits the statement
-    builds one from what it holds; :meth:`at` walks to it."""
+    :class:`~repro.analysis.absint.Facts` a walk holds there -- the
+    procedure's assumptions, then the enclosing control facts
+    (``CtrlPred``) -- which are the obligation's ``assumptions``, and the
+    config state (``PreValG``) and type environment before the statement.
+    A walk that visits the statement builds one from what it holds;
+    :meth:`at` walks to it.  An obligation over a second iteration (the
+    fission and reorder checks) pushes its iteration bounds as a nested
+    scope of ``assumptions``."""
 
-    def __init__(self, facts, state: GlobalState, tenv):
+    def __init__(self, facts: Facts, state: GlobalState, tenv):
         self.assumptions = facts
         self.state = state
         self.tenv = tenv
@@ -216,7 +219,7 @@ def check_fission(proc: IR.Proc, loop_path, split_idx: int, what="fission"):
         S.lt(S.Var(x2), hi),
         S.lt(S.Var(x2), S.Var(x)),
     ]
-    ctx2 = Ctx(ctx.assumptions + bound, ctx.state, ctx.tenv)
+    ctx2 = Ctx(ctx.assumptions.push(bound), ctx.state, ctx.tenv)
     check_commutes(ctx2, a1, a2r, what, fission_pair=(x, x2))
 
 
@@ -253,7 +256,7 @@ def check_reorder_loops(proc: IR.Proc, outer_path):
         S.lt(S.Var(x), S.Var(x2)),
         S.lt(S.Var(y2), S.Var(y)),
     ]
-    ctx2 = Ctx(ctx.assumptions + bound, ctx.state, ctx.tenv)
+    ctx2 = Ctx(ctx.assumptions.push(bound), ctx.state, ctx.tenv)
     check_commutes(ctx2, a, a2, "reorder")
 
 

@@ -29,7 +29,7 @@ between loop iterations only when it reuses one allocation across them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 

@@ -14,7 +14,6 @@ compiler's register allocator promotes the small per-tile arrays into
 from __future__ import annotations
 
 from .. import DRAM, Memory, MemGenError, f32, instr
-from ..core import types as T
 
 
 class AVX512(Memory):

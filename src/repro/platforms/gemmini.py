@@ -24,7 +24,7 @@ write perturbing several units) used by the co-design case study.
 
 from __future__ import annotations
 
-from .. import DRAM, Memory, MemGenError, config, i8, i32, instr, proc
+from .. import DRAM, Memory, MemGenError, i8, i32, instr
 from ..core import types as T
 
 DIM = 16  # systolic array dimension

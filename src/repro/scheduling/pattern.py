@@ -16,7 +16,7 @@ match by *display name* against the target's :class:`Sym`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core import ast as IR
 from ..core.prelude import SchedulingError

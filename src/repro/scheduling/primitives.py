@@ -36,7 +36,6 @@ from ..core import types as T
 from ..core.dataflow import writes_config
 from ..core.prelude import SchedulingError, Sym
 from ..effects import api as EA
-from ..effects.effects import EffectExtractor
 from .cursors import (
     Forwarder,
     MapForwarder,

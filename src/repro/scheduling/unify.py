@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from ..core import ast as IR
 from ..core import types as T
-from ..core.prelude import SchedulingError, Sym
+from ..core.prelude import SchedulingError
 from .simplify import _from_linear, _linearize, simplify_expr
 
 

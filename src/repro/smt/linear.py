@@ -7,7 +7,7 @@ solver (:mod:`repro.smt.solver`) turns them into Omega constraints.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.prelude import Sym
 from . import terms as S
@@ -21,7 +21,8 @@ class NonAffine(Exception):
 #: form asserted ``>= 0``.
 Lin = Tuple[int, Dict[Sym, int]]
 
-_NEGATED = {">=": "<", ">": "<=", "<=": ">", "<": ">="}
+#: the integer negation of each order comparison
+NEGATED = {">=": "<", ">": "<=", "<=": ">", "<": ">="}
 
 
 class Linearizer:
@@ -33,11 +34,17 @@ class Linearizer:
     ``t - d*(t / d)``.  Each fresh quotient ``q`` contributes the defining
     constraints ``t - d*q >= 0`` and ``d*q + (d-1) - t >= 0`` to
     :attr:`cons`.  Sharing is sound: the same term has the same quotient,
-    and the defining rows pin each quotient to its one integer value."""
+    and the defining rows pin each quotient to its one integer value.
 
-    def __init__(self):
+    ``quotients`` seeds the map with divisions purified earlier (their
+    defining rows are the caller's): a fact context linearized once hands
+    its quotients to each goal's converter, so a division shared by the
+    context and the goal is one variable."""
+
+    def __init__(self, quotients: Optional[Dict[S.FloorDiv, Sym]] = None):
         #: quotient pseudo-variable of each purified division
-        self.quotients: Dict[S.FloorDiv, Sym] = {}
+        self.quotients: Dict[S.FloorDiv, Sym] = dict(quotients or {})
+        #: defining rows of the quotients this converter introduced
         self.cons: List[Lin] = []
 
     def _qvar(self, fd: S.FloorDiv) -> Sym:
@@ -119,6 +126,6 @@ class Linearizer:
     def neg_atom_cons(self, t: S.Cmp) -> List[Lin]:
         """GEQ-form constraints equivalent to ``not t`` (integer negation).
         ``!=`` is a disjunction and has no conjunctive form: raises."""
-        if t.op not in _NEGATED:
+        if t.op not in NEGATED:
             raise NonAffine(t)
-        return self.atom_cons(S.Cmp(_NEGATED[t.op], t.lhs, t.rhs))
+        return self.atom_cons(S.Cmp(NEGATED[t.op], t.lhs, t.rhs))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import time
-from itertools import chain
 from typing import Iterable, List
 
 from ..core.prelude import InternalError, Sym

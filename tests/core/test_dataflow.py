@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.analysis.absint import Facts
 from repro.api import procs_from_source
 from repro.core import dataflow as DF
 from repro.core.configs import Config
@@ -581,7 +582,8 @@ def _assert_summary_transparent(proc, monkeypatch):
     # withheld from the exit rule (the extractor holds none)
     prove_runs = DF._prove_runs
     with monkeypatch.context() as m:
-        m.setattr(DF, "_prove_runs", lambda _facts, lo, hi: prove_runs((), lo, hi))
+        m.setattr(DF, "_prove_runs",
+                  lambda _facts, lo, hi: prove_runs(Facts.of(()), lo, hi))
         assert _walk_trace(proc)[1] == fast[1][1]
 
 
