@@ -52,8 +52,10 @@ maybe-write.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..core.prelude import Sym
@@ -121,20 +123,151 @@ def _elimination_var(work: List[Lin], vars_) -> Tuple[Sym, int]:
     )
 
 
+def _unit_equality(work: List[Lin]) -> Optional[Tuple[Lin, Sym]]:
+    """The first row ``e`` of ``work`` (in order) whose negation ``-e`` is
+    also a row -- together they assert ``e == 0`` -- and that has a ``±1``
+    coefficient, with its unit variable of lowest ``Sym`` id; ``None``
+    when there is none.  Rows are deduplicated: one row per coefficient
+    set, so the negation is found by its coefficients alone."""
+    const = {frozenset(m.items()): c for c, m in work}
+    for c, m in work:
+        units = [k for k, v in m.items() if v == 1 or v == -1]
+        if units and const.get(frozenset((k, -v) for k, v in m.items())) == -c:
+            return (c, m), min(units, key=lambda k: k.id)
+    return None
+
+
+def _substitute(work: List[Lin], eq: Lin, x: Sym) -> Optional[List[Lin]]:
+    """``work`` with ``x`` substituted out by the equality ``eq == 0``, in
+    which ``x`` has coefficient ``±1`` (the Omega test's equality step:
+    exact over the integers, as ``x`` is an integer combination of the
+    other variables).  ``eq`` and its negation become ``0 >= 0``.
+    ``None`` when a produced coefficient exceeds :data:`MAX_COEF`."""
+    c0, m0 = eq
+    a = m0[x]
+    out: List[Lin] = []
+    for c, m in work:
+        b = m.get(x)
+        if not b:
+            out.append((c, m))
+            continue
+        # b*x = f*(c0 + Σ m0[k]·k) over the other variables k
+        f = -a * b
+        c += f * c0
+        m = {k: v for k, v in m.items() if k is not x}
+        for k, v in m0.items():
+            if k is not x:
+                m[k] = m.get(k, 0) + f * v
+        if abs(c) > MAX_COEF or any(abs(v) > MAX_COEF for v in m.values()):
+            return None
+        out.append((c, m))
+    return out
+
+
+#: the open search-scoped verdict store (see :func:`verdict_store`)
+_store: Optional[Dict[tuple, bool]] = None
+_ID = attrgetter("id")
+
+
+@contextmanager
+def verdict_store():
+    """Open a canonical store of :func:`refute` verdicts for the extent of
+    the ``with`` block; a nested open reuses the outer store.  Each row
+    system is keyed by :func:`_rank_key`, so a system posed again under
+    fresh ``Sym`` ids -- a search's candidates re-derive their parent's
+    obligations -- is refuted once.  The store is dropped on exit: it
+    never outlives the block that opened it."""
+    global _store
+    if _store is not None:
+        yield _store
+        return
+    _store = {}
+    try:
+        yield _store
+    finally:
+        _store = None
+
+
+def _rank_key(cons: List[Lin]) -> tuple:
+    """The rows of ``cons`` in order, each as its constant, the ranks of
+    its variables among the system's ``Sym`` ids, and its coefficients,
+    in the row's own variable order.  The key is exact: :func:`_refute`
+    sees variable identity only through lowest-id choices
+    (:func:`_elimination_var`, :func:`_unit_equality`), which the ranks
+    preserve, and it keeps row order, which can decide between a cap and
+    a contradiction within one elimination round."""
+    syms = set()
+    for _c, m in cons:
+        syms.update(m)
+    rank = {k: r for r, k in enumerate(sorted(syms, key=_ID))}.__getitem__
+    return tuple((c, tuple(map(rank, m)), tuple(m.values())) for c, m in cons)
+
+
 def refute(cons: List[Lin]) -> bool:
     """Is the conjunction of ``cons`` (each ``const + Σ coeff·var >= 0``)
     infeasible?  ``True`` is a proof of infeasibility (over the rationals,
     with gcd tightening -- hence also over the integers); ``False`` only
-    means *could not refute within the caps*."""
+    means *could not refute within the caps*.  While a
+    :func:`verdict_store` is open, each system's verdict is looked up
+    there first and stored after."""
+    store = _store
+    if store is None:
+        return _refute(cons)
+    key = _rank_key(cons)
+    ok = store.get(key)
+    if ok is None:
+        _obs.incr("analysis.absint.store.miss")
+        ok = store[key] = _refute(cons)
+    else:
+        _obs.incr("analysis.absint.store.hit")
+    return ok
+
+
+def _refute(cons: List[Lin]) -> bool:
+    """:func:`refute` itself.  Capped Fourier-Motzkin first; when that
+    does not refute the rows, the Omega test's equality step substitutes
+    out each unit equality (:func:`_unit_equality`) and Fourier-Motzkin
+    runs again on the smaller system.  The substitution is exact over the
+    integers and catches divisibility (``N % 16 == 0`` gives
+    ``N = 16*q``, so ``N % 8 != 0`` has no integer solution); running it
+    second keeps every system Fourier-Motzkin already refutes as cheap,
+    and as refuted, as before."""
+    work = _rows(cons)
+    if work is None:
+        return True
+    if _eliminate(work):
+        return True
+    eq = _unit_equality(work)
+    if eq is None:
+        return False
+    while eq is not None:
+        work = _substitute(work, *eq)
+        if work is None:
+            return False
+        work = _rows(work)
+        if work is None:
+            return True
+        eq = _unit_equality(work)
+    return _eliminate(work)
+
+
+def _rows(cons: List[Lin]) -> Optional[List[Lin]]:
+    """``cons`` normalized and deduplicated, without the rows that hold
+    trivially (``c >= 0``); ``None`` when one fails trivially."""
     work: List[Lin] = []
     for c, m in cons:
         c, m = _normalize(c, dict(m))
         if not m:
             if c < 0:
-                return True
+                return None
             continue
         work.append((c, m))
-    work = _dedupe(work)
+    return _dedupe(work)
+
+
+def _eliminate(work: List[Lin]) -> bool:
+    """Capped Fourier-Motzkin elimination over normalized rows: ``True``
+    when it derives a contradiction."""
     vars_ = set()
     for _c, m in work:
         vars_.update(m)

@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.absint import verdict_store
 from ..obs import trace as _obs
 from .cost import MachineModel, X86_MODEL, cost_of
 from .space import Candidate, Space
@@ -322,9 +323,14 @@ def _measure_interp(cands: List[Candidate], config: TuneConfig):
 
 def search(space: Space, config: TuneConfig = TuneConfig()) -> SearchResult:
     """Run one tuning search over ``space``.  Deterministic for a fixed
-    (space, config): same candidates, same ranking, same winner."""
+    (space, config): same candidates, same ranking, same winner.
+
+    The candidates re-derive their parents' proof obligations under fresh
+    ``Sym`` ids, so the search runs inside one
+    :func:`~repro.analysis.absint.verdict_store`, dropped when it
+    returns."""
     rng = random.Random(config.seed)
-    with _obs.span("sched.autotune_search"):
+    with verdict_store(), _obs.span("sched.autotune_search"):
         if space.is_action_space:
             cands = _search_beam(space, config, rng)
         else:

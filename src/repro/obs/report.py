@@ -110,6 +110,18 @@ def absint_fastpath(counters: dict) -> dict:
     return out
 
 
+def absint_store(counters: dict) -> dict:
+    """Canonical refute store traffic from the
+    ``analysis.absint.store.*`` counters: ``{hit, miss}``, empty when no
+    store was open (it is open only inside an autotuning search)."""
+    out = {}
+    for event in ("hit", "miss"):
+        n = counters.get(f"analysis.absint.store.{event}", 0)
+        if n:
+            out[event] = n
+    return out
+
+
 def incremental_recheck(counters: dict) -> dict:
     """Incremental re-checking totals from the ``analysis.incremental.*``
     counters: ``{reused, rechecked}``, empty when incremental re-checking
@@ -181,6 +193,16 @@ def compile_profile() -> str:
         out.append(table("Interval fast path (absint)",
                          ["category", "tried", "discharged", "fell through",
                           "rate"], fp_rows))
+
+    store = absint_store(prof["counters"])
+    if store:
+        lookups = sum(store.values())
+        store_rows = [
+            (ev, n, f"{100.0 * n / lookups:.0f}%")
+            for ev, n in sorted(store.items())
+        ]
+        out.append(table("Canonical refute store (absint)",
+                         ["event", "count", "share of lookups"], store_rows))
 
     inc = incremental_recheck(prof["counters"])
     if inc:

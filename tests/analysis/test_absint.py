@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+
 import pytest
 
 from repro import obs
@@ -178,6 +181,204 @@ class TestTryProve:
         x, y = _v("x"), _v("y")
         facts = [S.lt(x, S.IntC(0)), S.ge(x, S.IntC(0))]
         assert try_prove(Facts.of(facts), S.ge(y, S.IntC(7)))
+
+
+class TestEqualityElimination:
+    """The Omega test's equality step: a unit equality ``e == 0`` (rows
+    ``e >= 0`` and ``-e >= 0``) substitutes one variable out of the
+    system when Fourier-Motzkin alone cannot refute it."""
+
+    def test_divisor_divisibility_is_proved_without_the_solver(self):
+        from repro.smt.solver import DEFAULT_SOLVER
+
+        N = _v("N")
+        fact = S.eq(S.Mod(N, 16), S.IntC(0))
+        goal = S.eq(S.Mod(N, 8), S.IntC(0))
+        assert try_prove(Facts.of([fact]), goal)
+        before = DEFAULT_SOLVER.stats["prove_calls"]
+        assert absint.prove(Facts.of([fact]), goal, "rewrite")
+        assert DEFAULT_SOLVER.stats["prove_calls"] == before
+
+    def test_multiple_divisibility_stays_unknown(self):
+        # N = 8 is a counterexample: the fast path must not claim it
+        N = _v("N")
+        facts = Facts.of([S.eq(S.Mod(N, 8), S.IntC(0))])
+        assert not try_prove(facts, S.eq(S.Mod(N, 16), S.IntC(0)))
+
+    def test_point_equality_existential(self):
+        """The shape of a conv lint race goal: two iterations ``b < b2`` of
+        a batch loop cannot touch the same point ``p`` when the point's
+        first index is the batch iteration.  Without the substitution
+        (``p0 = b``, ``p1 = oy``, ...) the opened existentials leave more
+        variables than Fourier-Motzkin may take."""
+        B, OY, OX, OC = _v("B"), _v("OY"), _v("OX"), _v("OC")
+        b1, b2 = _v("b"), _v("b")
+        p = [_v(f"p{k}") for k in range(4)]
+
+        def access(b):
+            its = [_v(n) for n in ("oy", "oxo", "oco", "xt", "ct", "i", "j")]
+            oy, oxo, oco, xt, ct, i, j = its
+            body = S.conj(
+                S.eq(p[0], b), S.eq(p[1], oy),
+                S.eq(p[2], S.add(S.scale(32, oxo), S.scale(16, xt), i)),
+                S.eq(p[3], S.add(S.scale(32, oco), S.scale(16, ct), j)),
+            )
+            his = (OY, S.floordiv(OX, 32), S.floordiv(OC, 32),
+                   S.IntC(2), S.IntC(2), S.IntC(16), S.IntC(16))
+            for it, hi in reversed(list(zip(its, his))):
+                body = S.Exists(
+                    (it.sym,), S.conj(S.le(S.IntC(0), it), S.lt(it, hi), body)
+                )
+            return body
+
+        facts = Facts.of([
+            S.ge(B, S.IntC(1)), S.ge(OX, S.IntC(1)), S.ge(OC, S.IntC(1)),
+            S.eq(S.Mod(OX, 32), S.IntC(0)), S.eq(S.Mod(OC, 32), S.IntC(0)),
+            S.le(S.IntC(0), b1), S.lt(b1, B), S.le(S.IntC(0), b2),
+            S.lt(b2, B), S.lt(b1, b2),
+        ])
+        assert try_prove(facts, S.negate(S.conj(access(b1), access(b2))))
+
+    def test_non_unit_equality_keeps_its_verdict(self):
+        x, y = Sym("x"), Sym("y")
+        # 2x == 3y and 1 <= x <= 2: no integer point, but no unit
+        # coefficient to substitute, so it stays beyond the fast path
+        rows = [(0, {x: 2, y: -3}), (0, {x: -2, y: 3}),
+                (-1, {x: 1}), (2, {x: -1})]
+        assert absint._unit_equality(absint._rows(rows)) is None
+        assert not refute(rows)
+        # with y <= 0 Fourier-Motzkin refutes it, as before
+        assert refute(rows + [(0, {y: -1})])
+
+
+def _sgemm_beam():
+    """The depth-3, budget-40 action-space beam search over
+    ``sgemm_tune_base()`` that ``scripts/tune_smoke.py`` runs."""
+    from repro.apps.x86_sgemm import sgemm_tune_base
+    from repro.autotune import Space, TuneConfig, search
+
+    space = Space.action_space("sgemm_beam", sgemm_tune_base(), depth=3)
+    return search(space, TuneConfig(seed=0, budget=40))
+
+
+def _search_module():
+    # ``repro.autotune.search`` is also the name of the exported function
+    return importlib.import_module("repro.autotune.search")
+
+
+class TestVerdictStore:
+    """The search-scoped canonical store of :func:`absint.refute` verdicts."""
+
+    @staticmethod
+    def _system(a, b, c):
+        # a >= 1, b >= a + 1, c >= b + 1, c <= 2: infeasible
+        return [(-1, {a: 1}), (-1, {b: 1, a: -1}), (-1, {c: 1, b: -1}),
+                (2, {c: -1})]
+
+    def test_key_survives_order_preserving_renaming(self):
+        a, b, c = Sym("a"), Sym("b"), Sym("c")
+        x, y, z = Sym("x"), Sym("y"), Sym("z")
+        assert absint._rank_key(self._system(a, b, c)) == absint._rank_key(
+            self._system(x, y, z)
+        )
+
+    def test_key_tells_swapped_id_order_apart(self):
+        a, b, c = Sym("a"), Sym("b"), Sym("c")
+        assert absint._rank_key(self._system(a, b, c)) != absint._rank_key(
+            self._system(b, a, c)
+        )
+
+    def test_renamed_system_is_a_store_hit(self):
+        obs.reset()
+        obs.enable()
+        try:
+            with absint.verdict_store() as store:
+                assert refute(self._system(Sym("a"), Sym("b"), Sym("c")))
+                assert refute(self._system(Sym("a"), Sym("b"), Sym("c")))
+                assert len(store) == 1
+            counters = obs.profile_dict()["counters"]
+            assert counters["analysis.absint.store.miss"] == 1
+            assert counters["analysis.absint.store.hit"] == 1
+        finally:
+            obs.disable()
+            obs.reset()
+
+    def test_nested_open_reuses_the_outer_store(self):
+        with absint.verdict_store() as outer:
+            with absint.verdict_store() as inner:
+                assert inner is outer
+            assert absint._store is outer
+        assert absint._store is None
+
+    def test_search_verdicts_equal_uncached_refute(self, monkeypatch):
+        seen = []
+        inner = absint.refute
+
+        def checked(cons):
+            ok = inner(cons)
+            seen.append((absint._store is not None, ok == absint._refute(cons)))
+            return ok
+
+        monkeypatch.setattr(absint, "refute", checked)
+        _sgemm_beam()
+        assert sum(in_store for in_store, _same in seen) > 100
+        assert all(same for _in_store, same in seen)
+
+    def test_search_outcome_equals_search_without_store(self, monkeypatch):
+        from repro.obs import journal
+
+        def outcome(res):
+            cands = [
+                (c.describe(), c.ok, c.error, c.cost and c.cost.cycles,
+                 [journal.record_to_dict(r)["verdict"]
+                  for r in c.proc.schedule_log()] if c.ok else None)
+                for c in res.candidates
+            ]
+            return cands, res.best.proc.c_code()
+
+        stored = outcome(_sgemm_beam())
+        monkeypatch.setattr(_search_module(), "verdict_store",
+                            contextlib.nullcontext)
+        assert outcome(_sgemm_beam()) == stored
+
+    def test_each_search_starts_from_an_empty_store(self, monkeypatch):
+        mod = _search_module()
+        sizes = []
+        inner = mod._search_beam
+
+        def recorded(space, config, rng):
+            sizes.append(len(absint._store))
+            out = inner(space, config, rng)
+            sizes.append(len(absint._store))
+            return out
+
+        monkeypatch.setattr(mod, "_search_beam", recorded)
+        _sgemm_beam()
+        assert absint._store is None
+        _sgemm_beam()
+        assert absint._store is None
+        assert sizes[0] == sizes[2] == 0
+        assert sizes[1] > 0 and sizes[3] > 0
+
+    def test_store_is_dropped_when_search_raises(self, monkeypatch):
+        def boom(space, config, rng):
+            assert absint._store is not None
+            raise RuntimeError("search failed")
+
+        monkeypatch.setattr(_search_module(), "_search_beam", boom)
+        with pytest.raises(RuntimeError):
+            _sgemm_beam()
+        assert absint._store is None
+
+    def test_report_renders_store_counters(self):
+        from repro.obs import report
+
+        counters = {"analysis.absint.tried": 4,
+                    "analysis.absint.discharged": 4,
+                    "analysis.absint.store.hit": 3,
+                    "analysis.absint.store.miss": 1}
+        assert set(report.absint_fastpath(counters)) == {"total"}
+        assert report.absint_store(counters) == {"hit": 3, "miss": 1}
 
 
 class TestCone:

@@ -164,11 +164,14 @@ class TestCompileProfile:
     def test_profile_dict_has_phase_spans(self):
         from repro.smt.solver import DEFAULT_SOLVER
 
-        # cold canonical cache, and a perfect split by 2 whose divisibility
-        # goal (M % 4 == 0 implies M % 2 == 0) the affine fast path cannot
-        # decide, so a query reaches the solver and the smt phase appears
+        # cold canonical cache, and a perfect split by 3 whose divisibility
+        # goal (M % 4 == 0 implies M % 3 == 0) is false: the affine fast
+        # path never proves it, so a query reaches the solver (which
+        # rejects the split) and the smt phase appears
         DEFAULT_SOLVER.qcache.clear()
         g = _gemm()
+        with pytest.raises(SchedulingError):
+            g.split("for i in _: _", 3, "io", "ii", tail="perfect")
         g = g.split("for i in _: _", 2, "io", "ii", tail="perfect")
         g = g.stage_mem("for k in _: _", "C[2*io + ii, j]", "acc")
         g.c_code()
@@ -202,17 +205,19 @@ class TestFig4aAcceptance:
         from repro.smt.solver import DEFAULT_SOLVER
 
         def derive():
-            """Split a fresh gemm by 2 under ``M % 4 == 0`` and return the
-            solver queries it made and how many of those the canonical
-            cache answered.  The affine fast path decides every Fig. 4a
-            obligation, but not this divisibility goal, so the split is
-            what reaches the solver."""
+            """Try a perfect split of a fresh gemm by 3 under
+            ``M % 4 == 0`` and return the solver queries it made and how
+            many of those the canonical cache answered.  The affine fast
+            path decides every Fig. 4a obligation, but never this false
+            divisibility goal, so the split is what reaches the solver
+            (which rejects it)."""
             calls = DEFAULT_SOLVER.stats["prove_calls"]
             hits = DEFAULT_SOLVER.qcache.hits
             fell = obs.profile_dict()["counters"].get(
                 "analysis.absint.fellthrough", 0
             )
-            _gemm().split("for i in _: _", 2, "io", "ii", tail="perfect")
+            with pytest.raises(SchedulingError):
+                _gemm().split("for i in _: _", 3, "io", "ii", tail="perfect")
             assert obs.profile_dict()["counters"][
                 "analysis.absint.fellthrough"
             ] > fell
