@@ -13,8 +13,10 @@ arguments in order, and runs two jobs in one process:
   (seed 0, budget 40).
 
 It prints the call count per entry point; ``facts``, the total number
-of fact terms in the ``Facts`` contexts passed to ``try_prove``; and two
-sha256 digests of the obligation stream: ``raw`` hashes each
+of fact terms in the ``Facts`` contexts passed to ``try_prove``;
+``discharged``, the number of ``try_prove`` calls that answered True
+(the fast path's verdicts); and two sha256 digests of the obligation
+stream: ``raw`` hashes each
 obligation's ``repr`` as is, so it includes every ``Sym``'s process-wide
 id; ``renumbered`` first renumbers the ``Sym`` ids within each
 obligation by first appearance, so it only moves when the formulas or
@@ -48,8 +50,8 @@ def _renumber(text: str) -> str:
 
 def _record(log):
     """Wrap the three obligation entry points so each call appends
-    ``(kind, repr of its arguments, number of assumptions)`` to ``log``
-    (the assumptions are ``try_prove``'s first argument)."""
+    ``(kind, repr of its arguments, number of assumptions, result)`` to
+    ``log`` (the assumptions are ``try_prove``'s first argument)."""
     from repro.analysis import absint
     from repro.smt.solver import Solver
 
@@ -60,8 +62,10 @@ def _record(log):
             # drop the solver instance: its repr carries an address
             shown = args[1:] if isinstance(owner, type) else args
             facts = len(shown[0].terms) if kind == "try_prove" else 0
-            log.append((kind, repr(shown), facts))
-            return inner(*args)
+            text = repr(shown)
+            result = inner(*args)
+            log.append((kind, text, facts, result))
+            return result
 
         setattr(owner, name, recorded)
 
@@ -106,12 +110,14 @@ def digest() -> dict:
     log = []
     _record(log)
     _jobs()
-    counts = {"try_prove": 0, "prove": 0, "find_model": 0, "facts": 0}
+    counts = {"try_prove": 0, "prove": 0, "find_model": 0, "facts": 0,
+              "discharged": 0}
     raw = hashlib.sha256()
     renumbered = hashlib.sha256()
-    for kind, text, facts in log:
+    for kind, text, facts, result in log:
         counts[kind] += 1
         counts["facts"] += facts
+        counts["discharged"] += kind == "try_prove" and result is True
         raw.update(f"{kind}\t{text}\n".encode())
         renumbered.update(f"{kind}\t{_renumber(text)}\n".encode())
     return {**counts, "raw": raw.hexdigest(),

@@ -7,18 +7,24 @@ cache.  Yet the overwhelming majority of those goals are trivial affine
 facts: ``0 <= 16*io + ii < n`` under ``0 <= io < n/16, 0 <= ii < 16``.
 
 This module decides exactly that fragment, and bounded disjunctions of
-it, with a capped Fourier-Motzkin refutation engine over linear integer
-constraints:
+it, with a capped Fourier-Motzkin refutation engine (:func:`refute`) over
+the :class:`~repro.smt.linear.Linearizer`'s rows.  It is built from the
+row operations of :mod:`repro.smt.linear` -- gcd tightening, the
+tightest-row dedupe, unit-equality substitution, the pair step -- that
+the solver's Omega test uses too; what is the fast path's own are the
+caps (``MAX_*``), the elimination order (:func:`_elimination_var`) and
+the verdict store:
 
 * :func:`try_prove` -- can ``facts ⟹ goal`` be established by affine
   reasoning alone?  It only ever answers *proved* or *unknown*, never
   *disproved*, so callers fall through to the solver on unknown and no
   verdict can flip.  Soundness: the goal's negation, expanded into at
-  most :data:`MAX_BRANCHES` conjunctive branches (:func:`_branches`), is
-  conjoined branch by branch with the (weakened) context facts and
-  refuted; infeasibility over the rationals (what FM decides, tightened
-  with gcd normalization over the integers) implies integer
-  infeasibility, which implies validity.
+  most :data:`MAX_BRANCHES` conjunctive branches by the solver's own
+  negation normal form and DNF (:func:`_branches`), is conjoined branch
+  by branch with the (weakened) context facts and refuted; infeasibility
+  over the rationals (what FM decides, tightened with gcd normalization
+  over the integers) implies integer infeasibility, which implies
+  validity.
 
 * :class:`Facts` -- an obligation's context: the fact terms, their rows
   linearized once per scope of a walk (:meth:`Facts.push` adds a nested
@@ -54,16 +60,16 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import gcd
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from ..core.prelude import Sym
+from ..core.prelude import InternalError, Sym
 from ..obs import smtstats as _smtstats
 from ..obs import trace as _obs
+from ..smt import linear as L
 from ..smt import terms as S
-from ..smt.linear import NEGATED, Lin, Linearizer, NonAffine
-from ..smt.solver import DEFAULT_SOLVER
+from ..smt.linear import Lin, Linearizer, NonAffine
+from ..smt.solver import DEFAULT_SOLVER, dnf_stream, nnf, strip_exists
 
 #: give-up thresholds keeping the fast path strictly cheap: anything larger
 #: falls through to the solver rather than risking FM's worst case
@@ -80,29 +86,10 @@ MAX_BRANCHES = 16
 # ---------------------------------------------------------------------------
 
 
-def _normalize(c: int, m: Dict[Sym, int]) -> Lin:
-    m = {k: v for k, v in m.items() if v}
-    if m:
-        g = 0
-        for v in m.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            # integer tightening: sum of g-divisible terms >= -c implies
-            # the divided sum >= ceil(-c/g), i.e. const becomes floor(c/g)
-            c = c // g
-            m = {k: v // g for k, v in m.items()}
-    return (c, m)
-
-
-def _dedupe(cons: List[Lin]) -> List[Lin]:
-    """Keep only the tightest (smallest-constant) row per coefficient set."""
-    best: Dict[frozenset, Lin] = {}
-    for c, m in cons:
-        key = frozenset((k.id, v) for k, v in m.items())
-        old = best.get(key)
-        if old is None or c < old[0]:
-            best[key] = (c, m)
-    return list(best.values())
+def _overflows(row: Lin) -> bool:
+    """Does ``row`` hold a number beyond :data:`MAX_COEF`?"""
+    c, m = row
+    return abs(c) > MAX_COEF or any(abs(v) > MAX_COEF for v in m.values())
 
 
 def _elimination_var(work: List[Lin], vars_) -> Tuple[Sym, int]:
@@ -138,29 +125,16 @@ def _unit_equality(work: List[Lin]) -> Optional[Tuple[Lin, Sym]]:
 
 
 def _substitute(work: List[Lin], eq: Lin, x: Sym) -> Optional[List[Lin]]:
-    """``work`` with ``x`` substituted out by the equality ``eq == 0``, in
-    which ``x`` has coefficient ``±1`` (the Omega test's equality step:
-    exact over the integers, as ``x`` is an integer combination of the
-    other variables).  ``eq`` and its negation become ``0 >= 0``.
-    ``None`` when a produced coefficient exceeds :data:`MAX_COEF`."""
-    c0, m0 = eq
-    a = m0[x]
+    """``work`` with ``x`` substituted out by the unit equality ``eq == 0``
+    (:func:`~repro.smt.linear.substitute`); ``eq`` and its negation become
+    ``0 >= 0``.  ``None`` when a produced coefficient exceeds
+    :data:`MAX_COEF`."""
     out: List[Lin] = []
-    for c, m in work:
-        b = m.get(x)
-        if not b:
-            out.append((c, m))
-            continue
-        # b*x = f*(c0 + Σ m0[k]·k) over the other variables k
-        f = -a * b
-        c += f * c0
-        m = {k: v for k, v in m.items() if k is not x}
-        for k, v in m0.items():
-            if k is not x:
-                m[k] = m.get(k, 0) + f * v
-        if abs(c) > MAX_COEF or any(abs(v) > MAX_COEF for v in m.values()):
+    for row in work:
+        new = L.substitute(row, eq, x)
+        if new is not row and _overflows(new):
             return None
-        out.append((c, m))
+        out.append(new)
     return out
 
 
@@ -256,13 +230,13 @@ def _rows(cons: List[Lin]) -> Optional[List[Lin]]:
     trivially (``c >= 0``); ``None`` when one fails trivially."""
     work: List[Lin] = []
     for c, m in cons:
-        c, m = _normalize(c, dict(m))
+        c, m = L.normalize(c, m)
         if not m:
             if c < 0:
                 return None
             continue
         work.append((c, m))
-    return _dedupe(work)
+    return L.dedupe(work)
 
 
 def _eliminate(work: List[Lin]) -> bool:
@@ -282,27 +256,17 @@ def _eliminate(work: List[Lin]) -> bool:
             a = m.get(best_v, 0)
             (pos_rows if a > 0 else neg_rows if a < 0 else keep).append((c, m))
         new = keep
-        for cp, mp in pos_rows:
-            a = mp[best_v]
-            for cn, mn in neg_rows:
-                b = -mn[best_v]
-                c = b * cp + a * cn
-                m: Dict[Sym, int] = {}
-                for k, v in mp.items():
-                    if k is not best_v:
-                        m[k] = b * v
-                for k, v in mn.items():
-                    if k is not best_v:
-                        m[k] = m.get(k, 0) + a * v
-                c, m = _normalize(c, m)
-                if abs(c) > MAX_COEF or any(abs(v) > MAX_COEF for v in m.values()):
+        for pos in pos_rows:
+            for neg in neg_rows:
+                row = L.combine(pos, neg, best_v)
+                if _overflows(row):
                     return False
-                if not m:
-                    if c < 0:
+                if not row[1]:
+                    if row[0] < 0:
                         return True
                     continue
-                new.append((c, m))
-        new = _dedupe(new)
+                new.append(row)
+        new = L.dedupe(new)
         if len(new) > MAX_CONS:
             return False
         work = new
@@ -420,55 +384,32 @@ class Facts:
 # Goal decomposition
 # ---------------------------------------------------------------------------
 
-def _branches(t: S.Term, positive: bool = False
-              ) -> Optional[List[Tuple[S.Cmp, ...]]]:
-    """``not t`` (or ``t`` when ``positive``) as a disjunction of
-    conjunctive branches of comparisons, in negation normal form: a goal
-    ``t`` is valid under the facts when the facts refute every branch.
-    ``None`` (unknown) when the formula has a universal quantifier under
-    positive polarity, a non-arithmetic atom, or more than
-    :data:`MAX_BRANCHES` branches.
+def _branches(goal: S.Term) -> Optional[List[Tuple[S.Cmp, ...]]]:
+    """``not goal`` as a disjunction of conjunctive branches of comparisons:
+    ``goal`` is valid under the facts when the facts refute every branch.
+    The solver's own route: negation normal form (:func:`nnf`), the
+    existentials opened (:func:`strip_exists`), then the DNF's conjuncts
+    (:func:`dnf_stream`).  ``None`` (unknown) when a literal is not a
+    comparison -- a universal left under positive polarity, a boolean
+    variable -- or when there are more than :data:`MAX_BRANCHES`.
 
-    Opening an existential under positive polarity is sound because each
-    branch is only ever *refuted* together with the facts, and each
-    binder is renamed apart first (:func:`~repro.smt.terms.open_binder`):
-    the bound variables then occur nowhere else, so refuting the branch
-    with them free refutes the existential."""
-    if isinstance(t, S.BoolC):
-        return [()] if t.val == positive else []
-    if isinstance(t, S.Not):
-        return _branches(t.arg, not positive)
-    if isinstance(t, S.Cmp):
-        if positive:
-            return [(t,)]
-        if t.op == "==":
-            return [(S.Cmp(">", t.lhs, t.rhs),), (S.Cmp("<", t.lhs, t.rhs),)]
-        return [(S.Cmp(NEGATED[t.op], t.lhs, t.rhs),)]
-    if isinstance(t, (S.And, S.Or)):
-        if isinstance(t, S.And) == positive:  # a conjunction: cross product
-            out = [()]
-            for a in t.args:
-                part = _branches(a, positive)
-                if part is None:
-                    return None
-                out = [b + c for b in out for c in part]
-                if len(out) > MAX_BRANCHES:
-                    return None
-            return out
-        out = []
-        for a in t.args:
-            part = _branches(a, positive)
-            if part is None:
-                return None
-            out += part
-            if len(out) > MAX_BRANCHES:
-                return None
-        return out
-    if isinstance(t, (S.Exists, S.ForAll)):
-        if isinstance(t, S.Exists) != positive:
-            return None  # a universal: no conjunctive form
-        return _branches(S.open_binder(t)[1], positive)
-    return None  # boolean variables, if-then-else formulas
+    Opening an existential is sound because each branch is only ever
+    *refuted* together with the facts, and each binder is renamed apart
+    first (:func:`~repro.smt.terms.open_binder`): the bound variables then
+    occur nowhere else, so refuting the branch with them free refutes the
+    existential."""
+    try:
+        negated = strip_exists(nnf(goal, positive=False))[0]
+    except InternalError:
+        return None  # not a formula nnf knows (an if-then-else formula)
+    out = []
+    for literals in dnf_stream(negated):
+        if len(out) == MAX_BRANCHES or not all(
+            isinstance(lit, S.Cmp) for lit in literals
+        ):
+            return None
+        out.append(tuple(literals))
+    return out
 
 
 def _cone(context: List[Lin], goal_rows: List[Lin]) -> List[Lin]:

@@ -56,7 +56,7 @@ from ..effects.effects import (
 )
 from ..obs import trace as _obs
 from ..smt import terms as S
-from ..smt.solver import DEFAULT_SOLVER
+from ..smt.solver import DEFAULT_SOLVER, format_model
 from .absint import prove
 
 _KIND_WORD = {"r": "read", "w": "write", "+": "reduce"}
@@ -102,13 +102,9 @@ def _counterexample(assumptions, conflict, x: Sym, x2: Sym, point, root: Sym):
     if all(v is not None for v in vals):
         loc = f"{root}" + (f"[{', '.join(str(v) for v in vals)}]" if vals else "")
         parts.append(f"both touch {loc}")
-    skip = set(point_syms) | {x, x2}
-    rest = sorted(
-        ((s, v) for s, v in model.items() if s not in skip),
-        key=lambda kv: (kv[0].name, kv[0].id),
-    )
+    rest = format_model(model, 6, set(point_syms) | {x, x2})
     if rest:
-        parts.append(", ".join(f"{s.name} = {v}" for s, v in rest[:6]))
+        parts.append(rest)
     return "; ".join(parts) if parts else None
 
 

@@ -50,7 +50,7 @@ from ..effects.effects import (
 )
 from ..obs import trace as _obs
 from ..smt import terms as S
-from ..smt.solver import DEFAULT_SOLVER
+from ..smt.solver import DEFAULT_SOLVER, format_model
 from . import absint
 
 UNINIT_READ = "uninit-read"
@@ -117,12 +117,9 @@ def _witness(assumptions, formula, point) -> str:
     parts = []
     if psyms and all(v is not None for v in vals):
         parts.append(f"location [{', '.join(str(v) for v in vals)}]")
-    rest = sorted(
-        ((s, v) for s, v in model.items() if s not in set(psyms)),
-        key=lambda kv: (kv[0].name, kv[0].id),
-    )
+    rest = format_model(model, 6, set(psyms))
     if rest:
-        parts.append(", ".join(f"{s.name} = {v}" for s, v in rest[:6]))
+        parts.append(rest)
     return f" (witness: {'; '.join(parts)})" if parts else ""
 
 

@@ -36,7 +36,7 @@ from ..analysis.absint import prove
 from ..effects.api import Ctx
 from ..obs import trace as _obs
 from ..smt import terms as S
-from ..smt.solver import DEFAULT_SOLVER
+from ..smt.solver import DEFAULT_SOLVER, format_model
 from . import ast as IR
 from .dataflow import Frame, Walker, bind_call, lower_ctrl
 from .prelude import AssertCheckError, BoundsCheckError
@@ -47,10 +47,7 @@ def _counterexample(assumptions, goal) -> str | None:
     ``"i = 4, n = 4"`` -- the concrete inputs under which the unproven
     obligation actually fails (best-effort; None when unavailable)."""
     model = DEFAULT_SOLVER.find_model(S.conj(*assumptions, S.negate(goal)))
-    if not model:
-        return None
-    items = sorted(model.items(), key=lambda kv: (kv[0].name, kv[0].id))
-    return ", ".join(f"{s.name} = {v}" for s, v in items[:8])
+    return format_model(model, 8) if model else None
 
 
 def _run_checkers(proc: IR.Proc, checkers):

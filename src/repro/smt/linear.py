@@ -1,12 +1,19 @@
-"""Linear forms of LIA terms, with quasi-affine ``/`` and ``%`` purified.
+"""Linear rows of LIA terms, and the row operations both engines share.
 
-The one term-to-linear converter: the affine fast path
-(:mod:`repro.analysis.absint`) refutes its rows by Fourier-Motzkin, and the
-solver (:mod:`repro.smt.solver`) turns them into Omega constraints.
+A row is a linear form ``(const, {Sym: coeff})``.  :class:`Linearizer`
+turns terms into rows, purifying quasi-affine ``/`` and ``%``.  The row
+operations -- gcd tightening (:func:`normalize`), the tightest row per
+coefficient set (:func:`dedupe`), substituting a unit equality
+(:func:`substitute`) and the Fourier-Motzkin pair step (:func:`combine`)
+-- are the one linear-arithmetic kernel: the affine fast path
+(:mod:`repro.analysis.absint`) refutes rows with them, and the Omega test
+and Cooper's projection (:mod:`repro.smt.omega`) decide and project rows
+with them.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from ..core.prelude import Sym
@@ -21,8 +28,74 @@ class NonAffine(Exception):
 #: form asserted ``>= 0``.
 Lin = Tuple[int, Dict[Sym, int]]
 
-#: the integer negation of each order comparison
+#: the integer negation of each order comparison (``not (a == b)`` is the
+#: disjunction ``a < b or a > b``)
 NEGATED = {">=": "<", ">": "<=", "<=": ">", "<": ">="}
+
+
+def normalize(c: int, m: Dict[Sym, int]) -> Lin:
+    """The row ``c + Σ m[v]·v >= 0`` without zero coefficients, divided by
+    the gcd of its coefficients (a new dict; ``m`` is not changed)."""
+    m = {k: v for k, v in m.items() if v}
+    if m:
+        g = gcd(*m.values())
+        if g > 1:
+            # integer tightening: sum of g-divisible terms >= -c implies
+            # the divided sum >= ceil(-c/g), i.e. const becomes floor(c/g)
+            c = c // g
+            m = {k: v // g for k, v in m.items()}
+    return (c, m)
+
+
+def dedupe(rows: List[Lin]) -> List[Lin]:
+    """Keep only the tightest (smallest-constant) row per coefficient set,
+    at the place of the set's first row."""
+    best: Dict[frozenset, Lin] = {}
+    for c, m in rows:
+        key = frozenset((k.id, v) for k, v in m.items())
+        old = best.get(key)
+        if old is None or c < old[0]:
+            best[key] = (c, m)
+    return list(best.values())
+
+
+def substitute(row: Lin, eq: Lin, x: Sym) -> Lin:
+    """``row`` with ``x`` substituted out by the equality ``eq == 0``, in
+    which ``x`` has coefficient ``±1`` (the Omega test's equality step:
+    exact over the integers, as ``x`` is an integer combination of the
+    other variables).  Zero coefficients may remain; ``row`` itself when
+    it has no ``x``."""
+    c, m = row
+    b = m.get(x)
+    if not b:
+        return row
+    c0, m0 = eq
+    # b*x = f*(c0 + Σ m0[k]·k) over the other variables k
+    f = -m0[x] * b
+    m = {k: v for k, v in m.items() if k is not x}
+    for k, v in m0.items():
+        if k is not x:
+            m[k] = m.get(k, 0) + f * v
+    return (c + f * c0, m)
+
+
+def combine(pos: Lin, neg: Lin, x: Sym, offset: int = 0) -> Lin:
+    """The Fourier-Motzkin pair step: ``b·pos + a·neg - offset``, normalized,
+    where ``a > 0`` is the coefficient of ``x`` in ``pos`` and ``-b < 0``
+    its coefficient in ``neg``, so ``x`` cancels.  Offset 0 gives the real
+    shadow, ``(a-1)(b-1)`` the Omega test's dark shadow."""
+    cp, mp = pos
+    cn, mn = neg
+    a = mp[x]
+    b = -mn[x]
+    m: Dict[Sym, int] = {}
+    for k, v in mp.items():
+        if k is not x:
+            m[k] = b * v
+    for k, v in mn.items():
+        if k is not x:
+            m[k] = m.get(k, 0) + a * v
+    return normalize(b * cp + a * cn - offset, m)
 
 
 class Linearizer:

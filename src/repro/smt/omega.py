@@ -15,106 +15,33 @@ constraints power the solver:
   constraints.  Used for quantifier elimination, where free variables must
   not be substituted away.
 
-Constraints are ``expr >= 0`` (GEQ), ``expr == 0`` (EQ), or ``d | expr``
-(DIV) over :class:`LinExpr`.
+A constraint is a :class:`~repro.smt.linear.Linearizer` row ``lin`` with a
+kind: ``(GEQ, lin, 0)`` is ``lin >= 0``, ``(EQ, lin, 0)`` is ``lin == 0``
+and ``(DIV, lin, d)`` is ``d | lin``.  The gcd tightening of GEQ rows, the
+tightest-row dedupe, the unit-equality substitution and the
+Fourier-Motzkin pair step are :mod:`repro.smt.linear`'s, shared with the
+affine fast path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Tuple
+from operator import attrgetter
+from typing import List, Tuple
 
 from ..core.prelude import InternalError, Sym
 from ..obs.smtstats import STATS as _SMT_STATS
+from . import linear as L
+from .linear import Lin
 
 GEQ = ">="
 EQ = "=="
 DIV = "div"
 
+#: ``(kind, lin, divisor)``: ``lin >= 0``, ``lin == 0`` or ``divisor | lin``
+Row = Tuple[str, Lin, int]
 
-@dataclass(frozen=True)
-class LinExpr:
-    """``const + sum(coeffs[v] * v)`` with integer coefficients."""
-
-    coeffs: Tuple[Tuple[Sym, int], ...]  # sorted by sym id, zero-free
-    const: int
-
-    @staticmethod
-    def make(coeffs: Dict[Sym, int], const: int) -> "LinExpr":
-        items = tuple(
-            sorted(((v, c) for v, c in coeffs.items() if c != 0), key=lambda p: p[0].id)
-        )
-        return LinExpr(items, int(const))
-
-    @staticmethod
-    def constant(c: int) -> "LinExpr":
-        return LinExpr((), int(c))
-
-    @staticmethod
-    def var(v: Sym, coeff: int = 1) -> "LinExpr":
-        if coeff == 0:
-            return LinExpr((), 0)
-        return LinExpr(((v, coeff),), 0)
-
-    def coeff_of(self, v: Sym) -> int:
-        for w, c in self.coeffs:
-            if w is v:
-                return c
-        return 0
-
-    def vars(self):
-        return [v for v, _c in self.coeffs]
-
-    def is_const(self) -> bool:
-        return not self.coeffs
-
-    def add(self, other: "LinExpr") -> "LinExpr":
-        d = dict(self.coeffs)
-        for v, c in other.coeffs:
-            d[v] = d.get(v, 0) + c
-        return LinExpr.make(d, self.const + other.const)
-
-    def scale(self, k: int) -> "LinExpr":
-        if k == 0:
-            return LinExpr((), 0)
-        return LinExpr(tuple((v, c * k) for v, c in self.coeffs), self.const * k)
-
-    def drop(self, v: Sym) -> "LinExpr":
-        return LinExpr(tuple((w, c) for w, c in self.coeffs if w is not v), self.const)
-
-    def subst(self, v: Sym, repl: "LinExpr") -> "LinExpr":
-        a = self.coeff_of(v)
-        if a == 0:
-            return self
-        return self.drop(v).add(repl.scale(a))
-
-    def __str__(self):
-        parts = [f"{c}*{v}" for v, c in self.coeffs]
-        parts.append(str(self.const))
-        return " + ".join(parts)
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """``expr >= 0`` (GEQ), ``expr == 0`` (EQ), or ``divisor | expr`` (DIV)."""
-
-    expr: LinExpr
-    kind: str
-    divisor: int = 0
-
-    def __post_init__(self):
-        if (self.kind == DIV) != (self.divisor > 1):
-            if self.kind == DIV and self.divisor <= 1:
-                raise InternalError("DIV constraint needs divisor > 1")
-
-    def subst(self, v: Sym, repl: LinExpr) -> "Constraint":
-        return Constraint(self.expr.subst(v, repl), self.kind, self.divisor)
-
-    def __str__(self):
-        if self.kind == DIV:
-            return f"{self.divisor} | {self.expr}"
-        return f"{self.expr} {self.kind} 0"
+_ID = attrgetter("id")
 
 
 class Infeasible(Exception):
@@ -130,60 +57,67 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def normalize(cons: List[Constraint]) -> List[Constraint]:
-    """GCD-tighten constraints; raise :class:`Infeasible` on contradiction."""
+def _sum(*terms: Tuple[int, Lin]) -> Lin:
+    """``Σ k·lin`` over the ``(k, lin)`` pairs, zero coefficients dropped."""
+    c = 0
+    m = {}
+    for k, (ct, mt) in terms:
+        c += k * ct
+        for v, a in mt.items():
+            m[v] = m.get(v, 0) + k * a
+    return (c, {v: a for v, a in m.items() if a})
+
+
+def _drop(lin: Lin, x: Sym) -> Lin:
+    """``lin`` without its ``x`` term."""
+    return (lin[0], {v: a for v, a in lin[1].items() if v is not x})
+
+
+def normalize(cons: List[Row]) -> List[Row]:
+    """GCD-tighten constraints and drop the trivially true ones and the
+    duplicates (of the GEQ rows with one coefficient set, only the
+    tightest); raise :class:`Infeasible` on contradiction.  The equalities
+    and divisibilities come first, then the GEQ rows, each in the order
+    given."""
+    geqs = []
     out = []
-    for c in cons:
-        e = c.expr
-        if e.is_const():
-            if c.kind == GEQ and e.const < 0:
-                raise Infeasible
-            if c.kind == EQ and e.const != 0:
-                raise Infeasible
-            if c.kind == DIV and e.const % c.divisor != 0:
+    for kind, (c, m), d in cons:
+        if kind == GEQ:
+            c, m = L.normalize(c, m)
+            if m:
+                geqs.append((c, m))
+            elif c < 0:
                 raise Infeasible
             continue
-        g = 0
-        for _v, coef in e.coeffs:
-            g = gcd(g, abs(coef))
-        if c.kind == EQ:
+        m = {v: a for v, a in m.items() if a}
+        if not m:
+            if c != 0 if kind == EQ else c % d != 0:
+                raise Infeasible
+            continue
+        g = gcd(*m.values())
+        if kind == EQ:
             if g > 1:
-                if e.const % g != 0:
+                if c % g != 0:
                     raise Infeasible
-                e = LinExpr(
-                    tuple((v, coef // g) for v, coef in e.coeffs), e.const // g
-                )
-            c2 = Constraint(e, EQ)
-        elif c.kind == GEQ:
-            if g > 1:
-                # a.x + c >= 0 with gcd g: tighten const to floor(c/g)
-                e = LinExpr(
-                    tuple((v, coef // g) for v, coef in e.coeffs), e.const // g
-                )
-            c2 = Constraint(e, GEQ)
-        else:  # DIV
-            d = c.divisor
+                c, m = c // g, {v: a // g for v, a in m.items()}
+        else:
             gg = gcd(g, d)
-            if gg > 1 and e.const % gg == 0:
-                e = LinExpr(
-                    tuple((v, coef // gg) for v, coef in e.coeffs), e.const // gg
-                )
-                d = d // gg
+            if gg > 1 and c % gg == 0:
+                c, m, d = c // gg, {v: a // gg for v, a in m.items()}, d // gg
             if d == 1:
                 continue
             # reduce coefficients into the symmetric range (-d/2, d/2] so
             # that unit coefficients stay unit (keeps Cooper's lcm small)
-            e = LinExpr.make(
-                {v: _mhat(coef, d) for v, coef in e.coeffs}, e.const % d
-            )
-            if e.is_const():
-                if e.const % d != 0:
+            m = {v: _mhat(a, d) for v, a in m.items()}
+            c, m = c % d, {v: a for v, a in m.items() if a}
+            if not m:
+                if c != 0:
                     raise Infeasible
                 continue
-            c2 = Constraint(e, DIV, d)
-        if c2 not in out:
-            out.append(c2)
-    return out
+        row = (kind, (c, m), d)
+        if row not in out:
+            out.append(row)
+    return out + [(GEQ, r, 0) for r in L.dedupe(geqs)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +127,17 @@ def normalize(cons: List[Constraint]) -> List[Constraint]:
 _MAX_DEPTH = 400
 
 
-def feasible(cons: List[Constraint]) -> bool:
+def feasible(cons: List[Row]) -> bool:
     """Is this conjunction satisfiable over the integers?
 
     Every variable is treated as existentially quantified.
     """
     _SMT_STATS.omega_feasibility_checks += 1
     return _feasible(list(cons), 0)
+
+
+def _substituted(cons: List[Row], eq: Lin, v: Sym) -> List[Row]:
+    return [(kind, L.substitute(lin, eq, v), d) for kind, lin, d in cons]
 
 
 def _feasible(cons, depth) -> bool:
@@ -211,106 +149,80 @@ def _feasible(cons, depth) -> bool:
         return False
 
     # convert divisibility constraints into equalities with fresh variables
-    converted = []
-    changed = False
-    for c in cons:
-        if c.kind == DIV:
-            k = Sym("k")
-            converted.append(
-                Constraint(c.expr.add(LinExpr.var(k, -c.divisor)), EQ)
-            )
-            changed = True
-        else:
-            converted.append(c)
-    cons = converted
-    if changed:
+    if any(kind == DIV for kind, _lin, _d in cons):
+        cons = [
+            (EQ, _sum((1, lin), (-d, (0, {Sym("k"): 1}))), 0) if kind == DIV
+            else (kind, lin, d)
+            for kind, lin, d in cons
+        ]
         try:
             cons = normalize(cons)
         except Infeasible:
             return False
 
     # --- equality reduction ------------------------------------------------
-    for i, c in enumerate(cons):
-        if c.kind != EQ:
+    for i, (kind, e, _d) in enumerate(cons):
+        if kind != EQ:
             continue
-        # unit-coefficient variable: substitute it away (all vars existential)
-        unit = None
-        for v, coef in c.expr.coeffs:
-            if abs(coef) == 1:
-                unit = (v, coef)
-                break
-        if unit is not None:
-            v, coef = unit
-            repl = c.expr.drop(v).scale(-coef)  # coef in {1,-1}
-            rest = [k.subst(v, repl) for j, k in enumerate(cons) if j != i]
-            return _feasible(rest, depth + 1)
+        c, m = e
+        units = [v for v, a in m.items() if a == 1 or a == -1]
+        if units:
+            # unit-coefficient variable: substitute it away (all vars
+            # existential)
+            rest = cons[:i] + cons[i + 1:]
+            return _feasible(_substituted(rest, e, min(units, key=_ID)), depth + 1)
         # no unit coefficient: Pugh's symmetric-modulus reduction on the
         # variable with the smallest |coefficient|
-        v, a = min(c.expr.coeffs, key=lambda p: abs(p[1]))
-        m = abs(a) + 1
-        sigma = Sym("w")
-        coeffs = {w: _mhat(coef, m) for w, coef in c.expr.coeffs}
-        coeffs[sigma] = -m
-        new_eq = LinExpr.make(coeffs, _mhat(c.expr.const, m))
-        av = new_eq.coeff_of(v)
-        if abs(av) != 1:
+        v = min(m, key=lambda w: (abs(m[w]), w.id))
+        mod = abs(m[v]) + 1
+        coeffs = {w: _mhat(a, mod) for w, a in m.items()}
+        coeffs[Sym("w")] = -mod
+        if abs(coeffs[v]) != 1:
             raise InternalError("omega: mod-reduction failed to produce unit coeff")
-        repl = new_eq.drop(v).scale(-av)
-        rest = [k.subst(v, repl) for k in cons]
-        return _feasible(rest, depth + 1)
+        return _feasible(_substituted(cons, (_mhat(c, mod), coeffs), v), depth + 1)
 
-    # --- inequality elimination ---------------------------------------------
-    var = None
-    for c in cons:
-        for v in c.expr.vars():
-            var = v
-            break
-        if var is not None:
-            break
-    if var is None:
+    # --- inequality elimination (only GEQ rows remain) ---------------------
+    if not cons:
         return True  # only trivially-true constraints remained
-
-    lowers = []  # (a, t): a*var + t >= 0, a > 0
-    uppers = []  # (b, t): -b*var + t >= 0, b > 0
+    var = min(cons[0][1][1], key=_ID)
+    lowers = []  # a*var + t >= 0, a > 0
+    uppers = []  # -b*var + t >= 0, b > 0
     rest = []
-    for c in cons:
-        a = c.expr.coeff_of(var)
+    for row in cons:
+        a = row[1][1].get(var, 0)
         if a == 0:
-            rest.append(c)
-        elif a > 0:
-            lowers.append((a, c.expr.drop(var)))
+            rest.append(row)
         else:
-            uppers.append((-a, c.expr.drop(var)))
+            (lowers if a > 0 else uppers).append(row[1])
 
     if not lowers or not uppers:
         return _feasible(rest, depth + 1)
 
-    exact = all(a == 1 for a, _t in lowers) or all(b == 1 for b, _t in uppers)
+    def shadow(dark: bool):
+        out = list(rest)
+        for lo in lowers:
+            for up in uppers:
+                off = (lo[1][var] - 1) * (-up[1][var] - 1) if dark else 0
+                out.append((GEQ, L.combine(lo, up, var, off), 0))
+        return out
 
-    def shadow(offset_fn):
-        shadow_cons = list(rest)
-        for a, tl in lowers:
-            for b, tu in uppers:
-                e = tu.scale(a).add(tl.scale(b))
-                e = LinExpr(e.coeffs, e.const - offset_fn(a, b))
-                shadow_cons.append(Constraint(e, GEQ))
-        return shadow_cons
+    if all(lo[1][var] == 1 for lo in lowers) or all(
+        up[1][var] == -1 for up in uppers
+    ):
+        return _feasible(shadow(False), depth + 1)
 
-    if exact:
-        return _feasible(shadow(lambda a, b: 0), depth + 1)
-
-    if _feasible(shadow(lambda a, b: (a - 1) * (b - 1)), depth + 1):
+    if _feasible(shadow(True), depth + 1):
         return True
 
     # splinters: solutions outside the dark shadow pin var near a lower bound
-    bmax = max(b for b, _t in uppers)
-    for a, tl in lowers:
+    bmax = max(-up[1][var] for up in uppers)
+    for c, m in lowers:
+        a = m[var]
         if a == 1:
             continue
         top = (a * bmax - a - bmax) // bmax
         for k in range(0, top + 1):
-            eq_expr = LinExpr.var(var, a).add(tl).add(LinExpr.constant(-k))
-            if _feasible(cons + [Constraint(eq_expr, EQ)], depth + 1):
+            if _feasible(cons + [(EQ, (c - k, m), 0)], depth + 1):
                 return True
     return False
 
@@ -320,7 +232,7 @@ def _feasible(cons, depth) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def project_var(x: Sym, cons: List[Constraint]) -> List[List[Constraint]]:
+def project_var(x: Sym, cons: List[Row]) -> List[List[Row]]:
     """Eliminate existential ``x`` exactly, preserving other variables.
 
     Returns a disjunction (list) of conjunctions (constraint lists) over the
@@ -332,43 +244,29 @@ def project_var(x: Sym, cons: List[Constraint]) -> List[List[Constraint]]:
     except Infeasible:
         return []
 
-    if not any(c.expr.coeff_of(x) for c in cons):
+    if not any(lin[1].get(x) for _kind, lin, _d in cons):
         return [cons]
 
     # --- equality rule ------------------------------------------------------
-    for i, c in enumerate(cons):
-        if c.kind != EQ:
+    for i, (kind, e, _d) in enumerate(cons):
+        a = e[1].get(x, 0)
+        if kind != EQ or a == 0:
             continue
-        a = c.expr.coeff_of(x)
-        if a == 0:
-            continue
-        rest = c.expr.drop(x)
+        others = cons[:i] + cons[i + 1:]
         if abs(a) == 1:
-            repl = rest.scale(-a)
-            out = [k.subst(x, repl) for j, k in enumerate(cons) if j != i]
-            try:
-                return [normalize(out)]
-            except Infeasible:
-                return []
-        # |a| > 1:  a*x = -rest  requires |a| divides rest; other constraints
-        # are scaled by |a| so x can be replaced exactly.
-        sign = 1 if a > 0 else -1
-        out = [Constraint(rest, DIV, abs(a))]
-        for j, k in enumerate(cons):
-            if j == i:
-                continue
-            ck = k.expr.coeff_of(x)
-            if ck == 0:
-                out.append(k)
-                continue
-            # |a| * k.expr - ck*sign*(a*x + rest') where rest' = rest
-            newexpr = k.expr.scale(abs(a)).add(c.expr.scale(-ck * sign))
-            if newexpr.coeff_of(x) != 0:
-                raise InternalError("cooper: equality elimination failed")
-            if k.kind == DIV:
-                out.append(Constraint(newexpr, DIV, k.divisor * abs(a)))
-            else:
-                out.append(Constraint(newexpr, k.kind))
+            out = _substituted(others, e, x)
+        else:
+            # |a| > 1:  a*x = -rest  requires |a| divides rest; other
+            # constraints are scaled by |a| so x can be replaced exactly.
+            sign = 1 if a > 0 else -1
+            out = [(DIV, _drop(e, x), abs(a))]
+            for k, lin, d in others:
+                ck = lin[1].get(x, 0)
+                if ck:
+                    # |a| * lin - ck*sign*(a*x + rest)
+                    lin = _sum((abs(a), lin), (-ck * sign, e))
+                    d = d * abs(a) if k == DIV else d
+                out.append((k, lin, d))
         try:
             return [normalize(out)]
         except Infeasible:
@@ -378,35 +276,27 @@ def project_var(x: Sym, cons: List[Constraint]) -> List[List[Constraint]]:
     # Scale all x-atoms to a common coefficient delta, substitute x' = delta*x
     # (adding delta | x'), so x' has coefficient +-1 everywhere.
     delta = 1
-    for c in cons:
-        a = c.expr.coeff_of(x)
+    for _kind, lin, _d in cons:
+        a = lin[1].get(x)
         if a:
             delta = _lcm(delta, abs(a))
 
     lowers = []  # t: x' + t >= 0  (i.e. x' >= -t)
     uppers = []  # t: -x' + t >= 0 (i.e. x' <= t)
-    divs = [(LinExpr.constant(0), delta)]  # (t, d): d | x' + t
+    divs = [((0, {}), delta)]  # (t, d): d | x' + t
     rest = []
-    for c in cons:
-        a = c.expr.coeff_of(x)
+    for kind, lin, d in cons:
+        a = lin[1].get(x, 0)
         if a == 0:
-            rest.append(c)
+            rest.append((kind, lin, d))
             continue
         k = delta // abs(a)
-        scaled = c.expr.scale(k)  # coefficient of x is now +-delta
-        t = scaled.drop(x)
-        if c.kind == GEQ:
-            if a > 0:
-                lowers.append(t)
-            else:
-                uppers.append(t)
-        elif c.kind == DIV:
-            d = c.divisor * k
-            if a > 0:
-                divs.append((t, d))
-            else:
-                # d | -x' + t  <=>  d | x' - t
-                divs.append((t.scale(-1), d))
+        t = _drop(_sum((k, lin)), x)  # the coefficient of x was +-delta
+        if kind == GEQ:
+            (lowers if a > 0 else uppers).append(t)
+        elif kind == DIV:
+            # d | -x' + t  <=>  d | x' - t
+            divs.append((t if a > 0 else _sum((-1, t)), d * k))
         else:
             raise InternalError("cooper: equalities handled above")
 
@@ -416,16 +306,7 @@ def project_var(x: Sym, cons: List[Constraint]) -> List[List[Constraint]]:
 
     out = []
 
-    def with_x(val: LinExpr):
-        """Instantiate x' := val in all scaled atoms."""
-        conj = list(rest)
-        for t in lowers:
-            conj.append(Constraint(val.add(t), GEQ))
-        for t in uppers:
-            conj.append(Constraint(val.scale(-1).add(t), GEQ))
-        for t, d in divs:
-            conj.append(Constraint(val.add(t), DIV, d) if d > 1 else None)
-        conj = [c for c in conj if c is not None]
+    def add_conj(conj):
         try:
             out.append(normalize(conj))
         except Infeasible:
@@ -434,42 +315,39 @@ def project_var(x: Sym, cons: List[Constraint]) -> List[List[Constraint]]:
     if not lowers:
         # x' unbounded below: only divisibility matters
         for m in range(M):
-            conj = list(rest)
-            ok = True
-            for t, d in divs:
-                if d > 1:
-                    conj.append(Constraint(t.add(LinExpr.constant(m)), DIV, d))
-            try:
-                out.append(normalize(conj))
-            except Infeasible:
-                pass
+            add_conj(rest + [(DIV, _sum((1, t), (1, (m, {}))), d)
+                             for t, d in divs if d > 1])
         return _dedup(out)
 
     for tl in lowers:
-        base = tl.scale(-1)  # x' >= -tl: smallest candidate is -tl
         for m in range(M):
-            with_x(base.add(LinExpr.constant(m)))
+            # x' >= -tl: instantiate x' := -tl + m in all scaled atoms
+            val = _sum((-1, tl), (1, (m, {})))
+            add_conj(
+                rest
+                + [(GEQ, _sum((1, val), (1, t)), 0) for t in lowers]
+                + [(GEQ, _sum((-1, val), (1, t)), 0) for t in uppers]
+                + [(DIV, _sum((1, val), (1, t)), d) for t, d in divs if d > 1]
+            )
     return _dedup(out)
 
 
 def _dedup(disjuncts):
-    seen = []
+    seen = set()
+    out = []
     for d in disjuncts:
-        key = frozenset(d)
-        if key not in [frozenset(s) for s in seen]:
-            seen.append(d)
-    return seen
+        key = frozenset((k, c, frozenset(m.items()), dv) for k, (c, m), dv in d)
+        if key not in seen:
+            seen.add(key)
+            out.append(d)
+    return out
 
 
-def project(cons: List[Constraint], elim_vars) -> List[List[Constraint]]:
+def project(cons: List[Row], elim_vars) -> List[List[Row]]:
     """Eliminate every variable in ``elim_vars``, preserving the rest."""
-    pending = [v for v in elim_vars]
     disjuncts = [list(cons)]
-    for v in pending:
-        nxt = []
-        for conj in disjuncts:
-            nxt.extend(project_var(v, conj))
-        disjuncts = nxt
+    for v in elim_vars:
+        disjuncts = [out for conj in disjuncts for out in project_var(v, conj)]
         if not disjuncts:
             return []
     out = []

@@ -21,10 +21,8 @@ from ..obs import trace as _obs
 from ..obs.smtstats import STATS as _SMT_STATS
 from ..obs.smtstats import QueryCache, canonical_key, current_category
 from . import terms as S
-from .linear import Linearizer, NonAffine
-from .omega import DIV, EQ, GEQ, Constraint, LinExpr, feasible, project
-
-_CMP_NEG = {"==": "!=", "<=": ">", "<": ">=", ">=": "<", ">": "<="}
+from .linear import NEGATED, Linearizer, NonAffine
+from .omega import DIV, EQ, GEQ, feasible, project
 
 
 class SmtTimeout(Exception):
@@ -108,8 +106,10 @@ def nnf(t, positive=True):
         return S.disj(*args) if positive else S.conj(*args)
     if isinstance(t, S.Cmp):
         if positive:
-            return _pos_cmp(t)
-        return _neg_cmp(t)
+            return t
+        if t.op == "==":
+            return S.disj(S.lt(t.lhs, t.rhs), S.gt(t.lhs, t.rhs))
+        return S.cmp(NEGATED[t.op], t.lhs, t.rhs)
     if isinstance(t, S.Exists):
         body = nnf(t.body, positive)
         return S.exists(t.vars, body) if positive else S.forall(t.vars, body)
@@ -117,17 +117,6 @@ def nnf(t, positive=True):
         body = nnf(t.body, positive)
         return S.forall(t.vars, body) if positive else S.exists(t.vars, body)
     raise InternalError(f"nnf: not a formula: {t!r}")
-
-
-def _pos_cmp(t):
-    return t
-
-
-def _neg_cmp(t):
-    op = _CMP_NEG[t.op]
-    if op == "!=":
-        return S.disj(S.lt(t.lhs, t.rhs), S.gt(t.lhs, t.rhs))
-    return S.cmp(op, t.lhs, t.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +140,10 @@ def dnf_stream(t, prune=None) -> Iterable[List]:
         ors = []
         while pending:
             f = pending.pop()
-            if f == S.TRUE:
-                continue
-            if f == S.FALSE:
-                return
-            if isinstance(f, S.And):
+            if isinstance(f, S.BoolC):
+                if not f.val:
+                    return
+            elif isinstance(f, S.And):
                 pending.extend(f.args)
             elif isinstance(f, S.Or):
                 ors.append(f)
@@ -168,13 +156,14 @@ def dnf_stream(t, prune=None) -> Iterable[List]:
                 yield literals
             return
         # branch on the smallest disjunction first
-        ors.sort(key=lambda f: len(f.args))
+        if len(ors) > 1:
+            ors.sort(key=lambda f: len(f.args))
         head, rest = ors[0], ors[1:]
         for arm in head.args:
             _SMT_STATS.dnf_branches += 1
             yield from go(rest + [arm], literals)
 
-    yield from go([t], [])
+    return go([t], [])
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +171,19 @@ def dnf_stream(t, prune=None) -> Iterable[List]:
 # ---------------------------------------------------------------------------
 
 
-def _lin_to_term(e: LinExpr):
-    parts = [S.scale(c, S.Var(v)) for v, c in e.coeffs]
-    if e.const or not parts:
-        parts.append(S.IntC(e.const))
-    return S.add(*parts)
-
-
-def _constraint_to_formula(c: Constraint):
-    t = _lin_to_term(c.expr)
-    if c.kind == EQ:
+def _row_formula(row):
+    """An Omega constraint ``(kind, lin, divisor)`` as a formula, its terms
+    in ``Sym`` id order."""
+    kind, (c, m), d = row
+    items = sorted(m.items(), key=lambda va: va[0].id)
+    parts = [S.scale(a, S.Var(v)) for v, a in items]
+    if c or not parts:
+        parts.append(S.IntC(c))
+    t = S.add(*parts)
+    if kind == EQ:
         return S.eq(t, S.IntC(0))
-    if c.kind == DIV:
-        return S.eq(S.mod(t, c.divisor), S.IntC(0))
+    if kind == DIV:
+        return S.eq(S.mod(t, d), S.IntC(0))
     return S.ge(t, S.IntC(0))
 
 
@@ -209,7 +198,6 @@ class Solver:
     def __init__(self):
         self._prove_cache = {}
         self._feas_cache = {}
-        self.stats = {"prove_calls": 0, "cache_hits": 0, "omega_conjuncts": 0}
         #: per-query budget: programmatic override in milliseconds, or None
         #: to consult $REPRO_SMT_TIMEOUT_MS at each prove() (unset/0 = off)
         self.timeout_ms: float | None = None
@@ -225,18 +213,15 @@ class Solver:
 
     def prove(self, formula) -> bool:
         """Is ``formula`` valid (true for all integer assignments)?"""
-        self.stats["prove_calls"] += 1
         _SMT_STATS.prove_calls += 1
         key = formula
         if key in self._prove_cache:
-            self.stats["cache_hits"] += 1
             _SMT_STATS.cache_hits += 1
             _SMT_STATS.record_prove(current_category(), cache_hit=True)
             return self._prove_cache[key]
         ckey = canonical_key(formula)
         cached = self.qcache.lookup(ckey)
         if cached is not None:
-            self.stats["cache_hits"] += 1
             _SMT_STATS.cache_hits += 1
             _SMT_STATS.record_prove(current_category(), cache_hit=True)
             self._prove_cache[key] = cached
@@ -288,7 +273,7 @@ class Solver:
         universals eliminated, and the existential prefix stripped (free
         for satisfiability)."""
         f = self._elim_foralls(nnf(elim_ite(formula)))
-        return _strip_exists(f)[0]
+        return strip_exists(f)[0]
 
     def satisfiable(self, formula) -> bool:
         _SMT_STATS.sat_calls += 1
@@ -321,9 +306,9 @@ class Solver:
         cons, _bools, aux_vars = system
         aux = set(aux_vars)
         vars_ = []
-        for c in cons:
-            for v, _coeff in c.expr.coeffs:
-                if v not in aux and v not in vars_:
+        for _kind, (_c, m), _d in cons:
+            for v, coeff in m.items():
+                if coeff and v not in aux and v not in vars_:
                     vars_.append(v)
         vars_.sort(key=lambda s: s.id)
         # pin each variable in turn to the smallest-magnitude value that
@@ -336,7 +321,7 @@ class Solver:
         pins = []
         for v in vars_:
             for c in candidates:
-                pin = Constraint(LinExpr.var(v).add(LinExpr.constant(-c)), EQ)
+                pin = (EQ, (-c, {v: 1}), 0)
                 if feasible(cons + pins + [pin]):
                     model[v] = c
                     pins.append(pin)
@@ -346,7 +331,7 @@ class Solver:
     # -- quantifier elimination ---------------------------------------------
     #
     # Only universal quantifiers require genuine elimination: existential
-    # binders are prenexed into the satisfiability check (``_strip_exists``
+    # binders are prenexed into the satisfiability check (``strip_exists``
     # renames each apart, so pulling them up never captures).
 
     def _elim_foralls(self, t):
@@ -364,7 +349,7 @@ class Solver:
         return t
 
     def _qe_exists(self, qvars, body):
-        body, extra = _strip_exists(body)
+        body, extra = strip_exists(body)
         qvars = list(qvars) + extra
         disjuncts = []
         for literals in dnf_stream(body, prune=self._conjunct_feasible):
@@ -374,7 +359,7 @@ class Solver:
             cons, bools, aux_vars = system
             elim = list(qvars) + aux_vars
             for out_cons in project(cons, elim):
-                parts = [_constraint_to_formula(c) for c in out_cons] + bools
+                parts = [_row_formula(c) for c in out_cons] + bools
                 disjuncts.append(S.conj(*parts))
         return S.disj(*disjuncts)
 
@@ -442,15 +427,14 @@ class Solver:
         return best
 
     def _omega_feasible(self, literals) -> bool:
-        self.stats["omega_conjuncts"] += 1
         system = _linear_system(literals, "sat")
         return system is not None and feasible(system[0])
 
 
 def _linear_system(literals, what=None):
-    """A conjunct's literals as Omega constraints, from the
-    :class:`~repro.smt.linear.Linearizer`'s rows: an ``EQ`` per ``==``
-    atom, ``GEQ`` otherwise and for the quotients' defining rows.
+    """A conjunct's literals as Omega constraints over the
+    :class:`~repro.smt.linear.Linearizer`'s rows: an ``EQ`` row per ``==``
+    atom, ``GEQ`` rows otherwise and for the quotients' defining rows.
 
     Returns ``(constraints, bool literals, quotient vars)``, or None when
     the conjunct holds a FALSE literal or a boolean conflict.  A
@@ -464,9 +448,9 @@ def _linear_system(literals, what=None):
         if isinstance(lit, S.Cmp):
             try:
                 if lit.op == "==":
-                    rows.append((lz.diff(lit.lhs, lit.rhs), EQ))
+                    rows.append((EQ, lz.diff(lit.lhs, lit.rhs), 0))
                 else:
-                    rows.extend((r, GEQ) for r in lz.atom_cons(lit))
+                    rows.extend((GEQ, r, 0) for r in lz.atom_cons(lit))
             except NonAffine:
                 raise InternalError(f"non-linear atom {lit!r}") from None
         elif isinstance(lit, (S.Var, S.Not)):
@@ -480,12 +464,11 @@ def _linear_system(literals, what=None):
             raise InternalError(f"{what}: unexpected literal {lit!r}")
     if _bool_conflict(bools):
         return None
-    rows.extend((r, GEQ) for r in lz.cons)
-    cons = [Constraint(LinExpr.make(m, c), kind) for (c, m), kind in rows]
-    return cons, bools, list(lz.quotients.values())
+    rows.extend((GEQ, r, 0) for r in lz.cons)
+    return rows, bools, list(lz.quotients.values())
 
 
-def _strip_exists(t):
+def strip_exists(t):
     """Prenex existential binders out of an NNF, forall-free formula.
 
     Returns ``(formula, vars)``; the binders become free variables, each
@@ -493,15 +476,17 @@ def _strip_exists(t):
     a free variable) are conflated."""
     if isinstance(t, S.Exists):
         fresh, body = S.open_binder(t)
-        inner, vs = _strip_exists(body)
+        inner, vs = strip_exists(body)
         return inner, list(fresh) + vs
     if isinstance(t, (S.And, S.Or)):
         parts = []
         vs = []
         for a in t.args:
-            p, v = _strip_exists(a)
+            p, v = strip_exists(a)
             parts.append(p)
             vs += v
+        if all(p is a for p, a in zip(parts, t.args)):
+            return t, vs  # no binder below
         rebuilt = S.conj(*parts) if isinstance(t, S.And) else S.disj(*parts)
         return rebuilt, vs
     return t, []
@@ -516,6 +501,17 @@ def _bool_conflict(bools) -> bool:
         else:
             pos.add(b)
     return bool(pos & neg)
+
+
+def format_model(model, limit: int, skip=()) -> str:
+    """``"i = 4, n = 4"``: the first ``limit`` entries of a
+    :meth:`Solver.find_model` model outside ``skip``, ordered by name and
+    then ``Sym`` id; empty when there are none."""
+    items = sorted(
+        ((s, v) for s, v in model.items() if s not in skip),
+        key=lambda kv: (kv[0].name, kv[0].id),
+    )
+    return ", ".join(f"{s.name} = {v}" for s, v in items[:limit])
 
 
 #: A process-wide default solver (the cache is shared across checks).

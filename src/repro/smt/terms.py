@@ -217,7 +217,6 @@ def ite(c: Term, a: Term, b: Term) -> Term:
     return Ite(c, a, b)
 
 
-_CMP_NEG = {"==": "!=", "<=": ">", "<": ">=", ">=": "<", ">": "<="}
 _CMP_EVAL = {
     "==": lambda a, b: a == b,
     "<=": lambda a, b: a <= b,
@@ -268,9 +267,9 @@ def negate(t: Term) -> Term:
 def conj(*args) -> Term:
     flat = []
     for a in args:
-        if a == FALSE:
-            return FALSE
-        if a == TRUE:
+        if isinstance(a, BoolC):
+            if not a.val:
+                return FALSE
             continue
         if isinstance(a, And):
             flat.extend(a.args)
@@ -290,9 +289,9 @@ def conj(*args) -> Term:
 def disj(*args) -> Term:
     flat = []
     for a in args:
-        if a == TRUE:
-            return TRUE
-        if a == FALSE:
+        if isinstance(a, BoolC):
+            if a.val:
+                return TRUE
             continue
         if isinstance(a, Or):
             flat.extend(a.args)

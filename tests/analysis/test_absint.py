@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.analysis import absint
 from repro.analysis.absint import Box, Facts, Linearizer, refute, try_prove
 from repro.core.prelude import Sym
+from repro.obs.smtstats import STATS
+from repro.smt import omega
 from repro.smt import terms as S
 
 
@@ -91,6 +96,52 @@ class TestRefute:
         for order in ([a, b, c], [c, b, a], [b, c, a]):
             assert absint._elimination_var(rows, order) == (a, 1)
         assert absint._elimination_var(rows, [c, b]) == (b, 1)
+
+
+# -- property-based: the fast path against brute force and the Omega test ----
+
+_P = [Sym("p"), Sym("q"), Sym("r")]
+_BOX = 5
+
+
+@st.composite
+def bounded_rows(draw):
+    """A few random rows over three variables, some paired with their
+    negation (an equality, for the substitution step), inside the box
+    ``[-_BOX, _BOX]^3`` so that brute force is conclusive."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        m = {v: draw(st.integers(-4, 4)) for v in _P}
+        c = draw(st.integers(-12, 12))
+        rows.append((c, m))
+        if draw(st.booleans()):
+            rows.append((-c, {v: -a for v, a in m.items()}))
+    for v in _P:
+        rows += [(_BOX, {v: 1}), (_BOX, {v: -1})]
+    return draw(st.permutations(rows))
+
+
+def _has_point(rows):
+    return any(
+        all(c + sum(a * pt[v] for v, a in m.items()) >= 0 for c, m in rows)
+        for pt in (
+            dict(zip(_P, vals))
+            for vals in itertools.product(range(-_BOX, _BOX + 1), repeat=3)
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=bounded_rows())
+def test_refute_never_refutes_a_system_with_an_integer_point(rows):
+    assert not (absint._refute(rows) and _has_point(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=bounded_rows())
+def test_refute_implies_omega_infeasible(rows):
+    if absint._refute(rows):
+        assert not omega.feasible([(omega.GEQ, r, 0) for r in rows])
 
 
 class TestTryProve:
@@ -189,15 +240,13 @@ class TestEqualityElimination:
     system when Fourier-Motzkin alone cannot refute it."""
 
     def test_divisor_divisibility_is_proved_without_the_solver(self):
-        from repro.smt.solver import DEFAULT_SOLVER
-
         N = _v("N")
         fact = S.eq(S.Mod(N, 16), S.IntC(0))
         goal = S.eq(S.Mod(N, 8), S.IntC(0))
         assert try_prove(Facts.of([fact]), goal)
-        before = DEFAULT_SOLVER.stats["prove_calls"]
+        before = STATS.prove_calls
         assert absint.prove(Facts.of([fact]), goal, "rewrite")
-        assert DEFAULT_SOLVER.stats["prove_calls"] == before
+        assert STATS.prove_calls == before
 
     def test_multiple_divisibility_stays_unknown(self):
         # N = 8 is a counterexample: the fast path must not claim it
@@ -397,23 +446,19 @@ class TestCone:
 
 class TestProveWrapper:
     def test_discharged_goal_skips_solver(self):
-        from repro.smt.solver import DEFAULT_SOLVER
-
         x = _v("x")
-        before = DEFAULT_SOLVER.stats["prove_calls"]
+        before = STATS.prove_calls
         facts = Facts.of([S.ge(x, S.IntC(0))])
         assert absint.prove(facts, S.ge(x, S.IntC(-1)), "bounds")
-        assert DEFAULT_SOLVER.stats["prove_calls"] == before
+        assert STATS.prove_calls == before
 
     def test_fellthrough_goal_reaches_solver(self):
-        from repro.smt.solver import DEFAULT_SOLVER
-
         x = _v("x")
         # non-affine goal: the fast path cannot decide it
         goal = S.ge(S.Ite(S.ge(x, S.IntC(0)), x, S.neg(x)), S.IntC(0))
-        before = DEFAULT_SOLVER.stats["prove_calls"]
+        before = STATS.prove_calls
         assert absint.prove(Facts.of([]), goal, "bounds")
-        assert DEFAULT_SOLVER.stats["prove_calls"] == before + 1
+        assert STATS.prove_calls == before + 1
 
     def test_counters_flow(self):
         obs.reset()
@@ -497,13 +542,12 @@ class TestCaseSplit:
         race goal over two disjunctive location sets: decided by the case
         split, without the solver."""
         from repro.analysis import parallel
-        from repro.smt.solver import DEFAULT_SOLVER
 
         q = _proc(_TAIL_SRC).split("for j in _: _", 4, "jo", "ji", tail="cut")
-        before = DEFAULT_SOLVER.stats["prove_calls"]
+        before = STATS.prove_calls
         goals = _recorded_goals(parallel, lambda: q.parallelize(
             "for i in _: _"))
-        assert DEFAULT_SOLVER.stats["prove_calls"] == before
+        assert STATS.prove_calls == before
         (facts, goal), = goals
         assert isinstance(goal, S.Not) and len(absint._branches(goal)) == 4
         assert try_prove(Facts.of(facts), goal)

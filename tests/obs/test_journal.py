@@ -14,6 +14,7 @@ import pytest
 from repro import SchedulingError, obs, proc
 from repro.api import procs_from_source
 from repro.obs import journal, trace
+from repro.obs.smtstats import STATS
 
 _GEMM_SRC = """
 @proc
@@ -211,7 +212,7 @@ class TestFig4aAcceptance:
             path decides every Fig. 4a obligation, but never this false
             divisibility goal, so the split is what reaches the solver
             (which rejects it)."""
-            calls = DEFAULT_SOLVER.stats["prove_calls"]
+            calls = STATS.prove_calls
             hits = DEFAULT_SOLVER.qcache.hits
             fell = obs.profile_dict()["counters"].get(
                 "analysis.absint.fellthrough", 0
@@ -222,7 +223,7 @@ class TestFig4aAcceptance:
                 "analysis.absint.fellthrough"
             ] > fell
             return (
-                DEFAULT_SOLVER.stats["prove_calls"] - calls,
+                STATS.prove_calls - calls,
                 DEFAULT_SOLVER.qcache.hits - hits,
             )
 

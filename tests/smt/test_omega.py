@@ -1,4 +1,5 @@
-"""Unit + property tests for the Omega test / Cooper projection."""
+"""Unit + property tests for the shared row operations, the Omega test and
+Cooper projection."""
 
 from __future__ import annotations
 
@@ -9,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.prelude import Sym
+from repro.smt import linear as L
 from repro.smt.omega import (
     DIV,
     EQ,
     GEQ,
-    Constraint,
     Infeasible,
-    LinExpr,
     feasible,
     normalize,
     project,
@@ -23,75 +23,89 @@ from repro.smt.omega import (
 
 
 def lin(coeffs, const):
-    return LinExpr.make(coeffs, const)
+    return (const, {v: c for v, c in coeffs.items() if c})
 
 
-class TestLinExpr:
-    def test_make_drops_zero_coeffs(self):
+def _at(row, v, value):
+    """``row`` with the variable ``v`` fixed to ``value``."""
+    kind, e, d = row
+    return (kind, L.substitute(e, lin({v: 1}, -value), v), d)
+
+
+class TestRowOperations:
+    def test_normalize_drops_zero_coeffs(self):
         x = Sym("x")
-        assert lin({x: 0}, 3).coeffs == ()
+        assert L.normalize(3, {x: 0}) == lin({}, 3)
 
-    def test_add(self):
+    def test_combine_cancels_the_variable(self):
+        # 2x + y + 3 >= 0 and -2x + 5y - 1 >= 0  ->  12y + 4 >= 0,
+        # gcd-tightened to y >= 0
         x, y = Sym("x"), Sym("y")
-        a = lin({x: 2, y: 1}, 3)
-        b = lin({x: -2, y: 5}, -1)
-        c = a.add(b)
-        assert c.coeff_of(x) == 0
-        assert c.coeff_of(y) == 6
-        assert c.const == 2
+        out = L.combine(lin({x: 2, y: 1}, 3), lin({x: -2, y: 5}, -1), x)
+        assert out == lin({y: 1}, 0)
 
-    def test_scale(self):
+    def test_combine_dark_shadow_offset(self):
+        # 3x - 10 >= 0 and -2x + 9 >= 0: the real shadow 2*(-10) + 3*9 >= 0,
+        # the dark shadow less (3-1)*(2-1)
         x = Sym("x")
-        assert lin({x: 2}, 3).scale(-2) == lin({x: -4}, -6)
+        lo, up = lin({x: 3}, -10), lin({x: -2}, 9)
+        assert L.combine(lo, up, x) == lin({}, 7)
+        assert L.combine(lo, up, x, 2) == lin({}, 5)
 
     def test_subst(self):
         x, y = Sym("x"), Sym("y")
         a = lin({x: 3, y: 1}, 0)
-        out = a.subst(x, lin({y: 2}, 1))
+        # x = 2y + 1, i.e. x - 2y - 1 == 0
+        out = L.substitute(a, lin({x: 1, y: -2}, -1), x)
         assert out == lin({y: 7}, 3)
+
+    def test_dedupe_keeps_the_tightest_row(self):
+        x, y = Sym("x"), Sym("y")
+        rows = [lin({x: 1}, 5), lin({y: 1}, 0), lin({x: 1}, 2)]
+        assert L.dedupe(rows) == [lin({x: 1}, 2), lin({y: 1}, 0)]
 
 
 class TestNormalize:
     def test_constant_contradiction_geq(self):
         with pytest.raises(Infeasible):
-            normalize([Constraint(LinExpr.constant(-1), GEQ)])
+            normalize([(GEQ, lin({}, -1), 0)])
 
     def test_constant_contradiction_eq(self):
         with pytest.raises(Infeasible):
-            normalize([Constraint(LinExpr.constant(2), EQ)])
+            normalize([(EQ, lin({}, 2), 0)])
 
     def test_gcd_tightening(self):
         # 2x - 1 >= 0 tightens to x - 1 >= 0 (x >= 1 over integers)
         x = Sym("x")
-        (out,) = normalize([Constraint(lin({x: 2}, -1), GEQ)])
-        assert out.expr == lin({x: 1}, -1)
+        (out,) = normalize([(GEQ, lin({x: 2}, -1), 0)])
+        assert out[1] == lin({x: 1}, -1)
 
     def test_eq_divisibility_contradiction(self):
         x = Sym("x")
         with pytest.raises(Infeasible):
-            normalize([Constraint(lin({x: 2}, 1), EQ)])  # 2x + 1 = 0
+            normalize([(EQ, lin({x: 2}, 1), 0)])  # 2x + 1 = 0
 
     def test_div_constant(self):
         with pytest.raises(Infeasible):
-            normalize([Constraint(LinExpr.constant(3), DIV, 2)])
-        assert normalize([Constraint(LinExpr.constant(4), DIV, 2)]) == []
+            normalize([(DIV, lin({}, 3), 2)])
+        assert normalize([(DIV, lin({}, 4), 2)]) == []
 
 
 class TestFeasible:
     def test_simple_sat(self):
         x = Sym("x")
-        assert feasible([Constraint(lin({x: 1}, -5), GEQ)])  # x >= 5
+        assert feasible([(GEQ, lin({x: 1}, -5), 0)])  # x >= 5
 
     def test_between_bounds(self):
         x = Sym("x")
         cons = [
-            Constraint(lin({x: 1}, -3), GEQ),  # x >= 3
-            Constraint(lin({x: -1}, 3), GEQ),  # x <= 3
+            (GEQ, lin({x: 1}, -3), 0),  # x >= 3
+            (GEQ, lin({x: -1}, 3), 0),  # x <= 3
         ]
         assert feasible(cons)
         cons2 = [
-            Constraint(lin({x: 1}, -4), GEQ),
-            Constraint(lin({x: -1}, 3), GEQ),
+            (GEQ, lin({x: 1}, -4), 0),
+            (GEQ, lin({x: -1}, 3), 0),
         ]
         assert not feasible(cons2)
 
@@ -99,8 +113,8 @@ class TestFeasible:
         # 3x in [10, 11] has no integer solution
         x = Sym("x")
         cons = [
-            Constraint(lin({x: 3}, -10), GEQ),
-            Constraint(lin({x: -3}, 11), GEQ),
+            (GEQ, lin({x: 3}, -10), 0),
+            (GEQ, lin({x: -3}, 11), 0),
         ]
         assert not feasible(cons)
 
@@ -108,47 +122,47 @@ class TestFeasible:
         # 3x >= 10 and 2x <= 9: x = 4 works (12 >= 10, 8 <= 9)
         x = Sym("x")
         cons = [
-            Constraint(lin({x: 3}, -10), GEQ),
-            Constraint(lin({x: -2}, 9), GEQ),
+            (GEQ, lin({x: 3}, -10), 0),
+            (GEQ, lin({x: -2}, 9), 0),
         ]
         assert feasible(cons)
 
     def test_equality_substitution(self):
         x, y = Sym("x"), Sym("y")
         cons = [
-            Constraint(lin({x: 1, y: -2}, 0), EQ),  # x = 2y
-            Constraint(lin({x: 1}, -7), GEQ),  # x >= 7
-            Constraint(lin({x: -1}, 8), GEQ),  # x <= 8
+            (EQ, lin({x: 1, y: -2}, 0), 0),  # x = 2y
+            (GEQ, lin({x: 1}, -7), 0),  # x >= 7
+            (GEQ, lin({x: -1}, 8), 0),  # x <= 8
         ]
         assert feasible(cons)  # x = 8, y = 4
 
     def test_equality_mod_reduction(self):
         # 7x + 12y = 1 solvable (gcd 1); 6x + 12y = 1 is not
         x, y = Sym("x"), Sym("y")
-        assert feasible([Constraint(lin({x: 7, y: 12}, -1), EQ)])
-        assert not feasible([Constraint(lin({x: 6, y: 12}, -1), EQ)])
+        assert feasible([(EQ, lin({x: 7, y: 12}, -1), 0)])
+        assert not feasible([(EQ, lin({x: 6, y: 12}, -1), 0)])
 
     def test_divisibility(self):
         x = Sym("x")
         cons = [
-            Constraint(lin({x: 1}, 0), DIV, 4),  # 4 | x
-            Constraint(lin({x: 1}, -1), GEQ),  # x >= 1
-            Constraint(lin({x: -1}, 3), GEQ),  # x <= 3
+            (DIV, lin({x: 1}, 0), 4),  # 4 | x
+            (GEQ, lin({x: 1}, -1), 0),  # x >= 1
+            (GEQ, lin({x: -1}, 3), 0),  # x <= 3
         ]
         assert not feasible(cons)
-        cons[2] = Constraint(lin({x: -1}, 4), GEQ)  # x <= 4
+        cons[2] = (GEQ, lin({x: -1}, 4), 0)  # x <= 4
         assert feasible(cons)
 
     def test_tiling_disjointness(self):
         # 16a + b == 16c + d, 0<=b,d<16, a < c: infeasible
         a, b, c, d = (Sym(n) for n in "abcd")
         cons = [
-            Constraint(lin({a: 16, b: 1, c: -16, d: -1}, 0), EQ),
-            Constraint(lin({b: 1}, 0), GEQ),
-            Constraint(lin({b: -1}, 15), GEQ),
-            Constraint(lin({d: 1}, 0), GEQ),
-            Constraint(lin({d: -1}, 15), GEQ),
-            Constraint(lin({c: 1, a: -1}, -1), GEQ),  # c >= a + 1
+            (EQ, lin({a: 16, b: 1, c: -16, d: -1}, 0), 0),
+            (GEQ, lin({b: 1}, 0), 0),
+            (GEQ, lin({b: -1}, 15), 0),
+            (GEQ, lin({d: 1}, 0), 0),
+            (GEQ, lin({d: -1}, 15), 0),
+            (GEQ, lin({c: 1, a: -1}, -1), 0),  # c >= a + 1
         ]
         assert not feasible(cons)
 
@@ -158,44 +172,42 @@ class TestProject:
         # exists x. x = y + 1 and x >= 3  ->  y >= 2
         x, y = Sym("x"), Sym("y")
         cons = [
-            Constraint(lin({x: 1, y: -1}, -1), EQ),
-            Constraint(lin({x: 1}, -3), GEQ),
+            (EQ, lin({x: 1, y: -1}, -1), 0),
+            (GEQ, lin({x: 1}, -3), 0),
         ]
         (out,) = project(cons, [x])
-        assert out == [Constraint(lin({y: 1}, -2), GEQ)]
+        assert out == [(GEQ, lin({y: 1}, -2), 0)]
 
     def test_project_equality_coefficient(self):
         # exists x. 3x = y  ->  3 | y
         x, y = Sym("x"), Sym("y")
-        cons = [Constraint(lin({x: 3, y: -1}, 0), EQ)]
+        cons = [(EQ, lin({x: 3, y: -1}, 0), 0)]
         (out,) = project(cons, [x])
-        assert any(c.kind == DIV and c.divisor == 3 for c in out)
+        assert any(kind == DIV and d == 3 for kind, _e, d in out)
 
     def test_project_inequalities_exact(self):
         # exists x. y <= x <= z  ->  y <= z
         x, y, z = Sym("x"), Sym("y"), Sym("z")
         cons = [
-            Constraint(lin({x: 1, y: -1}, 0), GEQ),
-            Constraint(lin({x: -1, z: 1}, 0), GEQ),
+            (GEQ, lin({x: 1, y: -1}, 0), 0),
+            (GEQ, lin({x: -1, z: 1}, 0), 0),
         ]
         (out,) = project(cons, [x])
-        assert out == [Constraint(lin({z: 1, y: -1}, 0), GEQ)]
+        assert out == [(GEQ, lin({z: 1, y: -1}, 0), 0)]
 
     def test_project_cooper_divisibility(self):
         # exists x. 2x <= y <= 2x + 1 is always true: projection must be
         # satisfiable for every y in a small range
         x, y = Sym("x"), Sym("y")
         cons = [
-            Constraint(lin({y: 1, x: -2}, 0), GEQ),
-            Constraint(lin({y: -1, x: 2}, 1), GEQ),
+            (GEQ, lin({y: 1, x: -2}, 0), 0),
+            (GEQ, lin({y: -1, x: 2}, 1), 0),
         ]
         disjuncts = project(cons, [x])
         assert disjuncts
         for yv in range(-4, 5):
             ok = any(
-                feasible(
-                    [c.subst(y, LinExpr.constant(yv)) for c in d]
-                )
+                feasible([_at(c, y, yv) for c in d])
                 for d in disjuncts
             )
             assert ok, f"y={yv} wrongly excluded"
@@ -203,11 +215,11 @@ class TestProject:
     def test_project_preserves_free_var_meaning(self):
         # exists x. y = 2x  ->  y even; verify on concrete values
         x, y = Sym("x"), Sym("y")
-        cons = [Constraint(lin({y: 1, x: -2}, 0), EQ)]
+        cons = [(EQ, lin({y: 1, x: -2}, 0), 0)]
         disjuncts = project(cons, [x])
         for yv in range(-6, 7):
             got = any(
-                feasible([c.subst(y, LinExpr.constant(yv)) for c in d])
+                feasible([_at(c, y, yv) for c in d])
                 for d in disjuncts
             )
             assert got == (yv % 2 == 0)
@@ -226,25 +238,25 @@ def small_systems(draw):
         coeffs = {v: draw(st.integers(-4, 4)) for v in _VARS}
         const = draw(st.integers(-10, 10))
         kind = draw(st.sampled_from([GEQ, EQ]))
-        cons.append(Constraint(LinExpr.make(coeffs, const), kind))
+        cons.append((kind, lin(coeffs, const), 0))
     # keep systems bounded so brute force over [-12, 12]^2 is conclusive
     for v in _VARS:
-        cons.append(Constraint(LinExpr.make({v: 1}, 12), GEQ))
-        cons.append(Constraint(LinExpr.make({v: -1}, 12), GEQ))
+        cons.append((GEQ, lin({v: 1}, 12), 0))
+        cons.append((GEQ, lin({v: -1}, 12), 0))
     return cons
 
 
 def _brute_force(cons):
     for pv, qv in itertools.product(range(-12, 13), repeat=2):
         ok = True
-        for c in cons:
-            val = c.expr.const
-            val += c.expr.coeff_of(_VARS[0]) * pv
-            val += c.expr.coeff_of(_VARS[1]) * qv
-            if c.kind == GEQ and val < 0:
+        for kind, (const, m), _d in cons:
+            val = const
+            val += m.get(_VARS[0], 0) * pv
+            val += m.get(_VARS[1], 0) * qv
+            if kind == GEQ and val < 0:
                 ok = False
                 break
-            if c.kind == EQ and val != 0:
+            if kind == EQ and val != 0:
                 ok = False
                 break
         if ok:
