@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -330,7 +331,8 @@ class Facts:
     fast path's answer: the same access or condition checked twice in one
     scope is refuted once."""
 
-    __slots__ = ("terms", "memo", "_parent", "_new", "_lin")
+    __slots__ = ("terms", "memo", "_parent", "_new", "_lin", "_rows_of",
+                 "_void")
 
     def __init__(self, terms: tuple, parent: Optional["Facts"], new: tuple):
         self.terms = terms
@@ -339,6 +341,10 @@ class Facts:
         self._parent = parent
         self._new = new
         self._lin = None
+        #: the context rows' :func:`_index`, built for the first goal
+        self._rows_of = None
+        #: are the context rows infeasible on their own (None: not asked)
+        self._void = None
 
     @classmethod
     def of(cls, terms) -> "Facts":
@@ -379,6 +385,14 @@ class Facts:
             lin = self._lin = (rows, qrows, rows + qrows, lz.quotients)
         return lin
 
+    def _infeasible(self) -> bool:
+        """Do the context rows refute themselves?  Decided once per
+        scope, for the first goal whose cone they do not refute."""
+        if self._void is None:
+            context = self._linearized()[2]
+            self._void = bool(context) and refute(context)
+        return self._void
+
 
 # ---------------------------------------------------------------------------
 # Goal decomposition
@@ -412,41 +426,76 @@ def _branches(goal: S.Term) -> Optional[List[Tuple[S.Cmp, ...]]]:
     return out
 
 
-def _cone(context: List[Lin], goal_rows: List[Lin]) -> List[Lin]:
-    """The context rows linked to the goal rows through chains of shared
-    variables, plus the variable-free rows (a false fact)."""
+def _index(rows: List[Lin], start: int = 0) -> Dict[Optional[Sym], List[int]]:
+    """Each variable's row positions in ``rows``, counted from ``start``;
+    the variable-free rows are under ``None``."""
+    rows_of: Dict[Optional[Sym], List[int]] = {}
+    for i, (_c, m) in enumerate(rows, start):
+        for v in m or (None,):
+            rows_of.setdefault(v, []).append(i)
+    return rows_of
+
+
+def _cone(context: List[Lin], goal_rows: List[Lin], rows_of=None,
+          extra: List[Lin] = ()) -> List[Lin]:
+    """The rows of ``context + extra`` linked to the goal rows through
+    chains of shared variables, plus the variable-free rows (a false
+    fact), found from ``rows_of``, the :func:`_index` of ``context``.
+
+    They come in the order of sweeps over the remaining rows until one
+    adds none, which the store key and the FM caps see: a row reached
+    from one that joined at ``(sweep, j)`` joins at ``(sweep, i)`` when
+    its position ``i > j``, else at ``(sweep + 1, i)``."""
+    if rows_of is None:
+        rows_of = _index(context)
+    rows = context
+    if extra:
+        rows = context + list(extra)
+        rows_of = dict(rows_of)
+        for v, more in _index(extra, len(context)).items():
+            rows_of[v] = rows_of.get(v, []) + more
+    # (sweep, position) of each row reached: the variable-free rows and
+    # those holding a goal variable join in the first sweep
+    heap = [(1, i) for i in rows_of.get(None, ())]
     linked = set()
     for _c, m in goal_rows:
-        linked.update(m)
+        for v in m:
+            if v not in linked:
+                linked.add(v)
+                heap += [(1, i) for i in rows_of.get(v, ())]
+    heapify(heap)
     out: List[Lin] = []
-    pending = context
-    grew = True
-    while grew:
-        grew = False
-        rest = []
-        for row in pending:
-            if not row[1] or not linked.isdisjoint(row[1]):
-                out.append(row)
-                linked.update(row[1])
-                grew = True
-            else:
-                rest.append(row)
-        pending = rest
+    joined = set()
+    while heap:
+        sweep, j = heappop(heap)
+        if j in joined:
+            continue
+        joined.add(j)
+        row = rows[j]
+        out.append(row)
+        for v in row[1]:
+            if v not in linked:
+                linked.add(v)
+                for i in rows_of.get(v, ()):
+                    if i not in joined:
+                        heappush(heap, (sweep if i > j else sweep + 1, i))
     return out
 
 
-def _refute_goal(context: List[Lin], goal_rows: List[Lin]) -> bool:
-    """``refute(context + goal_rows)``, first on the goal's cone of
-    influence only.  Rows sharing no variable with the goal (the bounds of
-    unrelated loops, most assertions) cannot take part in refuting it
-    unless the context alone is infeasible, which the full system, tried
-    second, still catches.  Refuting a subset of the rows refutes the
-    whole conjunction, so a proof found on the cone is sound; the cone
-    only keeps the eliminations small."""
-    cone = _cone(context, goal_rows)
-    if len(cone) < len(context) and refute(cone + goal_rows):
-        return True
-    return refute(context + goal_rows)
+def _refute_goal(context: List[Lin], goal_rows: List[Lin], rows_of=None,
+                 extra: List[Lin] = ()) -> bool:
+    """``refute(context + extra + goal_rows)`` on the goal's cone of
+    influence only (:func:`_cone`).  Rows sharing no variable with the
+    goal (the bounds of unrelated loops, most assertions) take part in no
+    refutation of it but one of the context alone, which
+    :meth:`Facts._infeasible` decides once per scope.  Refuting a subset
+    of the rows refutes the whole conjunction, so a proof found on the
+    cone is sound; the cone only keeps the eliminations small.  A cone of
+    every row keeps their order."""
+    cone = _cone(context, goal_rows, rows_of, extra)
+    if len(cone) == len(context) + len(extra):
+        cone = context + list(extra)
+    return refute(cone + goal_rows)
 
 
 def _decide(facts: Facts, goal: S.Term) -> bool:
@@ -456,14 +505,17 @@ def _decide(facts: Facts, goal: S.Term) -> bool:
     if not branches:
         return True
     _rows, _qrows, context, quotients = facts._linearized()
+    if facts._rows_of is None:
+        facts._rows_of = _index(context)
     for branch in branches:
         lz = Linearizer(quotients)
         try:
             rows = [r for atom in branch for r in lz.atom_cons(atom)]
         except NonAffine:
             return False
-        if not _refute_goal(context + lz.cons, rows):
-            return False
+        if not _refute_goal(context, rows, facts._rows_of, lz.cons):
+            # a context infeasible on its own proves every goal
+            return facts._infeasible()
     return True
 
 

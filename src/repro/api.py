@@ -43,7 +43,6 @@ from .scheduling.pattern import (
     StmtMatch,
     find_expr,
     find_stmt,
-    get_expr,
     parse_fragment_expr,
 )
 from .scheduling.simplify import simplify_proc
@@ -128,6 +127,10 @@ class Procedure:
         new_ir, simp_fwd = simplify_proc(new_ir)
         fwd = C.compose(fwd, simp_fwd)
         new_ir = typecheck_proc(new_ir)
+        if new_ir is self._loopir_proc:
+            # the rebuild kept the whole tree; the revision still needs a
+            # Proc of its own, where __init__ records its provenance node
+            new_ir = _dc_replace(new_ir)
         node = EqvNode(self._eqv, pollution)
         return Procedure(new_ir, _eqv=node, _parent=self, _fwd=fwd)
 
@@ -204,12 +207,12 @@ class Procedure:
             cur = self.forward(target)
             stmt = IR.get_stmt(self._loopir_proc, cur.path)
             return [ExprMatch(cur.path, cur.expr_path,
-                              get_expr(stmt, cur.expr_path))]
+                              IR.get_expr(stmt, cur.expr_path))]
         if isinstance(target, _journal.PathRef) and target.expr_path is not None:
             path = tuple(tuple(s) for s in target.path)
             ep = tuple(tuple(s) for s in target.expr_path)
             stmt = IR.get_stmt(self._loopir_proc, path)
-            return [ExprMatch(path, ep, get_expr(stmt, ep))]
+            return [ExprMatch(path, ep, IR.get_expr(stmt, ep))]
         return find_expr(self._loopir_proc, target)
 
     def _journal_arg(self, v):

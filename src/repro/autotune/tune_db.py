@@ -78,7 +78,7 @@ def _decode_arg(v, procs: Optional[Dict] = None):
         return PathRef(
             path=tuple((f, i) for f, i in d["path"]),
             count=d["count"],
-            expr_path=(tuple((f, i) for f, i in d["expr_path"])
+            expr_path=(tuple(map(tuple, d["expr_path"]))
                        if d.get("expr_path") is not None else None),
         )
     if "$memory" in v:

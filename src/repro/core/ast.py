@@ -11,15 +11,41 @@ bodies are stored as tuples; rewrites construct new trees.  Statements inside
 a procedure are addressed by *paths* -- sequences of ``(field, index)`` steps
 from the procedure body -- which is how the pattern matcher communicates
 locations to the scheduling primitives.
+Each node class declares its children once, in ``SLOTS`` (below); every
+structural walk and rebuild derives from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
+from operator import is_
 from typing import Optional, Tuple
 
 from .prelude import InternalError, SrcInfo, Sym, null_srcinfo
 from . import types as T
+
+
+# ---------------------------------------------------------------------------
+# The IR's shape
+# ---------------------------------------------------------------------------
+#
+# ``SLOTS`` lists a node class's children as ``(field, kind)`` pairs, in
+# traversal order.  The kind fixes each child's *step*, its address within
+# its parent and the step format of expression paths (``ExprCursor``,
+# journalled ``PathRef.expr_path``s):
+#
+#   EXPR     an expression                  (field,)
+#   EXPRS    a tuple of expressions         (field, i)
+#   COORDS   a tuple of window coordinates  (field, i, sub): ``sub`` one of
+#            the i-th coordinate's own slots (``lo``/``hi``, ``pt``)
+#   EXTENTS  the extents of a tensor type   (field, i); none for a scalar
+#   BLOCK    a statement block              (field,)
+
+EXPR = "expr"
+EXPRS = "exprs"
+COORDS = "coords"
+EXTENTS = "extents"
+BLOCK = "block"
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +55,7 @@ from . import types as T
 
 @dataclass(frozen=True)
 class Expr:
-    pass
+    SLOTS = ()
 
 
 @dataclass(frozen=True)
@@ -40,6 +66,8 @@ class Read(Expr):
     idx: Tuple["Expr", ...]
     type: T.Type
     srcinfo: SrcInfo = null_srcinfo
+
+    SLOTS = (("idx", EXPRS),)
 
 
 @dataclass(frozen=True)
@@ -55,6 +83,8 @@ class USub(Expr):
     type: T.Type
     srcinfo: SrcInfo = null_srcinfo
 
+    SLOTS = (("arg", EXPR),)
+
 
 #: Binary operators of the core language.
 BINOPS = ("+", "-", "*", "/", "%", "==", "<", ">", "<=", ">=", "and", "or")
@@ -67,6 +97,8 @@ class BinOp(Expr):
     rhs: Expr
     type: T.Type
     srcinfo: SrcInfo = null_srcinfo
+
+    SLOTS = (("lhs", EXPR), ("rhs", EXPR))
 
     def __post_init__(self):
         if self.op not in BINOPS:
@@ -82,10 +114,14 @@ class Extern(Expr):
     type: T.Type
     srcinfo: SrcInfo = null_srcinfo
 
+    SLOTS = (("args", EXPRS),)
+
 
 @dataclass(frozen=True)
 class WAccess:
     """One coordinate of a window expression."""
+
+    SLOTS = ()
 
 
 @dataclass(frozen=True)
@@ -93,10 +129,14 @@ class Interval(WAccess):
     lo: Expr
     hi: Expr
 
+    SLOTS = (("lo", EXPR), ("hi", EXPR))
+
 
 @dataclass(frozen=True)
 class Point(WAccess):
     pt: Expr
+
+    SLOTS = (("pt", EXPR),)
 
 
 @dataclass(frozen=True)
@@ -107,6 +147,8 @@ class WindowExpr(Expr):
     idx: Tuple[WAccess, ...]
     type: T.Type  # a window Tensor type
     srcinfo: SrcInfo = null_srcinfo
+
+    SLOTS = (("idx", COORDS),)
 
 
 @dataclass(frozen=True)
@@ -134,7 +176,7 @@ class ReadConfig(Expr):
 
 @dataclass(frozen=True)
 class Stmt:
-    pass
+    SLOTS = ()
 
 
 @dataclass(frozen=True)
@@ -143,6 +185,8 @@ class Assign(Stmt):
     idx: Tuple[Expr, ...]
     rhs: Expr
     srcinfo: SrcInfo = null_srcinfo
+
+    SLOTS = (("idx", EXPRS), ("rhs", EXPR))
 
 
 @dataclass(frozen=True)
@@ -154,6 +198,8 @@ class Reduce(Stmt):
     rhs: Expr
     srcinfo: SrcInfo = null_srcinfo
 
+    SLOTS = (("idx", EXPRS), ("rhs", EXPR))
+
 
 @dataclass(frozen=True)
 class WriteConfig(Stmt):
@@ -161,6 +207,8 @@ class WriteConfig(Stmt):
     field: str
     rhs: Expr
     srcinfo: SrcInfo = null_srcinfo
+
+    SLOTS = (("rhs", EXPR),)
 
 
 @dataclass(frozen=True)
@@ -174,6 +222,8 @@ class If(Stmt):
     body: Tuple[Stmt, ...]
     orelse: Tuple[Stmt, ...] = ()
     srcinfo: SrcInfo = null_srcinfo
+
+    SLOTS = (("cond", EXPR), ("body", BLOCK), ("orelse", BLOCK))
 
 
 @dataclass(frozen=True)
@@ -192,6 +242,8 @@ class For(Stmt):
     srcinfo: SrcInfo = null_srcinfo
     kind: str = "seq"
 
+    SLOTS = (("lo", EXPR), ("hi", EXPR), ("body", BLOCK))
+
 
 @dataclass(frozen=True)
 class Alloc(Stmt):
@@ -200,12 +252,16 @@ class Alloc(Stmt):
     mem: Optional[type] = None  # Memory subclass
     srcinfo: SrcInfo = null_srcinfo
 
+    SLOTS = (("type", EXTENTS),)
+
 
 @dataclass(frozen=True)
 class Call(Stmt):
     proc: "Proc"
     args: Tuple[Expr, ...]
     srcinfo: SrcInfo = null_srcinfo
+
+    SLOTS = (("args", EXPRS),)
 
 
 @dataclass(frozen=True)
@@ -215,6 +271,8 @@ class WindowStmt(Stmt):
     name: Sym
     rhs: WindowExpr
     srcinfo: SrcInfo = null_srcinfo
+
+    SLOTS = (("rhs", EXPR),)
 
 
 # ---------------------------------------------------------------------------
@@ -258,56 +316,87 @@ class Proc:
 # ---------------------------------------------------------------------------
 
 
+def children(node) -> list:
+    """``(step, child)`` for every child of ``node``, in slot order: its
+    expressions (window bounds and allocation extents included) and its
+    statement blocks (tuples).  A value that is not a node -- a window
+    bound a pattern left open (None) -- has no children."""
+    out = []
+    for fld, kind in getattr(node, "SLOTS", ()):
+        v = getattr(node, fld)
+        if kind == EXPR or kind == BLOCK:
+            out.append(((fld,), v))
+        elif kind == EXPRS:
+            out += [((fld, i), c) for i, c in enumerate(v)]
+        elif kind == COORDS:
+            for i, w in enumerate(v):
+                out += [((fld, i) + step, c) for step, c in children(w)]
+        elif v.is_tensor_or_window():  # EXTENTS
+            out += [((fld, i), c) for i, c in enumerate(v.hi)]
+    return out
+
+
+def _kept(old, new):
+    """``old`` when the sequence ``new`` holds ``old``'s objects in order,
+    else ``new`` as a tuple."""
+    if type(old) is tuple and len(new) == len(old) and all(map(is_, new, old)):
+        return old
+    return tuple(new)
+
+
+def rebuild(node, fn=None, **fields):
+    """``node`` with each child replaced by ``fn(step, child)`` (the pairs
+    :func:`children` enumerates) and each of ``fields`` set -- or ``node``
+    itself when nothing changed: every new value is the old object, a new
+    sequence holding the old tuple's objects counts as the old tuple.
+
+    A rewrite through it allocates only along the paths it changed:
+    untouched subtrees, and the memos stored on them, are shared with the
+    tree they came from.  ``fields`` override what ``fn`` gives."""
+    if fn is not None:
+        new = {}
+        for fld, kind in getattr(node, "SLOTS", ()):
+            v = getattr(node, fld)
+            if kind == EXPR or kind == BLOCK:
+                new[fld] = fn((fld,), v)
+            elif kind == EXPRS:
+                new[fld] = [fn((fld, i), c) for i, c in enumerate(v)]
+            elif kind == COORDS:
+                new[fld] = [
+                    rebuild(w, lambda step, c, pre=(fld, i): fn(pre + step, c))
+                    for i, w in enumerate(v)
+                ]
+            elif v.is_tensor_or_window():  # EXTENTS
+                new[fld] = rebuild(
+                    v, hi=[fn((fld, i), c) for i, c in enumerate(v.hi)]
+                )
+        fields = {**new, **fields}
+    changed = {}
+    for k, v in fields.items():
+        old = getattr(node, k)
+        if v is old:
+            continue
+        if isinstance(v, (tuple, list)):
+            v = _kept(old, v)
+            if v is old:
+                continue
+        changed[k] = v
+    return dc_replace(node, **changed) if changed else node
+
+
 def sub_exprs(e: Expr):
     """Direct sub-expressions of ``e`` (window bounds included)."""
-    if isinstance(e, Read):
-        return list(e.idx)
-    if isinstance(e, USub):
-        return [e.arg]
-    if isinstance(e, BinOp):
-        return [e.lhs, e.rhs]
-    if isinstance(e, Extern):
-        return list(e.args)
-    if isinstance(e, WindowExpr):
-        out = []
-        for w in e.idx:
-            if isinstance(w, Interval):
-                out += [w.lo, w.hi]
-            else:
-                out.append(w.pt)
-        return out
-    return []
+    return [c for _step, c in children(e)]
 
 
 def stmt_exprs(s: Stmt):
     """All expressions appearing directly in statement ``s``."""
-    if isinstance(s, (Assign, Reduce)):
-        return list(s.idx) + [s.rhs]
-    if isinstance(s, WriteConfig):
-        return [s.rhs]
-    if isinstance(s, If):
-        return [s.cond]
-    if isinstance(s, For):
-        return [s.lo, s.hi]
-    if isinstance(s, Alloc):
-        return list(s.type.shape()) if s.type.is_tensor_or_window() else []
-    if isinstance(s, Call):
-        return list(s.args)
-    if isinstance(s, WindowStmt):
-        return [s.rhs]
-    return []
+    return [c for _step, c in children(s) if type(c) is not tuple]
 
 
 def sub_bodies(s: Stmt):
     """The statement blocks nested directly under ``s``, as (field, block)."""
-    if isinstance(s, If):
-        out = [("body", s.body)]
-        if s.orelse:
-            out.append(("orelse", s.orelse))
-        return out
-    if isinstance(s, For):
-        return [("body", s.body)]
-    return []
+    return [(fld, getattr(s, fld)) for fld, kind in s.SLOTS if kind == BLOCK]
 
 
 def walk_exprs(e: Expr):
@@ -354,32 +443,19 @@ def free_vars(stmts) -> set:
     bound = set()
     free = set()
 
-    def visit_e(e):
-        for sub in walk_exprs(e):
-            if isinstance(sub, (Read, WindowExpr, StrideExpr)):
-                if sub.name not in bound:
-                    free.add(sub.name)
-
     def visit_block(block):
         newly = []
         for s in block:
             for e in stmt_exprs(s):
-                visit_e(e)
-            if isinstance(s, (Assign, Reduce)):
-                if s.name not in bound:
-                    free.add(s.name)
-            if isinstance(s, For):
-                bound.add(s.iter)
-                newly.append(s.iter)
-                visit_block(s.body)
-            elif isinstance(s, If):
-                visit_block(s.body)
-                visit_block(s.orelse)
-            elif isinstance(s, (Alloc, WindowStmt)):
-                bound.add(s.name)
-                newly.append(s.name)
-        for n in newly:
-            bound.discard(n)
+                free.update(expr_reads(e) - bound)
+            if isinstance(s, (Assign, Reduce)) and s.name not in bound:
+                free.add(s.name)
+            if isinstance(s, (For, Alloc, WindowStmt)):
+                newly.append(s.iter if isinstance(s, For) else s.name)
+                bound.add(newly[-1])
+            for _fld, blk in sub_bodies(s):
+                visit_block(blk)
+        bound.difference_update(newly)
 
     visit_block(list(stmts))
     return free
@@ -391,32 +467,16 @@ def free_vars(stmts) -> set:
 
 
 def map_expr(fn, e: Expr) -> Expr:
-    """Rebuild ``e`` bottom-up, applying ``fn`` to every node."""
-    if isinstance(e, Read):
-        e2 = dc_replace(e, idx=tuple(map_expr(fn, i) for i in e.idx))
-    elif isinstance(e, USub):
-        e2 = dc_replace(e, arg=map_expr(fn, e.arg))
-    elif isinstance(e, BinOp):
-        e2 = dc_replace(e, lhs=map_expr(fn, e.lhs), rhs=map_expr(fn, e.rhs))
-    elif isinstance(e, Extern):
-        e2 = dc_replace(e, args=tuple(map_expr(fn, a) for a in e.args))
-    elif isinstance(e, WindowExpr):
-        widx = []
-        for w in e.idx:
-            if isinstance(w, Interval):
-                widx.append(Interval(map_expr(fn, w.lo), map_expr(fn, w.hi)))
-            else:
-                widx.append(Point(map_expr(fn, w.pt)))
-        e2 = dc_replace(e, idx=tuple(widx))
-    else:
-        e2 = e
-    return fn(e2)
+    """Rebuild ``e`` bottom-up, applying ``fn`` to every node (through
+    :func:`rebuild`: a subtree ``fn`` leaves alone is kept)."""
+    return fn(rebuild(e, lambda _step, c: map_expr(fn, c)))
 
 
 def map_stmts(fn, stmts) -> tuple:
     """Rebuild a block, applying ``fn`` bottom-up (as :func:`map_expr`) to
     every expression in it: indices, right-hand sides, conditions, loop
-    bounds, allocation shapes, call arguments and window bindings.
+    bounds, allocation shapes, call arguments and window bindings.  A
+    statement, or the block, that ``fn`` leaves alone is kept.
 
     An ``Assign``/``Reduce`` target is passed to ``fn`` as
     ``Read(name, idx)`` (with no type) and must come back as a ``Read``,
@@ -424,31 +484,20 @@ def map_stmts(fn, stmts) -> tuple:
     iterators, allocated and window names) are left alone.
     """
 
-    def m(e):
-        return map_expr(fn, e)
+    def m(_step, c):
+        return map_stmts(fn, c) if type(c) is tuple else map_expr(fn, c)
 
     out = []
     for s in stmts:
         if isinstance(s, (Assign, Reduce)):
-            tgt = m(Read(s.name, s.idx, None, s.srcinfo))
+            tgt = map_expr(fn, Read(s.name, s.idx, None, s.srcinfo))
             if not isinstance(tgt, Read):
                 raise InternalError(f"cannot rewrite write target {s.name}")
-            s = dc_replace(s, name=tgt.name, idx=tgt.idx, rhs=m(s.rhs))
-        elif isinstance(s, (WriteConfig, WindowStmt)):
-            s = dc_replace(s, rhs=m(s.rhs))
-        elif isinstance(s, If):
-            s = dc_replace(s, cond=m(s.cond), body=map_stmts(fn, s.body),
-                           orelse=map_stmts(fn, s.orelse))
-        elif isinstance(s, For):
-            s = dc_replace(s, lo=m(s.lo), hi=m(s.hi), body=map_stmts(fn, s.body))
-        elif isinstance(s, Alloc) and s.type.is_tensor_or_window():
-            typ = s.type
-            shape = tuple(m(h) for h in typ.shape())
-            s = dc_replace(s, type=T.Tensor(typ.basetype(), shape, typ.is_win()))
-        elif isinstance(s, Call):
-            s = dc_replace(s, args=tuple(m(a) for a in s.args))
+            s = rebuild(s, name=tgt.name, idx=tgt.idx, rhs=map_expr(fn, s.rhs))
+        else:
+            s = rebuild(s, m)
         out.append(s)
-    return tuple(out)
+    return _kept(stmts, out)
 
 
 def _subst_fn(env: dict):
@@ -496,49 +545,28 @@ def subst_stmts(env: dict, stmts) -> tuple:
 def alpha_rename(stmts) -> tuple:
     """Freshen every binder in a block, avoiding capture on later splices."""
 
+    def renamer(env, inner):
+        # a statement's expressions see ``env``, its blocks ``inner``
+        return lambda _step, c: (
+            rename_block(c, inner) if type(c) is tuple else subst_expr(env, c)
+        )
+
     def rename_block(block, env):
         out = []
         for s in block:
             if isinstance(s, For):
                 fresh = s.iter.copy()
-                env2 = dict(env)
-                env2[s.iter] = fresh
-                out.append(
-                    dc_replace(
-                        s,
-                        iter=fresh,
-                        lo=subst_expr(env, s.lo),
-                        hi=subst_expr(env, s.hi),
-                        body=rename_block(s.body, env2),
-                    )
-                )
+                s = rebuild(s, renamer(env, {**env, s.iter: fresh}), iter=fresh)
             elif isinstance(s, If):
-                out.append(
-                    dc_replace(
-                        s,
-                        cond=subst_expr(env, s.cond),
-                        body=rename_block(s.body, env),
-                        orelse=rename_block(s.orelse, env),
-                    )
-                )
-            elif isinstance(s, Alloc):
+                s = rebuild(s, renamer(env, env))
+            elif isinstance(s, (Alloc, WindowStmt)):
                 fresh = s.name.copy()
+                new = rebuild(s, lambda _step, e: subst_expr(env, e), name=fresh)
                 env[s.name] = fresh
-                typ = s.type
-                if typ.is_tensor_or_window():
-                    typ = T.Tensor(
-                        typ.basetype(),
-                        tuple(subst_expr(env, h) for h in typ.shape()),
-                        typ.is_win(),
-                    )
-                out.append(dc_replace(s, name=fresh, type=typ))
-            elif isinstance(s, WindowStmt):
-                fresh = s.name.copy()
-                rhs = subst_expr(env, s.rhs)
-                env[s.name] = fresh
-                out.append(dc_replace(s, name=fresh, rhs=rhs))
+                s = new
             else:
-                out.extend(subst_stmts(env, [s]))
+                (s,) = subst_stmts(env, [s])
+            out.append(s)
         return tuple(out)
 
     return rename_block(list(stmts), {})
@@ -550,6 +578,7 @@ def alpha_rename(stmts) -> tuple:
 #
 # A path is a tuple of (field, index) steps.  The first step's field is
 # always "body" (the proc body); later steps navigate through If/For blocks.
+# An expression path is a tuple of :func:`children` steps from a statement.
 
 
 def get_block(container, field_name):
@@ -579,10 +608,30 @@ def get_enclosing(proc: Proc, path):
     return out
 
 
+def get_expr(stmt: Stmt, expr_path):
+    """The expression at ``expr_path`` (a tuple of :func:`children`
+    steps) within ``stmt``."""
+    node = stmt
+    for step in expr_path:
+        node = dict(children(node))[step]
+    return node
+
+
+def replace_expr(stmt: Stmt, expr_path, new_expr):
+    """``stmt`` with the expression at ``expr_path`` replaced by
+    ``new_expr``; only the nodes along the path are rebuilt."""
+    if not expr_path:
+        return new_expr
+    head, rest = expr_path[0], expr_path[1:]
+    return rebuild(
+        stmt, lambda step, c: replace_expr(c, rest, new_expr) if step == head else c
+    )
+
+
 def replace_block(proc: Proc, path, count: int, new_stmts) -> Proc:
     """Splice ``new_stmts`` over ``count`` statements starting at ``path``."""
 
-    def rebuild(container, steps):
+    def splice(container, steps):
         fld, idx = steps[0]
         block = list(get_block(container, fld))
         if len(steps) == 1:
@@ -590,14 +639,12 @@ def replace_block(proc: Proc, path, count: int, new_stmts) -> Proc:
                 raise InternalError("replace_block: range out of bounds")
             block[idx : idx + count] = list(new_stmts)
         else:
-            block[idx] = rebuild(block[idx], steps[1:])
-        if isinstance(container, Proc):
-            return dc_replace(container, body=tuple(block))
+            block[idx] = splice(block[idx], steps[1:])
         return dc_replace(container, **{fld: tuple(block)})
 
     if not path:
         raise InternalError("empty path")
-    return rebuild(proc, list(path))
+    return splice(proc, list(path))
 
 
 def stmts_after(proc: Proc, path):

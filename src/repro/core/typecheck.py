@@ -45,21 +45,21 @@ class _TypeChecker:
             if a.type.is_tensor_or_window():
                 # extent expressions must be control expressions over
                 # previously declared arguments
-                hi = tuple(self.check_control(h, "array extent") for h in a.type.shape())
+                hi = [self.check_control(h, "array extent") for h in a.type.shape()]
                 for h in hi:
                     if not h.type.is_indexable():
                         self.err(a, f"array extent of {a.name} must be indexable")
-                typ = T.Tensor(a.type.basetype(), hi, a.type.is_win())
+                typ = IR.rebuild(a.type, hi=hi)
                 self.env[a.name] = typ
-                a = dc_replace(a, type=typ)
+                a = IR.rebuild(a, type=typ)
             else:
                 self.env[a.name] = a.type
             if a.mem is not None and not a.type.is_numeric():
                 self.err(a, f"only data buffers may carry memory annotations")
-        args = tuple(
-            dc_replace(a, type=self.env[a.name]) if a.type.is_tensor_or_window() else a
+        args = [
+            IR.rebuild(a, type=self.env[a.name]) if a.type.is_tensor_or_window() else a
             for a in p.args
-        )
+        ]
         preds = []
         for pred in p.preds:
             pred = self.check_expr(pred)
@@ -68,12 +68,12 @@ class _TypeChecker:
             self.check_is_control(pred)
             preds.append(pred)
         body = self.check_stmts(p.body)
-        return dc_replace(p, args=args, preds=tuple(preds), body=body)
+        return IR.rebuild(p, args=args, preds=preds, body=body)
 
     # -- statements --------------------------------------------------------
 
-    def check_stmts(self, stmts) -> tuple:
-        return tuple(self.check_stmt(s) for s in stmts)
+    def check_stmts(self, stmts) -> list:
+        return [self.check_stmt(s) for s in stmts]
 
     def check_stmt(self, s: IR.Stmt) -> IR.Stmt:
         if isinstance(s, (IR.Assign, IR.Reduce)):
@@ -87,14 +87,14 @@ class _TypeChecker:
                     f"config field {s.config.name()}.{s.field} has type {ftyp}; "
                     f"cannot assign a {rhs.type}",
                 )
-            return dc_replace(s, rhs=rhs)
+            return IR.rebuild(s, rhs=rhs)
         if isinstance(s, IR.Pass):
             return s
         if isinstance(s, IR.If):
             cond = self.check_control(s.cond, "branch condition")
             if not cond.type.is_bool():
                 self.err(s, "branch condition must be boolean")
-            return dc_replace(
+            return IR.rebuild(
                 s,
                 cond=cond,
                 body=self.check_stmts(s.body),
@@ -108,22 +108,22 @@ class _TypeChecker:
                     self.err(s, "loop bounds must be indexable control expressions")
             self.env[s.iter] = T.index_t
             body = self.check_stmts(s.body)
-            return dc_replace(s, lo=lo, hi=hi, body=body)
+            return IR.rebuild(s, lo=lo, hi=hi, body=body)
         if isinstance(s, IR.Alloc):
             typ = s.type
             if typ.is_tensor_or_window():
                 if typ.is_win():
                     self.err(s, "cannot allocate a window type")
-                hi = tuple(self.check_control(h, "array extent") for h in typ.shape())
-                typ = T.Tensor(typ.basetype(), hi, False)
+                hi = [self.check_control(h, "array extent") for h in typ.shape()]
+                typ = IR.rebuild(typ, hi=hi)
             self.env[s.name] = typ
-            return dc_replace(s, type=typ)
+            return IR.rebuild(s, type=typ)
         if isinstance(s, IR.Call):
             return self.check_call(s)
         if isinstance(s, IR.WindowStmt):
             rhs = self.check_expr(s.rhs)
             self.env[s.name] = rhs.type
-            return dc_replace(s, rhs=rhs)
+            return IR.rebuild(s, rhs=rhs)
         self.err(s, f"unknown statement {type(s).__name__}")
 
     def check_write(self, s):
@@ -143,7 +143,7 @@ class _TypeChecker:
                 f"cannot write a {rhs.type} value into {s.name} "
                 f"of type {typ.basetype()}",
             )
-        return dc_replace(s, idx=idx, rhs=rhs)
+        return IR.rebuild(s, idx=idx, rhs=rhs)
 
     def check_indices(self, node, typ, idx):
         rank = len(typ.shape())
@@ -159,7 +159,7 @@ class _TypeChecker:
             if not i.type.is_indexable():
                 self.err(node, "array indices must be indexable control values")
             out.append(i)
-        return tuple(out)
+        return out
 
     def check_call(self, s: IR.Call) -> IR.Call:
         callee = s.proc
@@ -209,7 +209,7 @@ class _TypeChecker:
                         f"{ft}, got {actual.type}",
                     )
             new_args.append(actual)
-        return dc_replace(s, args=tuple(new_args))
+        return IR.rebuild(s, args=new_args)
 
     # -- expressions --------------------------------------------------------
 
@@ -237,21 +237,21 @@ class _TypeChecker:
                 if not typ.is_tensor_or_window():
                     self.err(e, f"cannot index non-tensor {e.name}")
                 idx = self.check_indices(e, typ, e.idx)
-                return dc_replace(e, idx=idx, type=typ.basetype())
-            return dc_replace(e, type=typ)
+                return IR.rebuild(e, idx=idx, type=typ.basetype())
+            return IR.rebuild(e, type=typ)
         if isinstance(e, IR.Const):
             return e
         if isinstance(e, IR.USub):
             arg = self.check_expr(e.arg)
             if arg.type.is_bool() or arg.type.is_stridable():
                 self.err(e, "cannot negate this type")
-            return dc_replace(e, arg=arg, type=arg.type)
+            return IR.rebuild(e, arg=arg, type=arg.type)
         if isinstance(e, IR.BinOp):
             return self.check_binop(e)
         if isinstance(e, IR.Extern):
-            args = tuple(self.coerce_data(self.check_expr(a)) for a in e.args)
+            args = [self.coerce_data(self.check_expr(a)) for a in e.args]
             out = e.f.typecheck([a.type for a in args])
-            return dc_replace(e, args=args, type=out)
+            return IR.rebuild(e, args=args, type=out)
         if isinstance(e, IR.WindowExpr):
             return self.check_window(e)
         if isinstance(e, IR.StrideExpr):
@@ -262,9 +262,9 @@ class _TypeChecker:
                 self.err(e, f"stride() requires a tensor, got {e.name}")
             if not (0 <= e.dim < len(typ.shape())):
                 self.err(e, f"stride dimension {e.dim} out of range for {e.name}")
-            return dc_replace(e, type=T.stride_t)
+            return IR.rebuild(e, type=T.stride_t)
         if isinstance(e, IR.ReadConfig):
-            return dc_replace(e, type=e.config.field_type(e.field))
+            return IR.rebuild(e, type=e.config.field_type(e.field))
         self.err(e, f"unknown expression {type(e).__name__}")
 
     def check_binop(self, e: IR.BinOp) -> IR.BinOp:
@@ -275,7 +275,7 @@ class _TypeChecker:
         if op in ("and", "or"):
             if not (lhs.type.is_bool() and rhs.type.is_bool()):
                 self.err(e, f"'{op}' requires boolean operands")
-            return dc_replace(e, lhs=lhs, rhs=rhs, type=T.bool_t)
+            return IR.rebuild(e, lhs=lhs, rhs=rhs, type=T.bool_t)
 
         if op in ("==", "<", ">", "<=", ">="):
             if lhs.type.is_numeric() or rhs.type.is_numeric():
@@ -293,7 +293,7 @@ class _TypeChecker:
             else:
                 if not (lhs.type.is_indexable() and rhs.type.is_indexable()):
                     self.err(e, "comparison operands must be control values")
-            return dc_replace(e, lhs=lhs, rhs=rhs, type=T.bool_t)
+            return IR.rebuild(e, lhs=lhs, rhs=rhs, type=T.bool_t)
 
         # arithmetic
         lnum = lhs.type.is_numeric() or (
@@ -308,7 +308,7 @@ class _TypeChecker:
             out = T.join_precision(lhs.type, rhs.type)
             if out is None:
                 self.err(e, "inconsistent precisions in arithmetic")
-            return dc_replace(e, lhs=lhs, rhs=rhs, type=out)
+            return IR.rebuild(e, lhs=lhs, rhs=rhs, type=out)
 
         # control arithmetic: enforce quasi-affine restrictions
         if not (lhs.type.is_indexable() and rhs.type.is_indexable()):
@@ -328,7 +328,7 @@ class _TypeChecker:
                     "literal divisor (quasi-affine restriction)",
                 )
         out = _join_control(lhs.type, rhs.type)
-        return dc_replace(e, lhs=lhs, rhs=rhs, type=out)
+        return IR.rebuild(e, lhs=lhs, rhs=rhs, type=out)
 
     def check_window(self, e: IR.WindowExpr) -> IR.WindowExpr:
         typ = self.env.get(e.name)
@@ -350,7 +350,7 @@ class _TypeChecker:
                 hi = w.hi if w.hi is not None else extent
                 lo = self.check_control(lo, "window bound")
                 hi = self.check_control(hi, "window bound")
-                coords.append(IR.Interval(lo, hi))
+                coords.append(IR.rebuild(w, lo=lo, hi=hi))
                 out_dims.append(
                     IR.BinOp("-", hi, lo, T.index_t, e.srcinfo)
                     if not _is_zero(lo)
@@ -358,11 +358,13 @@ class _TypeChecker:
                 )
             else:
                 pt = self.check_control(w.pt, "window coordinate")
-                coords.append(IR.Point(pt))
+                coords.append(IR.rebuild(w, pt=pt))
         if not out_dims:
             self.err(e, "window must keep at least one interval dimension")
         wtyp = T.Tensor(typ.basetype(), tuple(out_dims), True)
-        return dc_replace(e, idx=tuple(coords), type=wtyp)
+        if wtyp == e.type:
+            wtyp = e.type  # an equal type is kept, so is the window
+        return IR.rebuild(e, idx=coords, type=wtyp)
 
 
 def _is_int_const(e):

@@ -113,19 +113,6 @@ def price_x86(
     )
 
 
-def sgemm_counts(M: int, N: int, K: int, mr: int = 6, nv: int = 4):
-    """Exact instruction counts of the scheduled SGEMM (validated against
-    the tracer in the test suite)."""
-    nw = nv * 16
-    calls = (M // mr) * (N // nw)
-    per_call = {
-        "mm512_loadu_ps": mr * nv,  # C tile in
-        "mm512_storeu_ps": mr * nv,  # C tile out
-        "mm512_fmadd_bcast_ps": K * mr * nv,
-    }
-    return {k: v * calls for k, v in per_call.items()}, calls
-
-
 def sgemm_cost(M: int, N: int, K: int, mr: int = 6, nv: int = 4,
                params: X86Params = DEFAULT) -> CostBreakdown:
     """Cycle estimate for the Exo SGEMM on an M x N x K problem.

@@ -158,7 +158,9 @@ class Sweep:
     ``rewrite(sweep, s, old, new)`` returns the statement that takes the
     place of ``s`` (old path ``old``) at new path ``new``, or None to
     delete it; it rebuilds a child block with :meth:`block`, and appends
-    ``new`` to ``edits`` when it restructures ``s`` itself."""
+    ``new`` to ``edits`` when it restructures ``s`` itself.  Rewrites
+    rebuild through :func:`~repro.core.ast.rebuild`, so a statement the
+    sweep leaves alone comes back as itself."""
 
     def __init__(self, rewrite):
         self.rewrite = rewrite
@@ -371,6 +373,4 @@ class ExprCursor(Cursor):
     expr_path: tuple = ()
 
     def expr(self) -> IR.Expr:
-        from .pattern import get_expr
-
-        return get_expr(self._resolve_stmts()[0], self.expr_path)
+        return IR.get_expr(self._resolve_stmts()[0], self.expr_path)

@@ -270,13 +270,16 @@ def find_expr(proc: IR.Proc, pattern: str, index: Optional[int] = None,
     def search_expr(e, path, expr_path):
         if _match_expr(payload, e):
             matches.append(ExprMatch(path, expr_path, e))
-        subs = _expr_children(e)
-        for step, sub in subs:
+        for step, sub in IR.children(e):
             search_expr(sub, path, expr_path + (step,))
 
     for path, block, i in IR.walk_paths(proc.body):
-        for step, e in _stmt_expr_slots(block[i]):
-            search_expr(e, path, (step,))
+        s = block[i]
+        if isinstance(s, IR.Alloc):
+            continue  # an allocation's extents are part of its type
+        for step, e in IR.children(s):
+            if type(e) is not tuple:
+                search_expr(e, path, (step,))
     return _select(proc, matches, pattern, index, one)
 
 
@@ -339,45 +342,6 @@ def _select(proc, matches, pattern, index, one=False, parsed=None):
     return matches
 
 
-def _stmt_expr_slots(s: IR.Stmt):
-    if isinstance(s, (IR.Assign, IR.Reduce)):
-        out = [(("idx", i), e) for i, e in enumerate(s.idx)]
-        out.append((("rhs",), s.rhs))
-        return out
-    if isinstance(s, IR.WriteConfig):
-        return [(("rhs",), s.rhs)]
-    if isinstance(s, IR.If):
-        return [(("cond",), s.cond)]
-    if isinstance(s, IR.For):
-        return [(("lo",), s.lo), (("hi",), s.hi)]
-    if isinstance(s, IR.Call):
-        return [(("args", i), e) for i, e in enumerate(s.args)]
-    if isinstance(s, IR.WindowStmt):
-        return [(("rhs",), s.rhs)]
-    return []
-
-
-def _expr_children(e: IR.Expr):
-    if isinstance(e, IR.Read):
-        return [(("idx", i), sub) for i, sub in enumerate(e.idx)]
-    if isinstance(e, IR.USub):
-        return [(("arg",), e.arg)]
-    if isinstance(e, IR.BinOp):
-        return [(("lhs",), e.lhs), (("rhs",), e.rhs)]
-    if isinstance(e, IR.Extern):
-        return [(("args", i), sub) for i, sub in enumerate(e.args)]
-    if isinstance(e, IR.WindowExpr):
-        out = []
-        for i, w in enumerate(e.idx):
-            if isinstance(w, IR.Interval):
-                out.append((("idx", i, "lo"), w.lo))
-                out.append((("idx", i, "hi"), w.hi))
-            else:
-                out.append((("idx", i, "pt"), w.pt))
-        return out
-    return []
-
-
 def scope_at(proc: IR.Proc, path) -> dict:
     """Names in scope just before the statement at ``path`` (display-name ->
     Sym): arguments, enclosing loop iterators, and earlier allocations or
@@ -419,41 +383,3 @@ def parse_fragment_expr(proc: IR.Proc, path, src: str):
     if isinstance(parsed, tuple):
         raise SchedulingError(f"{src!r} must be an expression, not a statement")
     return resolve_fragment(parsed, scope_at(proc, path))
-
-
-def get_expr(stmt: IR.Stmt, expr_path):
-    """Fetch the expression at ``expr_path`` within a statement."""
-    node = stmt
-    for step in expr_path:
-        field = step[0]
-        node2 = getattr(node, field)
-        if len(step) >= 2 and isinstance(step[1], int):
-            node2 = node2[step[1]]
-            if len(step) == 3:
-                node2 = getattr(node2, step[2])
-        node = node2
-    return node
-
-
-def replace_expr_at(stmt: IR.Stmt, expr_path, new_expr):
-    """Rebuild ``stmt`` with the expression at ``expr_path`` replaced."""
-    from dataclasses import replace as dc_replace
-
-    def rebuild(node, steps):
-        if not steps:
-            return new_expr
-        step = steps[0]
-        field = step[0]
-        cur = getattr(node, field)
-        if len(step) >= 2 and isinstance(step[1], int):
-            lst = list(cur)
-            if len(step) == 3:
-                lst[step[1]] = dc_replace(
-                    lst[step[1]], **{step[2]: rebuild(getattr(lst[step[1]], step[2]), steps[1:])}
-                )
-            else:
-                lst[step[1]] = rebuild(lst[step[1]], steps[1:])
-            return dc_replace(node, **{field: tuple(lst)})
-        return dc_replace(node, **{field: rebuild(cur, steps[1:])})
-
-    return rebuild(stmt, list(expr_path))

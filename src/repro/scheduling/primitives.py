@@ -45,7 +45,7 @@ from .cursors import (
     interior_identity,
     interior_insert,
 )
-from .pattern import StmtMatch, find_stmt, replace_expr_at
+from .pattern import StmtMatch, find_stmt
 from .simplify import simplify_expr
 from .unify import unify_call
 
@@ -548,20 +548,20 @@ def delete_pass(proc):
         if isinstance(s, IR.Pass):
             return None
         if isinstance(s, IR.If):
-            return dc_replace(
+            return IR.rebuild(
                 s,
                 body=sw.block(s.body, "body", old, new) or (IR.Pass(),),
                 orelse=sw.block(s.orelse, "orelse", old, new),
             )
         if isinstance(s, IR.For):
-            return dc_replace(
+            return IR.rebuild(
                 s, body=sw.block(s.body, "body", old, new) or (IR.Pass(),)
             )
         return s
 
     sw = Sweep(clean)
     body = sw.block(proc.body, "body", (), ()) or (IR.Pass(),)
-    return dc_replace(proc, body=body), NO_POLLUTION, MapForwarder(sw.mapping)
+    return IR.rebuild(proc, body=body), NO_POLLUTION, MapForwarder(sw.mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +645,7 @@ def bind_expr(proc, matches, new_name: str):
     sym = Sym(new_name)
     stmt = IR.get_stmt(proc, stmt_path)
     for m in matches:
-        stmt = replace_expr_at(stmt, m.expr_path, IR.Read(sym, (), expr.type))
+        stmt = IR.replace_expr(stmt, m.expr_path, IR.Read(sym, (), expr.type))
     alloc = IR.Alloc(sym, expr.type, None, expr.srcinfo)
     assign = IR.Assign(sym, (), expr, expr.srcinfo)
     new_proc, fwd = _splice(
@@ -663,7 +663,7 @@ def bind_config(proc, match, config, field: str):
         raise SchedulingError("bind_config: only control expressions can be bound")
     EA.check_config_pollution(proc, match.path, [_csym(config, field)])
     stmt = IR.get_stmt(proc, match.path)
-    stmt = replace_expr_at(
+    stmt = IR.replace_expr(
         stmt, match.expr_path, IR.ReadConfig(config, field, ftyp, expr.srcinfo)
     )
     wc = IR.WriteConfig(config, field, expr, expr.srcinfo)
@@ -866,8 +866,7 @@ def _rewrite_accesses(block, buf: Sym, new: Sym, widx):
             return dc_replace(node, name=new, idx=idx)
         if isinstance(node, IR.WindowExpr) and node.name is buf:
             idx = tuple(
-                IR.Interval(shift(w.lo, off), shift(w.hi, off))
-                if isinstance(w, IR.Interval) else IR.Point(shift(w.pt, off))
+                IR.rebuild(w, lambda _step, b, off=off: shift(b, off))
                 for w, off in zip(node.idx, offs) if off is not None
             )
             return dc_replace(node, name=new, idx=idx)
@@ -902,23 +901,14 @@ def _win_compose_widx(wexpr: IR.WindowExpr, widx):
     k = 0
     for w in wexpr.idx:
         if isinstance(w, IR.Interval):
-            inner = widx[k]
+            # the inner coordinate's bounds, offset by this interval's start
+            def offset(_step, b, lo=w.lo):
+                return simplify_expr(IR.BinOp("+", lo, b, T.index_t))
+
+            out.append(IR.rebuild(widx[k], offset))
             k += 1
-            if isinstance(inner, IR.Interval):
-                out.append(
-                    IR.Interval(
-                        simplify_expr(IR.BinOp("+", w.lo, inner.lo, T.index_t)),
-                        simplify_expr(IR.BinOp("+", w.lo, inner.hi, T.index_t)),
-                    )
-                )
-            else:
-                out.append(
-                    IR.Point(
-                        simplify_expr(IR.BinOp("+", w.lo, inner.pt, T.index_t))
-                    )
-                )
         else:
-            out.append(IR.Point(w.pt))
+            out.append(w)
     return IR.WindowExpr(wexpr.name, tuple(out), None, wexpr.srcinfo)
 
 

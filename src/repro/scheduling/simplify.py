@@ -21,9 +21,12 @@ def simplify_expr(e: IR.Expr) -> IR.Expr:
     """Bottom-up constant folding + affine normalization of control exprs."""
     e = IR.map_expr(_fold, e)
     if e.type is not None and e.type.is_indexable():
-        lin = _linearize(e)
+        types = {}
+        lin = _linearize(e, types)
         if lin is not None:
-            return _from_linear(lin, e)
+            # an expression already in normal form is kept, not rebuilt
+            norm = _from_linear(lin, e, types)
+            return e if norm == e else norm
     return e
 
 
@@ -89,24 +92,27 @@ def _is_int(*es):
     return all(isinstance(x.val, int) for x in es)
 
 
-def _linearize(e: IR.Expr):
+def _linearize(e: IR.Expr, types=None):
     """``{sym_or_None: coeff}`` for purely affine control exprs, else None.
 
     The None key holds the constant term.  Division, modulo, strides, and
-    config reads make the expression non-affine for this purpose.
+    config reads make the expression non-affine for this purpose.  When
+    given, ``types`` collects the type of each variable's reads.
     """
     if isinstance(e, IR.Const) and isinstance(e.val, int):
         return {None: e.val}
     if isinstance(e, IR.Read) and not e.idx:
+        if types is not None:
+            types[e.name] = e.type
         return {e.name: 1, None: 0}
     if isinstance(e, IR.USub):
-        inner = _linearize(e.arg)
+        inner = _linearize(e.arg, types)
         if inner is None:
             return None
         return {k: -v for k, v in inner.items()}
     if isinstance(e, IR.BinOp):
         if e.op in ("+", "-"):
-            l, r = _linearize(e.lhs), _linearize(e.rhs)
+            l, r = _linearize(e.lhs, types), _linearize(e.rhs, types)
             if l is None or r is None:
                 return None
             out = dict(l)
@@ -115,7 +121,7 @@ def _linearize(e: IR.Expr):
                 out[k] = out.get(k, 0) + sign * v
             return out
         if e.op == "*":
-            l, r = _linearize(e.lhs), _linearize(e.rhs)
+            l, r = _linearize(e.lhs, types), _linearize(e.rhs, types)
             if l is None or r is None:
                 return None
             if set(l) == {None}:
@@ -128,7 +134,9 @@ def _linearize(e: IR.Expr):
     return None
 
 
-def _from_linear(lin, orig: IR.Expr) -> IR.Expr:
+def _from_linear(lin, orig: IR.Expr, types=None) -> IR.Expr:
+    """The affine normal form of ``lin``; a read of a variable in
+    ``types`` gets that type, any other the type of ``orig``."""
     si = orig.srcinfo
     typ = orig.type
     terms = sorted(
@@ -138,7 +146,7 @@ def _from_linear(lin, orig: IR.Expr) -> IR.Expr:
     const = lin.get(None, 0)
     out = None
     for sym, coeff in terms:
-        read = IR.Read(sym, (), typ, si)
+        read = IR.Read(sym, (), (types or {}).get(sym) or typ, si)
         part = (
             read
             if coeff == 1
@@ -163,13 +171,8 @@ def _simplify_stmt(sw: Sweep, s: IR.Stmt, old, new):
     """``s`` simplified, or None when it is dead; child blocks are rebuilt
     through ``sw`` so every statement's new path is recorded."""
     if isinstance(s, (IR.Assign, IR.Reduce)):
-        return dc_replace(
-            s,
-            idx=tuple(simplify_expr(i) for i in s.idx),
-            rhs=_simplify_data(s.rhs),
-        )
-    if isinstance(s, IR.WriteConfig):
-        return dc_replace(s, rhs=simplify_expr(s.rhs))
+        return IR.rebuild(s, lambda step, e: _simplify_data(e)
+                          if step == ("rhs",) else simplify_expr(e))
     if isinstance(s, IR.If):
         cond = simplify_expr(s.cond)
         if isinstance(cond, IR.Const):
@@ -197,10 +200,8 @@ def _simplify_stmt(sw: Sweep, s: IR.Stmt, old, new):
         if not body and not orelse:
             return None
         if not body:
-            return dc_replace(
-                s, cond=cond, body=(IR.Pass(s.srcinfo),), orelse=orelse
-            )
-        return dc_replace(s, cond=cond, body=body, orelse=orelse)
+            body = (IR.Pass(s.srcinfo),)
+        return IR.rebuild(s, cond=cond, body=body, orelse=orelse)
     if isinstance(s, IR.For):
         lo = simplify_expr(s.lo)
         hi = simplify_expr(s.hi)
@@ -213,21 +214,11 @@ def _simplify_stmt(sw: Sweep, s: IR.Stmt, old, new):
         body = sw.block(s.body, "body", old, new)
         if not body:
             return None
-        return dc_replace(s, lo=lo, hi=hi, body=body)
-    if isinstance(s, IR.Alloc):
-        typ = s.type
-        if typ.is_tensor_or_window():
-            typ = T.Tensor(
-                typ.basetype(),
-                tuple(simplify_expr(h) for h in typ.shape()),
-                typ.is_win(),
-            )
-        return dc_replace(s, type=typ)
-    if isinstance(s, IR.Call):
-        return dc_replace(s, args=tuple(_simplify_arg(a) for a in s.args))
-    if isinstance(s, IR.WindowStmt):
-        return dc_replace(s, rhs=_simplify_arg(s.rhs))
-    return s
+        return IR.rebuild(s, lo=lo, hi=hi, body=body)
+    if isinstance(s, (IR.Call, IR.WindowStmt)):
+        return IR.rebuild(s, lambda _step, e: _simplify_arg(e))
+    # WriteConfig values and Alloc extents are control expressions
+    return IR.rebuild(s, lambda _step, e: simplify_expr(e))
 
 
 def _simplify_data(e: IR.Expr) -> IR.Expr:
@@ -235,7 +226,7 @@ def _simplify_data(e: IR.Expr) -> IR.Expr:
 
     def fn(node):
         if isinstance(node, IR.Read) and node.idx:
-            return dc_replace(node, idx=tuple(simplify_expr(i) for i in node.idx))
+            return IR.rebuild(node, lambda _step, i: simplify_expr(i))
         return _fold(node)
 
     return IR.map_expr(fn, e)
@@ -243,13 +234,7 @@ def _simplify_data(e: IR.Expr) -> IR.Expr:
 
 def _simplify_arg(e: IR.Expr) -> IR.Expr:
     if isinstance(e, IR.WindowExpr):
-        widx = []
-        for w in e.idx:
-            if isinstance(w, IR.Interval):
-                widx.append(IR.Interval(simplify_expr(w.lo), simplify_expr(w.hi)))
-            else:
-                widx.append(IR.Point(simplify_expr(w.pt)))
-        return dc_replace(e, idx=tuple(widx))
+        return IR.rebuild(e, lambda _step, b: simplify_expr(b))
     if e.type is not None and not e.type.is_numeric():
         return simplify_expr(e)
     return _simplify_data(e)
@@ -260,7 +245,7 @@ def simplify_proc(proc: IR.Proc):
     the :class:`MapForwarder` the sweep recorded, or None when no
     statement was deleted or unwrapped (every path forwards unchanged)."""
     sw = Sweep(_simplify_stmt)
-    new = dc_replace(proc, body=sw.block(proc.body, "body", (), ()))
+    new = IR.rebuild(proc, body=sw.block(proc.body, "body", (), ()))
     if not sw.edits:
         return new, None
     return new, MapForwarder(sw.mapping, sw.edits, sw.ctx_dirty)

@@ -67,6 +67,14 @@ class TestCodec:
         back = decode_record(encode_record(rec))
         assert back.args[0] == ref
 
+    def test_pathref_expr_steps_of_every_length_roundtrip(self):
+        # expression steps are (field,), (field, i) or (field, i, sub)
+        ref = PathRef(path=(("body", 0),), count=1,
+                      expr_path=(("rhs",), ("args", 1), ("idx", 0, "lo")))
+        rec = RewriteRecord(op="bind_expr", args=("t", ref), kwargs=(),
+                            verdict="ok")
+        assert decode_record(encode_record(rec)).args[1] == ref
+
     def test_old_entry_with_pattern_key_decodes(self):
         """Entries written while records carried a sniffed ``pattern``
         still decode; the key is ignored."""

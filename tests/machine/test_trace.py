@@ -98,19 +98,30 @@ class TestTracing:
 
 class TestCountValidation:
     def test_sgemm_counts_match_model(self):
-        """The analytic instruction-count formulas of the x86 cost model
-        must agree exactly with a real trace of the scheduled kernel."""
+        """The instruction counts ``sgemm_cost`` prices (the model behind
+        every Fig. 5a/5b point) must agree exactly with a real trace of
+        the scheduled kernel."""
         from repro.apps.x86_sgemm import sgemm_exo
-        from repro.machine.x86_sim import sgemm_counts
+        from repro.machine.x86_sim import DEFAULT, sgemm_cost
 
         M, N, K = 12, 128, 8
-        p = sgemm_exo(6, 4)
+        mr, nv = 6, 4
+        p = sgemm_exo(mr, nv)
         ev = trace_kernel(
             p, M, N, K,
             np.zeros((M, K), np.float32), np.zeros((K, N), np.float32),
             np.zeros((M, N), np.float32),
         )
         got = count_by_name(ev)
-        want, _calls = sgemm_counts(M, N, K, 6, 4)
-        for name, n in want.items():
-            assert got.get(name, 0) == n, f"{name}: trace {got.get(name)} vs model {n}"
+        cost = sgemm_cost(M, N, K, mr, nv)
+        assert cost.fma_cycles * DEFAULT.fma_ports \
+            == got["mm512_fmadd_bcast_ps"] == 768
+        assert cost.store_cycles * DEFAULT.store_ports \
+            == got["mm512_storeu_ps"] == 96
+        # the model's loads are the C tile's plus, per micro-kernel call
+        # and k step, one A broadcast per row and one B vector per lane
+        # group, which the trace folds into mm512_fmadd_bcast_ps
+        calls = (M // mr) * (N // (16 * nv))
+        ctile_loads = (cost.load_cycles * DEFAULT.load_ports
+                       - calls * K * (mr + nv))
+        assert ctile_loads == got["mm512_loadu_ps"] == 96
