@@ -129,9 +129,7 @@ def _witness(assumptions, formula, point) -> str:
 
 
 def _check_alloc(proc, path, s, assumptions, state, tenv, report, dead_allocs):
-    fld, idx = path[-1]
-    parent = proc if len(path) == 1 else IR.get_stmt(proc, path[:-1])
-    rest = IR.get_block(parent, fld)[idx + 1 :]
+    rest = IR.block_at(proc, path)[path[-1][1] + 1 :]
     buf = s.name
     rank = len(s.type.shape()) if s.type.is_tensor_or_window() else 0
     p = fresh_point(rank)

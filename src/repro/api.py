@@ -532,8 +532,6 @@ del _dname
 def _candidate_blocks(proc: IR.Proc, callee: IR.Proc):
     """Blocks whose leading statement shape matches the callee body, block
     by block in pre-order (a block is entered at its first position)."""
-    from .scheduling.pattern import StmtMatch
-
     want = len([s for s in callee.body if not isinstance(s, IR.Pass)])
     first = callee.body[0]
     out = []

@@ -24,7 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..core import ast as IR
+from ..core.interp import dtype_of
 from ..core.memory import DRAM
 from ..obs import trace as _obs
 
@@ -97,8 +100,9 @@ def model_by_name(name: str) -> MachineModel:
         ) from None
 
 
-#: bytes per scalar element, by base-type name
-_DTYPE_BYTES = {"R": 4, "f16": 2, "f32": 4, "f64": 8, "i8": 1, "i32": 4}
+def _elem_bytes(typ) -> int:
+    """Bytes per element of a data type."""
+    return np.dtype(dtype_of(typ)).itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +259,7 @@ class _CostWalker:
         for a in proc.args:
             if a.type.is_numeric():
                 mems[a.name] = self._mem_name(a.mem)
-                elems[a.name] = _DTYPE_BYTES.get(str(a.type.basetype()), 4)
+                elems[a.name] = _elem_bytes(a.type)
             else:
                 v = sizes.get(a.name.name) if sizes else None
                 if v is not None:
@@ -324,7 +328,7 @@ class _CostWalker:
         elif isinstance(s, IR.Alloc):
             if s.type.is_numeric():
                 mems[s.name] = self._mem_name(s.mem)
-                elems[s.name] = _DTYPE_BYTES.get(str(s.type.basetype()), 4)
+                elems[s.name] = _elem_bytes(s.type)
         elif isinstance(s, IR.Call):
             self._call(s, w, env, mems, elems, in_instr)
 
@@ -359,9 +363,7 @@ class _CostWalker:
                     sub_elems[formal.name] = elems[base]
                 else:
                     sub_mems[formal.name] = self._mem_name(formal.mem)
-                    sub_elems[formal.name] = _DTYPE_BYTES.get(
-                        str(formal.type.basetype()), 4
-                    )
+                    sub_elems[formal.name] = _elem_bytes(formal.type)
             else:
                 v = _eval(actual, env)
                 if v is not None:

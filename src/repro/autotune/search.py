@@ -35,8 +35,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.absint import verdict_store
+from ..core.interp import dtype_of
 from ..obs import trace as _obs
-from .cost import MachineModel, X86_MODEL, cost_of
+from .cost import MachineModel, X86_MODEL, _eval, cost_of
 from .space import Candidate, Space
 
 __all__ = ["TuneConfig", "SearchResult", "search"]
@@ -153,10 +154,6 @@ def _search_beam(space: Space, config: TuneConfig, rng: random.Random):
 # Measured mode
 # ---------------------------------------------------------------------------
 
-_CTYPES = {"f16": "_Float16", "f32": "float", "f64": "double",
-           "i8": "int8_t", "i32": "int32_t", "R": "float"}
-
-
 def _harness_source(proc, sizes: Optional[Dict[str, int]],
                     reps: int) -> Tuple[str, tuple]:
     """Generate (C source with a timing main, ()) for a candidate.
@@ -166,8 +163,6 @@ def _harness_source(proc, sizes: Optional[Dict[str, int]],
     LCG-filled; the main runs the kernel ``reps`` times and prints the
     best wall-clock milliseconds.
     """
-    from .cost import _eval  # shared little evaluator
-
     ir = proc._loopir_proc
     env = {}
     decls, fills, callargs = [], [], []
@@ -191,7 +186,7 @@ def _harness_source(proc, sizes: Optional[Dict[str, int]],
                 )
             n *= d
         n = max(1, n)
-        ct = _CTYPES.get(str(a.type.basetype()), "float")
+        ct = a.type.basetype().ctype()
         nm = f"buf_{a.name.name if hasattr(a.name, 'name') else a.name}"
         decls.append(f"static {ct} {nm}[{n}];")
         fills.append(
@@ -291,15 +286,11 @@ def _measure_interp(cands: List[Candidate], config: TuneConfig):
             env, args = {}, []
             for a in ir.args:
                 if a.type.is_numeric():
-                    from .cost import _eval
-
                     shape = [_eval(e, env) for e in a.type.shape()] or [1]
                     if any(d is None for d in shape):
                         raise ValueError(f"unevaluable shape for {a.name}")
-                    dt = {"f64": np.float64, "i8": np.int8,
-                          "i32": np.int32}.get(str(a.type.basetype()),
-                                               np.float32)
-                    args.append(np.zeros([max(1, d) for d in shape], dt))
+                    args.append(np.zeros([max(1, d) for d in shape],
+                                         dtype_of(a.type)))
                 else:
                     name = a.name.name if hasattr(a.name, "name") else str(a.name)
                     v = (config.sizes or {}).get(name)

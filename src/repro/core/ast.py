@@ -12,12 +12,13 @@ a procedure are addressed by *paths* -- sequences of ``(field, index)`` steps
 from the procedure body -- which is how the pattern matcher communicates
 locations to the scheduling primitives.
 Each node class declares its children once, in ``SLOTS`` (below); every
-structural walk and rebuild derives from them.
+structural walk and rebuild derives from them, and every structural
+comparison from :func:`pair` and :func:`attrs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, fields as dc_fields, replace as dc_replace
 from operator import is_
 from typing import Optional, Tuple
 
@@ -384,6 +385,44 @@ def rebuild(node, fn=None, **fields):
     return dc_replace(node, **changed) if changed else node
 
 
+def pair(a, b):
+    """The aligned ``(step, child_a, child_b)`` of two nodes of one class,
+    or None when their classes or any of their child steps differ (an
+    index list of another length, an interval against a point, a tensor
+    type against a scalar).  A block is one child, whatever its length."""
+    if type(a) is not type(b):
+        return None
+    ca, cb = children(a), children(b)
+    if len(ca) != len(cb):
+        return None
+    out = []
+    for (step, x), (step_b, y) in zip(ca, cb):
+        if step != step_b:
+            return None
+        out.append((step, x, y))
+    return out
+
+
+_ATTRS = {}
+
+
+def attrs(node) -> list:
+    """``(field, value)`` for each field of ``node`` that is neither a slot
+    nor its ``srcinfo`` (nor an expression's own ``type``): the names,
+    operators, literals, callees, configs, loop kinds and memories a
+    structural comparison compares beside the children."""
+    cls = type(node)
+    names = _ATTRS.get(cls)
+    if names is None:
+        skip = {fld for fld, _kind in cls.SLOTS} | {"srcinfo"}
+        if issubclass(cls, Expr):
+            skip.add("type")
+        names = _ATTRS[cls] = tuple(
+            f.name for f in dc_fields(cls) if f.name not in skip
+        )
+    return [(f, getattr(node, f)) for f in names]
+
+
 def sub_exprs(e: Expr):
     """Direct sub-expressions of ``e`` (window bounds included)."""
     return [c for _step, c in children(e)]
@@ -595,6 +634,12 @@ def get_stmt(proc: Proc, path) -> Stmt:
     for fld, idx in path:
         node = get_block(node, fld)[idx]
     return node
+
+
+def block_at(proc: Proc, path):
+    """The block holding the statement at ``path`` (the proc body for a
+    top-level path)."""
+    return get_block(get_stmt(proc, path[:-1]), path[-1][0])
 
 
 def get_enclosing(proc: Proc, path):

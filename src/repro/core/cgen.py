@@ -66,7 +66,7 @@ def backend_check(proc: IR.Proc):
             return out
         return T.R
 
-    def check_addressable(name, srcinfo, writing):
+    def check_addressable(name, srcinfo):
         mem = mems.get(name, DRAM)
         if not mem.addressable:
             raise BackendError(
@@ -76,7 +76,7 @@ def backend_check(proc: IR.Proc):
 
     def walk_expr(e, in_instr):
         if isinstance(e, IR.Read) and e.idx and not in_instr:
-            check_addressable(e.name, e.srcinfo, False)
+            check_addressable(e.name, e.srcinfo)
         for sub in IR.sub_exprs(e):
             walk_expr(sub, in_instr)
 
@@ -84,7 +84,7 @@ def backend_check(proc: IR.Proc):
         for s in block:
             if isinstance(s, (IR.Assign, IR.Reduce)):
                 if not in_instr:
-                    check_addressable(s.name, s.srcinfo, True)
+                    check_addressable(s.name, s.srcinfo)
                 prec_of(s.rhs)
                 for e in s.idx:
                     walk_expr(e, in_instr)
@@ -97,9 +97,6 @@ def backend_check(proc: IR.Proc):
             elif isinstance(s, IR.Alloc):
                 env[s.name] = s.type
                 mems[s.name] = s.mem or DRAM
-                mem = mems[s.name]
-                if not mem.allocatable and s.mem is not None:
-                    pass
             elif isinstance(s, IR.WindowStmt):
                 env[s.name] = s.rhs.type
                 mems[s.name] = mems.get(s.rhs.name, DRAM)

@@ -25,18 +25,8 @@ class InterpError(ExoError):
     pass
 
 
-_DTYPES = {
-    "R": np.float32,
-    "f16": np.float16,
-    "f32": np.float32,
-    "f64": np.float64,
-    "i8": np.int8,
-    "i32": np.int32,
-}
-
-
 def dtype_of(typ: T.Type):
-    return _DTYPES[str(typ.basetype())]
+    return typ.basetype().dtype()
 
 
 def run_proc(proc: IR.Proc, *args, config_state=None, instr_hook=None):

@@ -22,9 +22,6 @@ class Memory:
     #: Can the compiler emit plain C loads/stores into this memory?
     addressable = True
 
-    #: Can buffers in this memory be allocated with plain alloca/malloc?
-    allocatable = True
-
     @classmethod
     def global_(cls) -> str:
         """C definitions that must appear once per file using this memory."""

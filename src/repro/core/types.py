@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .prelude import InternalError
 
 
@@ -66,10 +68,12 @@ class Type:
 
 
 class _ScalarData(Type):
-    """A scalar data type.  Instances are singletons."""
+    """A scalar data type, with its C type and numpy scalar type.  Instances
+    are singletons."""
 
     _name: str = "?"
     _ctype: str = "?"
+    _dtype: type  # the numpy scalar type
     #: precedence used when joining precisions (higher wins)
     _rank: int = 0
 
@@ -81,6 +85,10 @@ class _ScalarData(Type):
 
     def ctype(self):
         return self._ctype
+
+    def dtype(self):
+        """The numpy scalar type holding values of this type."""
+        return self._dtype
 
     def __repr__(self):
         return self._name
@@ -95,36 +103,42 @@ class RType(_ScalarData):
     _name = "R"
     _ctype = "float"
     _rank = 0
+    _dtype = np.float32
 
 
 class F16(_ScalarData):
     _name = "f16"
     _ctype = "_Float16"
     _rank = 1
+    _dtype = np.float16
 
 
 class F32(_ScalarData):
     _name = "f32"
     _ctype = "float"
     _rank = 2
+    _dtype = np.float32
 
 
 class F64(_ScalarData):
     _name = "f64"
     _ctype = "double"
     _rank = 3
+    _dtype = np.float64
 
 
 class INT8(_ScalarData):
     _name = "i8"
     _ctype = "int8_t"
     _rank = 1
+    _dtype = np.int8
 
 
 class INT32(_ScalarData):
     _name = "i32"
     _ctype = "int32_t"
     _rank = 2
+    _dtype = np.int32
 
 
 class _Control(Type):

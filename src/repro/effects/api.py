@@ -188,7 +188,7 @@ def check_reorder_stmts(proc: IR.Proc, path, n1: int, n2: int):
     """Safety of swapping two adjacent statement blocks."""
     ctx = Ctx.at(proc, path)
     fld, idx = path[-1]
-    container_block = _block_at(proc, path)
+    container_block = IR.block_at(proc, path)
     ex = ctx.extractor()
     a1 = ex.block_effect(container_block[idx : idx + n1])
     a2 = ex.block_effect(container_block[idx + n1 : idx + n1 + n2])
@@ -386,10 +386,3 @@ def check_contained(ctx: Ctx, eff, root: Sym, rank: int, box, what):
         raise SchedulingError(
             f"{what}: accesses to {root} are not provably within the staged window"
         )
-
-
-def _block_at(proc: IR.Proc, path):
-    if len(path) == 1:
-        return proc.body
-    parent = IR.get_stmt(proc, path[:-1])
-    return IR.get_block(parent, path[-1][0])

@@ -109,8 +109,6 @@ class ConfigByName:
         return True
 
     def field_type(self, _fname):
-        from ..core import types as T
-
         return T.int_t
 
     def matches(self, other) -> bool:

@@ -302,12 +302,8 @@ class Cursor:
     def _resolve_stmts(self):
         ir = self.proc.ir()
         try:
-            fld, idx = self.path[-1]
-            block = (
-                IR.get_block(IR.get_stmt(ir, self.path[:-1]), fld)
-                if len(self.path) > 1 else IR.get_block(ir, fld)
-            )
-            stmts = block[idx: idx + self.count]
+            idx = self.path[-1][1]
+            stmts = IR.block_at(ir, self.path)[idx: idx + self.count]
         except (IndexError, AttributeError, KeyError):
             raise InvalidCursorError(
                 "cursor path does not resolve in this procedure"

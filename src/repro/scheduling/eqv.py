@@ -11,9 +11,10 @@ context condition then validates at the call site.
 
 from __future__ import annotations
 
+from numbers import Number
+
 from ..core import ast as IR
-from ..core import types as T
-from ..core.prelude import SchedulingError
+from ..core.prelude import SchedulingError, Sym
 
 
 class EqvNode:
@@ -73,111 +74,51 @@ def eqv_pollution(a: EqvNode, b: EqvNode) -> frozenset:
 # alpha-equivalence: forwarding a pre-rewrite cursor through the rewrite's
 # Forwarder must land on a statement alpha-equivalent to the one the cursor
 # referred to (unless the rewrite deliberately destroyed it, in which case
-# forwarding raises).  Binders are For iterators, Alloc names, and
-# WindowStmt names; Call targets compare by identity.
+# forwarding raises).  The comparison derives from the IR's shape: the
+# children of two nodes come aligned from ``IR.pair``, their other fields
+# from ``IR.attrs``.
 
 
-def _alpha_expr(a, b, env: dict) -> bool:
-    if type(a) is not type(b):
+#: the binder of each binding statement: a loop's iterator is bound in its
+#: body, an allocated or window name in the statements after it
+_BINDER = {IR.For: "iter", IR.Alloc: "name", IR.WindowStmt: "name"}
+
+
+def _same(x, y, env: dict) -> bool:
+    if isinstance(x, Sym):
+        return env.get(x, x) is y
+    if isinstance(x, (str, Number)):  # literals, operators, dims, kinds
+        return x == y
+    return x is y  # configs, callees, built-ins, memories
+
+
+def _alpha(a, b, env: dict) -> bool:
+    """``a`` and ``b`` are equal modulo ``env``; a binder that scopes the
+    statements after ``a`` is added to ``env``."""
+    pairs = IR.pair(a, b)
+    if pairs is None:
         return False
-    if isinstance(a, IR.Read):
-        return env.get(a.name, a.name) == b.name and _alpha_all(
-            a.idx, b.idx, env
-        )
-    if isinstance(a, IR.Const):
-        return a.val == b.val
-    if isinstance(a, IR.USub):
-        return _alpha_expr(a.arg, b.arg, env)
-    if isinstance(a, IR.BinOp):
-        return (
-            a.op == b.op
-            and _alpha_expr(a.lhs, b.lhs, env)
-            and _alpha_expr(a.rhs, b.rhs, env)
-        )
-    if isinstance(a, IR.Extern):
-        return a.f is b.f and _alpha_all(a.args, b.args, env)
-    if isinstance(a, IR.WindowExpr):
-        if env.get(a.name, a.name) != b.name or len(a.idx) != len(b.idx):
-            return False
-        for wa, wb in zip(a.idx, b.idx):
-            if type(wa) is not type(wb):
-                return False
-            if isinstance(wa, IR.Interval):
-                if not (
-                    _alpha_expr(wa.lo, wb.lo, env)
-                    and _alpha_expr(wa.hi, wb.hi, env)
-                ):
-                    return False
-            elif not _alpha_expr(wa.pt, wb.pt, env):
-                return False
-        return True
-    if isinstance(a, IR.StrideExpr):
-        return env.get(a.name, a.name) == b.name and a.dim == b.dim
-    if isinstance(a, IR.ReadConfig):
-        return a.config is b.config and a.field == b.field
-    raise TypeError(f"alpha_equiv: unknown expression {type(a).__name__}")
-
-
-def _alpha_all(aa, bb, env: dict) -> bool:
-    return len(aa) == len(bb) and all(
-        _alpha_expr(a, b, env) for a, b in zip(aa, bb)
-    )
-
-
-def _alpha_type(a, b, env: dict) -> bool:
-    if isinstance(a, T.Tensor) and isinstance(b, T.Tensor):
-        return (
-            type(a.type) is type(b.type)
-            and a.is_window == b.is_window
-            and _alpha_all(a.hi, b.hi, env)
-        )
-    return type(a) is type(b)
-
-
-def _alpha_stmt(a, b, env: dict) -> bool:
-    if type(a) is not type(b):
+    if type(a) is IR.Alloc and not (  # what ``pair`` leaves of its type
+        type(a.type.basetype()) is type(b.type.basetype())
+        and a.type.is_win() == b.type.is_win()
+    ):
         return False
-    if isinstance(a, (IR.Assign, IR.Reduce)):
-        return (
-            env.get(a.name, a.name) == b.name
-            and _alpha_all(a.idx, b.idx, env)
-            and _alpha_expr(a.rhs, b.rhs, env)
-        )
-    if isinstance(a, IR.WriteConfig):
-        return (
-            a.config is b.config
-            and a.field == b.field
-            and _alpha_expr(a.rhs, b.rhs, env)
-        )
-    if isinstance(a, IR.Pass):
-        return True
-    if isinstance(a, IR.If):
-        return (
-            _alpha_expr(a.cond, b.cond, env)
-            and alpha_equiv_stmts(a.body, b.body, env)
-            and alpha_equiv_stmts(a.orelse, b.orelse, env)
-        )
-    if isinstance(a, IR.For):
-        if a.kind != b.kind or not (
-            _alpha_expr(a.lo, b.lo, env) and _alpha_expr(a.hi, b.hi, env)
-        ):
+    binder, bound = _BINDER.get(type(a)), {}
+    for (fld, x), (_fld, y) in zip(IR.attrs(a), IR.attrs(b)):
+        if fld == binder:
+            bound[x] = y
+        elif not _same(x, y, env):
             return False
-        inner = dict(env)
-        inner[a.iter] = b.iter
-        return alpha_equiv_stmts(a.body, b.body, inner)
-    if isinstance(a, IR.Alloc):
-        if not _alpha_type(a.type, b.type, env) or a.mem is not b.mem:
-            return False
-        env[a.name] = b.name
-        return True
-    if isinstance(a, IR.Call):
-        return a.proc is b.proc and _alpha_all(a.args, b.args, env)
-    if isinstance(a, IR.WindowStmt):
-        if not _alpha_expr(a.rhs, b.rhs, env):
-            return False
-        env[a.name] = b.name
-        return True
-    raise TypeError(f"alpha_equiv: unknown statement {type(a).__name__}")
+    inner = {**env, **bound} if type(a) is IR.For else env
+    if not all(
+        alpha_equiv_stmts(x, y, dict(inner)) if type(x) is tuple
+        else _alpha(x, y, env)
+        for _step, x, y in pairs
+    ):
+        return False
+    if type(a) is not IR.For:
+        env.update(bound)
+    return True
 
 
 def alpha_equiv_stmts(aa, bb, env: dict | None = None) -> bool:
@@ -187,7 +128,7 @@ def alpha_equiv_stmts(aa, bb, env: dict | None = None) -> bool:
     env = {} if env is None else env
     if len(aa) != len(bb):
         return False
-    return all(_alpha_stmt(a, b, env) for a, b in zip(aa, bb))
+    return all(_alpha(a, b, env) for a, b in zip(aa, bb))
 
 
 def alpha_equiv(a, b) -> bool:

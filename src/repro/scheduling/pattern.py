@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core import ast as IR
-from ..core.prelude import SchedulingError
-from ..frontend.parser import HOLE, parse_fragment
+from ..core.builtins import BuiltIn
+from ..core.prelude import SchedulingError, Sym
+from ..frontend.parser import HOLE, ConfigByName, parse_fragment
 
 
 @dataclass(frozen=True)
@@ -91,131 +92,47 @@ def _parse_pattern(pattern: str):
 # ---------------------------------------------------------------------------
 
 
-def _name_matches(pat_sym, tgt_sym) -> bool:
-    return str(pat_sym) == "_" or str(pat_sym) == str(tgt_sym)
-
-
-def _match_expr(p, e) -> bool:
-    if p is HOLE:
+def _attr_matches(fld, p, t) -> bool:
+    if fld == "kind":
+        return True  # a pattern does not say how a loop runs
+    if isinstance(p, ConfigByName):
+        return p.matches(t)
+    if isinstance(p, Sym) and p.name == "_":
         return True
-    if isinstance(p, IR.Read) and isinstance(e, IR.Read):
-        if not _name_matches(p.name, e.name):
-            return False
-        return _match_idx(p.idx, e.idx)
-    if isinstance(p, IR.Const) and isinstance(e, IR.Const):
-        return p.val == e.val
-    if isinstance(p, IR.USub) and isinstance(e, IR.USub):
-        return _match_expr(p.arg, e.arg)
-    if isinstance(p, IR.BinOp) and isinstance(e, IR.BinOp):
-        return (
-            p.op == e.op
-            and _match_expr(p.lhs, e.lhs)
-            and _match_expr(p.rhs, e.rhs)
-        )
-    if isinstance(p, IR.Extern) and isinstance(e, IR.Extern):
-        return p.f.name == e.f.name and len(p.args) == len(e.args) and all(
-            _match_expr(pa, ea) for pa, ea in zip(p.args, e.args)
-        )
-    if isinstance(p, IR.WindowExpr) and isinstance(e, IR.WindowExpr):
-        if not _name_matches(p.name, e.name) or len(p.idx) != len(e.idx):
-            return False
-        for pw, ew in zip(p.idx, e.idx):
-            if isinstance(pw, IR.Interval) != isinstance(ew, IR.Interval):
-                return False
-            if isinstance(pw, IR.Interval):
-                if pw.lo is not None and not _match_expr(pw.lo, ew.lo):
-                    return False
-                if pw.hi is not None and not _match_expr(pw.hi, ew.hi):
-                    return False
-            else:
-                if not _match_expr(pw.pt, ew.pt):
-                    return False
+    if isinstance(p, (Sym, IR.Proc, BuiltIn)):  # by display name
+        return p.name == t.name
+    return p == t
+
+
+def _match(p, t) -> bool:
+    """Does pattern node ``p`` match target node ``t``?"""
+    if p is HOLE or p is None:  # None: a window bound the pattern left open
         return True
-    if isinstance(p, IR.StrideExpr) and isinstance(e, IR.StrideExpr):
-        return _name_matches(p.name, e.name) and p.dim == e.dim
-    if isinstance(p, IR.ReadConfig) and isinstance(e, IR.ReadConfig):
-        return _config_matches(p.config, e.config) and p.field == e.field
-    return False
-
-
-def _config_matches(pat_cfg, tgt_cfg) -> bool:
-    from ..frontend.parser import ConfigByName
-
-    if isinstance(pat_cfg, ConfigByName):
-        return pat_cfg.matches(tgt_cfg)
-    return pat_cfg is tgt_cfg
-
-
-def _match_idx(pidx, eidx) -> bool:
-    if len(pidx) == 1 and pidx[0] is HOLE:
-        return True  # C[_] matches any indexing, of any arity
-    if len(pidx) != len(eidx):
+    if type(p) is not type(t) or type(t) is IR.Alloc:
         return False
-    return all(_match_expr(p, e) for p, e in zip(pidx, eidx))
+    if not all(_attr_matches(fld, pv, tv)
+               for (fld, pv), (_fld, tv) in zip(IR.attrs(p), IR.attrs(t))):
+        return False
+    # a lone ``_`` index or argument list stands for the target's, of any arity
+    lone = {fld: (HOLE,) * len(getattr(t, fld)) for fld, kind in p.SLOTS
+            if kind == IR.EXPRS and getattr(p, fld) == (HOLE,)}
+    pairs = IR.pair(IR.rebuild(p, **lone) if lone else p, t)
+    return pairs is not None and all(
+        _match_block(x, y) is not None if type(x) is tuple else _match(x, y)
+        for _step, x, y in pairs
+    )
 
 
 def _match_block(pats, block) -> Optional[int]:
     """Match a pattern statement list at the start of ``block``; returns the
-    number of target statements consumed, or None."""
-    if len(pats) == 1 and pats[0] is HOLE:
-        return len(block)
-    consumed = 0
-    for p in pats:
+    number of target statements consumed, or None.  A pattern block matches
+    a prefix of the target block, and a ``HOLE`` swallows the rest."""
+    for consumed, p in enumerate(pats):
         if p is HOLE:
-            return len(block)  # trailing hole swallows the rest
-        if consumed >= len(block):
+            return len(block)
+        if consumed >= len(block) or not _match(p, block[consumed]):
             return None
-        if not _match_stmt(p, block[consumed]):
-            return None
-        consumed += 1
-    return consumed
-
-
-def _match_stmt(p, s) -> bool:
-    if p is HOLE:
-        return True
-    if isinstance(p, IR.Assign) and isinstance(s, IR.Assign):
-        return (
-            _name_matches(p.name, s.name)
-            and _match_idx(p.idx, s.idx)
-            and _match_expr(p.rhs, s.rhs)
-        )
-    if isinstance(p, IR.Reduce) and isinstance(s, IR.Reduce):
-        return (
-            _name_matches(p.name, s.name)
-            and _match_idx(p.idx, s.idx)
-            and _match_expr(p.rhs, s.rhs)
-        )
-    if isinstance(p, IR.WriteConfig) and isinstance(s, IR.WriteConfig):
-        return (
-            _config_matches(p.config, s.config)
-            and p.field == s.field
-            and _match_expr(p.rhs, s.rhs)
-        )
-    if isinstance(p, IR.Pass) and isinstance(s, IR.Pass):
-        return True
-    if isinstance(p, IR.If) and isinstance(s, IR.If):
-        if not _match_expr(p.cond, s.cond):
-            return False
-        if _match_block(list(p.body), list(s.body)) is None:
-            return False
-        if p.orelse and _match_block(list(p.orelse), list(s.orelse)) is None:
-            return False
-        return True
-    if isinstance(p, IR.For) and isinstance(s, IR.For):
-        return (
-            _name_matches(p.iter, s.iter)
-            and _match_expr(p.lo, s.lo)
-            and _match_expr(p.hi, s.hi)
-            and _match_block(list(p.body), list(s.body)) is not None
-        )
-    if isinstance(p, IR.Call) and isinstance(s, IR.Call):
-        return p.proc.name == s.proc.name and all(
-            _match_expr(pa, sa) for pa, sa in zip(p.args, s.args)
-        )
-    if isinstance(p, IR.WindowStmt) and isinstance(s, IR.WindowStmt):
-        return _name_matches(p.name, s.name) and _match_expr(p.rhs, s.rhs)
-    return False
+    return len(pats)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +161,7 @@ def find_stmt(proc: IR.Proc, pattern: str, index: Optional[int] = None,
     elif kind == "stmts":
         pats = list(payload)
         for path, block, i in IR.walk_paths(proc.body):
-            n = _match_block(pats, list(block[i:]))
+            n = _match_block(pats, block[i:])
             if n is not None and n > 0:
                 matches.append(StmtMatch(path, n, origin=pattern))
     else:
@@ -268,7 +185,7 @@ def find_expr(proc: IR.Proc, pattern: str, index: Optional[int] = None,
     matches = []
 
     def search_expr(e, path, expr_path):
-        if _match_expr(payload, e):
+        if _match(payload, e):
             matches.append(ExprMatch(path, expr_path, e))
         for step, sub in IR.children(e):
             search_expr(sub, path, expr_path + (step,))
@@ -361,14 +278,12 @@ def scope_at(proc: IR.Proc, path) -> dict:
 
 def resolve_fragment(expr, scope: dict):
     """Rebind a parsed pattern fragment's free names to in-scope Syms."""
-    from ..core.prelude import SchedulingError as SE
-
     def fn(e):
         if isinstance(e, (IR.Read, IR.WindowExpr, IR.StrideExpr)):
             name = str(e.name)
             if e.name not in scope.values():
                 if name not in scope:
-                    raise SE(f"name {name!r} is not in scope here")
+                    raise SchedulingError(f"name {name!r} is not in scope here")
                 from dataclasses import replace as dc_replace
 
                 return dc_replace(e, name=scope[name])

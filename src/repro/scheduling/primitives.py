@@ -64,7 +64,7 @@ def _splice(proc, path, old_count, new_stmts, interior=interior_identity,
     touched-set (every inserted statement); config-state dirtiness is
     derived from both sides of the splice."""
     fld, idx = path[-1]
-    block = EA._block_at(proc, path)
+    block = IR.block_at(proc, path)
     old_stmts = tuple(block[idx: idx + old_count])
     dirty = writes_config(old_stmts) or writes_config(new_stmts)
     new_proc = IR.replace_block(proc, path, old_count, list(new_stmts))
@@ -280,7 +280,7 @@ def fuse_loops(proc, match: StmtMatch):
     """Fuse two adjacent loops with identical bounds."""
     loop1 = _the_loop(proc, match, "fuse_loop")
     fld, idx = match.path[-1]
-    block = EA._block_at(proc, match.path)
+    block = IR.block_at(proc, match.path)
     if idx + 1 >= len(block) or not isinstance(block[idx + 1], IR.For):
         raise SchedulingError("fuse_loop: no adjacent loop to fuse with")
     loop2 = block[idx + 1]
@@ -411,7 +411,7 @@ def lift_if(proc, match: StmtMatch):
 def add_guard(proc, match: StmtMatch, cond: IR.Expr):
     """``s`` -> ``if e: s`` where ``e`` provably holds whenever s runs."""
     EA.check_condition(proc, match.path, cond, "add_guard")
-    block = EA._block_at(proc, match.path)
+    block = IR.block_at(proc, match.path)
     idx = match.path[-1][1]
     stmts = list(block[idx : idx + match.count])
     guard = IR.If(cond, tuple(stmts), (), stmts[0].srcinfo)
@@ -432,7 +432,7 @@ def add_guard(proc, match: StmtMatch, cond: IR.Expr):
 
 def reorder_stmts(proc, match: StmtMatch):
     """Swap the matched block with the statement that follows it."""
-    block = EA._block_at(proc, match.path)
+    block = IR.block_at(proc, match.path)
     idx = match.path[-1][1]
     if idx + match.count >= len(block):
         raise SchedulingError("reorder_stmts: nothing follows the matched block")
@@ -525,7 +525,7 @@ def expand_dim(proc, match: StmtMatch, extent: IR.Expr, index: IR.Expr):
         return node
 
     # rewrite the rest of the enclosing block after the allocation
-    block = EA._block_at(proc, match.path)
+    block = IR.block_at(proc, match.path)
     idx0 = match.path[-1][1]
     rest = IR.map_stmts(fn, block[idx0 + 1 :])
     new_stmts = [new_alloc] + list(rest)
@@ -689,7 +689,7 @@ def configwrite_after(proc, match: StmtMatch, config, field: str, rhs: IR.Expr):
     )
     stmt = IR.get_stmt(proc, match.path)
     wc = IR.WriteConfig(config, field, rhs, stmt.srcinfo)
-    block = EA._block_at(proc, match.path)
+    block = IR.block_at(proc, match.path)
     idx = match.path[-1][1]
     stmts = list(block[idx : idx + match.count]) + [wc]
     new_proc, fwd = _splice(proc, match.path, match.count, stmts)
@@ -748,7 +748,7 @@ def stage_mem(proc, match: StmtMatch, window: IR.WindowExpr, new_name: str):
             offs.append(w.pt)
             shape.append(None)
     block = list(
-        EA._block_at(proc, match.path)[
+        IR.block_at(proc, match.path)[
             match.path[-1][1] : match.path[-1][1] + match.count
         ]
     )

@@ -53,11 +53,7 @@ def unify_call(proc: IR.Proc, path, count: int, callee: IR.Proc) -> IR.Call:
 
 
 def _get_block(proc, path, count):
-    if len(path) == 1:
-        parent_block = proc.body
-    else:
-        parent = IR.get_stmt(proc, path[:-1])
-        parent_block = IR.get_block(parent, path[-1][0])
+    parent_block = IR.block_at(proc, path)
     idx = path[-1][1]
     if idx + count > len(parent_block):
         raise UnifyError("replace: block extends past the end of its scope")

@@ -1,5 +1,7 @@
 """The IR's shape: each node class's ``SLOTS`` declare its children once,
-and ``children`` / ``rebuild`` derive every walk and rebuild from them."""
+and ``children`` / ``rebuild`` derive every walk and rebuild from them;
+``pair`` / ``attrs`` derive the two-tree comparisons (pattern matching,
+alpha-equivalence)."""
 
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ from repro.apps import gemmini_conv, x86_conv
 from repro.apps.gemmini_matmul import matmul_exo, matmul_oldlib
 from repro.apps.x86_sgemm import sgemm_exo
 from repro.core import ast as IR
+from repro.core import types as T
+from repro.scheduling.eqv import alpha_equiv
 from repro.scheduling.pattern import find_expr
 
 #: fields that hold an expression, a type or a procedure but are not
@@ -54,6 +58,43 @@ def test_every_child_field_is_a_slot_or_named_non_child(cls):
             )
     for name in slots:
         assert (cls, name) not in NON_CHILDREN
+
+
+#: each node class's compared attributes: every field that is not a slot,
+#: its ``srcinfo`` or an expression's own ``type``
+ATTRS = {
+    IR.Read: ("name",), IR.Const: ("val",), IR.USub: (), IR.BinOp: ("op",),
+    IR.Extern: ("f",), IR.Interval: (), IR.Point: (),
+    IR.WindowExpr: ("name",), IR.StrideExpr: ("name", "dim"),
+    IR.ReadConfig: ("config", "field"), IR.Assign: ("name",),
+    IR.Reduce: ("name",), IR.WriteConfig: ("config", "field"), IR.Pass: (),
+    IR.If: (), IR.For: ("iter", "kind"), IR.Alloc: ("name", "mem"),
+    IR.Call: ("proc",), IR.WindowStmt: ("name",),
+}
+
+
+def _blank(cls):
+    """An instance of ``cls`` whose every field holds its own name."""
+    node = object.__new__(cls)
+    for f in dataclasses.fields(cls):
+        object.__setattr__(node, f.name, f.name)
+    return node
+
+
+def test_attrs_table_covers_every_node_class():
+    assert set(ATTRS) == set(_node_classes())
+
+
+@pytest.mark.parametrize("cls", _node_classes(), ids=lambda c: c.__name__)
+def test_every_field_is_a_slot_an_attr_or_bookkeeping(cls):
+    fields = [f.name for f in dataclasses.fields(cls)]
+    attrs = [name for name, _v in IR.attrs(_blank(cls))]
+    assert tuple(attrs) == ATTRS[cls]
+    kept = ["type"] if issubclass(cls, IR.Expr) else []
+    kept += ["srcinfo"] if "srcinfo" in fields else []
+    parts = [fld for fld, _kind in cls.SLOTS] + attrs + kept
+    # each field is exactly one of the four
+    assert sorted(parts) == sorted(fields)
 
 
 GOLDEN = {
@@ -168,3 +209,60 @@ def test_an_affine_bound_in_normal_form_is_kept(tail):
     # normalized the loop is shared by every later revision
     once = tail.simplify()
     assert once.simplify().ir().body is once.ir().body
+
+
+@pytest.mark.parametrize("kernel", GOLDEN)
+def test_every_statement_is_alpha_equivalent_to_its_renamed_copy(kernel):
+    proc = GOLDEN[kernel]().ir()
+    n = 0
+    for s in IR.walk_stmts(proc.body):
+        (copy,) = IR.alpha_rename([s])
+        assert alpha_equiv(s, copy)
+        n += 1
+    assert n > 0
+    renamed = IR.alpha_rename(proc.body)
+    assert renamed != proc.body and alpha_equiv(proc.body, renamed)
+
+
+ACC = """
+from __future__ import annotations
+from repro import proc, DRAM, f32, size
+
+@proc
+def acc(n: size, x: f32[n] @ DRAM):
+    t: f32[n] @ DRAM
+    for i in seq(0, n):
+        t[i] = x[i] + 2.0
+    for i in seq(0, n):
+        x[i] = t[i]
+"""
+
+
+def test_one_changed_attribute_breaks_alpha_equivalence():
+    acc = procs_from_source(ACC)["acc"]
+    body = acc.ir().body
+    alloc, loop = body[0], body[1]
+    (assign,) = loop.body
+    binop = assign.rhs
+    const = binop.rhs
+    copy = IR.alpha_rename(body)
+    assert alpha_equiv(body, copy)
+
+    def with_loop(new_loop):
+        return (alloc, new_loop, body[2])
+
+    def with_rhs(rhs):
+        return with_loop(IR.rebuild(loop, body=(IR.rebuild(assign, rhs=rhs),)))
+
+    assert alpha_equiv(body, with_rhs(IR.rebuild(binop, rhs=const)))
+    assert not alpha_equiv(body, with_loop(IR.rebuild(loop, kind="par")))
+    assert not alpha_equiv(body, with_rhs(IR.rebuild(binop, op="-")))
+    assert not alpha_equiv(
+        body, with_rhs(IR.rebuild(binop, rhs=IR.rebuild(const, val=3.0)))
+    )
+    # an allocation's precision and window flag are not children, but count
+    retyped = acc.set_precision("t", T.f64).ir().body
+    assert alpha_equiv(body[1:], retyped[1:])
+    assert not alpha_equiv(body, retyped)
+    window = IR.rebuild(alloc, type=alloc.type.as_window())
+    assert not alpha_equiv(body, (window,) + body[1:])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import types as T
@@ -89,6 +90,14 @@ class TestTypes:
         assert T.f32.ctype() == "float"
         assert T.i8.ctype() == "int8_t"
         assert T.bool_t.ctype() == "bool"
+
+    def test_every_scalar_carries_its_dtype(self):
+        # C type and numpy element size agree for every scalar data type
+        sizes = {"float": 4, "_Float16": 2, "double": 8, "int8_t": 1,
+                 "int32_t": 4}
+        for t in (T.R,) + T.CONCRETE_SCALARS:
+            assert np.dtype(t.dtype()).itemsize == sizes[t.ctype()], t
+        assert T.f16.dtype() is np.float16 and T.R.dtype() is np.float32
 
     def test_lookup_by_name(self):
         assert T.scalar_by_name("f32") is T.f32

@@ -106,6 +106,27 @@ def f(x: f32 @ DRAM):
         ms = find_stmt(p.ir(), "g(_)")
         assert len(ms) == 1
 
+    def test_call_pattern_arity(self):
+        p = _p(
+            """
+@proc
+def foo(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        x[i] = y[i]
+
+@proc
+def f(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    foo(n, x, y)
+"""
+        )
+        # explicit arguments match only a call of the same arity
+        with pytest.raises(SchedulingError, match="no match"):
+            find_stmt(p.ir(), "foo(n, x)")
+        assert len(find_stmt(p.ir(), "foo(n, x, y)")) == 1
+        assert len(find_stmt(p.ir(), "foo(n, _, y)")) == 1
+        # a lone `_` argument list matches any arity
+        assert len(find_stmt(p.ir(), "foo(_)")) == 1
+
 
 class TestExprPatterns:
     def test_read_pattern(self, prog):
@@ -123,3 +144,18 @@ class TestExprPatterns:
     def test_const_pattern(self, prog):
         ms = find_expr(prog.ir(), "2.0")
         assert len(ms) == 1
+
+    def test_builtin_argument_lists(self):
+        p = _p(
+            """
+@proc
+def f(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        x[i] = select(x[i], y[i], x[i], y[i])
+"""
+        )
+        # a lone `_` stands for any argument list, explicit ones must agree
+        assert len(find_expr(p.ir(), "select(_)")) == 1
+        assert len(find_expr(p.ir(), "select(x[i], _, _, _)")) == 1
+        with pytest.raises(SchedulingError, match="no match"):
+            find_expr(p.ir(), "select(x[i], y[i])")
