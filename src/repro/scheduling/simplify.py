@@ -10,10 +10,13 @@ on it.
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
+from typing import Optional
 
 from ..core import ast as IR
 from ..core import types as T
 from ..core.dataflow import writes_config
+from ..smt import linear as L
+from ..smt.linear import Lin
 from .cursors import MapForwarder, Sweep
 
 
@@ -92,58 +95,46 @@ def _is_int(*es):
     return all(isinstance(x.val, int) for x in es)
 
 
-def _linearize(e: IR.Expr, types=None):
-    """``{sym_or_None: coeff}`` for purely affine control exprs, else None.
+def _linearize(e: IR.Expr, types=None) -> Optional[Lin]:
+    """The :mod:`repro.smt.linear` row ``(const, {Sym: coeff})`` of a purely
+    affine control expression, else None.
 
-    The None key holds the constant term.  Division, modulo, strides, and
-    config reads make the expression non-affine for this purpose.  When
-    given, ``types`` collects the type of each variable's reads.
+    Division, modulo, strides, and config reads make the expression
+    non-affine for this purpose.  When given, ``types`` collects the type
+    of each variable's reads.
     """
     if isinstance(e, IR.Const) and isinstance(e.val, int):
-        return {None: e.val}
+        return (e.val, {})
     if isinstance(e, IR.Read) and not e.idx:
         if types is not None:
             types[e.name] = e.type
-        return {e.name: 1, None: 0}
+        return (0, {e.name: 1})
     if isinstance(e, IR.USub):
         inner = _linearize(e.arg, types)
-        if inner is None:
+        return None if inner is None else L.lincomb((-1, inner))
+    if isinstance(e, IR.BinOp) and e.op in ("+", "-", "*"):
+        l, r = _linearize(e.lhs, types), _linearize(e.rhs, types)
+        if l is None or r is None:
             return None
-        return {k: -v for k, v in inner.items()}
-    if isinstance(e, IR.BinOp):
-        if e.op in ("+", "-"):
-            l, r = _linearize(e.lhs, types), _linearize(e.rhs, types)
-            if l is None or r is None:
-                return None
-            out = dict(l)
-            sign = 1 if e.op == "+" else -1
-            for k, v in r.items():
-                out[k] = out.get(k, 0) + sign * v
-            return out
-        if e.op == "*":
-            l, r = _linearize(e.lhs, types), _linearize(e.rhs, types)
-            if l is None or r is None:
-                return None
-            if set(l) == {None}:
-                c, terms = l[None], r
-            elif set(r) == {None}:
-                c, terms = r[None], l
-            else:
-                return None
-            return {k: c * v for k, v in terms.items()}
+        if e.op != "*":
+            return L.lincomb((1, l), (1 if e.op == "+" else -1, r))
+        if not l[1]:
+            return L.lincomb((l[0], r))
+        if not r[1]:
+            return L.lincomb((r[0], l))
     return None
 
 
-def _from_linear(lin, orig: IR.Expr, types=None) -> IR.Expr:
-    """The affine normal form of ``lin``; a read of a variable in
-    ``types`` gets that type, any other the type of ``orig``."""
+def _from_linear(lin: Lin, orig: IR.Expr, types=None) -> IR.Expr:
+    """The affine normal form of the row ``lin``: its terms by ``Sym.id``,
+    the constant last.  A read of a variable in ``types`` gets that type,
+    any other the type of ``orig``."""
     si = orig.srcinfo
     typ = orig.type
+    const, coeffs = lin
     terms = sorted(
-        ((k, v) for k, v in lin.items() if k is not None and v != 0),
-        key=lambda p: p[0].id,
+        ((k, v) for k, v in coeffs.items() if v), key=lambda p: p[0].id
     )
-    const = lin.get(None, 0)
     out = None
     for sym, coeff in terms:
         read = IR.Read(sym, (), (types or {}).get(sym) or typ, si)

@@ -2,10 +2,12 @@
 
 Given a statement block ``s`` and a procedure ``foo``, we match ``foo``'s
 body against ``s`` treating ``foo``'s arguments as unknowns.  Statements
-must match structurally; equalities between integer control expressions
-are collected as a linear system (every unknown is an affine combination
-of the caller's variables -- the quasi-affine restriction makes this
-complete) and solved by Gaussian elimination over the rationals.  Buffer
+must match structurally; each equality between integer control
+expressions is collected as one integer row ``caller - callee == 0``
+(:mod:`repro.smt.linear`; every unknown is an integer combination of the
+caller's variables -- the quasi-affine restriction makes this complete)
+and the rows are solved by unit-coefficient substitution, after dividing
+each by the gcd of its coefficients.  Buffer
 arguments are inferred as windows: each formal dimension is aligned with
 the caller dimension driven by the same loop binders, the remaining caller
 dimensions become point coordinates, and interval offsets must agree
@@ -19,11 +21,11 @@ This module only finds the call (:func:`unify_call`);
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from fractions import Fraction
 
 from ..core import ast as IR
 from ..core import types as T
 from ..core.prelude import SchedulingError
+from ..smt import linear as L
 from .simplify import _from_linear, _linearize, simplify_expr
 
 
@@ -42,9 +44,9 @@ def unify_call(proc: IR.Proc, path, count: int, callee: IR.Proc) -> IR.Call:
     # residual equalities among caller variables must hold at the site
     from ..effects import api as EA
 
-    for aff in uni.vcs:
+    for row in uni.vcs:
         cond = IR.BinOp(
-            "==", _affine_to_expr(aff), IR.Const(0, T.int_t), T.bool_t
+            "==", _affine_to_expr(row), IR.Const(0, T.int_t), T.bool_t
         )
         EA.check_condition(
             proc, path, cond, "replace: matched code requires an equality"
@@ -63,22 +65,22 @@ def _get_block(proc, path, count):
 class _Unifier:
     def __init__(self, callee: IR.Proc):
         self.callee = callee
-        self.ctrl_unknowns = [
-            a.name for a in callee.args if not a.type.is_numeric()
-        ]
+        #: row key of each control unknown: its name in a 1-tuple, never
+        #: one of the caller's Syms (even when the callee shares them)
+        self.unknowns = {
+            a.name: (a.name,) for a in callee.args if not a.type.is_numeric()
+        }
         self.buf_formals = {
             a.name: a for a in callee.args if a.type.is_numeric()
         }
         #: pairing of callee binders -> caller binders
         self.binders = {}
-        #: linear equations: (dict unknown->Fraction, dict known->Fraction, const)
+        #: linear equations: rows ``caller - callee == 0``
         self.equations = []
         #: buffer facts: formal -> list of (callee idx exprs, caller name, caller idx exprs)
         self.accesses = {f: [] for f in self.buf_formals}
         #: formal -> caller buffer sym (must be consistent)
         self.buf_map = {}
-        #: formal scalar passed as plain caller name
-        self.scalar_map = {}
         #: unknowns solved directly by opaque expressions (strides, configs)
         self.direct_sol = {}
 
@@ -208,18 +210,17 @@ class _Unifier:
     # -- control expressions -----------------------------------------------------
 
     def match_ctrl(self, p, e):
-        """Record the linear equation ``p == e``."""
+        """Record the equation ``p == e`` as the row ``e - p``."""
         if (
             isinstance(p, IR.Read)
             and not p.idx
-            and p.name in self.ctrl_unknowns
+            and p.name in self.unknowns
             and isinstance(e, (IR.StrideExpr, IR.ReadConfig))
         ):
             # opaque (non-affine) control value: solve the unknown directly
             prev = self.direct_sol.get(p.name)
-            if prev is not None and _linearize(prev) != _linearize(e):
-                if not _same_opaque(prev, e):
-                    self.fail(f"conflicting opaque solutions for {p.name}")
+            if prev is not None and not _same_opaque(prev, e):
+                self.fail(f"conflicting opaque solutions for {p.name}")
             self.direct_sol[p.name] = e
             return
         if isinstance(p, IR.StrideExpr) or isinstance(e, IR.StrideExpr):
@@ -240,35 +241,23 @@ class _Unifier:
             if not (isinstance(e, IR.Const) and e.val == p.val):
                 self.fail("boolean literals differ")
             return
-        lp = self._lin(p)
-        le = _linearize(self._subst_binders_expr(e))
+        lp, le = self._callee_lin(p), self._lin(e)
         if lp is None or le is None:
-            self._exact_ctrl(p, e)
+            if lp != le:
+                self.fail("non-affine control expressions differ")
             return
-        unknowns = {}
-        knowns = {}
-        const = Fraction(le.get(None, 0) - lp.get(None, 0))
-        for sym, c in lp.items():
-            if sym is None:
-                continue
-            if sym in self.ctrl_unknowns:
-                unknowns[sym] = unknowns.get(sym, Fraction(0)) + Fraction(c)
-            else:
-                knowns[sym] = knowns.get(sym, Fraction(0)) - Fraction(c)
-        for sym, c in le.items():
-            if sym is None:
-                continue
-            knowns[sym] = knowns.get(sym, Fraction(0)) + Fraction(c)
-        # p(unknowns, paired binders) == e(caller):  unknown part == rest
-        self.equations.append((unknowns, knowns, const))
+        self.equations.append(L.lincomb((1, le), (-1, lp)))
 
-    def _exact_ctrl(self, p, e):
-        lp, le = self._lin(p), _linearize(self._subst_binders_expr(e))
-        if lp != le:
-            self.fail("non-affine control expressions differ")
+    def _lin(self, e):
+        return _linearize(self._subst_binders_expr(e))
 
-    def _lin(self, p):
-        return _linearize(self._subst_binders_expr(p))
+    def _callee_lin(self, p):
+        """The row of the callee expression ``p``: its binders are the
+        caller's, its unknowns their row keys."""
+        lin = self._lin(p)
+        if lin is None:
+            return None
+        return (lin[0], {self.unknowns.get(k, k): v for k, v in lin[1].items()})
 
     def _subst_binders_expr(self, e):
         def fn(node):
@@ -289,71 +278,48 @@ class _Unifier:
             elif formal.name in self.direct_sol:
                 args.append(self.direct_sol[formal.name])
             else:
-                if formal.name not in solution:
-                    self.fail(f"could not infer argument {formal.name}")
-                args.append(_affine_to_expr(solution[formal.name]))
+                key = self.unknowns[formal.name]
+                value = _substitute((0, {key: 1}), solution)
+                args.append(_affine_to_expr(value))
         return args
 
     def _solve_ctrl(self):
-        """Solve the collected linear system by back-substitution.
+        """Solve the collected rows: unknown's key -> its defining row.
 
-        Equations have the form ``sum(unk[u]*u) == sum(kn[s]*s) + const``.
-        Residual equations with no unknowns become verification conditions
-        (``self.vcs``) which the caller must prove at the site."""
-        eqs = list(self.equations)
+        A row with one unknown left, once the solved ones are substituted,
+        is divided by the gcd of its coefficients and solves that unknown
+        when its coefficient is then ``±1``; otherwise the unknown has no
+        integer solution.  A row with no unknown left is a verification
+        condition (``self.vcs``) that the caller must prove at the site."""
+        rows = list(self.equations)
         solution = {}
         self.vcs = []
-        while eqs:
-            progress = False
+        while rows:
             remaining = []
-            for unk, kn, const in eqs:
-                unk = dict(unk)
-                kn = dict(kn)
-                c = Fraction(const)
-                for u in list(unk):
-                    if u in solution:
-                        coeff = unk.pop(u)
-                        for sym, v in solution[u].items():
-                            if sym is None:
-                                c -= coeff * v
-                            else:
-                                kn[sym] = kn.get(sym, Fraction(0)) - coeff * v
-                kn = {s: v for s, v in kn.items() if v != 0}
-                unk = {u: v for u, v in unk.items() if v != 0}
+            for row in rows:
+                c, m = _substitute(row, solution)
+                unk = [k for k in m if isinstance(k, tuple)]
                 if not unk:
-                    if not kn and c == 0:
-                        progress = True
-                        continue
-                    if not kn:
+                    if m:
+                        self.vcs.append((c, m))
+                    elif c:
                         self.fail("inconsistent linear system")
-                    # symbolic residual: record as a verification condition
-                    aff = dict(kn)
-                    aff[None] = c
-                    self.vcs.append(aff)
-                    progress = True
-                    continue
-                if len(unk) == 1:
-                    ((u, coeff),) = unk.items()
-                    aff = {s: v / coeff for s, v in kn.items()}
-                    aff[None] = aff.get(None, Fraction(0)) + c / coeff
-                    if u in solution:
-                        if solution[u] != aff:
-                            self.fail(f"conflicting solutions for {u}")
-                    else:
-                        solution[u] = aff
-                    progress = True
-                    continue
-                remaining.append((unk, kn, c))
-            if not progress:
+                elif len(unk) == 1:
+                    (key,) = unk
+                    eq = L.normalize_eq(c, m)
+                    if eq is None or eq[1][key] not in (1, -1):
+                        self.fail(
+                            f"argument {key[0]} is not an integer combination"
+                        )
+                    solution[key] = eq
+                else:
+                    remaining.append((c, m))
+            if len(remaining) == len(rows):
                 self.fail("under-determined linear system (coupled unknowns)")
-            eqs = remaining
-        for u in self.ctrl_unknowns:
-            if u not in solution and u not in self.direct_sol:
+            rows = remaining
+        for u, key in self.unknowns.items():
+            if key not in solution and u not in self.direct_sol:
                 self.fail(f"argument {u} is unconstrained by the match")
-        for u, aff in solution.items():
-            for sym, v in aff.items():
-                if v.denominator != 1:
-                    self.fail(f"argument {u} is not an integer combination")
         return solution
 
     def _build_buffer_arg(self, formal, solution):
@@ -406,29 +372,21 @@ class _Unifier:
         # sizes from the formal's shape with the solution substituted
         sizes = []
         for h in formal.type.shape():
-            lin = _linearize(h)
+            lin = self._callee_lin(h)
             if lin is None:
                 self.fail(f"non-affine extent in {fname}'s type")
-            out = {}
-            for sym, c in lin.items():
-                if sym in solution:
-                    for s2, v in solution[sym].items():
-                        out[s2] = out.get(s2, Fraction(0)) + Fraction(c) * v
-                else:
-                    out[sym] = out.get(sym, Fraction(0)) + Fraction(c)
-            sizes.append(out)
+            sizes.append(_substitute(lin, solution))
         # assemble window expression
         full = True
         coords = []
         for cd in range(c_rank):
             if cd in mapped:
                 fd = [k for k, v in dim_map.items() if v == cd][0]
-                off = offsets[cd] or {None: Fraction(0)}
-                size = sizes[fd]
+                off = offsets[cd]
                 lo = _affine_to_expr(off)
-                hi = _affine_to_expr(_aff_add(off, size))
+                hi = _affine_to_expr(L.lincomb((1, off), (1, sizes[fd])))
                 coords.append(IR.Interval(lo, hi))
-                if not _is_zero_aff(off):
+                if off != (0, {}):
                     full = False
             else:
                 # point coordinate: the caller index on this dim, which must
@@ -477,21 +435,10 @@ class _Unifier:
 
     def _offset(self, p_e, e_e, solution):
         """affine(caller) offset = caller_idx - callee_idx[binders->caller]."""
-        lp = _linearize(self._subst_binders_expr(p_e))
-        le = _linearize(self._subst_binders_expr(e_e))
+        lp, le = self._callee_lin(p_e), self._lin(e_e)
         if lp is None or le is None:
             self.fail("non-affine indexing in window inference")
-        # substitute solved unknowns in lp
-        out = {}
-        for sym, c in le.items():
-            out[sym] = out.get(sym, Fraction(0)) + Fraction(c)
-        for sym, c in lp.items():
-            if sym in solution:
-                for s2, v in solution[sym].items():
-                    out[s2] = out.get(s2, Fraction(0)) - Fraction(c) * v
-            else:
-                out[sym] = out.get(sym, Fraction(0)) - Fraction(c)
-        return {k: v for k, v in out.items() if v != 0} or {None: Fraction(0)}
+        return _substitute(L.lincomb((1, le), (-1, lp)), solution)
 
 
 def _same_opaque(a, b) -> bool:
@@ -502,23 +449,14 @@ def _same_opaque(a, b) -> bool:
     return False
 
 
-def _aff_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return out
+def _substitute(row, solution):
+    """``row`` with each solved unknown substituted out by its defining
+    row, zero coefficients dropped."""
+    for u, eq in solution.items():
+        row = L.substitute(row, eq, u)
+    return L.lincomb((1, row))
 
 
-def _is_zero_aff(a):
-    return all(v == 0 for v in a.values())
-
-
-def _affine_to_expr(aff):
-    lin = {}
-    for sym, v in aff.items():
-        iv = int(v)
-        if iv != v:
-            raise UnifyError("replace: inferred non-integer coefficient")
-        lin[sym] = iv
+def _affine_to_expr(row):
     dummy = IR.Const(0, T.index_t)
-    return simplify_expr(_from_linear(lin, dc_replace(dummy, type=T.index_t)))
+    return simplify_expr(_from_linear(row, dummy))

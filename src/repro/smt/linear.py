@@ -2,13 +2,16 @@
 
 A row is a linear form ``(const, {Sym: coeff})``.  :class:`Linearizer`
 turns terms into rows, purifying quasi-affine ``/`` and ``%``.  The row
-operations -- gcd tightening (:func:`normalize`), the tightest row per
-coefficient set (:func:`dedupe`), substituting a unit equality
-(:func:`substitute`) and the Fourier-Motzkin pair step (:func:`combine`)
--- are the one linear-arithmetic kernel: the affine fast path
-(:mod:`repro.analysis.absint`) refutes rows with them, and the Omega test
-and Cooper's projection (:mod:`repro.smt.omega`) decide and project rows
-with them.
+operations -- linear combination (:func:`lincomb`), gcd tightening of an
+inequality (:func:`normalize`) and of an equality (:func:`normalize_eq`),
+the tightest row per coefficient set (:func:`dedupe`), substituting a
+unit equality (:func:`substitute`) and the Fourier-Motzkin pair step
+(:func:`combine`) -- are the one linear-arithmetic kernel: the affine
+fast path (:mod:`repro.analysis.absint`) refutes rows with them, the
+Omega test and Cooper's projection (:mod:`repro.smt.omega`) decide and
+project rows with them, and the scheduler's affine normal form
+(:mod:`repro.scheduling.simplify`) and ``replace()``'s unifier
+(:mod:`repro.scheduling.unify`) are built on them.
 """
 
 from __future__ import annotations
@@ -33,6 +36,17 @@ Lin = Tuple[int, Dict[Sym, int]]
 NEGATED = {">=": "<", ">": "<=", "<=": ">", "<": ">="}
 
 
+def lincomb(*terms: Tuple[int, Lin]) -> Lin:
+    """``Σ k·lin`` over the ``(k, lin)`` pairs, zero coefficients dropped."""
+    c = 0
+    m: Dict[Sym, int] = {}
+    for k, (ct, mt) in terms:
+        c += k * ct
+        for v, a in mt.items():
+            m[v] = m.get(v, 0) + k * a
+    return (c, {v: a for v, a in m.items() if a})
+
+
 def normalize(c: int, m: Dict[Sym, int]) -> Lin:
     """The row ``c + Σ m[v]·v >= 0`` without zero coefficients, divided by
     the gcd of its coefficients (a new dict; ``m`` is not changed)."""
@@ -44,6 +58,22 @@ def normalize(c: int, m: Dict[Sym, int]) -> Lin:
             # the divided sum >= ceil(-c/g), i.e. const becomes floor(c/g)
             c = c // g
             m = {k: v // g for k, v in m.items()}
+    return (c, m)
+
+
+def normalize_eq(c: int, m: Dict[Sym, int]) -> Optional[Lin]:
+    """The equality ``c + Σ m[v]·v == 0`` without zero coefficients,
+    divided by the gcd of its coefficients (a new dict), or None when it
+    has no integer solution: the gcd does not divide ``c`` (with no
+    variables left, ``c != 0``)."""
+    m = {k: v for k, v in m.items() if v}
+    if not m:
+        return None if c else (c, m)
+    g = gcd(*m.values())
+    if g > 1:
+        if c % g:
+            return None
+        c, m = c // g, {k: v // g for k, v in m.items()}
     return (c, m)
 
 

@@ -17,10 +17,10 @@ constraints power the solver:
 
 A constraint is a :class:`~repro.smt.linear.Linearizer` row ``lin`` with a
 kind: ``(GEQ, lin, 0)`` is ``lin >= 0``, ``(EQ, lin, 0)`` is ``lin == 0``
-and ``(DIV, lin, d)`` is ``d | lin``.  The gcd tightening of GEQ rows, the
-tightest-row dedupe, the unit-equality substitution and the
-Fourier-Motzkin pair step are :mod:`repro.smt.linear`'s, shared with the
-affine fast path.
+and ``(DIV, lin, d)`` is ``d | lin``.  The linear combination, the gcd
+tightening of GEQ and EQ rows, the tightest-row dedupe, the unit-equality
+substitution and the Fourier-Motzkin pair step are
+:mod:`repro.smt.linear`'s, shared with the affine fast path.
 """
 
 from __future__ import annotations
@@ -57,17 +57,6 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def _sum(*terms: Tuple[int, Lin]) -> Lin:
-    """``Σ k·lin`` over the ``(k, lin)`` pairs, zero coefficients dropped."""
-    c = 0
-    m = {}
-    for k, (ct, mt) in terms:
-        c += k * ct
-        for v, a in mt.items():
-            m[v] = m.get(v, 0) + k * a
-    return (c, {v: a for v, a in m.items() if a})
-
-
 def _drop(lin: Lin, x: Sym) -> Lin:
     """``lin`` without its ``x`` term."""
     return (lin[0], {v: a for v, a in lin[1].items() if v is not x})
@@ -89,19 +78,20 @@ def normalize(cons: List[Row]) -> List[Row]:
             elif c < 0:
                 raise Infeasible
             continue
-        m = {v: a for v, a in m.items() if a}
-        if not m:
-            if c != 0 if kind == EQ else c % d != 0:
-                raise Infeasible
-            continue
-        g = gcd(*m.values())
         if kind == EQ:
-            if g > 1:
-                if c % g != 0:
-                    raise Infeasible
-                c, m = c // g, {v: a // g for v, a in m.items()}
+            row = L.normalize_eq(c, m)
+            if row is None:
+                raise Infeasible
+            c, m = row
+            if not m:
+                continue
         else:
-            gg = gcd(g, d)
+            m = {v: a for v, a in m.items() if a}
+            if not m:
+                if c % d != 0:
+                    raise Infeasible
+                continue
+            gg = gcd(*m.values(), d)
             if gg > 1 and c % gg == 0:
                 c, m, d = c // gg, {v: a // gg for v, a in m.items()}, d // gg
             if d == 1:
@@ -151,7 +141,7 @@ def _feasible(cons, depth) -> bool:
     # convert divisibility constraints into equalities with fresh variables
     if any(kind == DIV for kind, _lin, _d in cons):
         cons = [
-            (EQ, _sum((1, lin), (-d, (0, {Sym("k"): 1}))), 0) if kind == DIV
+            (EQ, L.lincomb((1, lin), (-d, (0, {Sym("k"): 1}))), 0) if kind == DIV
             else (kind, lin, d)
             for kind, lin, d in cons
         ]
@@ -264,7 +254,7 @@ def project_var(x: Sym, cons: List[Row]) -> List[List[Row]]:
                 ck = lin[1].get(x, 0)
                 if ck:
                     # |a| * lin - ck*sign*(a*x + rest)
-                    lin = _sum((abs(a), lin), (-ck * sign, e))
+                    lin = L.lincomb((abs(a), lin), (-ck * sign, e))
                     d = d * abs(a) if k == DIV else d
                 out.append((k, lin, d))
         try:
@@ -291,12 +281,12 @@ def project_var(x: Sym, cons: List[Row]) -> List[List[Row]]:
             rest.append((kind, lin, d))
             continue
         k = delta // abs(a)
-        t = _drop(_sum((k, lin)), x)  # the coefficient of x was +-delta
+        t = _drop(L.lincomb((k, lin)), x)  # the coefficient of x was +-delta
         if kind == GEQ:
             (lowers if a > 0 else uppers).append(t)
         elif kind == DIV:
             # d | -x' + t  <=>  d | x' - t
-            divs.append((t if a > 0 else _sum((-1, t)), d * k))
+            divs.append((t if a > 0 else L.lincomb((-1, t)), d * k))
         else:
             raise InternalError("cooper: equalities handled above")
 
@@ -315,19 +305,19 @@ def project_var(x: Sym, cons: List[Row]) -> List[List[Row]]:
     if not lowers:
         # x' unbounded below: only divisibility matters
         for m in range(M):
-            add_conj(rest + [(DIV, _sum((1, t), (1, (m, {}))), d)
+            add_conj(rest + [(DIV, L.lincomb((1, t), (1, (m, {}))), d)
                              for t, d in divs if d > 1])
         return _dedup(out)
 
     for tl in lowers:
         for m in range(M):
             # x' >= -tl: instantiate x' := -tl + m in all scaled atoms
-            val = _sum((-1, tl), (1, (m, {})))
+            val = L.lincomb((-1, tl), (1, (m, {})))
             add_conj(
                 rest
-                + [(GEQ, _sum((1, val), (1, t)), 0) for t in lowers]
-                + [(GEQ, _sum((-1, val), (1, t)), 0) for t in uppers]
-                + [(DIV, _sum((1, val), (1, t)), d) for t, d in divs if d > 1]
+                + [(GEQ, L.lincomb((1, val), (1, t)), 0) for t in lowers]
+                + [(GEQ, L.lincomb((-1, val), (1, t)), 0) for t in uppers]
+                + [(DIV, L.lincomb((1, val), (1, t)), d) for t, d in divs if d > 1]
             )
     return _dedup(out)
 

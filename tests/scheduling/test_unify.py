@@ -8,6 +8,9 @@ import pytest
 from repro import SchedulingError
 from repro.api import procs_from_source
 from repro.core import ast as IR
+from repro.core import types as T
+from repro.core.configs import Config
+from repro.core.pprint import stmt_to_lines
 
 import sys
 from pathlib import Path
@@ -17,7 +20,7 @@ from helpers import assert_equiv, rand_f32  # noqa: E402
 
 HEADER = (
     "from __future__ import annotations\n"
-    "from repro import proc, instr, DRAM, f32, size\n"
+    "from repro import proc, instr, DRAM, f32, size, stride\n"
 )
 
 
@@ -209,6 +212,141 @@ def f(A: f32[4] @ DRAM):
         )
         with pytest.raises(SchedulingError):
             ps["f"].replace(ps["muler"], "for j in _: _")
+
+
+def _call_line(p):
+    (call,) = [s for s in IR.walk_stmts(p.ir().body) if isinstance(s, IR.Call)]
+    return " ".join(stmt_to_lines(call, 0))
+
+
+class TestRowSolver:
+    """The integer rows ``caller - callee == 0`` and their solutions."""
+
+    QUAD = """
+@proc
+def quad(n: size, dst: f32[4 * n] @ DRAM):
+    for i in seq(0, 4 * n):
+        dst[i] = 0.0
+
+@proc
+def dbl(n: size, dst: f32[2 * n] @ DRAM):
+    for i in seq(0, 2 * n):
+        dst[i] = 0.0
+"""
+
+    def test_gcd_divides_the_row(self):
+        ps = _procs(
+            self.QUAD
+            + """
+@proc
+def f(y: f32[16] @ DRAM):
+    for i in seq(0, 16):
+        y[i] = 0.0
+"""
+        )
+        g = ps["f"].replace(ps["quad"], "for i in _: _")
+        assert _call_line(g) == "quad(4, y)"
+        assert_equiv(ps["f"], g, lambda rng: [rand_f32(rng, 16)])
+
+    def test_gcd_not_dividing_the_constant_rejected(self):
+        ps = _procs(
+            self.QUAD
+            + """
+@proc
+def f(y: f32[7] @ DRAM):
+    for i in seq(0, 7):
+        y[i] = 0.0
+"""
+        )
+        with pytest.raises(SchedulingError):
+            ps["f"].replace(ps["dbl"], "for i in _: _")
+
+    def test_non_integer_combination_rejected(self):
+        ps = _procs(
+            self.QUAD
+            + """
+@proc
+def f(m: size, y: f32[m] @ DRAM):
+    for i in seq(0, m):
+        y[i] = 0.0
+"""
+        )
+        with pytest.raises(SchedulingError):
+            ps["f"].replace(ps["dbl"], "for i in _: _")
+
+    SQ = """
+@proc
+def sq(n: size, dst: f32[n, n] @ DRAM):
+    for i in seq(0, n):
+        for j in seq(0, n):
+            dst[i, j] = 0.0
+
+@proc
+def f(M: size, N: size, y: f32[M, N] @ DRAM):
+    {}
+    for i in seq(0, M):
+        for j in seq(0, N):
+            y[i, j] = 0.0
+"""
+
+    def test_residual_equality_proved_at_site(self):
+        ps = _procs(self.SQ.format("assert M == N"))
+        g = ps["f"].replace(ps["sq"], "for i in _: _")
+        assert _call_line(g) == "sq(M, y)"
+
+    def test_residual_equality_rejected_with_counterexample(self):
+        ps = _procs(self.SQ.format("pass"))
+        with pytest.raises(SchedulingError) as e:
+            ps["f"].replace(ps["sq"], "for i in _: _")
+        assert "M = " in str(e.value) and "N = " in str(e.value)
+
+
+    def test_callee_sharing_the_callers_syms(self):
+        """A renamed copy of the caller shares its Syms; its ``n`` is an
+        unknown, the caller's ``n`` a known, and the row solves ``n = n``."""
+        ps = _procs(
+            """
+@proc
+def f(n: size, A: f32[n] @ DRAM):
+    for i in seq(0, n):
+        A[i] = 0.0
+"""
+        )
+        f = ps["f"]
+        g = f.replace(f.rename("fz"), "for i in _: _")
+        assert _call_line(g) == "fz(n, A)"
+
+
+class TestOpaqueArguments:
+    """A control argument solved by a stride or config read."""
+
+    SRC = """
+@proc
+def setboth(s: stride):
+    for i in seq(0, 1):
+        Cfg.a = s
+        Cfg.b = s
+
+@proc
+def f(n: size, A: f32[n, 4] @ DRAM, B: f32[n, 8] @ DRAM):
+    for i in seq(0, 1):
+        Cfg.a = stride(A, 0)
+        Cfg.b = stride({}, 0)
+"""
+
+    @pytest.fixture
+    def cfg(self):
+        return Config("Cfg", [("a", T.stride_t), ("b", T.stride_t)])
+
+    def test_same_opaque_solution(self, cfg):
+        ps = _procs(self.SRC.format("A"), extra={"Cfg": cfg})
+        g = ps["f"].replace(ps["setboth"], "for i in _: _")
+        assert _call_line(g) == "setboth(stride(A, 0))"
+
+    def test_conflicting_opaque_solutions_rejected(self, cfg):
+        ps = _procs(self.SRC.format("B"), extra={"Cfg": cfg})
+        with pytest.raises(SchedulingError):
+            ps["f"].replace(ps["setboth"], "for i in _: _")
 
 
 class TestReplaceAll:

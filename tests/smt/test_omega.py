@@ -64,6 +64,45 @@ class TestRowOperations:
         rows = [lin({x: 1}, 5), lin({y: 1}, 0), lin({x: 1}, 2)]
         assert L.dedupe(rows) == [lin({x: 1}, 2), lin({y: 1}, 0)]
 
+    def test_lincomb(self):
+        # 2*(x + 3y + 1) - 3*(2y - 4) = 2x + 14, the y term dropped
+        x, y = Sym("x"), Sym("y")
+        a = lin({x: 1, y: 3}, 1)
+        assert L.lincomb((2, a), (-3, lin({y: 2}, -4))) == lin({x: 2}, 14)
+        assert L.lincomb((1, a), (-1, a)) == lin({}, 0)
+        assert a == lin({x: 1, y: 3}, 1)  # the arguments are not changed
+
+    def test_normalize_eq_divides_by_the_gcd(self):
+        # 4x - 6y + 10 == 0  ->  2x - 3y + 5 == 0
+        x, y = Sym("x"), Sym("y")
+        assert L.normalize_eq(10, {x: 4, y: -6, Sym("z"): 0}) == lin(
+            {x: 2, y: -3}, 5
+        )
+
+    def test_normalize_eq_no_integer_solution(self):
+        # 2x + 4y == 3 has no integer solution; 0 == 1 has none at all
+        x, y = Sym("x"), Sym("y")
+        assert L.normalize_eq(-3, {x: 2, y: 4}) is None
+        assert L.normalize_eq(1, {x: 0}) is None
+        assert L.normalize_eq(0, {x: 0}) == lin({}, 0)
+
+    @given(
+        st.integers(-20, 20),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_normalize_eq_keeps_the_integer_solutions(self, c, a, b):
+        x, y = Sym("x"), Sym("y")
+        out = L.normalize_eq(c, {x: a, y: b})
+        for vx, vy in itertools.product(range(-8, 9), repeat=2):
+            holds = c + a * vx + b * vy == 0
+            if out is None:
+                assert not holds
+            else:
+                oc, om = out
+                assert holds == (oc + om.get(x, 0) * vx + om.get(y, 0) * vy == 0)
+
 
 class TestNormalize:
     def test_constant_contradiction_geq(self):
