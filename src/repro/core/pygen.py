@@ -16,14 +16,35 @@ Values in the generated code:
   element offset, a shape and element strides -- the tuple
   ``(buffer, offset, shape, strides)`` at call boundaries, unpacked into
   locals inside a body.  ``flat`` is a 1-D numpy array aliasing the root
-  storage, so a data statement indexes ``flat[off + i*s0 + j*s1]``, and an
-  instruction operand's :class:`~repro.machine.trace.Region` is computed
-  from offset, shape and strides -- no numpy view is built;
+  storage, so a data statement indexes ``flat[off + i*s0 + j*s1]``;
 * ``id`` is the buffer identity, numbered per trace: a fresh number for
   every executed ``Alloc``, and one per distinct root array among the
   tensor arguments, so a freed buffer is never confused with a later one;
 * a scalar data value is a ``(flat, offset)`` pair, so callees can write
   through it.
+
+Per event, the generated code does only the work that depends on the
+event:
+
+* *folded operand geometry.*  An instruction operand's
+  :class:`~repro.machine.trace.Region` is built at the call site from its
+  byte start ``lo`` and six geometry values (:func:`_geometry`: span,
+  payload size, pitch, and the column test of the rows model).  When the
+  window's item size, shape and strides are constants -- every
+  fixed-size allocation -- they are literals in the source; when they are
+  an argument's shape and stride locals, they are computed once at
+  function entry.  Only ``lo`` and the ``lo % pitch`` test of a
+  degenerate row run per event; other windows fall back to
+  :func:`_region`, which computes the same rectangle at run time.  No
+  numpy view is built;
+* *storage only where data flows.*  An allocation gets ``flat`` storage
+  only when a data statement, an instruction's scalar data operand or a
+  non-instr callee can reach it (:func:`_observed_buffers`, which counts
+  every name read anywhere but as an instruction's tensor operand); a
+  buffer that only instructions touch is just a fresh identity;
+* *shared control dicts.*  A call site whose control arguments are all
+  integer literals passes one module-level dict to every event it emits,
+  so ``Event.ctrl`` (like ``Event.operands``) is read-only.
 
 Statements outside instruction bodies keep the interpreter's semantics:
 data writes, config writes, preconditions.  The interpreter
@@ -113,25 +134,36 @@ def lower(proc: IR.Proc):
 # ---------------------------------------------------------------------------
 
 
-def _region(bid, b0, sz, space, off, shape, strides):
-    """The Region of a window: the same rectangle as
-    ``machine.trace._region_of``."""
-    lo = b0 + off * sz
+def _geometry(sz, shape, strides):
+    """``(span, size, pitch, modulus, limit, width)`` of a window with
+    element ``shape`` and ``strides`` and item size ``sz``, in bytes: the
+    rectangle of ``machine.trace._region_of`` up to its start ``lo``.  The
+    rows model applies to a start when ``lo % modulus <= limit``; ``limit``
+    is -1 when it applies to none (no unit last stride, a zero pitch, or
+    rows wider than the pitch)."""
     span = sz
     size = sz
     for n, s in zip(shape, strides):
         size *= n
         if n > 0:
             span += (n - 1) * s * sz
-    pitch = col_lo = col_hi = 0
+    pitch = width = 0
     if len(shape) >= 2 and strides[-1] == 1:
         pitch = strides[-2] * sz
-        if pitch > 0:
-            col_lo = lo % pitch
-            col_hi = col_lo + shape[-1] * sz
-            if col_hi > pitch:
-                pitch = col_lo = col_hi = 0
-    return Region(bid, lo, lo + span, size, space, pitch, col_lo, col_hi)
+        width = shape[-1] * sz
+    if pitch > 0 and width <= pitch:
+        return span, size, pitch, pitch, pitch - width, width
+    return span, size, 0, 1, -1, 0
+
+
+def _region(bid, b0, sz, space, off, shape, strides):
+    """The Region of a window whose geometry is known only at run time."""
+    span, size, pitch, modulus, limit, width = _geometry(sz, shape, strides)
+    lo = b0 + off * sz
+    col = lo % modulus
+    if col <= limit:
+        return Region(bid, lo, lo + span, size, space, pitch, col, col + width)
+    return Region(bid, lo, lo + span, size, space)
 
 
 def _read_config(cfg, key):
@@ -160,6 +192,8 @@ def _scalar_arg(val, dtype):
 _HELPERS = {
     "_np_zeros": np.zeros,
     "_Event": Event,
+    "_Region": Region,
+    "_geometry": _geometry,
     "_region": _region,
     "_read_config": _read_config,
     "_scalar_ctrl": _scalar_ctrl,
@@ -213,15 +247,32 @@ def _tup(xs) -> str:
 
 class _Tensor:
     """Compile-time view of a tensor/window variable: the prefix of its
-    buffer locals, and expressions for its offset, shape and strides."""
+    buffer locals, expressions for its buffer's byte start and item size,
+    and expressions for its offset, shape and strides.  An allocation that
+    is not ``stored`` has an identity but no ``flat`` storage."""
 
-    def __init__(self, buf: str, off: str, shape, strides):
+    def __init__(self, buf: str, b0: str, sz: str, off: str, shape, strides,
+                 stored: bool = True):
         self.buf = buf
+        self.b0 = b0
+        self.sz = sz
         self.off = off
         self.shape = list(shape)
         self.strides = list(strides)
+        self.stored = stored
+
+    def view(self, off: str, shape, strides) -> "_Tensor":
+        """A window of the same buffer."""
+        return _Tensor(self.buf, self.b0, self.sz, off, shape, strides,
+                       self.stored)
+
+    def flat(self) -> str:
+        if not self.stored:
+            raise InternalError(f"{self.buf}: no storage was allocated")
+        return f"{self.buf}_fl"
 
     def window(self) -> str:
+        self.flat()
         return (f"({self.buf}_b, {self.off}, {_tup(self.shape)}, "
                 f"{_tup(self.strides)})")
 
@@ -244,9 +295,13 @@ class _Lowering:
         self.proc = proc
         self.env = {}  # Sym -> local name (control), _Tensor or _Scalar
         self.globals = dict(_HELPERS)
-        self.consts = {}  # id(obj) -> global name
+        self.consts = {}  # id(obj) or a value key -> global name
         self.lines: List[str] = []
         self.fresh = itertools.count()
+        self.stored = _observed_buffers(proc.body)
+        self.entry = set()  # locals bound before the body runs
+        self.geoms = {}  # (sz, shape, strides) -> hoisted geometry locals
+        self.hoisted: List[str] = []
 
     def compile(self):
         p = self.proc
@@ -263,23 +318,28 @@ class _Lowering:
                 head.append(f"{name}_b, {name}_o, {_tup(shape)}, "
                             f"{_tup(strides)} = {name}")
                 head.append(f"{name}_id, {name}_fl, {name}_b0, {name}_sz = {name}_b")
-                self.env[a.name] = _Tensor(name, f"{name}_o", shape, strides)
+                self.env[a.name] = _Tensor(name, f"{name}_b0", f"{name}_sz",
+                                           f"{name}_o", shape, strides)
+                self.entry.update([*shape, *strides, f"{name}_sz"])
             elif typ.is_numeric():
                 head.append(f"{name}_fl, {name}_o = {name}")
                 self.env[a.name] = _Scalar(name)
             else:
                 self.env[a.name] = name
+                self.entry.add(name)
         fname = f"trace_{p.name}"
         self.lines.append(
             f"def {fname}(_append, _cfg, _new_id, {', '.join(params)}):")
         for h in head:
             self.emit(1, h)
+        hoist_at = len(self.lines)
         for pred in p.preds:
             msg = self.const(f"{p.name}: precondition failed: {pred}")
             self.emit(1, f"if not ({self.ex(pred)}):")
             self.emit(2, f"raise _InterpError({msg})")
         self.block(p.body, 1)
         self.emit(1, "return")
+        self.lines[hoist_at:hoist_at] = ["    " + h for h in self.hoisted]
         src = "\n".join(self.lines) + "\n"
         code = compile(src, f"<pygen {p.name}>", "exec")
         ns = self.globals
@@ -296,9 +356,12 @@ class _Lowering:
     def local(self, sym) -> str:
         return f"{sym.name}_{next(self.fresh)}"
 
-    def const(self, obj) -> str:
-        """A global name bound to ``obj`` in the generated module."""
-        key = (type(obj).__name__, obj) if isinstance(obj, (str, tuple)) else id(obj)
+    def const(self, obj, key=None) -> str:
+        """A global name bound to ``obj`` in the generated module; one per
+        ``key`` (by default the value of a str or tuple, else the object)."""
+        if key is None:
+            key = ((type(obj).__name__, obj) if isinstance(obj, (str, tuple))
+                   else id(obj))
         name = self.consts.get(key)
         if name is None:
             name = f"_K{len(self.consts)}"
@@ -351,14 +414,14 @@ class _Lowering:
                 if _int(n) is None:
                     self.emit(d, f"{name}_n{k} = {n}")
                     shape[k] = f"{name}_n{k}"
-            self.env[s.name] = _Tensor(src.buf, f"{name}_o", shape, strides)
+            self.env[s.name] = src.view(f"{name}_o", shape, strides)
         else:
             raise InternalError(f"unknown statement {type(s).__name__}")
 
     def alloc(self, s: IR.Alloc, d: int):
         name = self.local(s.name)
-        dt = self.const(dtype_of(s.type))
         if s.type.is_real_scalar():
+            dt = self.const(dtype_of(s.type))
             self.emit(d, f"{name}_fl = _np_zeros(1, {dt})")
             self.emit(d, f"{name}_o = 0")
             self.env[s.name] = _Scalar(name)
@@ -382,39 +445,47 @@ class _Lowering:
                 self.emit(d, f"{name}_s{k} = {stride}")
                 stride = f"{name}_s{k}"
             strides[k] = stride
-        total = "1"
-        for n in shape:
-            total = _mul(total, n)
         sz = np.dtype(dtype_of(s.type)).itemsize
+        stored = s.name in self.stored
         self.emit(d, f"{name}_id = _new_id()")
-        self.emit(d, f"{name}_fl = _np_zeros({total}, {dt})")
-        self.emit(d, f"{name}_b0 = 0")
-        self.emit(d, f"{name}_sz = {sz}")
-        self.emit(d, f"{name}_b = ({name}_id, {name}_fl, 0, {sz})")
-        self.env[s.name] = _Tensor(name, "0", shape, strides)
+        if stored:
+            total = "1"
+            for n in shape:
+                total = _mul(total, n)
+            dt = self.const(dtype_of(s.type))
+            self.emit(d, f"{name}_fl = _np_zeros({total}, {dt})")
+            self.emit(d, f"{name}_b = ({name}_id, {name}_fl, 0, {sz})")
+        self.env[s.name] = _Tensor(name, "0", str(sz), "0", shape, strides,
+                                   stored)
 
     def instr_call(self, s: IR.Call, d: int):
-        ctrl = []
+        ctrl = []  # (key, source)
         operands = []
         for formal, actual in zip(s.proc.args, s.args):
-            key = repr(str(formal.name))
+            key = str(formal.name)
             typ = formal.type
             if typ.is_tensor_or_window():
                 space = formal.mem.name() if formal.mem is not None else "dram"
-                operands.append(f"{key}: {self.region(actual, space)}")
+                operands.append(f"{key!r}: {self.region(actual, space)}")
             elif typ.is_numeric():
                 var = (self.env.get(actual.name)
                        if isinstance(actual, IR.Read) and not actual.idx
                        else None)
                 if isinstance(var, _Scalar):
-                    ctrl.append(f"{key}: float({var.ref()})")
+                    ctrl.append((key, f"float({var.ref()})"))
                 else:
                     dt = self.const(dtype_of(typ))
-                    ctrl.append(f"{key}: _scalar_ctrl({self.ex(actual)}, {dt})")
+                    ctrl.append((key, f"_scalar_ctrl({self.ex(actual)}, {dt})"))
             else:
-                ctrl.append(f"{key}: {self.ctrl_arg(typ, actual)}")
+                ctrl.append((key, self.ctrl_arg(typ, actual)))
+        if all(_int(v) is not None for _k, v in ctrl):
+            # one dict shared by every event of this call site
+            fixed = tuple((k, int(v)) for k, v in ctrl)
+            ctrl_src = self.const(dict(fixed), key=("ctrl", fixed))
+        else:
+            ctrl_src = "{" + ", ".join(f"{k!r}: {v}" for k, v in ctrl) + "}"
         name = repr(s.proc.name)
-        self.emit(d, f"_append(_Event({name}, {{{', '.join(ctrl)}}}, "
+        self.emit(d, f"_append(_Event({name}, {ctrl_src}, "
                      f"{{{', '.join(operands)}}}))")
 
     def proc_call(self, s: IR.Call, d: int):
@@ -425,8 +496,7 @@ class _Lowering:
             if typ.is_tensor_or_window():
                 if isinstance(actual, IR.WindowExpr):
                     src = self.env[actual.name]
-                    off, shape, strides = self.window(actual)
-                    args.append(_Tensor(src.buf, off, shape, strides).window())
+                    args.append(src.view(*self.window(actual)).window())
                 else:
                     args.append(self.env[actual.name].window())
             elif typ.is_numeric():
@@ -450,15 +520,41 @@ class _Lowering:
         return src if _is_int(e) else f"int({src})"
 
     def region(self, actual: IR.Expr, space: str) -> str:
+        """The Region of an instruction operand.  Its geometry is folded
+        to literals when shape, strides and item size are constants, read
+        from locals computed once at entry when they are the arguments',
+        and computed by ``_region`` at run time otherwise."""
+        src = self.env[actual.name]
         if isinstance(actual, IR.WindowExpr):
-            src = self.env[actual.name]
             off, shape, strides = self.window(actual)
         else:
-            src = self.env[actual.name]
             off, shape, strides = src.off, src.shape, src.strides
-        b = src.buf
-        return (f"_region({b}_id, {b}_b0, {b}_sz, {space!r}, {off}, "
-                f"{_tup(shape)}, {_tup(strides)})")
+        bid = f"{src.buf}_id"
+        geom = self.geometry(src.sz, shape, strides)
+        if geom is None:
+            return (f"_region({bid}, {src.b0}, {src.sz}, {space!r}, {off}, "
+                    f"{_tup(shape)}, {_tup(strides)})")
+        return _region_src(bid, _sum([src.b0, _mul(off, src.sz)]), space, geom)
+
+    def geometry(self, sz: str, shape, strides):
+        """The six ``_geometry`` values of a window, as literals or as
+        locals hoisted to the function entry; None when they depend on
+        values bound inside the body."""
+        parts = [sz, *shape, *strides]
+        if all(_int(x) is not None for x in parts):
+            return tuple(map(str, _geometry(int(sz), [int(n) for n in shape],
+                                            [int(x) for x in strides])))
+        if not all(_int(x) is not None or x in self.entry for x in parts):
+            return None
+        key = (sz, tuple(shape), tuple(strides))
+        names = self.geoms.get(key)
+        if names is None:
+            g = f"_g{len(self.geoms)}"
+            names = self.geoms[key] = tuple(
+                f"{g}_{f}" for f in ("span", "size", "pitch", "mod", "lim", "w"))
+            self.hoisted.append(f"{', '.join(names)} = _geometry({sz}, "
+                                f"{_tup(shape)}, {_tup(strides)})")
+        return names
 
     def window(self, w: IR.WindowExpr):
         """(offset, shape, strides) expressions of a window expression."""
@@ -493,7 +589,7 @@ class _Lowering:
         terms = [var.off]
         for i, stride in zip(idx, var.strides):
             terms.append(_mul(self.ex(i), stride))
-        return f"{var.buf}_fl[{_sum(terms)}]"
+        return f"{var.flat()}[{_sum(terms)}]"
 
     # -- expressions ---------------------------------------------------------
 
@@ -526,6 +622,60 @@ class _Lowering:
         if isinstance(e, IR.ReadConfig):
             return f"_read_config(_cfg, {self.const((e.config, e.field))})"
         raise InternalError(f"unknown expression {type(e).__name__}")
+
+
+def _observed_buffers(body) -> set:
+    """The buffers of ``body`` whose element values a trace can observe:
+    those a data statement reads or writes, an instruction takes as a
+    scalar data operand, or a non-instr callee receives -- through any
+    chain of window statements.  Conservatively, every name read anywhere
+    but as an instruction's tensor operand counts."""
+    alias = {}
+    used = set()
+    for s in IR.walk_stmts(body):
+        exprs = IR.stmt_exprs(s)
+        if isinstance(s, (IR.Assign, IR.Reduce)):
+            used.add(s.name)
+        elif isinstance(s, IR.WindowStmt):
+            alias[s.name] = s.rhs.name
+            exprs = IR.sub_exprs(s.rhs)
+        elif isinstance(s, IR.Call) and s.proc.instr is not None:
+            exprs = []
+            for formal, actual in zip(s.proc.args, s.args):
+                if formal.type.is_tensor_or_window():
+                    exprs += IR.sub_exprs(actual)  # window bounds only
+                else:
+                    exprs.append(actual)
+        for e in exprs:
+            for x in IR.walk_exprs(e):
+                if isinstance(x, (IR.Read, IR.WindowExpr)):
+                    used.add(x.name)
+    roots = set()
+    for name in used:
+        while name in alias:
+            name = alias[name]
+        roots.add(name)
+    return roots
+
+
+def _region_src(bid: str, lo: str, space: str, geom) -> str:
+    """Source of the Region at byte start ``lo`` of buffer ``bid`` with the
+    six ``_geometry`` values ``geom`` (literals or locals): every field is
+    a literal when ``lo`` and ``geom`` are; otherwise only ``lo`` and its
+    column ``lo % modulus`` are computed, into the locals ``_l``, ``_c``."""
+    if all(_int(x) is not None for x in (lo, *geom)):
+        lo, span, size, pitch, modulus, limit, width = map(int, (lo, *geom))
+        col = lo % modulus
+        if col <= limit:
+            return (f"_Region({bid}, {lo}, {lo + span}, {size}, {space!r}, "
+                    f"{pitch}, {col}, {col + width})")
+        return f"_Region({bid}, {lo}, {lo + span}, {size}, {space!r})"
+    span, size, pitch, modulus, limit, width = geom
+    if _int(limit) is not None and int(limit) < 0:
+        return f"_Region({bid}, (_l := {lo}), _l + {span}, {size}, {space!r})"
+    return (f"(_Region({bid}, _l, _l + {span}, {size}, {space!r}, {pitch}, "
+            f"_c, _c + {width}) if (_c := (_l := {lo}) % {modulus}) <= {limit} "
+            f"else _Region({bid}, _l, _l + {span}, {size}, {space!r}))")
 
 
 def _is_int(e: IR.Expr) -> bool:

@@ -67,6 +67,11 @@ class Region:
 
 @dataclass(slots=True)
 class Event:
+    """One instruction call.  Read-only: compiled traces share one ``ctrl``
+    dict among the events of a call site whose control arguments are
+    constants, and consumers must not mutate ``ctrl``, ``operands`` or
+    their Regions."""
+
     name: str
     ctrl: Dict[str, int]
     operands: Dict[str, Region]

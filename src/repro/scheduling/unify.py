@@ -7,7 +7,10 @@ expressions is collected as one integer row ``caller - callee == 0``
 (:mod:`repro.smt.linear`; every unknown is an integer combination of the
 caller's variables -- the quasi-affine restriction makes this complete)
 and the rows are solved by unit-coefficient substitution, after dividing
-each by the gcd of its coefficients.  Buffer
+each by the gcd of its coefficients.  A pair of non-affine control
+expressions (a quasi-affine division or modulo) yields no row: once the
+rows are solved, the callee's side with the solution substituted must be
+alpha-equivalent to the caller's.  Buffer
 arguments are inferred as windows: each formal dimension is aligned with
 the caller dimension driven by the same loop binders, the remaining caller
 dimensions become point coordinates, and interval offsets must agree
@@ -26,6 +29,7 @@ from ..core import ast as IR
 from ..core import types as T
 from ..core.prelude import SchedulingError
 from ..smt import linear as L
+from .eqv import alpha_equiv
 from .simplify import _from_linear, _linearize, simplify_expr
 
 
@@ -83,6 +87,8 @@ class _Unifier:
         self.buf_map = {}
         #: unknowns solved directly by opaque expressions (strides, configs)
         self.direct_sol = {}
+        #: non-affine (callee, caller) control pairs, compared once solved
+        self.nonaffine = []
 
     # -- statement matching --------------------------------------------------
 
@@ -242,10 +248,11 @@ class _Unifier:
                 self.fail("boolean literals differ")
             return
         lp, le = self._callee_lin(p), self._lin(e)
-        if lp is None or le is None:
-            if lp != le:
-                self.fail("non-affine control expressions differ")
+        if lp is None and le is None:
+            self.nonaffine.append((p, e))
             return
+        if lp is None or le is None:
+            self.fail("non-affine control expressions differ")
         self.equations.append(L.lincomb((1, le), (-1, lp)))
 
     def _lin(self, e):
@@ -271,17 +278,31 @@ class _Unifier:
 
     def solve(self):
         solution = self._solve_ctrl()
-        args = []
-        for formal in self.callee.args:
-            if formal.type.is_numeric():
-                args.append(self._build_buffer_arg(formal, solution))
-            elif formal.name in self.direct_sol:
-                args.append(self.direct_sol[formal.name])
-            else:
-                key = self.unknowns[formal.name]
-                value = _substitute((0, {key: 1}), solution)
-                args.append(_affine_to_expr(value))
-        return args
+        values = dict(self.direct_sol)
+        for u, key in self.unknowns.items():
+            if u not in values:
+                values[u] = _affine_to_expr(_substitute((0, {key: 1}), solution))
+        self._check_nonaffine(values)
+        return [
+            self._build_buffer_arg(formal, solution)
+            if formal.type.is_numeric() else values[formal.name]
+            for formal in self.callee.args
+        ]
+
+    def _check_nonaffine(self, values):
+        """Each non-affine control pair must agree once the callee's
+        binders are the caller's and its unknowns take their ``values``:
+        alpha-equivalent after simplification."""
+
+        def fn(node):
+            if isinstance(node, IR.Read) and not node.idx and node.name in values:
+                return values[node.name]
+            return node
+
+        for p, e in self.nonaffine:
+            got = simplify_expr(IR.map_expr(fn, self._subst_binders_expr(p)))
+            if not alpha_equiv(got, simplify_expr(e)):
+                self.fail("non-affine control expressions differ")
 
     def _solve_ctrl(self):
         """Solve the collected rows: unknown's key -> its defining row.

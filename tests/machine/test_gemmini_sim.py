@@ -263,6 +263,143 @@ class TestExactness:
         assert evicted.cycles < kept.cycles
 
 
+class TestPrunedWindow:
+    """The window drops entries at or before the scanning instruction's
+    issue time and skips scans its bound rules out; the result must stay
+    the reference's in the cases that argument leans on."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(events(), min_size=1, max_size=24), st.integers(60, 200))
+    def test_free_issue_matches_reference(self, pool, length):
+        """With ``issue_cost=0`` issue times stand still between flushes,
+        so many entries end exactly at or after them."""
+        evs = [pool[i % len(pool)] for i in range(length)]
+        for params in (GemminiParams(issue_cost=0.0),
+                       GemminiParams(issue_cost=0.0, startup=0.0)):
+            sim = GemminiSim(params)
+            for k in [*range(20, length, 20), length]:
+                assert sim.run(evs[:k]) == reference_run(sim, evs[:k])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.one_of(events(), st.sampled_from(sorted(_CONFIGS)).map(
+        lambda name: Event(name, {"s": 1}, {}))), min_size=1, max_size=24),
+        st.integers(60, 200))
+    def test_configs_and_fused_flushes_match_reference(self, pool, length):
+        """Config and fused (flushing) instructions among the others."""
+        evs = [pool[i % len(pool)] for i in range(length)]
+        sim = GemminiSim()
+        for k in [*range(20, length, 20), length]:
+            assert sim.run(evs[:k]) == reference_run(sim, evs[:k])
+
+    @pytest.mark.parametrize("rows,cycles", [(23, 166.0), (24, 167.0)])
+    def test_entry_ending_at_a_later_issue(self, rows, cycles):
+        """A load into tile E (issued at 108, busy ``rows + 1`` cycles)
+        and a store into F, elsewhere in E's buffer, that ends at 137; the
+        matmul reading E issues at 132 and scans that buffer (F's 137 is
+        past its ready time).  With 23 rows E ends exactly at 132
+        (``when == issued``: dropped, no delay); with 24 it ends at 133
+        and delays the matmul, and the load of its result, by one."""
+        def r(base, lo):
+            return Region(base, lo, lo + 32, 32, "SCRATCHPAD")
+
+        E, F = r(1, 0), r(1, 500)
+        evs = [
+            Event("do_ld_i8", {"n": rows}, {"src": r(9, 0), "dst": E}),
+            Event("do_st_acc_i8", {"n": 20}, {"src": r(3, 0), "dst": F}),
+            Event("matmul_acc_i8", {}, {"a": E, "b": r(7, 0), "res": r(11, 0)}),
+            Event("do_ld_i8", {"n": 1}, {"src": r(11, 0), "dst": r(12, 0)}),
+        ]
+        sim = GemminiSim()
+        assert sim.run(evs) == reference_run(sim, evs)
+        assert sim.run(evs).cycles == cycles
+
+    def test_scan_keeps_entries_later_than_its_issue(self):
+        """Only entries at or before the scanning instruction's *issue*
+        time may go, not those before its (later) ready time.  The
+        zero_acc scans buffer 1 while LD is busy until 166.5, past E's
+        164; the next matmul, ready at 156, must still wait for E."""
+        def r(base, lo):
+            return Region(base, lo, lo + 16, 16, "SCRATCHPAD")
+
+        E, F, G = r(1, 0), r(1, 100), r(1, 200)
+        evs = [
+            Event("do_st_acc_i8", {"n": 68}, {"src": r(3, 0), "dst": F}),
+            Event("do_ld_i8", {"n": 50}, {"src": r(9, 0), "dst": r(8, 0)}),
+            Event("matmul_acc_i8", {}, {"a": r(7, 0), "b": r(7, 0), "res": E}),
+            Event("zero_acc_i32", {}, {"dst": G}),
+            Event("matmul_acc_i8", {}, {"a": E, "b": r(7, 0), "res": r(11, 0)}),
+        ]
+        sim = GemminiSim()
+        assert sim.run(evs) == reference_run(sim, evs)
+        assert sim.run(evs).cycles == 164.0 + 16.0
+
+    @pytest.mark.parametrize("field", [f for f in vars(GemminiParams())])
+    def test_negative_costs_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            GemminiParams(**{field: -1.0})
+
+    def test_zero_bandwidth_rejected(self):
+        with pytest.raises(ValueError, match="dma_bytes_per_cycle"):
+            GemminiParams(dma_bytes_per_cycle=0.0)
+
+
+def _fig4a_tile(dim16):
+    """The macro-tile factor Fig. 4a gives a dimension of ``dim16`` tiles."""
+    return next((t for t in (4, 3, 2) if dim16 % t == 0), 1)
+
+
+class TestGoldenResults:
+    """Every SimResult field of the paper-figure kernels, pinned exactly:
+    Exo-lib (its run and its Hardware bound) and Old-lib on each Fig. 4a
+    shape, and the Fig. 4b conv pair.  Fields are (cycles, macs, flushes,
+    events, dma_cycles, ex_cycles)."""
+
+    @pytest.mark.parametrize("shape,exo,hardware,old", [
+        ((768, 64, 64), (18850.0, 3145728, 3, 1539, 14208.0, 12288.0),
+         (12388.0, 3145728, 0, 1539, 14208.0, 12288.0),
+         (72308.0, 3145728, 1728, 2688, 41856.0, 12288.0)),
+        ((768, 64, 256), (64930.0, 12582912, 3, 4995, 41856.0, 49152.0),
+         (49252.0, 12582912, 0, 4995, 41856.0, 49152.0),
+         (265844.0, 12582912, 6336, 9600, 152448.0, 49152.0)),
+        ((192, 128, 512), (63394.0, 12582912, 3, 4803, 39360.0, 49152.0),
+         (49252.0, 12582912, 0, 4803, 39360.0, 49152.0),
+         (262004.0, 12582912, 6240, 9408, 149952.0, 49152.0)),
+        ((192, 512, 128), (68002.0, 12582912, 3, 5379, 46848.0, 49152.0),
+         (49252.0, 12582912, 0, 5379, 46848.0, 49152.0),
+         (273524.0, 12582912, 6528, 9984, 157440.0, 49152.0)),
+        ((768, 256, 64), (74146.0, 12582912, 3, 6147, 56832.0, 49152.0),
+         (49252.0, 12582912, 0, 6147, 56832.0, 49152.0),
+         (288884.0, 12582912, 6912, 10752, 167424.0, 49152.0)),
+        ((64, 512, 512), (84386.0, 16777216, 3, 6403, 52480.0, 65536.0),
+         (65636.0, 16777216, 0, 6403, 52480.0, 65536.0),
+         (349300.0, 16777216, 8320, 12544, 199936.0, 65536.0)),
+        ((256, 256, 256), (86434.0, 16777216, 3, 6659, 55808.0, 65536.0),
+         (65636.0, 16777216, 0, 6659, 55808.0, 65536.0),
+         (354420.0, 16777216, 8448, 12800, 203264.0, 65536.0)),
+        ((128, 1024, 128), (90530.0, 16777216, 3, 7171, 62464.0, 65536.0),
+         (65636.0, 16777216, 0, 7171, 62464.0, 65536.0),
+         (364660.0, 16777216, 8704, 13312, 209920.0, 65536.0)),
+    ])
+    def test_fig4a(self, sim, shape, exo, hardware, old):
+        N, M, K = shape
+        p = matmul_exo_blocked(_fig4a_tile(N // 16), _fig4a_tile(M // 16))
+        ev = _trace(p, N, M, K)
+        assert sim.run(ev) == SimResult(*exo)
+        assert sim.ideal_bound(ev) == SimResult(*hardware)
+        assert sim.run(_trace(matmul_oldlib(), N, M, K)) == SimResult(*old)
+
+    def test_fig4b_conv(self, sim):
+        from repro.apps.gemmini_conv import conv_exo, conv_oldlib
+
+        B, OY, OX, OC, IC = 4, 8, 64, 64, 64
+        args = (B, OY, OX, OC, IC, np.zeros((B, OY + 2, OX + 2, IC), np.int8),
+                np.zeros((3, 3, IC, OC), np.int8), np.zeros((B, OY, OX, OC), np.int8))
+        assert sim.run(trace_kernel(conv_exo(), *args)) == SimResult(
+            450794.0, 75497472, 3, 37891, 455680.0, 294912.0)
+        assert sim.run(trace_kernel(conv_oldlib(), *args)) == SimResult(
+            1568884.0, 75497472, 37376, 56320, 898048.0, 294912.0)
+
+
 class TestGoldenCycles:
     """Simulated cycles of the paper-figure kernels, pinned exactly."""
 

@@ -13,14 +13,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from repro.api import procs_from_source
 from repro.core.configs import Config
 from repro.core.interp import InterpError
-from repro.core.pygen import lower
+from repro.core.pygen import _geometry, _region, _region_src, lower
 from repro.core import types as T
 from repro.machine.gemmini_sim import GemminiSim
-from repro.machine.trace import Tracer, trace_kernel
+from repro.machine.trace import Region, Tracer, _region_of, trace_kernel
 
 HEADER = (
     "from __future__ import annotations\n"
@@ -308,3 +310,96 @@ def f(x: f32[8] @ DRAM, y: f32[8] @ DRAM):
         assert (src.lo, dst.lo) == (0, 48)
         (ev,) = trace_kernel(p, np.zeros(8, np.float32), np.zeros(8, np.float32))
         assert ev.operands["src"].base != ev.operands["dst"].base
+
+
+@st.composite
+def windows(draw):
+    """(itemsize, element offset, shape, element strides) of a window: zero
+    extents, zero and non-unit strides, and rows wider than their pitch
+    (the degenerate case) all occur."""
+    sz = draw(st.sampled_from([1, 2, 4, 8]))
+    rank = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.integers(0, 5), min_size=rank, max_size=rank))
+    strides = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 16]),
+                            min_size=rank, max_size=rank))
+    return sz, draw(st.integers(0, 40)), tuple(shape), tuple(strides)
+
+
+class TestFoldedRegions:
+    """A call site's Region is emitted with its geometry folded to literals
+    (constant shapes and strides, as of allocations), read from locals
+    (hoisted argument geometry) or computed by ``_region`` at run time; all
+    of them must give ``machine.trace._region_of``'s Region of the numpy
+    view the interpreter would pass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(windows())
+    def test_folded_matches_region_of(self, window):
+        sz, off, shape, strides = window
+        span = 1 + sum((n - 1) * s for n, s in zip(shape, strides) if n > 0)
+        root = np.zeros(off + span, np.dtype(f"i{sz}"))
+        view = as_strided(root[off:], shape=shape,
+                          strides=tuple(s * sz for s in strides))
+        want = _region_of(view, "SCRATCHPAD")
+        bid = want.base
+        assert _region(bid, 0, sz, "SCRATCHPAD", off, shape, strides) == want
+        geom = _geometry(sz, shape, strides)
+        hoisted = {f"g{k}": v for k, v in enumerate(geom)}
+        for lo, g in [(str(off * sz), tuple(map(str, geom))),  # all literal
+                      ("o * sz", tuple(map(str, geom))),  # run-time start
+                      ("o * sz", tuple(hoisted))]:  # hoisted geometry
+            src = _region_src("bid", lo, "SCRATCHPAD", g)
+            ns = {"_Region": Region, "bid": bid, "o": off, "sz": sz, **hoisted}
+            assert eval(src, ns) == want, src
+
+    def test_degenerate_rows(self):
+        """A row of 3 elements at column 2 of a pitch of 4 spills into the
+        next row: no rows model, just the span."""
+        root = np.zeros(16, np.int8)
+        view = as_strided(root[2:], shape=(2, 3), strides=(4, 1))
+        r = _region_of(view, "DRAM")
+        assert (r.pitch, r.col_lo, r.col_hi) == (0, 0, 0)
+        assert _region(r.base, 0, 1, "DRAM", 2, (2, 3), (4, 1)) == r
+        src = _region_src("bid", "2", "DRAM", tuple(map(str, _geometry(1, (2, 3), (4, 1)))))
+        assert eval(src, {"_Region": Region, "bid": r.base}) == r
+
+
+class TestStorage:
+    """Only buffers whose values a trace can observe get storage."""
+
+    SRC = INSTRS + """
+@proc
+def f(x: f32[4, 4] @ DRAM, y: f32[4, 4] @ DRAM):
+    s : f32[2] @ DRAM
+    s[1] = 3.0
+    vscale(s[1], x[0:4, 0:4])
+    t : f32[2] @ DRAM
+    vscale(t[0], y[0:4, 0:4])
+    u : f32[4, 4] @ DRAM
+    w = u[0:4, 0:4]
+    w[1, 2] = 5.0
+    vscale(u[1, 2], y[0:4, 0:4])
+    z : f32[4, 4] @ DRAM
+    vscale(s[1], z[0:4, 0:4])
+    vcopy(4, z[1, 0:4], x[2, 0:4])
+"""
+
+    def test_scalar_operand_of_written_buffer(self):
+        """``s`` is written by a data statement and read as an
+        instruction's scalar operand; ``t`` is only read, and ``u`` is
+        written through a window: each needs storage, and the traces agree
+        with the oracle (``t`` reads 0.0, ``u`` 5.0)."""
+        p = _procs(self.SRC)["f"]
+        rng = np.random.default_rng(10)
+        events, _ = both(p, (), [_f32(rng, (4, 4)), _f32(rng, (4, 4))])
+        assert [e.ctrl["x"] for e in events if e.name == "vscale"] == [
+            3.0, 0.0, 5.0, 3.0]
+
+    def test_instr_only_buffer_has_no_storage(self):
+        """``z`` is reached only as instruction operands: it is numbered
+        but never allocated."""
+        p = _procs(self.SRC)["f"]
+        src = lower(p.ir()).source
+        assert src.count("_np_zeros(") == 3
+        assert "z_" in src and "z_" not in "".join(
+            line for line in src.splitlines() if "_np_zeros(" in line)

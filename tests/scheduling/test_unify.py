@@ -349,6 +349,42 @@ def f(n: size, A: f32[n, 4] @ DRAM, B: f32[n, 8] @ DRAM):
             ps["f"].replace(ps["setboth"], "for i in _: _")
 
 
+class TestNonAffineControl:
+    """Non-affine control expressions (here quasi-affine divisions) are
+    compared after the solution is substituted into the callee's."""
+
+    SRC = """
+@proc
+def halfz(n: size, x: [f32][n] @ DRAM):
+    for j in seq(0, 1):
+        for k in seq(0, n):
+            x[k] = 1.0
+        for i in seq(0, n / 2):
+            x[i] = 0.0
+
+@proc
+def f(m: size, A: f32[m] @ DRAM):
+    for j in seq(0, 1):
+        for k in seq(0, m):
+            A[k] = 1.0
+        for i in seq(0, m / {}):
+            A[i] = 0.0
+"""
+
+    def test_same_division_replaced(self):
+        ps = _procs(self.SRC.format(2))
+        g = ps["f"].replace(ps["halfz"], "for j in _: _")
+        assert _call_line(g) == "halfz(m, A[0:m])"
+        assert_equiv(ps["f"], g, lambda rng: [6, rand_f32(rng, 6)])
+
+    def test_different_division_rejected(self):
+        """At m = 6 the block zeroes 2 elements and ``halfz(m, A[0:m])``
+        would zero 3."""
+        ps = _procs(self.SRC.format(3))
+        with pytest.raises(SchedulingError):
+            ps["f"].replace(ps["halfz"], "for j in _: _")
+
+
 class TestReplaceAll:
     def test_replace_all_multiple_sites(self):
         ps = _procs(
