@@ -16,11 +16,12 @@ It prints the call count per entry point; ``facts``, the total number
 of fact terms in the ``Facts`` contexts passed to ``try_prove``;
 ``discharged``, the number of ``try_prove`` calls that answered True
 (the fast path's verdicts); and two sha256 digests of the obligation
-stream: ``raw`` hashes each
-obligation's ``repr`` as is, so it includes every ``Sym``'s process-wide
-id; ``renumbered`` first renumbers the ``Sym`` ids within each
-obligation by first appearance, so it only moves when the formulas or
-their order do.
+stream, each line an obligation's ``repr`` followed by its result's:
+``raw`` hashes each line as is, so it includes every ``Sym``'s
+process-wide id; ``renumbered`` first renumbers the ``Sym`` ids within
+each line by first appearance, so it only moves when the formulas, their
+order or their verdicts do.  An equal ``renumbered`` digest thus
+certifies the same questions answered the same way.
 
 Running it twice must print the same raw digest: an obligation stream
 that depends on object addresses does not (CI runs it three times).
@@ -118,8 +119,9 @@ def digest() -> dict:
         counts[kind] += 1
         counts["facts"] += facts
         counts["discharged"] += kind == "try_prove" and result is True
-        raw.update(f"{kind}\t{text}\n".encode())
-        renumbered.update(f"{kind}\t{_renumber(text)}\n".encode())
+        line = f"{kind}\t{text}\t{result!r}"
+        raw.update(f"{line}\n".encode())
+        renumbered.update(f"{_renumber(line)}\n".encode())
     return {**counts, "raw": raw.hexdigest(),
             "renumbered": renumbered.hexdigest()}
 

@@ -64,7 +64,7 @@ from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from ..core.prelude import InternalError, Sym
+from ..core.prelude import Sym
 from ..obs import smtstats as _smtstats
 from ..obs import trace as _obs
 from ..smt import linear as L
@@ -412,10 +412,7 @@ def _branches(goal: S.Term) -> Optional[List[Tuple[S.Cmp, ...]]]:
     first (:func:`~repro.smt.terms.open_binder`): the bound variables then
     occur nowhere else, so refuting the branch with them free refutes the
     existential."""
-    try:
-        negated = strip_exists(nnf(goal, positive=False))[0]
-    except InternalError:
-        return None  # not a formula nnf knows (an if-then-else formula)
+    negated = strip_exists(nnf(goal, positive=False))[0]
     out = []
     for literals in dnf_stream(negated):
         if len(out) == MAX_BRANCHES or not all(
@@ -603,7 +600,7 @@ def _binder_split(t: S.Term, bsyms) -> Optional[Tuple[Dict[Sym, int], S.Term]]:
             return None
         ca, ra = split
         return {k: v * t.coeff for k, v in ca.items()}, S.scale(t.coeff, ra)
-    return None  # FloorDiv / Mod / Ite over a binder: non-affine
+    return None  # FloorDiv / Mod over a binder: non-affine
 
 
 def _nest_box(idx, binders, dense: bool = False) -> Optional[Box]:

@@ -184,12 +184,21 @@ class TuneDB:
         return _replay(base, records)
 
     def save(self, path: Optional[str] = None) -> str:
+        """Write the entries to ``path`` (default: the DB's own) through a
+        temporary file renamed over it, so an interrupted save leaves the
+        earlier file whole."""
         path = path or self.path
         if not path:
             raise ValueError("TuneDB has no path; pass one to save()")
-        with open(path, "w") as f:
-            json.dump(self.entries, f, indent=2, sort_keys=True)
-            f.write("\n")
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "w") as f:
+                json.dump(self.entries, f, indent=2, sort_keys=True)
+                f.write("\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         return path
 
 

@@ -3,18 +3,17 @@
 Because Exo programs are static control programs, the sequence of
 ``@instr`` calls a kernel issues is determined entirely by its control
 arguments.  :func:`trace_kernel` records one :class:`Event` per
-instruction call:
+instruction call by running the kernel's *compiled trace*:
+:mod:`repro.core.pygen` lowers the procedure once, on its first trace, to
+a Python function whose loops are ``range`` loops and whose operand
+regions come from offsets and strides.  Instruction bodies are skipped,
+which makes tracing a 12544x64x256 GEMM (~10^8 scalar operations, but
+only ~10^5 instructions) cheap.
 
-* in timing mode (the default) it runs the kernel's *compiled trace*:
-  :mod:`repro.core.pygen` lowers the procedure once, on its first trace,
-  to a Python function whose loops are ``range`` loops and whose operand
-  regions come from offsets and strides.  Instruction bodies are skipped,
-  which makes tracing a 12544x64x256 GEMM (~10^8 scalar operations, but
-  only ~10^5 instructions) cheap;
-* with ``functional=True`` the reference interpreter runs the kernel with
-  a hook (:class:`Tracer`) that records each call and then executes the
-  instruction body.  The :class:`Tracer` in timing mode is the oracle the
-  compiled traces are differential-tested against.
+:class:`Tracer` is the reference: the interpreter runs the kernel with a
+hook that records each call and, with ``functional=True``, then executes
+the instruction body.  The :class:`Tracer` in timing mode is the oracle
+the compiled traces are differential-tested against.
 
 Each event records precise memory *intervals* for every buffer operand,
 which is what lets the timing simulators resolve RAW/WAR hazards exactly.
@@ -151,11 +150,9 @@ class Tracer:
         return self.events
 
 
-def trace_kernel(procedure, *args, functional: bool = False) -> List[Event]:
-    """The instruction trace of ``procedure`` on ``args``: compiled in
-    timing mode, interpreted (instruction bodies run) in functional mode."""
-    if functional:
-        return Tracer(functional=True).run(procedure, *args)
+def trace_kernel(procedure, *args) -> List[Event]:
+    """The instruction trace of ``procedure`` on ``args``, from its
+    compiled trace (instruction bodies are skipped)."""
     from ..core.pygen import trace
 
     return trace(procedure.ir(), args)

@@ -76,8 +76,6 @@ def canonical_key(t) -> tuple:
             return ("/", t.divisor, go(t.arg))
         if isinstance(t, S.Mod):
             return ("%", t.divisor, go(t.arg))
-        if isinstance(t, S.Ite):
-            return ("ite", go(t.cond), go(t.then), go(t.els))
         if isinstance(t, S.Cmp):
             return ("cmp", t.op, go(t.lhs), go(t.rhs))
         if isinstance(t, S.Not):

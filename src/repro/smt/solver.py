@@ -16,7 +16,7 @@ import os
 import time
 from typing import Iterable, List
 
-from ..core.prelude import InternalError, Sym
+from ..core.prelude import InternalError
 from ..obs import trace as _obs
 from ..obs.smtstats import STATS as _SMT_STATS
 from ..obs.smtstats import QueryCache, canonical_key, current_category
@@ -28,62 +28,6 @@ from .omega import DIV, EQ, GEQ, feasible, project
 class SmtTimeout(Exception):
     """Internal signal: the per-query budget expired mid-search.  Never
     escapes ``Solver.prove`` — it degrades to a conservative ``False``."""
-
-
-# ---------------------------------------------------------------------------
-# if-then-else elimination (atoms only; ite over ints)
-# ---------------------------------------------------------------------------
-
-
-def _find_ite(t):
-    if isinstance(t, S.Ite):
-        return t
-    for c in S.children(t):
-        found = _find_ite(c)
-        if found is not None:
-            return found
-    return None
-
-
-def _replace_term(t, old, new):
-    if t is old:
-        return new
-    if isinstance(t, S.Add):
-        return S.add(*[_replace_term(a, old, new) for a in t.args])
-    if isinstance(t, S.Scale):
-        return S.scale(t.coeff, _replace_term(t.arg, old, new))
-    if isinstance(t, S.FloorDiv):
-        return S.floordiv(_replace_term(t.arg, old, new), t.divisor)
-    if isinstance(t, S.Mod):
-        return S.mod(_replace_term(t.arg, old, new), t.divisor)
-    if isinstance(t, S.Cmp):
-        return S.cmp(t.op, _replace_term(t.lhs, old, new), _replace_term(t.rhs, old, new))
-    return t
-
-
-def elim_ite(t):
-    """Rewrite away integer ``ite`` nodes by case-splitting their atoms."""
-    if isinstance(t, S.Cmp):
-        it = _find_ite(t)
-        if it is None:
-            return t
-        cond = elim_ite(it.cond)
-        then_atom = elim_ite(_replace_term(t, it, it.then))
-        else_atom = elim_ite(_replace_term(t, it, it.els))
-        return S.disj(
-            S.conj(cond, then_atom), S.conj(S.negate(cond), else_atom)
-        )
-    if isinstance(t, S.Not):
-        return S.negate(elim_ite(t.arg))
-    if isinstance(t, S.And):
-        return S.conj(*[elim_ite(a) for a in t.args])
-    if isinstance(t, S.Or):
-        return S.disj(*[elim_ite(a) for a in t.args])
-    if isinstance(t, S.Exists):
-        return S.exists(t.vars, elim_ite(t.body))
-    if isinstance(t, S.ForAll):
-        return S.forall(t.vars, elim_ite(t.body))
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +213,10 @@ class Solver:
             raise SmtTimeout()
 
     def _ground(self, formula):
-        """``formula`` as the DNF enumeration reads it: ite-free, in NNF,
-        universals eliminated, and the existential prefix stripped (free
-        for satisfiability)."""
-        f = self._elim_foralls(nnf(elim_ite(formula)))
-        return strip_exists(f)[0]
+        """``formula`` as the DNF enumeration reads it: in NNF, universals
+        eliminated, and the existential prefix stripped (free for
+        satisfiability)."""
+        return strip_exists(self._elim_foralls(nnf(formula)))[0]
 
     def satisfiable(self, formula) -> bool:
         _SMT_STATS.sat_calls += 1
@@ -366,65 +309,16 @@ class Solver:
     # -- ground satisfiability ----------------------------------------------
 
     def _conjunct_feasible(self, literals) -> bool:
+        """Is the conjunction of ``literals`` satisfiable over the integers?
+        The Omega test decides it on the purified rows; memoized per
+        literal set."""
         self._check_deadline()
         key = frozenset(literals)
         cached = self._feas_cache.get(key)
         if cached is None:
-            cached = self._feasible_rec(list(literals), 0)
+            cached = self._omega_feasible(literals)
             self._feas_cache[key] = cached
         return cached
-
-    def _feasible_rec(self, literals, depth) -> bool:
-        """Ground feasibility with Cooper-style residue splitting.
-
-        Conjunctions rich in ``Mod``/``FloorDiv`` atoms (they arise from
-        quantifier elimination over tiled loops) are decided by case-splitting
-        a variable ``v`` under a divisor ``d`` as ``v = d*v' + r``; the smart
-        constructors then fold the div/mod terms away.  Remaining purely
-        linear conjunctions go to the Omega test.
-        """
-        self._check_deadline()
-        split = self._choose_residue_split(literals) if depth < 8 else None
-        if split is not None:
-            v, d = split
-            # literals without ``v`` pass to every branch as they are
-            mentions = [v in S.free_vars(lit) for lit in literals]
-            for r in range(d):
-                fresh = S.Var(Sym(v.name))
-                repl = S.add(S.scale(d, fresh), S.IntC(r))
-                branch = [
-                    S.substitute(lit, {v: repl}) if m else lit
-                    for lit, m in zip(literals, mentions)
-                ]
-                branch = [b for b in branch if b != S.TRUE]
-                if any(b == S.FALSE for b in branch):
-                    continue
-                if self._feasible_rec(branch, depth + 1):
-                    return True
-            return False
-        return self._omega_feasible(literals)
-
-    @staticmethod
-    def _choose_residue_split(literals):
-        """A (variable, divisor) pair occurring under Mod/FloorDiv, if any."""
-
-        def scan(t):
-            if isinstance(t, (S.Mod, S.FloorDiv)):
-                for v in sorted(S.free_vars(t.arg), key=lambda s: s.id):
-                    return v, t.divisor
-            for c in S.children(t):
-                found = scan(c)
-                if found:
-                    return found
-            return None
-
-        best = None
-        for lit in literals:
-            found = scan(lit)
-            if found and found[1] <= 128:
-                if best is None or found[1] < best[1]:
-                    best = found
-        return best
 
     def _omega_feasible(self, literals) -> bool:
         system = _linear_system(literals, "sat")
@@ -517,6 +411,3 @@ def format_model(model, limit: int, skip=()) -> str:
 #: A process-wide default solver (the cache is shared across checks).
 DEFAULT_SOLVER = Solver()
 
-
-def satisfiable(formula) -> bool:
-    return DEFAULT_SOLVER.satisfiable(formula)

@@ -4,7 +4,7 @@ The solver decides formulas of linear integer arithmetic (LIA) with
 quantifiers -- exactly the fragment Exo's quasi-affine restriction produces
 (§3.1, §4.2).  Terms are immutable hash-consable dataclasses:
 
-* integer sort: variables, constants, ``+ - *c /c %c`` and ``ite``;
+* integer sort: variables, constants and ``+ - *c /c %c``;
 * boolean sort: comparisons, propositional connectives, quantifiers, and
   boolean variables (used by the ternary-logic encoding).
 
@@ -66,13 +66,6 @@ class FloorDiv(Term):
 class Mod(Term):
     arg: Term
     divisor: int  # positive literal
-
-
-@dataclass(frozen=True)
-class Ite(Term):
-    cond: Term
-    then: Term
-    els: Term
 
 
 @dataclass(frozen=True)
@@ -207,16 +200,6 @@ def mod(t: Term, d: int) -> Term:
     return Mod(inner, d)
 
 
-def ite(c: Term, a: Term, b: Term) -> Term:
-    if c == TRUE:
-        return a
-    if c == FALSE:
-        return b
-    if a == b:
-        return a
-    return Ite(c, a, b)
-
-
 _CMP_EVAL = {
     "==": lambda a, b: a == b,
     "<=": lambda a, b: a <= b,
@@ -348,8 +331,6 @@ def _sort(t: Term) -> str:
         return INT
     if isinstance(t, Var):
         return t.sort
-    if isinstance(t, Ite):
-        return _sort(t.then)
     return BOOL
 
 
@@ -360,8 +341,6 @@ def children(t: Term):
         return [t.arg]
     if isinstance(t, (FloorDiv, Mod)):
         return [t.arg]
-    if isinstance(t, Ite):
-        return [t.cond, t.then, t.els]
     if isinstance(t, Cmp):
         return [t.lhs, t.rhs]
     if isinstance(t, Not):
@@ -398,10 +377,6 @@ def substitute(t: Term, env: dict) -> Term:
         return floordiv(substitute(t.arg, env), t.divisor)
     if isinstance(t, Mod):
         return mod(substitute(t.arg, env), t.divisor)
-    if isinstance(t, Ite):
-        return ite(
-            substitute(t.cond, env), substitute(t.then, env), substitute(t.els, env)
-        )
     if isinstance(t, Cmp):
         return cmp(t.op, substitute(t.lhs, env), substitute(t.rhs, env))
     if isinstance(t, Not):
@@ -447,10 +422,6 @@ def term_to_str(t: Term) -> str:
         return f"({term_to_str(t.arg)} / {t.divisor})"
     if isinstance(t, Mod):
         return f"({term_to_str(t.arg)} % {t.divisor})"
-    if isinstance(t, Ite):
-        return (
-            f"ite({term_to_str(t.cond)}, {term_to_str(t.then)}, {term_to_str(t.els)})"
-        )
     if isinstance(t, Cmp):
         return f"({term_to_str(t.lhs)} {t.op} {term_to_str(t.rhs)})"
     if isinstance(t, Not):

@@ -62,7 +62,7 @@ class TestLinearizer:
     def test_non_affine_raises(self):
         lz = Linearizer()
         with pytest.raises(absint.NonAffine):
-            lz.lin(S.Ite(S.lt(_v("x"), _v("y")), _v("x"), _v("y")))
+            lz.lin(S.add(_v("x"), S.Var(Sym("b"), S.BOOL)))
 
 
 class TestRefute:
@@ -222,8 +222,9 @@ class TestTryProve:
         assert try_prove(Facts.of(facts), S.cmp("==", x, S.IntC(99)))
 
     def test_non_affine_fact_is_dropped_not_fatal(self):
-        x, y = _v("x"), _v("y")
-        facts = [S.Cmp("<", S.Ite(S.TRUE, x, y), S.IntC(0)), S.ge(x, S.IntC(1))]
+        x = _v("x")
+        b = S.Var(Sym("b"), S.BOOL)
+        facts = [S.Cmp("<", S.add(x, b), S.IntC(0)), S.ge(x, S.IntC(1))]
         assert try_prove(Facts.of(facts), S.ge(x, S.IntC(0)))
 
     def test_unrelated_false_context_still_proves(self):
@@ -454,8 +455,9 @@ class TestProveWrapper:
 
     def test_fellthrough_goal_reaches_solver(self):
         x = _v("x")
-        # non-affine goal: the fast path cannot decide it
-        goal = S.ge(S.Ite(S.ge(x, S.IntC(0)), x, S.neg(x)), S.IntC(0))
+        b = S.Var(Sym("b"), S.BOOL)
+        # a boolean literal: the fast path leaves the goal to the solver
+        goal = S.disj(S.ge(x, S.IntC(0)), b, S.negate(b))
         before = STATS.prove_calls
         assert absint.prove(Facts.of([]), goal, "bounds")
         assert STATS.prove_calls == before + 1

@@ -159,10 +159,8 @@ class TestGemminiAcceptance:
 
 
 class TestMeasuredMode:
-    def test_measured_rerank_is_crash_isolated(self):
-        """Measured mode on a tiny kernel: candidates compile and run in
-        worker processes; a missing compiler degrades to the interpreter;
-        either way the search completes and records timings or errors."""
+    @staticmethod
+    def _measured_scal_search():
         from repro.api import procs_from_source
 
         src = (
@@ -184,10 +182,25 @@ def scal(x: f32[64] @ DRAM):
 
         sp = Space("scal", base, choices=[Choice("factor", (2, 4, 8))],
                    build=build)
-        r = search(sp, TuneConfig(seed=0, budget=8, measure=True, top_k=2,
-                                  workers=1, measure_reps=1,
-                                  measure_timeout_s=60.0))
+        return search(sp, TuneConfig(seed=0, budget=8, measure=True, top_k=2,
+                                     workers=1, measure_reps=1,
+                                     measure_timeout_s=60.0))
+
+    def test_measured_rerank_is_crash_isolated(self):
+        """Measured mode on a tiny kernel: candidates compile and run in
+        worker processes; a missing compiler degrades to the interpreter;
+        either way the search completes and records timings or errors."""
+        r = self._measured_scal_search()
         assert r.best is not None
         assert r.stats["measured"] + r.stats["measure_failures"] == 2
         if r.stats["measured"]:
             assert r.best.measured_s is not None
+
+    def test_without_a_compiler_the_interpreter_is_timed(self, monkeypatch):
+        from repro.machine import x86_sim
+
+        monkeypatch.setattr(x86_sim, "find_cc", lambda: None)
+        r = self._measured_scal_search()
+        assert r.stats["measured"] == 2
+        assert r.stats["measure_failures"] == 0
+        assert r.best.measured_s is not None and r.best.measured_s > 0

@@ -8,6 +8,7 @@ import pytest
 from repro import DRAM, obs
 from repro.api import procs_from_source
 from repro.autotune import Choice, Space, TuneConfig, TuneDB, search
+from repro.autotune import tune_db
 from repro.autotune.tune_db import decode_record, encode_record
 from repro.obs.journal import PathRef, RewriteRecord
 
@@ -145,6 +146,29 @@ class TestDB:
         assert r.best is None
         with pytest.raises(ValueError):
             TuneDB().put("scal", r)
+
+    def test_interrupted_save_keeps_the_earlier_file(self, scal, tmp_path,
+                                                     monkeypatch):
+        r = search(_space(scal), TuneConfig(seed=0, budget=8))
+        path = str(tmp_path / "tune.json")
+        db = TuneDB(path)
+        db.put("scal", r)
+        db.save()
+
+        def dump_then_fail(obj, f, **kwargs):
+            f.write('{"scal": {"space": ')
+            raise OSError("no space left on device")
+
+        db.put("scal2", r)
+        monkeypatch.setattr(tune_db.json, "dump", dump_then_fail)
+        with pytest.raises(OSError):
+            db.save()
+        monkeypatch.undo()
+
+        earlier = TuneDB(path)
+        assert earlier.keys() == ["scal"]
+        assert str(earlier.replay("scal", scal)) == str(r.best.proc)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tune.json"]
 
     def test_save_needs_path(self):
         with pytest.raises(ValueError):

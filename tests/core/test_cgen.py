@@ -298,3 +298,48 @@ def f(n: size, m: size, x: f32[n + 2, m + 1, 4] @ DRAM):
                     w[ky, kx].astype(np.float64),
                 )
         np.testing.assert_allclose(got, np.maximum(ref, 0.0), rtol=1e-5, atol=1e-5)
+
+
+class TestWindowStmt:
+    """A window statement (``row = A[i, 0:m]``) becomes a window struct
+    whose reads index through its data pointer and strides."""
+
+    @pytest.mark.skipif(
+        __import__("repro.machine.x86_sim", fromlist=["x"]).find_cc() is None,
+        reason="needs a C compiler",
+    )
+    def test_compiled_window_stmt_matches_interpreter(self):
+        import numpy as np
+
+        from repro.machine.x86_sim import compile_and_run
+
+        p = _p(
+            """
+@proc
+def rows(n: size, m: size, A: f32[n, m] @ DRAM, B: f32[n, m] @ DRAM):
+    for i in seq(0, n):
+        row = A[i, 0:m]
+        for j in seq(0, m):
+            B[i, j] = 2.0 * row[j] + row[m - 1 - j]
+"""
+        )
+        n, m = 3, 5
+        a = np.arange(n * m, dtype=np.float32).reshape(n, m) * 0.5 - 3.0
+        want = np.zeros((n, m), dtype=np.float32)
+        p.interpret(n, m, a, want)
+
+        c = p.c_code()
+        assert "struct exo_win_1float row = " in c
+        vals = ", ".join(f"{v:.9g}" for v in a.ravel())
+        src = (
+            c
+            + "\n#include <stdio.h>\n"
+            + f"static float A[{n * m}] = {{{vals}}};\n"
+            + f"static float B[{n * m}];\n"
+            + "int main(void) {\n"
+            + f"    rows({n}, {m}, A, B);\n"
+            + f"    for (int k = 0; k < {n * m}; k++) printf(\"%.9g\\n\", B[k]);\n"
+            + "    return 0;\n}\n"
+        )
+        got = np.array(compile_and_run(src).split(), dtype=np.float32)
+        np.testing.assert_array_equal(got.reshape(n, m), want)

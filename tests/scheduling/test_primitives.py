@@ -333,6 +333,38 @@ def f(x: f32 @ DRAM, a: f32 @ DRAM):
         with pytest.raises(SchedulingError):
             p.reorder_stmts("x += a")
 
+    def test_reorder_before_moves_up_and_replays(self):
+        p = _p(
+            """
+@proc
+def f(x: f32 @ DRAM, y: f32 @ DRAM, z: f32 @ DRAM):
+    x = 1.0
+    y = 2.0
+    z = y
+"""
+        )
+        q = p.reorder_before("y = 2.0")
+        assert [str(s.name) for s in q.ir().body] == ["y", "x", "z"]
+        (rec,) = q.schedule_log()
+        assert rec.op == "reorder_before"
+        again = q.replay_schedule()
+        assert str(again) == str(q)
+        assert again.c_code() == q.c_code()
+
+    def test_reorder_before_rejects_first_and_conflicting(self):
+        p = _p(
+            """
+@proc
+def f(x: f32 @ DRAM, y: f32 @ DRAM):
+    y = 2.0
+    x = y
+"""
+        )
+        with pytest.raises(SchedulingError, match="nothing precedes"):
+            p.reorder_before("y = 2.0")
+        with pytest.raises(SchedulingError):
+            p.reorder_before("x = y")
+
 
 class TestAllocOps:
     def test_lift_alloc(self):
@@ -662,6 +694,32 @@ def f(x: f32[8, 8] @ DRAM):
         assert not any(
             isinstance(s, IR.WindowStmt) for s in IR.walk_stmts(q.ir().body)
         )
+
+    def test_inline_window_of_window_formal(self):
+        """A callee that windows its window formal: the window statement
+        composes onto the caller's window, and ``stride`` of the formal
+        names the root buffer's dimension."""
+        p = _p(
+            """
+@proc
+def g(x: [f32][4] @ DRAM):
+    y = x[1:3]
+    for k in seq(0, 2):
+        if stride(x, 0) == 1:
+            y[k] = 2.0 * y[k]
+
+@proc
+def f(A: f32[4, 8] @ DRAM):
+    for i in seq(0, 4):
+        g(A[i, 2:6])
+"""
+        )
+        q = p.inline("g(_)")
+        assert sum(isinstance(s, IR.WindowStmt)
+                   for s in IR.walk_stmts(q.ir().body)) == 1
+        assert "y = A[i, 3:5]" in str(q)
+        assert "if stride(A, 1) == 1:" in str(q)
+        assert_equiv(p, q, lambda rng: [rand_f32(rng, 4, 8)])
 
 
 class TestStageMem:

@@ -12,7 +12,7 @@ from repro.core.prelude import InternalError, Sym
 from repro.obs.smtstats import STATS
 from repro.smt import terms as S
 from repro.smt.omega import EQ, GEQ
-from repro.smt.solver import Solver, _linear_system, dnf_stream, elim_ite, nnf
+from repro.smt.solver import Solver, _linear_system, dnf_stream, nnf
 
 
 @pytest.fixture
@@ -246,33 +246,6 @@ class TestSchedulingShapedQueries:
         assert solver.prove(S.forall([N, p], S.implies(inside, written)))
 
 
-class TestIteElimination:
-    def test_ite_in_atom(self, solver):
-        x = Sym("x")
-        c = S.gt(V(x), S.IntC(0))
-        t = S.ite(c, S.IntC(1), S.IntC(-1))
-        # sign(x) * x >= 0 ... for x != 0: ite(x>0,1,-1)*... simplified form:
-        phi = S.disj(
-            S.conj(c, S.eq(t, S.IntC(1))),
-            S.conj(S.negate(c), S.eq(t, S.IntC(-1))),
-        )
-        assert solver.prove(phi)
-
-    def test_elim_ite_structure(self):
-        x = Sym("x")
-        c = S.gt(V(x), S.IntC(0))
-        atom = S.eq(S.ite(c, S.IntC(1), S.IntC(2)), S.IntC(1))
-        out = elim_ite(atom)
-        assert isinstance(out, (S.Or, S.And, S.Cmp, S.BoolC))
-        assert not _contains_ite(out)
-
-
-def _contains_ite(t):
-    if isinstance(t, S.Ite):
-        return True
-    return any(_contains_ite(c) for c in S.children(t))
-
-
 class TestInternals:
     def test_linear_system_shares_a_division_quotient(self):
         n = Sym("n")
@@ -374,8 +347,8 @@ def _eval_formula(t, env):
 
 
 class TestResidueSplit:
-    """The Cooper residue split rewrites only the literals that mention the
-    split variable; the others reach every branch untouched."""
+    """Residue constraints (``x % 4 == 1``) are decided exactly by
+    purification alone: one quotient variable per division."""
 
     @staticmethod
     def _lits(x, y, z):
@@ -394,24 +367,6 @@ class TestResidueSplit:
         assert not solver.satisfiable(
             S.conj(*lits, S.lt(V(z), S.IntC(3)))
         )
-
-    def test_untouched_literals_are_shared(self, solver, monkeypatch):
-        x, y, z = Sym("x"), Sym("y"), Sym("z")
-        lits = self._lits(x, y, z)
-        calls = []
-        inner = solver._feasible_rec
-
-        def spy(literals, depth):
-            calls.append((depth, list(literals)))
-            return inner(literals, depth)
-
-        monkeypatch.setattr(solver, "_feasible_rec", spy)
-        assert solver._feasible_rec(lits, 0)
-        deeper = [ls for depth, ls in calls if depth == 1]
-        assert deeper
-        for ls in deeper:
-            assert ls[-2] is lits[1] and ls[-1] is lits[2]
-            assert not any(x in S.free_vars(lit) for lit in ls)
 
 
 def _eval_t(t, env):

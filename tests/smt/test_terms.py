@@ -91,12 +91,6 @@ class TestSmartConstructors:
         a = S.lt(S.Var(xy[0]), S.IntC(3))
         assert S.negate(S.negate(a)) is a
 
-    def test_ite_folds(self, xy):
-        v = S.Var(xy[0])
-        assert S.ite(S.TRUE, v, S.IntC(0)) is v
-        assert S.ite(S.FALSE, v, S.IntC(0)) == S.IntC(0)
-        assert S.ite(S.lt(v, S.IntC(1)), v, v) is v
-
     def test_exists_merges(self, xy):
         x, y = xy
         inner = S.exists([y], S.lt(S.Var(x), S.Var(y)))
