@@ -591,10 +591,8 @@ def procs_from_source(src: str, extra_globals: dict | None = None) -> dict:
     return {k: v for k, v in env.items() if isinstance(v, Procedure)}
 
 
-def config(cls=None, *, disable_rw: bool = False):
+def config(cls):
     """Declare a global configuration struct (§3.2.3)."""
-    if cls is None:
-        return lambda c: config_from_class(c, disable_rw)
     return config_from_class(cls)
 
 

@@ -12,8 +12,8 @@ primitives; this package searches that program space automatically:
   instruction credit) that ranks candidates; the closed-form x86 kernel
   pricing lives in ``machine/x86_sim.py``.
 * :mod:`.search` — deterministic seeded random + beam search, with an
-  optional *measured* mode that compiles top-k candidates in a
-  crash-isolated ``multiprocessing`` pool.
+  optional *measured* mode that builds and times the top-k candidates
+  one after another, each binary in its own child process.
 * :mod:`.tune_db` — winners persisted as provenance journals so tuned
   schedules replay byte-identically, plus ``BENCH_tune.json`` reporting.
 """

@@ -17,25 +17,25 @@ Ranking uses :func:`repro.autotune.cost.cost_of` cycles with the
 candidate's parameter key as a deterministic tiebreak, so equal-cost
 runs always elect the same winner.
 
-**Measured mode** re-ranks the modeled top-k by actually compiling and
-timing each candidate's generated C through the host toolchain
-(``machine/x86_sim.py::compile_and_run``) in a ``multiprocessing`` pool:
-one worker process per candidate, per-candidate wall-clock timeouts, and
-crash isolation — a candidate that fails to build, crashes, or times out
-gets the failure recorded on the candidate and the search continues.
-When no C compiler is present the interpreter times candidates in-process
-instead (pure Python cannot crash the tuner, so no isolation is needed).
+**Measured mode** re-ranks the modeled top-k by compiling and timing
+each candidate's generated C through the host toolchain
+(``machine/x86_sim.py::compile_and_run``), one candidate after another
+in rank order, so each timing has the host to itself.  Every candidate
+runs as its own binary in a child process under a wall-clock timeout: a
+candidate that fails to build, crashes or times out gets the failure
+recorded on the candidate and the search continues.  Without a C
+compiler every top-k candidate records that, and the modeled winner
+stands.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.absint import verdict_store
-from ..core.interp import dtype_of
+from ..machine.x86_sim import compile_and_run
 from ..obs import trace as _obs
 from .cost import MachineModel, X86_MODEL, _eval, cost_of
 from .space import Candidate, Space
@@ -58,7 +58,6 @@ class TuneConfig:
     top_k: int = 3
     measure_timeout_s: float = 60.0
     measure_reps: int = 3
-    workers: int = 2
 
 
 @dataclass
@@ -156,7 +155,7 @@ def _search_beam(space: Space, config: TuneConfig, rng: random.Random):
 
 def _harness_source(proc, sizes: Optional[Dict[str, int]],
                     reps: int) -> Tuple[str, tuple]:
-    """Generate (C source with a timing main, ()) for a candidate.
+    """Generate (C source with a timing main, extra gcc flags) for a candidate.
 
     Buffers are static arrays sized by evaluating the signature's shape
     expressions under ``sizes`` (size-literal procedures need none),
@@ -226,81 +225,20 @@ int main(void) {{
     return src, tuple(flags)
 
 
-def _measure_worker(payload):
-    """Pool worker: compile and time one candidate's C source.  Runs in a
-    separate process so a miscompiled candidate can at worst kill this
-    worker, never the tuner."""
-    idx, c_source, flags, timeout_s = payload
-    try:
-        from ..machine.x86_sim import compile_and_run
+def _measure(cands: List[Candidate], config: TuneConfig):
+    """Compile and time each candidate, in rank order, one at a time.
 
-        out = compile_and_run(c_source, extra_flags=flags, timeout=timeout_s)
-        return idx, float(out.strip().splitlines()[0]) / 1e3, None
-    except BaseException as e:  # noqa: BLE001 — isolation boundary
-        return idx, None, f"{type(e).__name__}: {e}"
-
-
-def _measure_compiled(cands: List[Candidate], config: TuneConfig):
-    payloads = []
-    for i, c in enumerate(cands):
-        try:
-            src, flags = _harness_source(
-                c.proc, config.sizes, config.measure_reps
-            )
-            payloads.append((i, src, flags, config.measure_timeout_s))
-        except Exception as e:
-            c.measure_error = f"{type(e).__name__}: {e}"
-            _obs.incr("autotune.measure_failures")
-    if not payloads:
-        return
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
-                         else "spawn")
-    with ctx.Pool(processes=min(config.workers, len(payloads))) as pool:
-        asyncs = [(p[0], pool.apply_async(_measure_worker, (p,)))
-                  for p in payloads]
-        for idx, ar in asyncs:
-            try:
-                # generous outer guard: the subprocess timeout inside the
-                # worker should fire first; this catches a hung worker
-                _, secs, err = ar.get(timeout=config.measure_timeout_s * 2 + 30)
-            except Exception as e:  # mp.TimeoutError, crashed worker, ...
-                secs, err = None, f"{type(e).__name__}: {e}"
-            cand = cands[idx]
-            if secs is None:
-                cand.measure_error = err
-                _obs.incr("autotune.measure_failures")
-            else:
-                cand.measured_s = secs
-                _obs.incr("autotune.candidates_measured")
-
-
-def _measure_interp(cands: List[Candidate], config: TuneConfig):
-    """No-compiler fallback: time the interpreter in-process."""
-    import time
-
-    import numpy as np
-
+    ``compile_and_run`` builds every candidate into its own binary and
+    runs it in a child process under ``measure_timeout_s``, so a candidate
+    that fails to build, crashes, hangs, or finds no C compiler records
+    the reason on itself and the next one is timed."""
     for c in cands:
         try:
-            ir = c.proc._loopir_proc
-            env, args = {}, []
-            for a in ir.args:
-                if a.type.is_numeric():
-                    shape = [_eval(e, env) for e in a.type.shape()] or [1]
-                    if any(d is None for d in shape):
-                        raise ValueError(f"unevaluable shape for {a.name}")
-                    args.append(np.zeros([max(1, d) for d in shape],
-                                         dtype_of(a.type)))
-                else:
-                    name = a.name.name if hasattr(a.name, "name") else str(a.name)
-                    v = (config.sizes or {}).get(name)
-                    if v is None:
-                        raise ValueError(f"no size for {name!r}")
-                    env[a.name] = int(v)
-                    args.append(int(v))
-            t0 = time.perf_counter()
-            c.proc.interpret(*args)
-            c.measured_s = time.perf_counter() - t0
+            src, flags = _harness_source(c.proc, config.sizes,
+                                         config.measure_reps)
+            out = compile_and_run(src, extra_flags=flags,
+                                  timeout=config.measure_timeout_s)
+            c.measured_s = float(out.strip().splitlines()[0]) / 1e3
             _obs.incr("autotune.candidates_measured")
         except Exception as e:
             c.measure_error = f"{type(e).__name__}: {e}"
@@ -334,12 +272,7 @@ def search(space: Space, config: TuneConfig = TuneConfig()) -> SearchResult:
 
         if config.measure and survivors:
             top = survivors[: config.top_k]
-            from ..machine.x86_sim import find_cc
-
-            if find_cc() is not None:
-                _measure_compiled(top, config)
-            else:
-                _measure_interp(top, config)
+            _measure(top, config)
             timed = [c for c in top if c.measured_s is not None]
             if timed:
                 best = min(

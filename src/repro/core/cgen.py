@@ -12,8 +12,8 @@ translation" of the IR:
   plain addressing entirely (scratchpads);
 * static assertions become compiler hints.
 
-Back-end checks (§3.1.1) run first: precision consistency and
-memory-addressability are validated immediately before code generation.
+Back-end checks (§3.1.1) run first: memory addressability and call-memory
+consistency are validated immediately before code generation.
 """
 
 from __future__ import annotations
@@ -33,38 +33,14 @@ from .memory import DRAM
 
 
 def backend_check(proc: IR.Proc):
-    """Precision consistency + memory addressability (§3.1.1)."""
-    env = {}
+    """Memory addressability and call-memory consistency (§3.1.1).
+
+    Precision consistency is the typechecker's (``check_binop`` and
+    ``check_write``), which every ``@proc``, ``@instr`` and derived
+    revision passes before it exists."""
     mems = {}
     for a in proc.args:
-        env[a.name] = a.type
         mems[a.name] = a.mem or DRAM
-
-    def prec_of(e) -> T.Type:
-        if isinstance(e, IR.Read):
-            t = env.get(e.name)
-            if t is None:
-                raise InternalError(f"unbound {e.name}")
-            return t.basetype()
-        if isinstance(e, IR.Const):
-            return T.R
-        if isinstance(e, IR.USub):
-            return prec_of(e.arg)
-        if isinstance(e, IR.BinOp):
-            l, r = prec_of(e.lhs), prec_of(e.rhs)
-            out = T.join_precision(l, r)
-            if out is None:
-                raise BackendError(
-                    f"{e.srcinfo}: mixing {l} and {r} in arithmetic is forbidden"
-                )
-            return out
-        if isinstance(e, IR.Extern):
-            ts = [prec_of(a) for a in e.args]
-            out = ts[0]
-            for t in ts[1:]:
-                out = T.join_precision(out, t) or out
-            return out
-        return T.R
 
     def check_addressable(name, srcinfo):
         mem = mems.get(name, DRAM)
@@ -85,7 +61,6 @@ def backend_check(proc: IR.Proc):
             if isinstance(s, (IR.Assign, IR.Reduce)):
                 if not in_instr:
                     check_addressable(s.name, s.srcinfo)
-                prec_of(s.rhs)
                 for e in s.idx:
                     walk_expr(e, in_instr)
                 walk_expr(s.rhs, in_instr)
@@ -95,13 +70,10 @@ def backend_check(proc: IR.Proc):
             elif isinstance(s, IR.For):
                 walk(s.body, in_instr)
             elif isinstance(s, IR.Alloc):
-                env[s.name] = s.type
                 mems[s.name] = s.mem or DRAM
             elif isinstance(s, IR.WindowStmt):
-                env[s.name] = s.rhs.type
                 mems[s.name] = mems.get(s.rhs.name, DRAM)
             elif isinstance(s, IR.Call):
-                callee_is_instr = s.proc.instr is not None
                 for formal, actual in zip(s.proc.args, s.args):
                     if formal.type.is_numeric() and formal.mem is not None:
                         aname = getattr(actual, "name", None)
@@ -269,13 +241,10 @@ class _ProcCompiler:
             lhs = self.access(s.name, s.idx)
             self.emit(f"{lhs} += {self.expr(s.rhs)};")
         elif isinstance(s, IR.WriteConfig):
-            if s.config.is_allow_rw():
-                self.emit(
-                    f"{s.config.c_struct_name()}.{s.field} = {self.expr(s.rhs)};"
-                )
-                self.parent.add_global(s.config.c_globl_def())
-            else:
-                self.emit(f"// config {s.config.name()}.{s.field} updated")
+            self.emit(
+                f"{s.config.c_struct_name()}.{s.field} = {self.expr(s.rhs)};"
+            )
+            self.parent.add_global(s.config.c_globl_def())
         elif isinstance(s, IR.Pass):
             self.emit(";")
         elif isinstance(s, IR.If):

@@ -31,7 +31,7 @@ class ConfigField:
 class Config:
     """A global struct of configuration variables."""
 
-    def __init__(self, name: str, fields, disable_rw: bool = False):
+    def __init__(self, name: str, fields):
         self._name = name
         self._fields: Dict[str, ConfigField] = {}
         for fname, ftype in fields:
@@ -40,7 +40,6 @@ class Config:
                     f"config field {name}.{fname} must have a control type"
                 )
             self._fields[fname] = ConfigField(fname, ftype)
-        self._disable_rw = disable_rw
 
     def name(self) -> str:
         return self._name
@@ -54,16 +53,11 @@ class Config:
     def field_type(self, fname: str) -> T.Type:
         return self._fields[fname].type
 
-    def is_allow_rw(self) -> bool:
-        return not self._disable_rw
-
     def c_struct_name(self) -> str:
         return sanitize_name(self._name)
 
     def c_globl_def(self) -> str:
         """The C struct definition realizing this config in DRAM."""
-        if self._disable_rw:
-            return ""
         lines = [f"struct {self.c_struct_name()} {{"]
         for f in self._fields.values():
             lines.append(f"    {f.type.ctype()} {sanitize_name(f.name)};")
@@ -74,7 +68,7 @@ class Config:
         return f"<config {self._name}>"
 
 
-def config_from_class(cls, disable_rw: bool = False) -> Config:
+def config_from_class(cls) -> Config:
     """Build a :class:`Config` from an annotated Python class (``@config``)."""
     fields = []
     for fname, ann in getattr(cls, "__annotations__", {}).items():
@@ -89,4 +83,4 @@ def config_from_class(cls, disable_rw: bool = False) -> Config:
         fields.append((fname, typ))
     if not fields:
         raise ParseError(f"config {cls.__name__} has no fields")
-    return Config(cls.__name__, fields, disable_rw)
+    return Config(cls.__name__, fields)

@@ -160,7 +160,7 @@ class TestGemminiAcceptance:
 
 class TestMeasuredMode:
     @staticmethod
-    def _measured_scal_search():
+    def _measured_scal_search(**config):
         from repro.api import procs_from_source
 
         src = (
@@ -182,25 +182,75 @@ def scal(x: f32[64] @ DRAM):
 
         sp = Space("scal", base, choices=[Choice("factor", (2, 4, 8))],
                    build=build)
-        return search(sp, TuneConfig(seed=0, budget=8, measure=True, top_k=2,
-                                     workers=1, measure_reps=1,
-                                     measure_timeout_s=60.0))
+        knobs = dict(seed=0, budget=8, measure=True, top_k=2,
+                     measure_reps=1, measure_timeout_s=60.0)
+        knobs.update(config)
+        return search(sp, TuneConfig(**knobs))
 
     def test_measured_rerank_is_crash_isolated(self):
-        """Measured mode on a tiny kernel: candidates compile and run in
-        worker processes; a missing compiler degrades to the interpreter;
-        either way the search completes and records timings or errors."""
+        """Measured mode on a tiny kernel: each candidate compiles and runs
+        as its own binary, and the search records a timing or an error per
+        top-k candidate."""
         r = self._measured_scal_search()
         assert r.best is not None
         assert r.stats["measured"] + r.stats["measure_failures"] == 2
         if r.stats["measured"]:
             assert r.best.measured_s is not None
 
-    def test_without_a_compiler_the_interpreter_is_timed(self, monkeypatch):
+    def test_without_a_compiler_the_modeled_winner_stands(self, monkeypatch):
         from repro.machine import x86_sim
 
         monkeypatch.setattr(x86_sim, "find_cc", lambda: None)
         r = self._measured_scal_search()
-        assert r.stats["measured"] == 2
-        assert r.stats["measure_failures"] == 0
-        assert r.best.measured_s is not None and r.best.measured_s > 0
+        top = r.ranked[:2]
+        assert all("no C compiler found" in c.measure_error for c in top)
+        assert all(c.measured_s is None for c in top)
+        assert r.stats["measured"] == 0
+        assert r.stats["measure_failures"] == 2
+        assert r.best is r.ranked[0]
+
+    def test_abort_and_hang_are_per_candidate_failures(self, monkeypatch,
+                                                      tmp_path):
+        """The first-ranked candidate's binary aborts and the second's
+        spins past the timeout: both are recorded as failures, the third
+        is still timed and wins, and the spinning child is gone."""
+        import errno
+        import importlib
+        import os
+
+        from repro.machine.x86_sim import find_cc
+
+        if find_cc() is None:
+            pytest.skip("no C compiler")
+        pid_file = tmp_path / "spin.pid"
+        mains = [
+            "#include <stdlib.h>\nint main(void) { abort(); }\n",
+            "#include <stdio.h>\n#include <unistd.h>\n"
+            "int main(void) {\n"
+            f'    FILE *f = fopen("{pid_file}", "w");\n'
+            '    fprintf(f, "%d", (int)getpid());\n'
+            "    fclose(f);\n"
+            "    for (volatile unsigned long x = 0;; x++) {}\n"
+            "}\n",
+        ]
+        search_mod = importlib.import_module("repro.autotune.search")
+        real = search_mod._harness_source
+
+        def harness(proc, sizes, reps):
+            if mains:
+                return mains.pop(0), ()
+            return real(proc, sizes, reps)
+
+        monkeypatch.setattr(search_mod, "_harness_source", harness)
+        r = self._measured_scal_search(top_k=3, measure_timeout_s=1.0)
+        aborted, hung, timed = r.ranked[:3]
+        assert "RuntimeError" in aborted.measure_error
+        assert "TimeoutExpired" in hung.measure_error
+        assert timed.measure_error is None and timed.measured_s is not None
+        assert r.best is timed
+        assert r.stats["measured"] == 1
+        assert r.stats["measure_failures"] == 2
+        spin_pid = int(pid_file.read_text())
+        with pytest.raises(OSError) as gone:
+            os.kill(spin_pid, 0)
+        assert gone.value.errno == errno.ESRCH

@@ -228,6 +228,28 @@ def f(y: f32 @ DRAM):
         assert "gemmini_spad_malloc" in c
 
 
+    def test_int_float_mix_is_rejected_at_the_directive(self):
+        """Precision consistency is the typechecker's: ``set_precision``
+        that would write an f32 value into an i8 buffer fails at the
+        directive, before any C is emitted."""
+        from repro.core import types as T
+        from repro.core.prelude import TypeCheckError
+
+        p = _p(
+            """
+@proc
+def f(x: f32[4] @ DRAM):
+    t: f32[4] @ DRAM
+    for i in seq(0, 4):
+        t[i] = x[i]
+    for i in seq(0, 4):
+        x[i] = t[i]
+"""
+        )
+        with pytest.raises(TypeCheckError, match="f32 value into t of type i8"):
+            p.set_precision("t", T.i8)
+
+
 def _host_avx512() -> bool:
     try:
         with open("/proc/cpuinfo") as f:
@@ -343,3 +365,69 @@ def rows(n: size, m: size, A: f32[n, m] @ DRAM, B: f32[n, m] @ DRAM):
         )
         got = np.array(compile_and_run(src).split(), dtype=np.float32)
         np.testing.assert_array_equal(got.reshape(n, m), want)
+
+
+class TestConfigCodegen:
+    """A ``@config`` struct becomes one C global: a proc writes its fields
+    and its caller reads them as a loop bound and an ``if`` condition."""
+
+    @pytest.mark.skipif(
+        __import__("repro.machine.x86_sim", fromlist=["x"]).find_cc() is None,
+        reason="needs a C compiler",
+    )
+    @pytest.mark.parametrize("step", [2, 3])
+    def test_compiled_config_matches_interpreter(self, step):
+        import numpy as np
+
+        from repro.api import procs_from_source
+        from repro.machine.x86_sim import compile_and_run
+
+        ps = procs_from_source(
+            HEADER
+            + "from repro import stride\n"
+            + """
+@config
+class Shape:
+    n: size
+    step: stride
+
+@proc
+def set_shape(n: size, s: stride):
+    Shape.n = n
+    Shape.step = s
+
+@proc
+def fill(m: size, s: stride, x: f32[m] @ DRAM):
+    assert m >= 2
+    set_shape(m - 1, s)
+    for i in seq(0, Shape.n):
+        if Shape.step == 2:
+            x[i] = x[i] + 2.0
+        else:
+            x[i] = x[i] * 3.0
+"""
+        )
+        p = ps["fill"]
+        m = 6
+        x = np.arange(m, dtype=np.float32) + 0.5
+        want = x.copy()
+        cfg = p.interpret(m, step, want)
+
+        c = p.c_code()
+        assert "struct Shape {" in c
+        vals = ", ".join(f"{v:.9g}" for v in x)
+        src = (
+            c
+            + "\n#include <stdio.h>\n"
+            + f"static float x[{m}] = {{{vals}}};\n"
+            + "int main(void) {\n"
+            + f"    fill({m}, {step}, x);\n"
+            + f"    for (int k = 0; k < {m}; k++) printf(\"%.9g\\n\", x[k]);\n"
+            + '    printf("%d %d\\n", (int)Shape.n, (int)Shape.step);\n'
+            + "    return 0;\n}\n"
+        )
+        out = compile_and_run(src).split()
+        got = np.array(out[:m], dtype=np.float32)
+        np.testing.assert_array_equal(got, want)
+        fields = {f: v for (_, f), v in cfg.items()}
+        assert [int(v) for v in out[m:]] == [fields["n"], fields["step"]]

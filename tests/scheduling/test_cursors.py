@@ -27,7 +27,7 @@ from repro.scheduling.cursors import (
     StmtCursor,
     compose,
 )
-from repro.scheduling.eqv import alpha_equiv
+from repro.scheduling.eqv import alpha_equiv, alpha_equiv_stmts
 
 HEADER = (
     "from __future__ import annotations\n"
@@ -324,6 +324,78 @@ class TestLiftAllocForwarding:
         assert len(fcur.path) == 3 - n_lifts
         assert fcur.path == q.find("t : _").path
         assert isinstance(fcur.stmt(), IR.Alloc)
+
+
+GUARDED_ELSE = """
+@proc
+def f(N: size, A: f32[N] @ DRAM, B: f32[N] @ DRAM):
+    for i in seq(0, N):
+        if N > 4:
+            A[i] = 1.0
+        else:
+            A[i] = 2.0
+    for w in seq(0, N):
+        B[w] += 2.0
+"""
+
+#: (fixture source, directive, pattern) — the pattern names a statement
+#: inside the region the directive rewrites, which survives it moved
+INTERIOR_CASES = {
+    "reorder_outer_loop": (NESTED, lambda p: p.reorder("for i in _: _"),
+                           "for i in _: _"),
+    "reorder_inner_loop": (NESTED, lambda p: p.reorder("for i in _: _"),
+                           "for j in _: _"),
+    "reorder_body": (NESTED, lambda p: p.reorder("for i in _: _"),
+                     "A[i, j] = 1.0"),
+    "fuse_loop_body": (FUSE, lambda p: p.fuse_loop("for i in _: _"),
+                       "A[i] = 1.0"),
+    "lift_if_guard": (GUARDED, lambda p: p.lift_if("for i in _: _"),
+                      "if _: _"),
+    "lift_if_body": (GUARDED, lambda p: p.lift_if("for i in _: _"),
+                     "A[i] = 1.0"),
+    "lift_if_else_body": (GUARDED_ELSE, lambda p: p.lift_if("for i in _: _"),
+                          "A[i] = 2.0"),
+    "add_guard_body": (NESTED, lambda p: p.add_guard("for j in _: _",
+                                                     "i < N"),
+                       "A[i, j] = 1.0"),
+    "reorder_stmts_block": (INDEP, lambda p: p.reorder_stmts("for i in _: _"),
+                            "A[i] = 1.0"),
+    "reorder_stmts_follower": (INDEP,
+                               lambda p: p.reorder_stmts("for i in _: _"),
+                               "D[j] = 3.0"),
+}
+
+
+def _loop_iters(p, path):
+    """The iterators of the loops enclosing the statement at ``path``."""
+    outer = (IR.get_stmt(p.ir(), path[:k]) for k in range(1, len(path)))
+    return [s.iter for s in outer if isinstance(s, IR.For)]
+
+
+class TestInteriorForwarding:
+    """A cursor to a statement inside the rewritten region follows it to
+    its new place, and the journal replays to the same procedure."""
+
+    @pytest.mark.parametrize("name", sorted(INTERIOR_CASES))
+    def test_cursor_follows_moved_statement(self, name):
+        src, directive, pattern = INTERIOR_CASES[name]
+        p = _p(src)
+        cur = p.find(pattern)
+        old = cur.stmt()
+        q = directive(p)
+        fcur = q.forward(cur)
+        assert fcur.path == q.find(pattern).path, name
+        new = fcur.stmt()
+        if isinstance(old, IR.For):
+            assert new.iter is old.iter
+        elif isinstance(old, IR.If):
+            assert isinstance(new, IR.If) and str(new.cond) == str(old.cond)
+        else:
+            # the same statement, up to the fresh iterator of a loop copy
+            env = {a: b for a in _loop_iters(p, cur.path)
+                   for b in _loop_iters(q, fcur.path) if a.name == b.name}
+            assert alpha_equiv_stmts((old,), (new,), env), name
+        assert str(q.replay_schedule()) == str(q)
 
 
 class TestDestroyedInterior:
