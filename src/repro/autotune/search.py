@@ -17,25 +17,27 @@ Ranking uses :func:`repro.autotune.cost.cost_of` cycles with the
 candidate's parameter key as a deterministic tiebreak, so equal-cost
 runs always elect the same winner.
 
-**Measured mode** re-ranks the modeled top-k by compiling and timing
-each candidate's generated C through the host toolchain
-(``machine/x86_sim.py::compile_and_run``), one candidate after another
-in rank order, so each timing has the host to itself.  Every candidate
-runs as its own binary in a child process under a wall-clock timeout: a
-candidate that fails to build, crashes or times out gets the failure
-recorded on the candidate and the search continues.  Without a C
-compiler every top-k candidate records that, and the modeled winner
-stands.
+**Measured mode** re-ranks the modeled top-k by timing each candidate's
+C with ``machine/x86_sim.py::run_c`` on seeded inputs of the ``sizes``
+shape, one candidate after another in rank order, so each timing has the
+host to itself.  Every candidate runs as its own binary in a child
+process under a wall-clock timeout: a candidate that fails to build,
+crashes or times out gets the failure recorded on the candidate and the
+search continues.  Without a C compiler every top-k candidate records
+that, and the modeled winner stands.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from ..analysis.absint import verdict_store
-from ..machine.x86_sim import compile_and_run
+from ..core.interp import dtype_of
+from ..machine.x86_sim import run_c
 from ..obs import trace as _obs
 from .cost import MachineModel, X86_MODEL, _eval, cost_of
 from .space import Candidate, Space
@@ -153,92 +155,34 @@ def _search_beam(space: Space, config: TuneConfig, rng: random.Random):
 # Measured mode
 # ---------------------------------------------------------------------------
 
-def _harness_source(proc, sizes: Optional[Dict[str, int]],
-                    reps: int) -> Tuple[str, tuple]:
-    """Generate (C source with a timing main, extra gcc flags) for a candidate.
-
-    Buffers are static arrays sized by evaluating the signature's shape
-    expressions under ``sizes`` (size-literal procedures need none),
-    LCG-filled; the main runs the kernel ``reps`` times and prints the
-    best wall-clock milliseconds.
-    """
-    ir = proc._loopir_proc
-    env = {}
-    decls, fills, callargs = [], [], []
-    for a in ir.args:
-        if not a.type.is_numeric():
-            name = a.name.name if hasattr(a.name, "name") else str(a.name)
-            if sizes is None or name not in sizes:
-                raise ValueError(
-                    f"measured mode needs a concrete value for size arg "
-                    f"{name!r} (pass sizes={{...}})"
-                )
-            env[a.name] = int(sizes[name])
-            callargs.append(str(env[a.name]))
-            continue
-        n = 1
-        for e in a.type.shape():
-            d = _eval(e, env)
-            if d is None:
-                raise ValueError(
-                    f"cannot evaluate shape of {a.name} for the harness"
-                )
-            n *= d
-        n = max(1, n)
-        ct = a.type.basetype().ctype()
-        nm = f"buf_{a.name.name if hasattr(a.name, 'name') else a.name}"
-        decls.append(f"static {ct} {nm}[{n}];")
-        fills.append(
-            f"    for (long i = 0; i < {n}; i++) {{ s = s*1664525u+1013904223u; "
-            f"{nm}[i] = ({ct})((s >> 16) % 64) / 64; }}"
-        )
-        callargs.append(nm)
-    kernel = proc.c_code()
-    flags = ["-D_POSIX_C_SOURCE=199309L"]
-    prelude = ""
-    if "_mm512" in kernel or "_mm256" in kernel:
-        prelude = "#include <immintrin.h>\n"
-        flags.append("-mavx512f")
-    src = prelude + kernel + f"""
-#include <stdio.h>
-#include <stdint.h>
-#include <time.h>
-
-{chr(10).join(decls)}
-
-int main(void) {{
-    unsigned s = 1u;
-{chr(10).join(fills)}
-    double best = 1e30;
-    for (int r = 0; r < {reps}; r++) {{
-        struct timespec t0, t1;
-        clock_gettime(CLOCK_MONOTONIC, &t0);
-        {ir.name}({', '.join(callargs)});
-        clock_gettime(CLOCK_MONOTONIC, &t1);
-        double ms = (t1.tv_sec-t0.tv_sec)*1e3 + (t1.tv_nsec-t0.tv_nsec)/1e6;
-        if (ms < best) best = ms;
-    }}
-    printf("%.6f\\n", best);
-    return 0;
-}}
-"""
-    return src, tuple(flags)
+def _measure_inputs(proc, sizes: Optional[Dict[str, int]], seed: int):
+    """Seeded arguments from ``proc``'s signature: control values from
+    ``sizes``, tensors of the shapes they give filled from ``seed``."""
+    rng = np.random.default_rng(seed)
+    env, args = {}, []
+    for a in proc.ir().args:
+        if a.type.is_numeric():
+            shape = tuple(_eval(e, env) for e in a.type.shape())
+            args.append(rng.random(shape).astype(dtype_of(a.type)))
+        elif str(a.name) in (sizes or {}):
+            env[a.name] = int(sizes[str(a.name)])
+            args.append(env[a.name])
+        else:
+            raise ValueError(f"measured mode needs a concrete value for "
+                             f"size arg {str(a.name)!r} (pass sizes={{...}})")
+    return args
 
 
 def _measure(cands: List[Candidate], config: TuneConfig):
-    """Compile and time each candidate, in rank order, one at a time.
-
-    ``compile_and_run`` builds every candidate into its own binary and
-    runs it in a child process under ``measure_timeout_s``, so a candidate
-    that fails to build, crashes, hangs, or finds no C compiler records
-    the reason on itself and the next one is timed."""
+    """Time each candidate with ``run_c``, in rank order, one at a time.
+    A candidate whose inputs violate its preconditions, or that fails to
+    build, crashes, hangs or finds no C compiler records the reason on
+    itself and the next one is timed."""
     for c in cands:
         try:
-            src, flags = _harness_source(c.proc, config.sizes,
-                                         config.measure_reps)
-            out = compile_and_run(src, extra_flags=flags,
-                                  timeout=config.measure_timeout_s)
-            c.measured_s = float(out.strip().splitlines()[0]) / 1e3
+            inputs = _measure_inputs(c.proc, config.sizes, config.seed)
+            c.measured_s = run_c(c.proc, *inputs, reps=config.measure_reps,
+                                 timeout=config.measure_timeout_s)
             _obs.incr("autotune.candidates_measured")
         except Exception as e:
             c.measure_error = f"{type(e).__name__}: {e}"

@@ -93,6 +93,15 @@ def check_shapes(proc: IR.Proc, env):
             )
 
 
+def check_call(proc: IR.Proc, arg_values) -> dict:
+    """The bound environment of ``arg_values``, checked as :func:`run_proc`
+    checks it (arity, coercion, shapes, ``assert`` preconditions)."""
+    env = bind_args(proc, list(arg_values))
+    check_shapes(proc, env)
+    _Interp({}, None).check_preds(proc, env)
+    return env
+
+
 class _Interp:
     def __init__(self, config_state, instr_hook):
         self.config = config_state
@@ -107,12 +116,15 @@ class _Interp:
         if proc.instr is not None and self.instr_hook is not None:
             if self.instr_hook(proc, env):
                 return
+        self.check_preds(proc, env)
+        self.exec_block(proc.body, env)
+
+    def check_preds(self, proc: IR.Proc, env):
         for pred in proc.preds:
             if not self.eval(pred, env):
                 raise InterpError(
                     f"{proc.name}: precondition failed: {pred}"
                 )
-        self.exec_block(proc.body, env)
 
     # -- statements ----------------------------------------------------------
 

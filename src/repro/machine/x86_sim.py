@@ -16,6 +16,10 @@ The pricing core (counts -> cycles) is :func:`price_x86`; ``sgemm_cost``
 it.  The autotuner's IR-driven ``cost_of`` is a separate model
 (``MachineModel`` / ``Cost.cycles``) and does not go through
 ``price_x86``.
+
+The native half runs generated C instead: :func:`run_c` takes the
+arguments ``interpret()`` takes and is the one way a proc's C is run
+(measured tuning, the OpenMP benchmark, the C-vs-interpreter tests).
 """
 
 from __future__ import annotations
@@ -25,7 +29,13 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
+from typing import Tuple
+
+import numpy as np
+
+from ..core.interp import bind_args, check_call, dtype_of
 
 # ---------------------------------------------------------------------------
 # The x86 pricing core
@@ -199,14 +209,12 @@ def sgemm_cost(M: int, N: int, K: int, mr: int = 6, nv: int = 4,
 
 
 # ---------------------------------------------------------------------------
-# Native compile-and-run (OpenMP mode)
+# Native runs of generated C
 # ---------------------------------------------------------------------------
 #
-# The analytic model above prices kernels without executing them; this
-# section actually builds and runs generated C, so the ``parallelize``
-# directive's ``#pragma omp parallel for`` output can be validated (and
-# timed) multithreaded.  Everything degrades gracefully: with no C
-# compiler, callers get None / False and should skip.
+# ``compile_and_run`` builds a ``main``-bearing program and runs it in a
+# child process; ``run_c`` runs a proc's C through it.  With no C compiler
+# both raise RuntimeError; tests skip on ``find_cc() is None``.
 
 #: flags for ISO C99 mode.  ``-std=c99`` matters beyond pedantry: GNU mode
 #: defaults to ``-ffp-contract=fast``, fusing mul+add into FMA and changing
@@ -214,49 +222,38 @@ def sgemm_cost(M: int, N: int, K: int, mr: int = 6, nv: int = 4,
 #: matches the numpy-based interpreter bit-for-bit.
 BASE_CFLAGS = ("-O2", "-std=c99")
 
-_CC_CACHE: list = []
-_OPENMP_CACHE: dict = {}
 
-
+@lru_cache(maxsize=None)
 def find_cc() -> str | None:
     """Locate a C compiler (honors ``$CC``), or None."""
-    if not _CC_CACHE:
-        candidates = [os.environ.get("CC"), "gcc", "cc", "clang"]
-        found = None
-        for c in candidates:
-            if c and shutil.which(c):
-                found = shutil.which(c)
-                break
-        _CC_CACHE.append(found)
-    return _CC_CACHE[0]
+    found = (shutil.which(c) for c in (os.environ.get("CC"), "gcc", "cc",
+                                       "clang") if c)
+    return next((path for path in found if path), None)
 
 
-def openmp_available(cc: str | None = None) -> bool:
-    """Does ``cc`` accept ``-fopenmp`` (probed once per compiler)?"""
-    cc = cc or find_cc()
-    if cc is None:
+@lru_cache(maxsize=None)
+def openmp_available() -> bool:
+    """Does the C compiler build and run an OpenMP program (probed once)?"""
+    try:
+        compile_and_run("#include <omp.h>\nint main(void)"
+                        "{return omp_get_max_threads()<1;}\n", openmp=True)
+        return True
+    except (RuntimeError, OSError):
         return False
-    if cc not in _OPENMP_CACHE:
-        probe = "#include <omp.h>\nint main(void){return omp_get_max_threads()<1;}\n"
-        try:
-            with tempfile.TemporaryDirectory() as d:
-                src = os.path.join(d, "probe.c")
-                with open(src, "w") as f:
-                    f.write(probe)
-                r = subprocess.run(
-                    [cc, "-fopenmp", src, "-o", os.path.join(d, "probe")],
-                    capture_output=True,
-                )
-            _OPENMP_CACHE[cc] = r.returncode == 0
-        except OSError:
-            _OPENMP_CACHE[cc] = False
-    return _OPENMP_CACHE[cc]
+
+
+def host_avx512() -> bool:
+    """Does this CPU list ``avx512f`` in ``/proc/cpuinfo``?"""
+    try:
+        with open("/proc/cpuinfo") as f:
+            return " avx512f" in f.read()
+    except OSError:
+        return False
 
 
 def compile_and_run(
     c_source: str,
     args: tuple = (),
-    cc: str | None = None,
     openmp: bool = False,
     threads: int | None = None,
     extra_flags: tuple = (),
@@ -266,7 +263,7 @@ def compile_and_run(
     returning stdout.  ``openmp=True`` adds ``-fopenmp`` and runs with
     ``OMP_NUM_THREADS=threads``.  Raises RuntimeError when no compiler is
     available or the build/run fails."""
-    cc = cc or find_cc()
+    cc = find_cc()
     if cc is None:
         raise RuntimeError("no C compiler found (set $CC)")
     flags = list(BASE_CFLAGS) + list(extra_flags)
@@ -295,6 +292,109 @@ def compile_and_run(
         if run.returncode != 0:
             raise RuntimeError(f"binary failed ({run.returncode}):\n{run.stderr}")
         return run.stdout
+
+
+def build_flags(c_source: str) -> Tuple[str, Tuple[str, ...]]:
+    """The includes to prepend to generated C and the flags beyond
+    ``BASE_CFLAGS`` to build it with (the platforms emit no includes)."""
+    flags = ("-D_POSIX_C_SOURCE=199309L",)
+    if "_mm512" in c_source:
+        return "#include <immintrin.h>\n", flags + ("-mavx512f",)
+    return "", flags
+
+
+def harness_source(proc, args, reps: int) -> str:
+    """The program :func:`run_c` builds: ``proc``'s C and a ``main``.
+
+    Each tensor argument is a static, 64-byte-aligned buffer loaded from
+    the file named by its ``argv`` slot.  Every run restores the inputs
+    outside the timed region and calls the kernel through a volatile
+    function pointer, so gcc cannot inline a constant-size copy of it into
+    ``main``.  The tensors are then written back and the best wall-clock
+    seconds printed."""
+    ir = proc.ir()
+    env = bind_args(ir, list(args))
+    decls, loads, restores, saves, callargs = [], [], [], [], []
+    for formal in ir.args:
+        val = env[formal.name]
+        if not formal.type.is_numeric():
+            callargs.append(str(int(val)))
+            continue
+        k = len(loads) + 1
+        ct = formal.type.basetype().ctype()
+        n, nb = max(1, val.size), f"{val.size} * sizeof({ct})"
+        buf = f"run_c_buf{k}"
+        decls.append(f"static __attribute__((aligned(64))) {ct} "
+                     f"{buf}[{n}], {buf}_in[{n}];")
+        for lst, mode, io, b in ((loads, "rb", "fread", f"{buf}_in"),
+                                 (saves, "wb", "fwrite", buf)):
+            lst.append(f'    if (!(fp = fopen(argv[{k}], "{mode}")) || '
+                       f"{io}({b}, 1, {nb}, fp) != {nb}) "
+                       f"{{ perror(argv[{k}]); return 2; }}\n    fclose(fp);")
+        restores.append(f"        memcpy({buf}, {buf}_in, {nb});")
+        callargs.append(buf)
+    nl = "\n"
+    # the kernel pointer is declared first, so no local shadows its name
+    return proc.c_code() + f"""
+#include <stdio.h>
+#include <string.h>
+#include <time.h>
+{nl.join(decls)}
+int main(int argc, char **argv) {{
+    __typeof__({ir.name}) *volatile run_c_kernel = {ir.name};
+    FILE *fp;
+    if (argc != {len(loads) + 1}) return 2;
+{nl.join(loads)}
+    double best = 1e30;
+    for (int r = 0; r < {reps}; r++) {{
+{nl.join(restores)}
+        struct timespec t0, t1;
+        clock_gettime(CLOCK_MONOTONIC, &t0);
+        run_c_kernel({", ".join(callargs)});
+        clock_gettime(CLOCK_MONOTONIC, &t1);
+        double s = (t1.tv_sec - t0.tv_sec) + (t1.tv_nsec - t0.tv_nsec) * 1e-9;
+        if (s < best) best = s;
+    }}
+{nl.join(saves)}
+    printf("%.9e\\n", best);
+    return 0;
+}}
+"""
+
+
+def run_c(proc, *args, reps: int = 1, openmp: bool = False,
+          threads: int | None = None, timeout: float = 120.0) -> float:
+    """Run ``proc``'s C on the arguments ``proc.interpret()`` takes, write
+    the results back into the arrays in place, and return the best
+    wall-clock seconds over ``reps`` runs from the same inputs.
+
+    The arguments are checked as the interpreter checks them before any
+    compiler starts (:class:`InterpError`); window and scalar data formals
+    raise ValueError.  ``openmp``, ``threads`` and ``timeout`` pass to
+    :func:`compile_and_run`."""
+    ir = proc.ir()
+    for formal in ir.args:
+        if formal.type.is_win() or formal.type.is_real_scalar():
+            kind = "window" if formal.type.is_win() else "scalar data"
+            raise ValueError(f"run_c: {ir.name} has {kind} formal "
+                             f"{formal.name}; pass sizes and tensors only")
+    if reps < 1:
+        raise ValueError(f"run_c: reps must be at least 1, got {reps}")
+    env = check_call(ir, args)
+    tensors = [(env[f.name], dtype_of(f.type))
+               for f in ir.args if f.type.is_numeric()]
+    src = harness_source(proc, args, reps)
+    includes, flags = build_flags(src)
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, f"a{k}.bin") for k in range(len(tensors))]
+        for (val, dt), path in zip(tensors, paths):
+            np.ascontiguousarray(val, dtype=dt).tofile(path)
+        out = compile_and_run(includes + src, args=paths, openmp=openmp,
+                              threads=threads, extra_flags=flags,
+                              timeout=timeout)
+        for (val, dt), path in zip(tensors, paths):
+            val[...] = np.fromfile(path, dtype=dt).reshape(val.shape)
+    return float(out.split()[0])
 
 
 def conv_cost(N: int, H: int, W: int, IC: int, OC: int,

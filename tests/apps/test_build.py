@@ -1,8 +1,8 @@
 """The x86 case-study kernels' generated C builds (§7.2).
 
 A syntax-only compile needs an x86 C compiler but no AVX-512 CPU.  The
-platform emits no ``#include`` of its own, so the intrinsics header is
-forced in with ``-include``.
+intrinsics include and the AVX-512 flag come from
+``x86_sim.build_flags``, the same decision ``run_c`` builds with.
 """
 
 from __future__ import annotations
@@ -13,14 +13,15 @@ import pytest
 
 from repro.apps.x86_conv import conv_exo
 from repro.apps.x86_sgemm import sgemm_exo
-from repro.machine.x86_sim import find_cc
+from repro.machine.x86_sim import build_flags, find_cc
 
-FLAGS = ["-std=c99", "-mavx512f", "-include", "immintrin.h",
-         "-Werror=implicit-function-declaration", "-fsyntax-only", "-x", "c"]
+FLAGS = ["-std=c99", "-Werror=implicit-function-declaration",
+         "-fsyntax-only", "-x", "c"]
 
 
 def _syntax_check(cc: str, source: str) -> subprocess.CompletedProcess:
-    return subprocess.run([cc, *FLAGS, "-"], input=source,
+    includes, flags = build_flags(source)
+    return subprocess.run([cc, *FLAGS, *flags, "-"], input=includes + source,
                           capture_output=True, text=True)
 
 
@@ -29,7 +30,7 @@ def cc():
     cc = find_cc()
     if cc is None:
         pytest.skip("no C compiler found")
-    if _syntax_check(cc, "int f(void) { return 0; }\n").returncode != 0:
+    if _syntax_check(cc, "void f(void) { _mm512_setzero_ps(); }\n").returncode:
         pytest.skip(f"{cc} does not accept the x86 AVX-512 flags")
     return cc
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs
+from repro import DRAM, f32, obs, proc, size
 from repro.autotune import (
     GEMMINI_MODEL,
     TuneConfig,
@@ -18,6 +18,13 @@ from repro.autotune import (
     search,
 )
 from repro.obs.journal import VERDICT_OK
+
+
+@proc
+def scal(n: size, x: f32[n] @ DRAM):
+    assert n % 8 == 0
+    for i in seq(0, n):
+        x[i] = 2.0 * x[i]
 
 
 @pytest.fixture(autouse=True)
@@ -161,29 +168,16 @@ class TestGemminiAcceptance:
 class TestMeasuredMode:
     @staticmethod
     def _measured_scal_search(**config):
-        from repro.api import procs_from_source
-
-        src = (
-            "from __future__ import annotations\n"
-            "from repro import proc, DRAM, f32, size\n"
-            """
-@proc
-def scal(x: f32[64] @ DRAM):
-    for i in seq(0, 64):
-        x[i] = 2.0 * x[i]
-"""
-        )
-        base = list(procs_from_source(src).values())[-1]
         from repro.autotune import Choice, Space
 
         def build(b, factor):
             return b.split("for i in _: _", factor, "io", "ii",
                            tail="perfect")
 
-        sp = Space("scal", base, choices=[Choice("factor", (2, 4, 8))],
+        sp = Space("scal", scal, choices=[Choice("factor", (2, 4, 8))],
                    build=build)
         knobs = dict(seed=0, budget=8, measure=True, top_k=2,
-                     measure_reps=1, measure_timeout_s=60.0)
+                     measure_reps=1, measure_timeout_s=60.0, sizes={"n": 64})
         knobs.update(config)
         return search(sp, TuneConfig(**knobs))
 
@@ -215,12 +209,11 @@ def scal(x: f32[64] @ DRAM):
         spins past the timeout: both are recorded as failures, the third
         is still timed and wins, and the spinning child is gone."""
         import errno
-        import importlib
         import os
 
-        from repro.machine.x86_sim import find_cc
+        from repro.machine import x86_sim
 
-        if find_cc() is None:
+        if x86_sim.find_cc() is None:
             pytest.skip("no C compiler")
         pid_file = tmp_path / "spin.pid"
         mains = [
@@ -233,15 +226,14 @@ def scal(x: f32[64] @ DRAM):
             "    for (volatile unsigned long x = 0;; x++) {}\n"
             "}\n",
         ]
-        search_mod = importlib.import_module("repro.autotune.search")
-        real = search_mod._harness_source
+        real = x86_sim.harness_source
 
-        def harness(proc, sizes, reps):
+        def harness(proc, args, reps):
             if mains:
-                return mains.pop(0), ()
-            return real(proc, sizes, reps)
+                return mains.pop(0)
+            return real(proc, args, reps)
 
-        monkeypatch.setattr(search_mod, "_harness_source", harness)
+        monkeypatch.setattr(x86_sim, "harness_source", harness)
         r = self._measured_scal_search(top_k=3, measure_timeout_s=1.0)
         aborted, hung, timed = r.ranked[:3]
         assert "RuntimeError" in aborted.measure_error
@@ -254,3 +246,46 @@ def scal(x: f32[64] @ DRAM):
         with pytest.raises(OSError) as gone:
             os.kill(spin_pid, 0)
         assert gone.value.errno == errno.ESRCH
+
+    def test_measured_kernel_is_called_not_inlined(self, monkeypatch,
+                                                   tmp_path):
+        """Measured mode's program for ``scal(n, x)`` at n = 4096, built
+        with ``-O2 -S``, reaches the kernel through an indirect call and
+        holds no ``addps`` between two ``clock_gettime`` calls: called
+        directly, gcc times a constant-size copy inlined into ``main``."""
+        import re
+        import subprocess
+
+        from repro.autotune import Choice, Space
+        from repro.machine.x86_sim import find_cc
+
+        cc = find_cc()
+        if cc is None:
+            pytest.skip("no C compiler")
+        builds, real_run = [], subprocess.run
+
+        def run(cmd, *args, **kwargs):
+            if cmd[0] == cc:
+                src = next(c for c in cmd if c.endswith(".c"))
+                with open(src) as f:
+                    builds.append((cmd[1:cmd.index(src)], f.read()))
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", run)
+        sp = Space("scal", scal, choices=[Choice("schedule", ("base",))],
+                   build=lambda b, schedule: b)
+        r = search(sp, TuneConfig(budget=1, measure=True, top_k=1,
+                                  measure_reps=1, sizes={"n": 4096}))
+        monkeypatch.setattr(subprocess, "run", real_run)
+        assert r.stats["measured"] == 1 and len(builds) == 1
+
+        flags, source = builds[0]
+        (tmp_path / "h.c").write_text(source)
+        real_run([cc, *flags, "-S", str(tmp_path / "h.c"),
+                  "-o", str(tmp_path / "h.s")], check=True)
+        main = (tmp_path / "h.s").read_text().split("\nmain:")[1]
+        main = main[:main.index(".cfi_endproc")]
+        timed = re.split(r"call\s+clock_gettime\S*", main)[1:-1]
+        assert timed, "main holds no pair of clock_gettime calls"
+        assert any(re.search(r"call\s+\*", seg) for seg in timed)
+        assert not any("addps" in seg for seg in timed)

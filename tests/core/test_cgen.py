@@ -7,6 +7,7 @@ import pytest
 from repro import MemGenError
 from repro.api import procs_from_source
 from repro.core.prelude import BackendError
+from repro.machine.x86_sim import compile_and_run, find_cc, host_avx512, run_c
 from repro.platforms.gemmini import SCRATCHPAD
 
 HEADER = (
@@ -250,14 +251,6 @@ def f(x: f32[4] @ DRAM):
             p.set_precision("t", T.i8)
 
 
-def _host_avx512() -> bool:
-    try:
-        with open("/proc/cpuinfo") as f:
-            return " avx512f" in f.read()
-    except OSError:
-        return False
-
-
 class TestStrideExprs:
     """Dense strides are products of the trailing extents; an extent that
     is a sum must stay one factor."""
@@ -274,43 +267,20 @@ def f(n: size, m: size, x: f32[n + 2, m + 1, 4] @ DRAM):
         assert "(1) * ((m + 1) * 4)" in c
 
     @pytest.mark.skipif(
-        __import__("repro.machine.x86_sim", fromlist=["x"]).find_cc() is None
-        or not _host_avx512(),
+        find_cc() is None or not host_avx512(),
         reason="needs a C compiler and an AVX-512 host",
     )
     def test_size_generic_x86_conv_matches_numpy(self):
         import numpy as np
 
         from repro.apps import x86_conv
-        from repro.machine.x86_sim import compile_and_run
 
         B, OY, OX, OC, IC = 1, 2, 4, 32, 3
         rng = np.random.default_rng(0)
         inp = rng.standard_normal((B, OY + 2, OX + 2, IC)).astype(np.float32)
         w = rng.standard_normal((3, 3, IC, OC)).astype(np.float32)
-
-        def c_array(name, a):
-            vals = ", ".join(f"{v:.9g}f" for v in a.ravel())
-            return f"static float {name}[{a.size}] = {{{vals}}};"
-
-        n_out = B * OY * OX * OC
-        src = (
-            "#include <immintrin.h>\n"
-            + x86_conv.conv_exo().c_code()
-            + "\n#include <stdio.h>\n"
-            + c_array("inp", inp)
-            + "\n"
-            + c_array("w", w)
-            + f"\nstatic float out[{n_out}];\n"
-            + "int main(void) {\n"
-            + f"    conv_exo_x86({B}, {OY}, {OX}, {OC}, {IC}, inp, w, out);\n"
-            + f"    for (int i = 0; i < {n_out}; i++) printf(\"%.9g\\n\", out[i]);\n"
-            + "    return 0;\n}\n"
-        )
-        got = np.array(
-            compile_and_run(src, extra_flags=("-mavx512f",)).split(),
-            dtype=np.float64,
-        ).reshape(B, OY, OX, OC)
+        got = np.zeros((B, OY, OX, OC), np.float32)
+        run_c(x86_conv.conv_exo(), B, OY, OX, OC, IC, inp, w, got)
         ref = np.zeros((B, OY, OX, OC))
         for ky in range(3):
             for kx in range(3):
@@ -326,14 +296,9 @@ class TestWindowStmt:
     """A window statement (``row = A[i, 0:m]``) becomes a window struct
     whose reads index through its data pointer and strides."""
 
-    @pytest.mark.skipif(
-        __import__("repro.machine.x86_sim", fromlist=["x"]).find_cc() is None,
-        reason="needs a C compiler",
-    )
+    @pytest.mark.skipif(find_cc() is None, reason="needs a C compiler")
     def test_compiled_window_stmt_matches_interpreter(self):
         import numpy as np
-
-        from repro.machine.x86_sim import compile_and_run
 
         p = _p(
             """
@@ -350,37 +315,20 @@ def rows(n: size, m: size, A: f32[n, m] @ DRAM, B: f32[n, m] @ DRAM):
         want = np.zeros((n, m), dtype=np.float32)
         p.interpret(n, m, a, want)
 
-        c = p.c_code()
-        assert "struct exo_win_1float row = " in c
-        vals = ", ".join(f"{v:.9g}" for v in a.ravel())
-        src = (
-            c
-            + "\n#include <stdio.h>\n"
-            + f"static float A[{n * m}] = {{{vals}}};\n"
-            + f"static float B[{n * m}];\n"
-            + "int main(void) {\n"
-            + f"    rows({n}, {m}, A, B);\n"
-            + f"    for (int k = 0; k < {n * m}; k++) printf(\"%.9g\\n\", B[k]);\n"
-            + "    return 0;\n}\n"
-        )
-        got = np.array(compile_and_run(src).split(), dtype=np.float32)
-        np.testing.assert_array_equal(got.reshape(n, m), want)
+        assert "struct exo_win_1float row = " in p.c_code()
+        got = np.zeros((n, m), dtype=np.float32)
+        run_c(p, n, m, a, got)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestConfigCodegen:
     """A ``@config`` struct becomes one C global: a proc writes its fields
     and its caller reads them as a loop bound and an ``if`` condition."""
 
-    @pytest.mark.skipif(
-        __import__("repro.machine.x86_sim", fromlist=["x"]).find_cc() is None,
-        reason="needs a C compiler",
-    )
+    @pytest.mark.skipif(find_cc() is None, reason="needs a C compiler")
     @pytest.mark.parametrize("step", [2, 3])
     def test_compiled_config_matches_interpreter(self, step):
         import numpy as np
-
-        from repro.api import procs_from_source
-        from repro.machine.x86_sim import compile_and_run
 
         ps = procs_from_source(
             HEADER

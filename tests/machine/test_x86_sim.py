@@ -1,16 +1,24 @@
-"""x86 cost model sanity: monotonicity, regimes, baseline relationships."""
+"""x86 cost model sanity (monotonicity, regimes, baseline relationships)
+and native runs of generated C."""
 
 from __future__ import annotations
 
+import subprocess
+
+import numpy as np
 import pytest
 
+from repro import DRAM, f32, proc, size
+from repro.core.interp import InterpError
 from repro.machine.baselines import (
     halide_conv_pct_peak,
     mkl_sgemm_gflops,
     onednn_conv_pct_peak,
     openblas_sgemm_gflops,
 )
-from repro.machine.x86_sim import DEFAULT, X86Params, conv_cost, sgemm_cost
+from repro.machine.x86_sim import (DEFAULT, X86Params, compile_and_run,
+                                   conv_cost, find_cc, host_avx512,
+                                   openmp_available, run_c, sgemm_cost)
 
 
 class TestSgemmModel:
@@ -101,41 +109,37 @@ class TestParams:
             sgemm_cost(512, 512, 512).gflops()
 
 
+@proc
+def saxpy(n: size, a: f32[n] @ DRAM, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    assert n >= 4
+    for i in seq(0, n):
+        y[i] += a[i] * x[i]
+
+
+def _saxpy_inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    return [(rng.random(n) - 0.5).astype(np.float32) for _ in range(3)]
+
+
 class TestCompileAndRun:
     """The host C toolchain harness behind the OpenMP benchmarks."""
 
     def test_find_cc_cached(self):
-        from repro.machine.x86_sim import find_cc
-
         assert find_cc() == find_cc()  # cached, possibly None
 
-    @pytest.mark.skipif(
-        __import__("repro.machine.x86_sim", fromlist=["x"]).find_cc() is None,
-        reason="no C compiler on this host",
-    )
+    @pytest.mark.skipif(find_cc() is None, reason="no C compiler on this host")
     def test_compile_and_run_hello(self):
-        from repro.machine.x86_sim import compile_and_run
-
         src = '#include <stdio.h>\nint main(void){printf("%d\\n", 6*7);return 0;}\n'
         assert compile_and_run(src).strip() == "42"
 
-    @pytest.mark.skipif(
-        __import__("repro.machine.x86_sim", fromlist=["x"]).find_cc() is None,
-        reason="no C compiler on this host",
-    )
+    @pytest.mark.skipif(find_cc() is None, reason="no C compiler on this host")
     def test_compile_error_raises(self):
-        from repro.machine.x86_sim import compile_and_run
-
         with pytest.raises(RuntimeError):
             compile_and_run("int main(void){ return syntax error }")
 
-    @pytest.mark.skipif(
-        not __import__("repro.machine.x86_sim", fromlist=["x"]).openmp_available(),
-        reason="no OpenMP-capable compiler on this host",
-    )
+    @pytest.mark.skipif(not openmp_available(),
+                        reason="no OpenMP-capable compiler on this host")
     def test_openmp_thread_count_respected(self):
-        from repro.machine.x86_sim import compile_and_run
-
         src = (
             "#include <stdio.h>\n"
             "#include <omp.h>\n"
@@ -151,49 +155,65 @@ class TestCompileAndRun:
         out = compile_and_run(src, openmp=True, threads=2)
         assert out.strip() == "2"
 
-    @pytest.mark.skipif(
-        not __import__("repro.machine.x86_sim", fromlist=["x"]).openmp_available(),
-        reason="no OpenMP-capable compiler on this host",
-    )
+    @pytest.mark.skipif(not openmp_available(),
+                        reason="no OpenMP-capable compiler on this host")
     def test_par_kernel_matches_interpreter_bitwise(self):
-        import numpy as np
-
-        from repro.api import procs_from_source
-        from repro.machine.x86_sim import compile_and_run
-
-        p = list(procs_from_source(
-            "from __future__ import annotations\n"
-            "from repro import proc, DRAM, f32, size\n"
-            """
-@proc
-def saxpy(n: size, a: f32[n] @ DRAM, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
-    for i in seq(0, n):
-        y[i] += a[i] * x[i]
-"""
-        ).values())[-1].parallelize("for i in _: _")
-
+        p = saxpy.parallelize("for i in _: _")
         n = 64
-        rng = np.random.default_rng(11)
-        a = (rng.random(n) - 0.5).astype(np.float32)
-        x = (rng.random(n) - 0.5).astype(np.float32)
-        y_ref = (rng.random(n) - 0.5).astype(np.float32)
-        y0 = y_ref.copy()
+        a, x, y = _saxpy_inputs(n, 11)
+        y0 = y.copy()
         p.interpret(n, a, x, y0)
+        run_c(p, n, a, x, y, openmp=True, threads=4)
+        np.testing.assert_array_equal(y, y0)
 
-        def lit(arr):
-            return ",".join(f"{v:.9g}f" for v in arr)
 
-        src = (
-            "#include <stdio.h>\n"
-            + p.c_code()
-            + f"static float A[]={{{lit(a)}}};\n"
-            + f"static float X[]={{{lit(x)}}};\n"
-            + f"static float Y[]={{{lit(y_ref)}}};\n"
-            + "int main(void){\n"
-            + f"  saxpy({n}, A, X, Y);\n"
-            + f"  for (int i = 0; i < {n}; i++) printf(\"%a\\n\", (double)Y[i]);\n"
-            + "  return 0; }\n"
-        )
-        out = compile_and_run(src, openmp=True, threads=4)
-        got = np.array([float.fromhex(t) for t in out.split()], dtype=np.float64)
-        np.testing.assert_array_equal(got.astype(np.float32), y0)
+class TestRunC:
+    """``run_c`` runs a proc's C on the arguments ``interpret()`` takes."""
+
+    def test_violated_assert_raises_before_any_compiler_starts(
+            self, monkeypatch):
+        started = []
+        monkeypatch.setattr(subprocess, "run",
+                            lambda *a, **k: started.append(a))
+        a, x, y = _saxpy_inputs(2, 0)
+        with pytest.raises(InterpError, match="precondition failed"):
+            run_c(saxpy, 2, a, x, y)
+        assert started == []
+
+    def test_window_formal_is_refused_by_name(self):
+        from repro.apps.x86_sgemm import make_microkernel
+
+        _, ukernel = make_microkernel(6, 4)
+        with pytest.raises(ValueError, match="window formal A"):
+            run_c(ukernel, 1, None, None, None)
+
+    @pytest.mark.skipif(find_cc() is None, reason="no C compiler on this host")
+    def test_accumulating_kernel_reps_equal_one_interpreted_run(self):
+        a, x, y = _saxpy_inputs(64, 3)
+        want = y.copy()
+        saxpy.interpret(64, a, x, want)
+        secs = run_c(saxpy, 64, a, x, y, reps=3)
+        np.testing.assert_array_equal(y, want)
+        assert secs >= 0.0
+
+    @pytest.mark.skipif(
+        not (host_avx512() and openmp_available()),
+        reason="needs an AVX-512 host and an OpenMP-capable C compiler",
+    )
+    def test_sgemm_and_its_openmp_twin_agree(self):
+        from repro.apps.x86_sgemm import sgemm_exo
+
+        seq = sgemm_exo(6, 4)
+        par = seq.parallelize("for io in _: _")
+        M, N, K = 12, 128, 16
+        rng = np.random.default_rng(5)
+        A = rng.random((M, K)).astype(np.float32)
+        B = rng.random((K, N)).astype(np.float32)
+        C0 = rng.random((M, N)).astype(np.float32)
+        want = C0.copy()
+        seq.interpret(M, N, K, A, B, want)
+        got_seq, got_par = C0.copy(), C0.copy()
+        run_c(seq, M, N, K, A, B, got_seq)
+        run_c(par, M, N, K, A, B, got_par, openmp=True, threads=2)
+        np.testing.assert_array_equal(got_seq, got_par)
+        np.testing.assert_allclose(got_seq, want, rtol=1e-5, atol=1e-5)
