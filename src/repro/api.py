@@ -15,7 +15,9 @@
 Every scheduling method returns a *new* ``Procedure``; the original is
 untouched.  Each rewrite re-runs type checking and the front-end safety
 checks, and provenance (equivalence modulo config pollution) is tracked
-for ``call_eqv``.
+for ``call_eqv``.  Inside an autotuning search, a repeated directive
+returns the revision it derived first, and a revision alpha-equivalent to
+one already checked reuses that verdict (:mod:`repro.scheduling.memo`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .frontend.parser import parse_function
 from .obs import journal as _journal
 from .obs import trace as _obs
 from .scheduling import cursors as C
+from .scheduling import memo as _memo
 from .scheduling import primitives as P
 from .scheduling.cursors import InvalidCursorError
 from .scheduling.eqv import EqvNode, eqv_pollution
@@ -60,7 +63,11 @@ class Procedure:
                  _parent: "Procedure | None" = None, _fwd=None):
         # every revision is checked before it exists: a root ``@proc`` in
         # full, a derived one where its forwarder says the rewrite changed it
-        _checks.check_proc(loopir_proc, _fwd)
+        # (inside a search, once per alpha-equivalence class: see memo)
+        if _fwd is None:
+            _checks.check_proc(loopir_proc)
+        else:
+            _memo.check_derived(loopir_proc, _fwd)
         self._loopir_proc = loopir_proc
         self._eqv = _eqv or EqvNode()
         #: provenance journal: the directives that derived this procedure
@@ -489,7 +496,10 @@ class Procedure:
 # parent's with a RewriteRecord (directive, args, verdict),
 # and (c) rejected rewrites land in ``repro.obs.journal.FAILED_LOG`` while
 # tracing is enabled.  ``schedule_log()`` / ``replay_schedule()`` above are
-# the read side.
+# the read side.  While a search's derivation table is open
+# (:mod:`repro.scheduling.memo`), a call it has seen -- same parent object,
+# same directive, equal arguments -- returns the revision it derived the
+# first time, or re-raises (and, when tracing, re-logs) its rejection.
 
 _DIRECTIVES = (
     "rename", "simplify", "split", "reorder", "unroll", "inline",
@@ -504,12 +514,25 @@ _DIRECTIVES = (
 def _journaled(name, fn):
     @functools.wraps(fn)
     def wrapped(self, *args, **kwargs):
+        table = _memo.current()
+        key = None if table is None else _memo.directive_key(
+            self, name, args, kwargs)
+        if key is not None and key in table.directives:
+            _obs.incr("sched.memo.directive_hits")
+            out = table.directives[key]
+            if isinstance(out, SchedulingError):
+                if _obs.enabled():
+                    _journal.record_failure(self.name(), name, args, out)
+                raise out.with_traceback(None)
+            return out
         try:
             with _obs.span(f"sched.directive.{name}"):
                 out = fn(self, *args, **kwargs)
         except SchedulingError as err:
             if _obs.enabled():
                 _journal.record_failure(self.name(), name, args, err)
+            if key is not None:
+                table.directives[key] = err
             raise
         if isinstance(out, Procedure) and out is not self:
             out._journal = self._journal + (
@@ -519,6 +542,8 @@ def _journaled(name, fn):
                 ),
             )
             out._root = self._root
+        if key is not None:
+            table.directives[key] = out
         return out
 
     return wrapped

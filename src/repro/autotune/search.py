@@ -39,6 +39,7 @@ from ..analysis.absint import verdict_store
 from ..core.interp import dtype_of
 from ..machine.x86_sim import run_c
 from ..obs import trace as _obs
+from ..scheduling.memo import derivation_table
 from .cost import MachineModel, X86_MODEL, _eval, cost_of
 from .space import Candidate, Space
 
@@ -199,11 +200,14 @@ def search(space: Space, config: TuneConfig = TuneConfig()) -> SearchResult:
     (space, config): same candidates, same ranking, same winner.
 
     The candidates re-derive their parents' proof obligations under fresh
-    ``Sym`` ids, so the search runs inside one
-    :func:`~repro.analysis.absint.verdict_store`, dropped when it
+    ``Sym`` ids, share directive prefixes and reach the same revision by
+    different paths, so the search runs inside one
+    :func:`~repro.analysis.absint.verdict_store` and one
+    :func:`~repro.scheduling.memo.derivation_table`, both dropped when it
     returns."""
     rng = random.Random(config.seed)
-    with verdict_store(), _obs.span("sched.autotune_search"):
+    with verdict_store(), derivation_table(), \
+            _obs.span("sched.autotune_search"):
         if space.is_action_space:
             cands = _search_beam(space, config, rng)
         else:

@@ -19,6 +19,7 @@ import numpy as np
 from .prelude import ExoError, InternalError
 from . import ast as IR
 from . import types as T
+from .pprint import expr_to_str
 
 
 class InterpError(ExoError):
@@ -123,7 +124,7 @@ class _Interp:
         for pred in proc.preds:
             if not self.eval(pred, env):
                 raise InterpError(
-                    f"{proc.name}: precondition failed: {pred}"
+                    f"{proc.name}: precondition failed: {expr_to_str(pred)}"
                 )
 
     # -- statements ----------------------------------------------------------

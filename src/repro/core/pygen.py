@@ -63,6 +63,7 @@ from numpy.lib.stride_tricks import as_strided
 from .prelude import InternalError
 from . import ast as IR
 from .interp import InterpError, bind_args, check_shapes, dtype_of
+from .pprint import expr_to_str
 from ..machine.trace import Event, Region, root_of
 
 
@@ -334,7 +335,8 @@ class _Lowering:
             self.emit(1, h)
         hoist_at = len(self.lines)
         for pred in p.preds:
-            msg = self.const(f"{p.name}: precondition failed: {pred}")
+            msg = self.const(
+                f"{p.name}: precondition failed: {expr_to_str(pred)}")
             self.emit(1, f"if not ({self.ex(pred)}):")
             self.emit(2, f"raise _InterpError({msg})")
         self.block(p.body, 1)

@@ -122,6 +122,18 @@ def absint_store(counters: dict) -> dict:
     return out
 
 
+def derivation_memo(counters: dict) -> dict:
+    """Search-scoped derivation reuse from the ``sched.memo.*`` counters:
+    ``{directive_hits, checked_reused}``, empty when no search reused a
+    derivation (the table is open only inside an autotuning search)."""
+    out = {}
+    for event in ("directive_hits", "checked_reused"):
+        n = counters.get(f"sched.memo.{event}", 0)
+        if n:
+            out[event] = n
+    return out
+
+
 def incremental_recheck(counters: dict) -> dict:
     """Incremental re-checking totals from the ``analysis.incremental.*``
     counters: ``{reused, rechecked}``, empty when incremental re-checking
@@ -203,6 +215,11 @@ def compile_profile() -> str:
         ]
         out.append(table("Canonical refute store (absint)",
                          ["event", "count", "share of lookups"], store_rows))
+
+    reuse = derivation_memo(prof["counters"])
+    if reuse:
+        out.append(table("Search-scoped derivation reuse",
+                         ["event", "count"], sorted(reuse.items())))
 
     inc = incremental_recheck(prof["counters"])
     if inc:

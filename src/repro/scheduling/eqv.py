@@ -136,3 +136,36 @@ def alpha_equiv(a, b) -> bool:
     aa = a if isinstance(a, (tuple, list)) else (a,)
     bb = b if isinstance(b, (tuple, list)) else (b,)
     return alpha_equiv_stmts(tuple(aa), tuple(bb))
+
+
+def _alpha_type(s, t, env: dict) -> bool:
+    """Two argument types are equal modulo ``env``: the same scalar class,
+    or tensors of one base class and window flag whose extents agree."""
+    if type(s) is not type(t):
+        return False
+    if not s.is_tensor_or_window():
+        return True
+    return (
+        type(s.basetype()) is type(t.basetype())
+        and s.is_win() == t.is_win()
+        and len(s.hi) == len(t.hi)
+        and all(_alpha(x, y, env) for x, y in zip(s.hi, t.hi))
+    )
+
+
+def alpha_equiv_procs(a, b) -> bool:
+    """Alpha-equivalence of two procedures: argument for argument the same
+    type and memory (each argument binding the ones after it), then the
+    same preconditions and body modulo the binding, and the same
+    ``@instr`` template.  The names of the procedures are not compared."""
+    if len(a.args) != len(b.args) or len(a.preds) != len(b.preds):
+        return False
+    if a.instr != b.instr:
+        return False
+    env = {}
+    for x, y in zip(a.args, b.args):
+        if x.mem is not y.mem or not _alpha_type(x.type, y.type, env):
+            return False
+        env[x.name] = y.name
+    return (all(_alpha(p, q, env) for p, q in zip(a.preds, b.preds))
+            and alpha_equiv_stmts(a.body, b.body, env))

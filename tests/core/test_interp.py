@@ -119,6 +119,23 @@ def f(x: f32 @ DRAM, y: f32 @ DRAM):
         assert y[()] == 1.0  # x < y -> third arg
 
 
+class TestPreconditions:
+    def test_failed_precondition_is_reported_in_source_syntax(self):
+        p = _p(
+            """
+@proc
+def saxpy(n: size, a: f32[n] @ DRAM, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    assert n >= 4
+    for i in seq(0, n):
+        y[i] += a[i] * x[i]
+"""
+        )
+        a, x, y = (np.zeros(2, np.float32) for _ in range(3))
+        with pytest.raises(InterpError) as err:
+            p.interpret(2, a, x, y)
+        assert str(err.value) == "saxpy: precondition failed: n >= 4"
+
+
 class TestBuffersAndWindows:
     def test_alloc_zero_initialized(self):
         p = _p(
