@@ -4,7 +4,10 @@
 Wraps the three entry points through which obligations reach a decision
 procedure -- ``absint.try_prove`` (the affine fast path),
 ``Solver.prove`` and ``Solver.find_model`` -- records each call's
-arguments in order, and runs two jobs in one process:
+arguments in order, records each ``replace()`` decision
+(``primitives.unify_call``: the callee's name, the block's path and
+length, and the call found or the error raised), and runs two jobs in
+one process:
 
 * derive the eight app kernels pinned by ``tests/apps/test_golden_c.py``
   (Gemmini matmul and conv, x86 conv and SGEMM), emit their C, and run
@@ -12,7 +15,8 @@ arguments in order, and runs two jobs in one process:
 * the depth-3 action-space beam search over ``sgemm_tune_base()``
   (seed 0, budget 40).
 
-It prints the call count per entry point; ``facts``, the total number
+It prints the call count per entry point (``unify`` counts the
+``replace()`` decisions); ``facts``, the total number
 of fact terms in the ``Facts`` contexts passed to ``try_prove``;
 ``discharged``, the number of ``try_prove`` calls that answered True
 (the fast path's verdicts); and two sha256 digests of the obligation
@@ -21,7 +25,8 @@ stream, each line an obligation's ``repr`` followed by its result's:
 process-wide id; ``renumbered`` first renumbers the ``Sym`` ids within
 each line by first appearance, so it only moves when the formulas, their
 order or their verdicts do.  An equal ``renumbered`` digest thus
-certifies the same questions answered the same way.
+certifies the same questions answered the same way, and the same blocks
+replaced by the same calls.
 
 Running it twice must print the same raw digest: an obligation stream
 that depends on object addresses does not (CI runs it three times).
@@ -52,8 +57,12 @@ def _renumber(text: str) -> str:
 def _record(log):
     """Wrap the three obligation entry points so each call appends
     ``(kind, repr of its arguments, number of assumptions, result)`` to
-    ``log`` (the assumptions are ``try_prove``'s first argument)."""
+    ``log`` (the assumptions are ``try_prove``'s first argument), and
+    ``unify_call`` so each ``replace()`` decision appends its callee,
+    site and outcome."""
     from repro.analysis import absint
+    from repro.core.pprint import stmt_to_lines
+    from repro.scheduling import primitives
     from repro.smt.solver import Solver
 
     def wrap(owner, name, kind):
@@ -73,6 +82,22 @@ def _record(log):
     wrap(absint, "try_prove", "try_prove")
     wrap(Solver, "prove", "prove")
     wrap(Solver, "find_model", "find_model")
+
+    unify_call = primitives.unify_call
+
+    def recorded_unify(proc, path, count, callee):
+        text = repr((callee.name, path, count))
+        try:
+            call = unify_call(proc, path, count, callee)
+        except Exception as e:
+            # ``args``, not ``str(e)``: formatting would run a pending
+            # counterexample search and pose obligations of its own
+            log.append(("unify", text, 0, f"{type(e).__name__}{e.args!r}"))
+            raise
+        log.append(("unify", text, 0, " ".join(stmt_to_lines(call, 0))))
+        return call
+
+    primitives.unify_call = recorded_unify
 
 
 def _kernels():
@@ -111,8 +136,8 @@ def digest() -> dict:
     log = []
     _record(log)
     _jobs()
-    counts = {"try_prove": 0, "prove": 0, "find_model": 0, "facts": 0,
-              "discharged": 0}
+    counts = {"try_prove": 0, "prove": 0, "find_model": 0, "unify": 0,
+              "facts": 0, "discharged": 0}
     raw = hashlib.sha256()
     renumbered = hashlib.sha256()
     for kind, text, facts, result in log:

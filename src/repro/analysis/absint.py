@@ -40,9 +40,7 @@ the verdict store:
 * :func:`prove` is the single route by which a safety obligation reaches
   the solver: the fast path first, then ``DEFAULT_SOLVER.prove`` on
   fall-through, with ``analysis.absint.*`` obs counters (goals tried /
-  discharged / fell-through, per originating check category) and the
-  fall-through query tagged with the category via
-  :func:`repro.obs.smtstats.query_category`.
+  discharged / fell-through, per originating check category).
 
 On top of the same linear engine sits the **write-coverage box domain**
 used by the sanitizers (:mod:`repro.analysis.sanitize`): sets of
@@ -65,7 +63,6 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..core.prelude import Sym
-from ..obs import smtstats as _smtstats
 from ..obs import trace as _obs
 from ..smt import linear as L
 from ..smt import terms as S
@@ -548,8 +545,7 @@ def prove(facts: Facts, goal: S.Term, category: str) -> bool:
     cache) on fall-through.  This is the one route by which every safety
     obligation -- bounds, assert, parallel, rewrite, sanitize, dataflow --
     reaches the solver; ``category`` tags the ``analysis.absint.*``
-    counters and, via :func:`repro.obs.smtstats.query_category`, the
-    solver queries."""
+    counters, so ``<category>.fellthrough`` counts its solver queries."""
     _count("tried", category)
     with _obs.span("analysis.absint"):
         ok = try_prove(facts, goal)
@@ -557,8 +553,7 @@ def prove(facts: Facts, goal: S.Term, category: str) -> bool:
         _count("discharged", category)
         return True
     _count("fellthrough", category)
-    with _smtstats.query_category(category):
-        return DEFAULT_SOLVER.prove(S.implies(S.conj(*facts), goal))
+    return DEFAULT_SOLVER.prove(S.implies(S.conj(*facts), goal))
 
 
 # ---------------------------------------------------------------------------

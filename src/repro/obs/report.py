@@ -179,19 +179,8 @@ def compile_profile() -> str:
                          span_rows))
 
     smt = prof["smt"]
-    smt_rows = [(k, smt[k]) for k in sorted(smt) if k != "by_category"]
+    smt_rows = [(k, smt[k]) for k in sorted(smt)]
     out.append(table("SMT query stats", ["stat", "value"], smt_rows))
-
-    by_cat = smt.get("by_category")
-    if by_cat:
-        cat_rows = [
-            (cat, d["prove_calls"], d["cache_hits"])
-            for cat, d in sorted(
-                by_cat.items(), key=lambda kv: -kv[1]["prove_calls"]
-            )
-        ]
-        out.append(table("SMT queries by category",
-                         ["category", "prove calls", "cache hits"], cat_rows))
 
     fp = absint_fastpath(prof["counters"])
     if fp:

@@ -21,34 +21,9 @@ cache hits, DNF branches explored, and Omega projections/eliminations.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Optional
 
 from ..smt import terms as S
-
-# -- query categories --------------------------------------------------------
-#
-# Callers tag the dynamic extent of a check with its category so the per-
-# category counters in SmtStats attribute solver load to the originating
-# check: ``bounds`` / ``assert`` / ``parallel`` / ``sanitize`` / ``rewrite``
-# (scheduling obligations) / ``other``.
-
-_CATEGORY_STACK = ["other"]
-
-
-@contextmanager
-def query_category(name: str):
-    """Tag ``Solver.prove`` calls in this dynamic extent with the
-    originating check category."""
-    _CATEGORY_STACK.append(name)
-    try:
-        yield
-    finally:
-        _CATEGORY_STACK.pop()
-
-
-def current_category() -> str:
-    return _CATEGORY_STACK[-1]
 
 
 def canonical_key(t) -> tuple:
@@ -146,24 +121,12 @@ class SmtStats:
         for f in self._FIELDS:
             setattr(self, f, 0)
         self.prove_time = 0.0
-        #: per-category prove counters: {category: {prove_calls, cache_hits}}
-        self.by_category: Dict[str, Dict[str, int]] = {}
-
-    def record_prove(self, category: str, cache_hit: bool):
-        d = self.by_category.setdefault(
-            category, {"prove_calls": 0, "cache_hits": 0}
-        )
-        d["prove_calls"] += 1
-        if cache_hit:
-            d["cache_hits"] += 1
 
     def snapshot(self) -> dict:
         out = {f: getattr(self, f) for f in self._FIELDS}
         out["prove_time_s"] = round(self.prove_time, 6)
         total = self.cache_hits + self.cache_misses
         out["cache_hit_rate"] = round(self.cache_hits / total, 4) if total else 0.0
-        if self.by_category:
-            out["by_category"] = {k: dict(v) for k, v in self.by_category.items()}
         return out
 
 

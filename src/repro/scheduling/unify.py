@@ -14,7 +14,8 @@ alpha-equivalent to the caller's.  Buffer
 arguments are inferred as windows: each formal dimension is aligned with
 the caller dimension driven by the same loop binders, the remaining caller
 dimensions become point coordinates, and interval offsets must agree
-across every access.
+across every access.  A callee's ``stride(x, d)`` must be the caller's
+stride of the buffer ``x`` is bound to, at the dimension ``d`` lands on.
 
 When ``foo`` is an ``@instr``, this rewrite *is* instruction selection.
 This module only finds the call (:func:`unify_call`);
@@ -24,9 +25,11 @@ This module only finds the call (:func:`unify_call`);
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
+from numbers import Number
 
 from ..core import ast as IR
 from ..core import types as T
+from ..core.builtins import BuiltIn
 from ..core.prelude import SchedulingError
 from ..smt import linear as L
 from .eqv import alpha_equiv
@@ -66,6 +69,31 @@ def _get_block(proc, path, count):
     return parent_block[idx : idx + count]
 
 
+#: the fields the walk leaves to a leaf rule or does not compare: an
+#: access's name and indices are ``match_access``'s, a binder is paired
+#: (``_BINDER``), and an allocation's extents and memory and a loop's
+#: kind do not change what the fragment computes
+SKIP = {
+    IR.Read: ("name", "idx"), IR.Assign: ("name", "idx"),
+    IR.Reduce: ("name", "idx"), IR.Alloc: ("name", "type", "mem"),
+    IR.For: ("iter", "kind"),
+}
+_ACCESSES = (IR.Read, IR.Assign, IR.Reduce)
+_BINDER = {IR.For: "iter", IR.Alloc: "name"}
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, (IR.Proc, BuiltIn)):  # callees and built-ins by name
+        return x.name == y.name
+    if isinstance(x, (str, Number)):  # operators, literals, config fields
+        return x == y
+    return x is y  # configs
+
+
+def _shown(v):
+    return v.name if isinstance(v, (IR.Proc, BuiltIn)) else v
+
+
 class _Unifier:
     def __init__(self, callee: IR.Proc):
         self.callee = callee
@@ -89,8 +117,11 @@ class _Unifier:
         self.direct_sol = {}
         #: non-affine (callee, caller) control pairs, compared once solved
         self.nonaffine = []
+        #: (callee, caller) stride pairs, compared once the buffer
+        #: arguments are built
+        self.strides = []
 
-    # -- statement matching --------------------------------------------------
+    # -- matching --------------------------------------------------------------
 
     def fail(self, msg):
         raise UnifyError(f"replace: cannot unify: {msg}")
@@ -103,97 +134,44 @@ class _Unifier:
                 f"block lengths differ ({len(pats)} vs {len(stmts)})"
             )
         for p, s in zip(pats, stmts):
-            self.match_stmt(p, s)
+            self.match(p, s)
 
-    def match_stmt(self, p, s):
-        if isinstance(p, IR.For) and isinstance(s, IR.For):
-            self.match_ctrl(p.lo, s.lo)
-            self.match_ctrl(p.hi, s.hi)
-            self.binders[p.iter] = s.iter
-            self.match_block(list(p.body), list(s.body))
-            return
-        if isinstance(p, IR.If) and isinstance(s, IR.If):
-            self.match_ctrl(p.cond, s.cond)
-            self.match_block(list(p.body), list(s.body))
-            self.match_block(list(p.orelse), list(s.orelse))
-            return
-        if isinstance(p, IR.Assign) and isinstance(s, IR.Assign):
-            self.match_access(p.name, p.idx, s.name, s.idx)
-            self.match_data(p.rhs, s.rhs)
-            return
-        if isinstance(p, IR.Reduce) and isinstance(s, IR.Reduce):
-            self.match_access(p.name, p.idx, s.name, s.idx)
-            self.match_data(p.rhs, s.rhs)
-            return
-        if isinstance(p, IR.WriteConfig) and isinstance(s, IR.WriteConfig):
-            if p.config is not s.config or p.field != s.field:
-                self.fail("config writes target different fields")
-            self.match_ctrl(p.rhs, s.rhs)
-            return
-        if isinstance(p, IR.Call) and isinstance(s, IR.Call):
-            if p.proc is not s.proc and p.proc.name != s.proc.name:
-                self.fail(
-                    f"calls target different procedures "
-                    f"({p.proc.name} vs {s.proc.name})"
-                )
-            for pa, sa in zip(p.args, s.args):
-                if pa.type is not None and pa.type.is_numeric():
-                    self.match_data(pa, sa)
-                else:
-                    self.match_ctrl(pa, sa)
-            return
-        if isinstance(p, IR.Alloc) and isinstance(s, IR.Alloc):
-            # allocations inside the matched fragment pair up as binders
-            self.binders[p.name] = s.name
-            return
-        self.fail(
-            f"statement kinds differ "
-            f"({type(p).__name__} vs {type(s).__name__})"
-        )
-
-    # -- data expressions ------------------------------------------------------
-
-    def match_data(self, p, e):
-        if isinstance(p, IR.Read) and p.name in self.buf_formals:
-            if not isinstance(e, IR.Read):
-                self.fail(f"expected a buffer access for {p.name}")
+    def match(self, p, e):
+        """Unify the callee's node ``p`` with the caller's ``e``: a control
+        expression by ``match_ctrl``, any other node field by field through
+        ``IR.attrs`` and ``IR.pair``, but for ``SKIP``."""
+        if isinstance(p, IR.Expr) and not p.type.is_numeric():
+            return self.match_ctrl(p, e)
+        cls = type(p)
+        what = "statement" if isinstance(p, IR.Stmt) else "expression"
+        if cls is not type(e):
+            self.fail(
+                f"{what} kinds differ ({cls.__name__} vs {type(e).__name__})"
+            )
+        if cls in (IR.WindowExpr, IR.WindowStmt):
+            self.fail(f"a window {what} in the fragment")
+        if cls in _ACCESSES:
             self.match_access(p.name, p.idx, e.name, e.idx)
-            return
-        if isinstance(p, IR.Read) and p.name in self.binders:
-            if not (isinstance(e, IR.Read) and e.name is self.binders[p.name]):
-                self.fail(f"mismatched read of local {p.name}")
-            for pi, ei in zip(p.idx, e.idx):
-                self.match_ctrl(pi, ei)
-            return
-        if isinstance(p, IR.Read):
-            # local allocation read inside callee
-            if isinstance(e, IR.Read):
-                self.match_access(p.name, p.idx, e.name, e.idx)
-                return
-            self.fail(f"expected a read matching {p.name}")
-        if isinstance(p, IR.Const) and isinstance(e, IR.Const):
-            if p.val != e.val:
-                self.fail(f"literals differ ({p.val} vs {e.val})")
-            return
-        if isinstance(p, IR.USub) and isinstance(e, IR.USub):
-            self.match_data(p.arg, e.arg)
-            return
-        if isinstance(p, IR.BinOp) and isinstance(e, IR.BinOp):
-            if p.op != e.op:
-                self.fail(f"operators differ ({p.op} vs {e.op})")
-            self.match_data(p.lhs, e.lhs)
-            self.match_data(p.rhs, e.rhs)
-            return
-        if isinstance(p, IR.Extern) and isinstance(e, IR.Extern):
-            if p.f.name != e.f.name:
-                self.fail("different built-in functions")
-            for pa, ea in zip(p.args, e.args):
-                self.match_data(pa, ea)
-            return
-        self.fail(
-            f"expression kinds differ "
-            f"({type(p).__name__} vs {type(e).__name__})"
-        )
+            # done with the indices, whose counts may differ
+            p, e = IR.rebuild(p, idx=()), IR.rebuild(e, idx=())
+        skip = SKIP.get(cls, ())
+        for (fld, x), (_fld, y) in zip(IR.attrs(p), IR.attrs(e)):
+            if fld == _BINDER.get(cls):
+                self.binders[x] = y
+            elif fld not in skip and not _same(x, y):
+                self.fail(
+                    f"{cls.__name__} {fld}s differ ({_shown(x)} vs {_shown(y)})"
+                )
+        pairs = IR.pair(p, e)
+        if pairs is None:
+            self.fail(f"{cls.__name__} shapes differ")
+        for step, x, y in pairs:
+            if step[0] in skip:
+                continue
+            if type(x) is tuple:
+                self.match_block(x, y)
+            else:
+                self.match(x, y)
 
     def match_access(self, pname, pidx, ename, eidx):
         if pname in self.buf_formals:
@@ -225,12 +203,15 @@ class _Unifier:
         ):
             # opaque (non-affine) control value: solve the unknown directly
             prev = self.direct_sol.get(p.name)
-            if prev is not None and not _same_opaque(prev, e):
+            if prev is not None and not alpha_equiv(prev, e):
                 self.fail(f"conflicting opaque solutions for {p.name}")
             self.direct_sol[p.name] = e
             return
-        if isinstance(p, IR.StrideExpr) or isinstance(e, IR.StrideExpr):
-            return  # residual stride facts are validated by the assert checker
+        if isinstance(p, IR.StrideExpr):
+            if not (isinstance(e, IR.StrideExpr) and p.name in self.buf_formals):
+                self.fail(f"stride of {p.name} differs")
+            self.strides.append((p, e))
+            return
         if isinstance(p, IR.ReadConfig) and isinstance(e, IR.ReadConfig):
             if p.config is not e.config or p.field != e.field:
                 self.fail("config reads target different fields")
@@ -283,11 +264,28 @@ class _Unifier:
             if u not in values:
                 values[u] = _affine_to_expr(_substitute((0, {key: 1}), solution))
         self._check_nonaffine(values)
-        return [
+        args = [
             self._build_buffer_arg(formal, solution)
             if formal.type.is_numeric() else values[formal.name]
             for formal in self.callee.args
         ]
+        self._check_strides(dict(zip((a.name for a in self.callee.args), args)))
+        return args
+
+    def _check_strides(self, actuals):
+        """Each callee ``stride(x, d)`` must be the caller's stride of the
+        buffer ``x`` is bound to, at the dimension ``x``'s ``d`` lands on."""
+        for p, e in self.strides:
+            arg = actuals[p.name]
+            dim = p.dim
+            if isinstance(arg, IR.WindowExpr):
+                dim = [k for k, w in enumerate(arg.idx)
+                       if isinstance(w, IR.Interval)][p.dim]
+            if e.name is not arg.name or e.dim != dim:
+                self.fail(
+                    f"stride({p.name}, {p.dim}) is not stride({e.name}, "
+                    f"{e.dim}) at the site"
+                )
 
     def _check_nonaffine(self, values):
         """Each non-affine control pair must agree once the callee's
@@ -460,14 +458,6 @@ class _Unifier:
         if lp is None or le is None:
             self.fail("non-affine indexing in window inference")
         return _substitute(L.lincomb((1, le), (-1, lp)), solution)
-
-
-def _same_opaque(a, b) -> bool:
-    if isinstance(a, IR.StrideExpr) and isinstance(b, IR.StrideExpr):
-        return a.name is b.name and a.dim == b.dim
-    if isinstance(a, IR.ReadConfig) and isinstance(b, IR.ReadConfig):
-        return a.config is b.config and a.field == b.field
-    return False
 
 
 def _substitute(row, solution):

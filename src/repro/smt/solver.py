@@ -19,7 +19,7 @@ from typing import Iterable, List
 from ..core.prelude import InternalError
 from ..obs import trace as _obs
 from ..obs.smtstats import STATS as _SMT_STATS
-from ..obs.smtstats import QueryCache, canonical_key, current_category
+from ..obs.smtstats import QueryCache, canonical_key
 from . import terms as S
 from .linear import NEGATED, Linearizer, NonAffine
 from .omega import DIV, EQ, GEQ, feasible, project
@@ -161,17 +161,14 @@ class Solver:
         key = formula
         if key in self._prove_cache:
             _SMT_STATS.cache_hits += 1
-            _SMT_STATS.record_prove(current_category(), cache_hit=True)
             return self._prove_cache[key]
         ckey = canonical_key(formula)
         cached = self.qcache.lookup(ckey)
         if cached is not None:
             _SMT_STATS.cache_hits += 1
-            _SMT_STATS.record_prove(current_category(), cache_hit=True)
             self._prove_cache[key] = cached
             return cached
         _SMT_STATS.cache_misses += 1
-        _SMT_STATS.record_prove(current_category(), cache_hit=False)
         t0 = time.perf_counter()
         budget_ms = self._budget_ms()
         outer_deadline = self._deadline

@@ -1,7 +1,7 @@
 """The IR's shape: each node class's ``SLOTS`` declare its children once,
 and ``children`` / ``rebuild`` derive every walk and rebuild from them;
 ``pair`` / ``attrs`` derive the two-tree comparisons (pattern matching,
-alpha-equivalence)."""
+alpha-equivalence, unification)."""
 
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ from repro.core import ast as IR
 from repro.core import types as T
 from repro.scheduling.eqv import alpha_equiv
 from repro.scheduling.pattern import find_expr
+
+from ..helpers import blank_node, node_classes
 
 #: fields that hold an expression, a type or a procedure but are not
 #: children: an expression's own type (a window's type holds extents its
@@ -34,17 +36,7 @@ _HOLDERS = ("Expr", "WAccess", "Stmt", "Type", "Proc")
 _KINDS = {IR.EXPR, IR.EXPRS, IR.COORDS, IR.EXTENTS, IR.BLOCK}
 
 
-def _node_classes():
-    out = []
-    for obj in vars(IR).values():
-        if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
-                and issubclass(obj, (IR.Expr, IR.Stmt, IR.WAccess))
-                and obj not in (IR.Expr, IR.Stmt, IR.WAccess)):
-            out.append(obj)
-    return out
-
-
-@pytest.mark.parametrize("cls", _node_classes(), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", node_classes(), ids=lambda c: c.__name__)
 def test_every_child_field_is_a_slot_or_named_non_child(cls):
     fields = {f.name: str(f.type) for f in dataclasses.fields(cls)}
     slots = dict(cls.SLOTS)
@@ -73,22 +65,14 @@ ATTRS = {
 }
 
 
-def _blank(cls):
-    """An instance of ``cls`` whose every field holds its own name."""
-    node = object.__new__(cls)
-    for f in dataclasses.fields(cls):
-        object.__setattr__(node, f.name, f.name)
-    return node
-
-
 def test_attrs_table_covers_every_node_class():
-    assert set(ATTRS) == set(_node_classes())
+    assert set(ATTRS) == set(node_classes())
 
 
-@pytest.mark.parametrize("cls", _node_classes(), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", node_classes(), ids=lambda c: c.__name__)
 def test_every_field_is_a_slot_an_attr_or_bookkeeping(cls):
     fields = [f.name for f in dataclasses.fields(cls)]
-    attrs = [name for name, _v in IR.attrs(_blank(cls))]
+    attrs = [name for name, _v in IR.attrs(blank_node(cls))]
     assert tuple(attrs) == ATTRS[cls]
     kept = ["type"] if issubclass(cls, IR.Expr) else []
     kept += ["srcinfo"] if "srcinfo" in fields else []

@@ -1,8 +1,13 @@
-"""Shared test utilities: differential testing of schedules."""
+"""Shared test utilities: differential testing of schedules, and the
+IR's node classes for tables over their fields."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+
+from repro.core import ast as IR
 
 
 def rand_f32(rng, *shape):
@@ -29,3 +34,22 @@ def assert_equiv(p1, p2, arg_builder, n_trials=3, atol=1e-4, seed=0):
                     np.testing.assert_allclose(a1, a2, atol=atol)
                 else:
                     np.testing.assert_array_equal(a1, a2)
+
+
+def node_classes():
+    """Every concrete IR node class: expressions, statements and window
+    coordinates."""
+    return [
+        obj for obj in vars(IR).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and issubclass(obj, (IR.Expr, IR.Stmt, IR.WAccess))
+        and obj not in (IR.Expr, IR.Stmt, IR.WAccess)
+    ]
+
+
+def blank_node(cls):
+    """An instance of ``cls`` whose every field holds its own name."""
+    node = object.__new__(cls)
+    for f in dataclasses.fields(cls):
+        object.__setattr__(node, f.name, f.name)
+    return node

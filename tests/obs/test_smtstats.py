@@ -117,55 +117,13 @@ class TestSmtStats:
 
 
 class TestQueryCategories:
-    def test_default_category_is_other(self):
-        from repro.obs.smtstats import current_category
-
-        assert current_category() == "other"
-
-    def test_nesting_and_restore(self):
-        from repro.obs.smtstats import current_category, query_category
-
-        with query_category("bounds"):
-            assert current_category() == "bounds"
-            with query_category("sanitize"):
-                assert current_category() == "sanitize"
-            assert current_category() == "bounds"
-        assert current_category() == "other"
-
-    def test_record_prove_breakdown(self):
-        st = SmtStats()
-        st.record_prove("bounds", cache_hit=False)
-        st.record_prove("bounds", cache_hit=True)
-        st.record_prove("assert", cache_hit=False)
-        snap = st.snapshot()
-        assert snap["by_category"] == {
-            "bounds": {"prove_calls": 2, "cache_hits": 1},
-            "assert": {"prove_calls": 1, "cache_hits": 0},
-        }
-
-    def test_no_categories_no_key(self):
-        snap = SmtStats().snapshot()
-        assert "by_category" not in snap
-
-    def test_solver_records_current_category(self):
-        from repro.obs.smtstats import STATS, query_category
-
-        solver = Solver()
-        x = S.Var(Sym("x"))
-        before = dict(STATS.by_category.get("sanitize", {}))
-        with query_category("sanitize"):
-            solver.prove(S.ge(S.add(x, S.IntC(1)), x))
-        after = STATS.by_category["sanitize"]
-        assert after["prove_calls"] == before.get("prove_calls", 0) + 1
-
     def test_stage_mem_coverage_query_is_tagged(self):
         """Staging a block that writes the buffer without reading it asks
         whether the block covers the whole window; that goal is a rewrite
-        obligation, tried on the interval fast path and never charged to
-        ``other``."""
+        obligation, tried on the interval fast path under the ``rewrite``
+        category."""
         from repro import obs
         from repro.api import procs_from_source
-        from repro.obs.smtstats import STATS
 
         src = (
             "from __future__ import annotations\n"
@@ -181,7 +139,6 @@ class TestQueryCategories:
         obs.reset()
         try:
             fill.stage_mem("for i in _: _", "x[0:n]", "xs")
-            assert "other" not in STATS.snapshot().get("by_category", {})
             counters = obs.profile_dict()["counters"]
             assert counters.get("analysis.absint.rewrite.tried", 0) > 0
         finally:

@@ -5,18 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import SchedulingError
+from repro import SchedulingError, StaticMemory
 from repro.api import procs_from_source
 from repro.core import ast as IR
 from repro.core import types as T
+from repro.core.builtins import fmax, relu
 from repro.core.configs import Config
 from repro.core.pprint import stmt_to_lines
+from repro.scheduling.cursors import BlockCursor
+from repro.scheduling.unify import SKIP, UnifyError, _Unifier
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from helpers import assert_equiv, rand_f32  # noqa: E402
+from helpers import assert_equiv, blank_node, node_classes, rand_f32  # noqa: E402
 
 HEADER = (
     "from __future__ import annotations\n"
@@ -409,3 +412,173 @@ def f(A: f32[8] @ DRAM, B: f32[8] @ DRAM, C: f32[8] @ DRAM):
             ps["f"], g,
             lambda rng: [rand_f32(rng, 8), rand_f32(rng, 8), rand_f32(rng, 8)],
         )
+
+
+class TestStrides:
+    """A callee's ``stride(x, d)`` must be the caller's stride of the
+    buffer ``x`` is bound to, at the dimension ``d`` lands on."""
+
+    SRC = """
+@proc
+def setcfg(n: size, dst: [f32][4, n] @ DRAM):
+    Cfg.s = stride(dst, 0)
+    for i in seq(0, n):
+        dst[0, i] = 0.0
+
+@proc
+def f(A: f32[4, 16] @ DRAM, B: f32[4, 32] @ DRAM):
+    Cfg.s = stride({}, 0)
+    for i in seq(0, 16):
+        A[0, i] = 0.0
+"""
+
+    @pytest.fixture
+    def cfg(self):
+        return Config("Cfg", [("s", T.stride_t)])
+
+    def _replace(self, cfg, buf):
+        ps = _procs(self.SRC.format(buf), extra={"Cfg": cfg})
+        f = ps["f"]
+        return f, f.replace(ps["setcfg"], BlockCursor(f, (("body", 0),), n=2))
+
+    def test_stride_of_the_bound_buffer_replaced(self, cfg):
+        f, g = self._replace(cfg, "A")
+        assert _call_line(g) == "setcfg(16, A[0:4, 0:16])"
+        for p in (f, g):
+            a, b = np.zeros((4, 16), np.float32), np.zeros((4, 32), np.float32)
+            assert p.interpret(a, b)[(cfg, "s")] == 16
+
+    def test_stride_of_another_buffer_rejected(self, cfg):
+        """``f`` leaves ``Cfg.s`` at 32; ``setcfg(16, A[0:4, 0:16])``
+        would set it to 16."""
+        with pytest.raises(SchedulingError, match="stride"):
+            self._replace(cfg, "B")
+
+
+class TestLeafRules:
+    """What the walk deliberately does not compare."""
+
+    def test_par_loop_unifies_with_seq_loop(self):
+        ps = _procs(
+            """
+@proc
+def zero_row(m: size, dst: [f32][m] @ DRAM):
+    for j in seq(0, m):
+        dst[j] = 0.0
+
+@proc
+def f(A: f32[8, 8] @ DRAM):
+    for i in seq(0, 8):
+        for j in seq(0, 8):
+            A[i, j] = 0.0
+"""
+        )
+        par = ps["f"].parallelize("for j in _: _")
+        assert any(s.kind == "par" for s in IR.walk_stmts(par.ir().body)
+                   if isinstance(s, IR.For))
+        g = par.replace(ps["zero_row"], "for j in _: _")
+        assert _call_line(g) == "zero_row(8, A[i, 0:8])"
+
+    def test_allocations_pair_whatever_their_memory_and_extents(self):
+        ps = _procs(
+            """
+@proc
+def dbl(n: size, x: [f32][n] @ DRAM):
+    for i in seq(0, n):
+        t: f32[4] @ DRAM
+        t[0] = x[i] * 2.0
+        x[i] = t[0]
+
+@proc
+def f(A: f32[8] @ DRAM):
+    for i in seq(0, 8):
+        s: f32[2] @ StaticMemory
+        s[0] = A[i] * 2.0
+        A[i] = s[0]
+""",
+            extra={"StaticMemory": StaticMemory},
+        )
+        g = ps["f"].replace(ps["dbl"], "for i in _: _")
+        assert _call_line(g) == "dbl(8, A[0:8])"
+        assert_equiv(ps["f"], g, lambda rng: [rand_f32(rng, 8)])
+
+    def test_call_with_a_window_argument_rejected(self):
+        ps = _procs(
+            """
+@proc
+def zero4(x: [f32][4] @ DRAM):
+    for i in seq(0, 4):
+        x[i] = 0.0
+
+@proc
+def zero8(y: [f32][8] @ DRAM):
+    zero4(y[0:4])
+    zero4(y[4:8])
+
+@proc
+def f(A: f32[8] @ DRAM):
+    zero4(A[0:4])
+    zero4(A[4:8])
+"""
+        )
+        f = ps["f"]
+        with pytest.raises(SchedulingError, match="(?i)window"):
+            f.replace(ps["zero8"], BlockCursor(f, (("body", 0),), n=2))
+
+
+#: the attributes ``match`` compares on each node class: the walk's (by
+#: name, identity or value), and a stride's, which only ``match_ctrl``
+#: sees; windows, and the coordinates only they hold, are rejected
+#: whatever their fields
+COMPARED = {
+    IR.Read: (), IR.Const: ("val",), IR.USub: (), IR.BinOp: ("op",),
+    IR.Extern: ("f",), IR.StrideExpr: ("name", "dim"),
+    IR.ReadConfig: ("config", "field"), IR.Assign: (), IR.Reduce: (),
+    IR.WriteConfig: ("config", "field"), IR.Pass: (), IR.If: (),
+    IR.For: (), IR.Alloc: (), IR.Call: ("proc",),
+}
+REJECTED = {IR.WindowExpr, IR.WindowStmt, IR.Interval, IR.Point}
+
+
+@pytest.mark.parametrize("cls", node_classes(), ids=lambda c: c.__name__)
+def test_every_attr_is_compared_or_skipped(cls):
+    attrs = [name for name, _v in IR.attrs(blank_node(cls))]
+    if cls in REJECTED:
+        assert cls not in COMPARED and cls not in SKIP
+        return
+    skipped = [f for f in SKIP.get(cls, ()) if f in attrs]
+    assert sorted(COMPARED[cls] + tuple(skipped)) == sorted(attrs)
+    assert not set(COMPARED[cls]) & set(SKIP.get(cls, ()))
+
+
+def _one_attr_apart():
+    """(cls, field) -> a node and another value of that field."""
+    cfg = Config("CfgU", [("a", T.index_t), ("b", T.index_t)])
+    other = Config("CfgV", [("a", T.index_t)])
+    one = IR.Const(1.0, T.f32)
+    read = IR.ReadConfig(cfg, "a", T.f32)  # data-typed: the walk's, not match_ctrl's
+    write = IR.WriteConfig(cfg, "a", IR.Const(1, T.index_t))
+    call = IR.Call(IR.Proc("g", (), (), ()), ())
+    return {
+        (IR.Const, "val"): (one, 2.0),
+        (IR.BinOp, "op"): (IR.BinOp("+", one, one, T.f32), "*"),
+        (IR.Extern, "f"): (IR.Extern(relu, (one,), T.f32), fmax),
+        (IR.ReadConfig, "config"): (read, other),
+        (IR.ReadConfig, "field"): (read, "b"),
+        (IR.WriteConfig, "config"): (write, other),
+        (IR.WriteConfig, "field"): (write, "b"),
+        (IR.Call, "proc"): (call, IR.Proc("h", (), (), ())),
+    }
+
+
+def test_every_walk_compared_attr_is_compared():
+    cases = _one_attr_apart()
+    assert set(cases) == {
+        (cls, f) for cls, fields in COMPARED.items() for f in fields
+        if cls is not IR.StrideExpr
+    }
+    callee = IR.Proc("callee", (), (), ())
+    for (cls, fld), (node, value) in cases.items():
+        _Unifier(callee).match(node, node)
+        with pytest.raises(UnifyError):
+            _Unifier(callee).match(node, IR.rebuild(node, **{fld: value}))
