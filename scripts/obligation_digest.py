@@ -16,7 +16,9 @@ one process:
   (seed 0, budget 40).
 
 It prints the call count per entry point (``unify`` counts the
-``replace()`` decisions); ``facts``, the total number
+``replace()`` decisions); ``refuted``, the number of row systems
+``absint._refute`` ran on (a system already in the verdict store that
+each recipe and search opens is not run again); ``facts``, the total number
 of fact terms in the ``Facts`` contexts passed to ``try_prove``;
 ``discharged``, the number of ``try_prove`` calls that answered True
 (the fast path's verdicts); and two sha256 digests of the obligation
@@ -54,12 +56,13 @@ def _renumber(text: str) -> str:
     )
 
 
-def _record(log):
+def _record(log, refuted):
     """Wrap the three obligation entry points so each call appends
     ``(kind, repr of its arguments, number of assumptions, result)`` to
-    ``log`` (the assumptions are ``try_prove``'s first argument), and
+    ``log`` (the assumptions are ``try_prove``'s first argument),
     ``unify_call`` so each ``replace()`` decision appends its callee,
-    site and outcome."""
+    site and outcome, and ``absint._refute`` so each run appends to
+    ``refuted`` (outside ``log``: a store hit poses no new question)."""
     from repro.analysis import absint
     from repro.core.pprint import stmt_to_lines
     from repro.scheduling import primitives
@@ -82,6 +85,14 @@ def _record(log):
     wrap(absint, "try_prove", "try_prove")
     wrap(Solver, "prove", "prove")
     wrap(Solver, "find_model", "find_model")
+
+    uncached_refute = absint._refute
+
+    def counted_refute(cons):
+        refuted.append(None)
+        return uncached_refute(cons)
+
+    absint._refute = counted_refute
 
     unify_call = primitives.unify_call
 
@@ -133,11 +144,11 @@ def _jobs():
 
 
 def digest() -> dict:
-    log = []
-    _record(log)
+    log, refuted = [], []
+    _record(log, refuted)
     _jobs()
     counts = {"try_prove": 0, "prove": 0, "find_model": 0, "unify": 0,
-              "facts": 0, "discharged": 0}
+              "refuted": len(refuted), "facts": 0, "discharged": 0}
     raw = hashlib.sha256()
     renumbered = hashlib.sha256()
     for kind, text, facts, result in log:

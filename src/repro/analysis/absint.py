@@ -136,7 +136,7 @@ def _substitute(work: List[Lin], eq: Lin, x: Sym) -> Optional[List[Lin]]:
     return out
 
 
-#: the open search-scoped verdict store (see :func:`verdict_store`)
+#: the open verdict store of a search or recipe (see :func:`verdict_store`)
 _store: Optional[Dict[tuple, bool]] = None
 _ID = attrgetter("id")
 
@@ -144,11 +144,15 @@ _ID = attrgetter("id")
 @contextmanager
 def verdict_store():
     """Open a canonical store of :func:`refute` verdicts for the extent of
-    the ``with`` block; a nested open reuses the outer store.  Each row
-    system is keyed by :func:`_rank_key`, so a system posed again under
-    fresh ``Sym`` ids -- a search's candidates re-derive their parent's
-    obligations -- is refuted once.  The store is dropped on exit: it
-    never outlives the block that opened it."""
+    the ``with`` block, or of each call of a function it decorates; a
+    nested open reuses the outer store.  ``autotune.search`` opens it
+    around a search, and each app recipe (``repro.apps``) around its
+    derivation.  Each row system is keyed by :func:`_rank_key`, so a
+    system posed again under fresh ``Sym`` ids -- a search's candidates
+    re-derive their parent's obligations, a recipe's directives re-check
+    the loops they leave alone -- is refuted once.  The store is dropped
+    on exit: it never outlives the search or outermost recipe call that
+    opened it."""
     global _store
     if _store is not None:
         yield _store

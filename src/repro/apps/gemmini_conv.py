@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ..analysis.absint import verdict_store
 from ..api import procs_from_source
 from ..platforms.gemmini import (
     ACCUM,
@@ -98,6 +99,7 @@ def {name}(B: size, OY: size, OX: size, OC: size, IC: size,
 
 
 @lru_cache(maxsize=None)
+@verdict_store()
 def conv_exo(ti: int = 2, tj: int = 2):
     """Exo schedule: configs hoisted, split DMA instructions, macro-tiled
     and double-buffered."""
@@ -120,6 +122,7 @@ def conv_exo(ti: int = 2, tj: int = 2):
 
 
 @lru_cache(maxsize=None)
+@verdict_store()
 def conv_oldlib():
     """Old-lib imitation: fused config+DMA everywhere (pipeline flushes),
     single 16x16 tiles, no double buffering."""

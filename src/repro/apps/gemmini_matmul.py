@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .. import DRAM, i8, i32, proc
+from ..analysis.absint import verdict_store
 from ..platforms.gemmini import (
     ACCUM,
     SCRATCHPAD,
@@ -136,6 +137,7 @@ def _hoist_configs(p):
 
 
 @lru_cache(maxsize=None)
+@verdict_store()
 def matmul_exo():
     """The Exo-lib schedule of Fig. 4a (hoisted configs, staged tiles)."""
     return build_matmul_candidate(matmul_base.rename("matmul_exo"),
@@ -143,6 +145,7 @@ def matmul_exo():
 
 
 @lru_cache(maxsize=None)
+@verdict_store()
 def matmul_oldlib():
     """A schedule imitating Gemmini's handwritten library: every DMA
     transfer re-writes its config register (fused config+mvin), flushing
@@ -152,6 +155,7 @@ def matmul_oldlib():
 
 
 @lru_cache(maxsize=None)
+@verdict_store()
 def matmul_exo_blocked(ti: int = 4, tj: int = 4, relu_act: bool = False,
                        double_buffer: bool = True):
     """The production Exo schedule: a (16*ti) x (16*tj) accumulator-resident
@@ -235,6 +239,7 @@ def matmul_blocked(N: size, M: size, K: size,
 # ---------------------------------------------------------------------------
 
 
+@verdict_store()
 def build_matmul_candidate(base, style: str, stage: bool):
     """Derive one Fig-4a candidate: always 16x16x16 tiling, then one of
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ..analysis.absint import verdict_store
 from ..api import procs_from_source
 from ..platforms.avx512 import (
     AVX512,
@@ -62,6 +63,7 @@ def {name}(B: size, OY: size, OX: size, OC: size, IC: size,
     return procs_from_source(src)[name]
 
 
+@verdict_store()
 def _schedule(p, xb: int, ocv: int):
     """Vectorize: register-resident result tile, broadcast-FMA reduction,
     fused-ReLU vector stores."""
@@ -76,6 +78,7 @@ def _schedule(p, xb: int, ocv: int):
 
 
 @lru_cache(maxsize=None)
+@verdict_store()
 def conv_exo(xb: int = XB, ocv: int = OCV):
     p = _conv_algorithm("conv_exo_x86", xb, ocv)
     return _schedule(p, xb, ocv)

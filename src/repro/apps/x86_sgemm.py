@@ -20,6 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .. import DRAM, f32, proc
+from ..analysis.absint import verdict_store
 from ..api import Procedure
 from ..platforms.avx512 import (
     AVX512,
@@ -83,6 +84,7 @@ def _schedule_microkernel(p: Procedure, mr: int, nv: int) -> Procedure:
 
 
 @lru_cache(maxsize=None)
+@verdict_store()
 def make_microkernel(mr: int = MR, nv: int = NV):
     """Returns ``(algorithm, scheduled)`` micro-kernel Procedures."""
     algo = _microkernel_algorithm(mr, nv)
@@ -128,6 +130,7 @@ def sgemm_exo(M: size, N: size, K: size,
 
 
 @lru_cache(maxsize=None)
+@verdict_store()
 def sgemm_exo(mr: int = MR, nv: int = NV):
     """The main SGEMM kernel (divisible sizes): tile, rewrite the inner
     nest into the rank-1-update order, abstract it into the micro-kernel by
@@ -167,6 +170,7 @@ def sgemm_t{M}x{N}x{K}(A: f32[{M}, {K}] @ DRAM,
     return procs_from_source(src)[f"sgemm_t{M}x{N}x{K}"]
 
 
+@verdict_store()
 def build_sgemm_candidate(base: Procedure, mr: int, nv: int,
                           vectorize: bool) -> Procedure:
     """Derive one candidate schedule: tile by (mr, nv*16), bring k outermost

@@ -21,6 +21,7 @@ answered from the cache (``autotune.cost_cache_hits``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -29,6 +30,7 @@ import numpy as np
 from ..core import ast as IR
 from ..core.interp import dtype_of
 from ..core.memory import DRAM
+from ..core.pprint import expr_to_str
 from ..obs import trace as _obs
 
 # ---------------------------------------------------------------------------
@@ -190,9 +192,22 @@ class Cost:
 # ---------------------------------------------------------------------------
 
 
+#: the control operators :func:`_eval` folds: arithmetic (a quotient or
+#: remainder by zero is unevaluable), comparisons and conjunction
+_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda l, r: l // r if r else None,
+    "%": lambda l, r: l % r if r else None,
+    "==": operator.eq, "<": operator.lt, ">": operator.gt,
+    "<=": operator.le, ">=": operator.ge,
+    "and": lambda l, r: l and r,
+}
+
+
 def _eval(e: IR.Expr, env: Dict) -> Optional[int]:
-    """Evaluate a control expression to an int under ``env`` (Sym -> int);
-    None when it mentions an unbound variable or non-affine construct."""
+    """Evaluate a control expression to an int (a condition to a bool)
+    under ``env`` (Sym -> int); None when it mentions an unbound variable
+    or non-affine construct."""
     if isinstance(e, IR.Const):
         v = e.val
         return int(v) if isinstance(v, (int, bool)) else None
@@ -202,20 +217,10 @@ def _eval(e: IR.Expr, env: Dict) -> Optional[int]:
         v = _eval(e.arg, env)
         return -v if v is not None else None
     if isinstance(e, IR.BinOp):
-        l, r = _eval(e.lhs, env), _eval(e.rhs, env)
-        if l is None or r is None:
+        l, r, op = _eval(e.lhs, env), _eval(e.rhs, env), _OPS.get(e.op)
+        if l is None or r is None or op is None:
             return None
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r
-        if e.op == "*":
-            return l * r
-        if e.op == "/":
-            return l // r if r else None
-        if e.op == "%":
-            return l % r if r else None
-        return None
+        return op(l, r)
     return None
 
 
@@ -271,6 +276,13 @@ class _CostWalker:
     def run(self, proc: IR.Proc, sizes: Mapping[str, int],
             in_instr: bool = False):
         env, mems, elems = self._bind_args(proc, sizes)
+        for pred in proc.preds:
+            ok = _eval(pred, env)  # None: cannot be evaluated, not checked
+            if ok is not None and not ok:
+                raise ValueError(
+                    f"cost_of: {proc.name} requires {expr_to_str(pred)}, "
+                    f"which is false at {dict(sizes)}"
+                )
         self._block(proc.body, 1.0, env, mems, elems, in_instr)
         return self.cost
 
@@ -390,7 +402,9 @@ def cost_of(proc, sizes: Mapping[str, int] | None = None,
 
     ``proc`` may be a public ``Procedure`` or a raw IR proc; ``sizes``
     maps size-argument *names* to ints (size-literal procedures need
-    none).  Deterministic, side-effect free, memoized.
+    none).  Deterministic, side-effect free, memoized.  Raises
+    ``ValueError`` naming a precondition of ``proc`` that is false at
+    ``sizes``: the model would price a run the procedure forbids.
     """
     ir = getattr(proc, "_loopir_proc", proc)
     key = (

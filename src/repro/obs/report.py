@@ -113,7 +113,8 @@ def absint_fastpath(counters: dict) -> dict:
 def absint_store(counters: dict) -> dict:
     """Canonical refute store traffic from the
     ``analysis.absint.store.*`` counters: ``{hit, miss}``, empty when no
-    store was open (it is open only inside an autotuning search)."""
+    store was open (it is open inside an autotuning search and inside
+    each app recipe's derivation)."""
     out = {}
     for event in ("hit", "miss"):
         n = counters.get(f"analysis.absint.store.{event}", 0)

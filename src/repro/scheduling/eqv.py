@@ -92,16 +92,21 @@ def _same(x, y, env: dict) -> bool:
     return x is y  # configs, callees, built-ins, memories
 
 
+def same_base(s, t) -> bool:
+    """``s`` and ``t`` have the same base scalar class and window flag:
+    what a structural comparison compares of two types beside their
+    extents."""
+    return type(s.basetype()) is type(t.basetype()) and s.is_win() == t.is_win()
+
+
 def _alpha(a, b, env: dict) -> bool:
     """``a`` and ``b`` are equal modulo ``env``; a binder that scopes the
     statements after ``a`` is added to ``env``."""
     pairs = IR.pair(a, b)
     if pairs is None:
         return False
-    if type(a) is IR.Alloc and not (  # what ``pair`` leaves of its type
-        type(a.type.basetype()) is type(b.type.basetype())
-        and a.type.is_win() == b.type.is_win()
-    ):
+    # an allocation's type beside the extents ``pair`` covers
+    if type(a) is IR.Alloc and not same_base(a.type, b.type):
         return False
     binder, bound = _BINDER.get(type(a)), {}
     for (fld, x), (_fld, y) in zip(IR.attrs(a), IR.attrs(b)):
@@ -146,8 +151,7 @@ def _alpha_type(s, t, env: dict) -> bool:
     if not s.is_tensor_or_window():
         return True
     return (
-        type(s.basetype()) is type(t.basetype())
-        and s.is_win() == t.is_win()
+        same_base(s, t)
         and len(s.hi) == len(t.hi)
         and all(_alpha(x, y, env) for x, y in zip(s.hi, t.hi))
     )

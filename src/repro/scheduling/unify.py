@@ -32,7 +32,7 @@ from ..core import types as T
 from ..core.builtins import BuiltIn
 from ..core.prelude import SchedulingError
 from ..smt import linear as L
-from .eqv import alpha_equiv
+from .eqv import alpha_equiv, same_base
 from .simplify import _from_linear, _linearize, simplify_expr
 
 
@@ -71,8 +71,9 @@ def _get_block(proc, path, count):
 
 #: the fields the walk leaves to a leaf rule or does not compare: an
 #: access's name and indices are ``match_access``'s, a binder is paired
-#: (``_BINDER``), and an allocation's extents and memory and a loop's
-#: kind do not change what the fragment computes
+#: (``_BINDER``), an allocation's type is compared by ``same_base``, and
+#: its extents and memory and a loop's kind do not change what the
+#: fragment computes
 SKIP = {
     IR.Read: ("name", "idx"), IR.Assign: ("name", "idx"),
     IR.Reduce: ("name", "idx"), IR.Alloc: ("name", "type", "mem"),
@@ -150,6 +151,11 @@ class _Unifier:
             )
         if cls in (IR.WindowExpr, IR.WindowStmt):
             self.fail(f"a window {what} in the fragment")
+        if cls is IR.Alloc and not same_base(p.type, e.type):
+            self.fail(
+                f"Alloc types differ "
+                f"({p.type.basetype()} vs {e.type.basetype()})"
+            )
         if cls in _ACCESSES:
             self.match_access(p.name, p.idx, e.name, e.idx)
             # done with the indices, whose counts may differ

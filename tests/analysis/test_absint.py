@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import SchedulingError, obs
 from repro.analysis import absint
 from repro.analysis.absint import Box, Facts, Linearizer, refute, try_prove
 from repro.core.prelude import Sym
@@ -316,8 +316,23 @@ def _search_module():
     return importlib.import_module("repro.autotune.search")
 
 
+def _compile_recipes():
+    """The seven kernels of the compile benchmark, each derived afresh
+    (``__wrapped__`` skips the cache of the outermost recipe)."""
+    from repro.apps import gemmini_conv, x86_conv, x86_sgemm
+    from repro.apps import gemmini_matmul as gm
+
+    return [
+        gm.matmul_exo.__wrapped__, gm.matmul_oldlib.__wrapped__,
+        lambda: gm.matmul_exo_blocked.__wrapped__(4, 4),
+        gemmini_conv.conv_exo.__wrapped__, gemmini_conv.conv_oldlib.__wrapped__,
+        x86_sgemm.sgemm_exo.__wrapped__, x86_conv.conv_exo.__wrapped__,
+    ]
+
+
 class TestVerdictStore:
-    """The search-scoped canonical store of :func:`absint.refute` verdicts."""
+    """The canonical store of :func:`absint.refute` verdicts, open for one
+    search or one outermost recipe call."""
 
     @staticmethod
     def _system(a, b, c):
@@ -360,7 +375,10 @@ class TestVerdictStore:
             assert absint._store is outer
         assert absint._store is None
 
-    def test_search_verdicts_equal_uncached_refute(self, monkeypatch):
+    @pytest.fixture
+    def checked_refutes(self, monkeypatch):
+        """Each ``refute`` call from now on, as (made inside a store, its
+        verdict equals the uncached ``_refute``'s)."""
         seen = []
         inner = absint.refute
 
@@ -370,9 +388,71 @@ class TestVerdictStore:
             return ok
 
         monkeypatch.setattr(absint, "refute", checked)
+        return seen
+
+    def test_search_verdicts_equal_uncached_refute(self, checked_refutes):
         _sgemm_beam()
-        assert sum(in_store for in_store, _same in seen) > 100
-        assert all(same for _in_store, same in seen)
+        assert sum(s for s, _same in checked_refutes) > 100
+        assert all(same for _s, same in checked_refutes)
+
+    def test_recipe_verdicts_equal_uncached_refute(self, checked_refutes):
+        in_store = []
+        for build in _compile_recipes():
+            start = len(checked_refutes)
+            build()
+            assert absint._store is None
+            in_store.append(sum(s for s, _same in checked_refutes[start:]))
+        assert all(in_store) and sum(in_store) > 100
+        assert all(same for _s, same in checked_refutes)
+
+    def test_store_is_dropped_when_recipe_raises(self):
+        from repro.apps.x86_sgemm import build_sgemm_candidate, sgemm_tune_base
+
+        with pytest.raises(SchedulingError):
+            build_sgemm_candidate(sgemm_tune_base(), 5, 1, True)
+        assert absint._store is None
+
+    def test_recipe_inside_an_open_store_uses_it(self, monkeypatch):
+        from repro.apps import x86_conv
+
+        stores = []
+        inner = absint.refute
+
+        def recorded(cons):
+            stores.append(absint._store)
+            return inner(cons)
+
+        monkeypatch.setattr(absint, "refute", recorded)
+        with absint.verdict_store() as outer:
+            x86_conv.conv_exo.__wrapped__()
+            assert absint._store is outer
+        assert stores and all(s is outer for s in stores)
+        assert absint._store is None
+
+    def test_each_recipe_call_starts_from_an_empty_store(self, monkeypatch):
+        from repro.apps import x86_conv
+
+        stores = []
+        algorithm, schedule = x86_conv._conv_algorithm, x86_conv._schedule
+
+        def recorded_algorithm(*args):
+            stores.append((absint._store, len(absint._store)))
+            return algorithm(*args)
+
+        def recorded_schedule(*args):
+            out = schedule(*args)
+            stores.append((absint._store, len(absint._store)))
+            return out
+
+        monkeypatch.setattr(x86_conv, "_conv_algorithm", recorded_algorithm)
+        monkeypatch.setattr(x86_conv, "_schedule", recorded_schedule)
+        for _ in range(2):
+            x86_conv.conv_exo.cache_clear()
+            x86_conv.conv_exo()
+            assert absint._store is None
+        (a, a0), (a1, an), (b, b0), (b1, bn) = stores
+        assert a is a1 and b is b1 and a is not b
+        assert a0 == b0 == 0 and an == bn > 0
 
     def test_search_outcome_equals_search_without_store(self, monkeypatch):
         from repro.obs import journal

@@ -82,6 +82,35 @@ class TestCounts:
         )
 
 
+class TestPreconditions:
+    @pytest.fixture
+    def scale4(self):
+        return _p(
+            """
+@proc
+def scale4(n: size, x: f32[n] @ DRAM):
+    assert n >= 4 and n % 4 == 0
+    for i in seq(0, n):
+        x[i] = 2.0 * x[i]
+"""
+        )
+
+    def test_false_precondition_raises(self, scale4):
+        assert cost_of(scale4, {"n": 8}).flops == 8
+        for n in (6, 0):
+            with pytest.raises(ValueError, match="n >= 4 and n % 4 == 0"):
+                cost_of(scale4, {"n": n})
+
+    def test_unevaluable_precondition_is_not_checked(self, scale4):
+        assert not cost_of(scale4).exact  # n unbound
+
+    def test_sgemm_off_its_divisible_sizes_raises(self):
+        from repro.apps.x86_sgemm import sgemm_exo
+
+        with pytest.raises(ValueError, match="N % 64 == 0"):
+            cost_of(sgemm_exo(), {"M": 96, "N": 96, "K": 96})
+
+
 class TestCache:
     def test_memoized_with_counters(self, axpy):
         cost_of(axpy, {"n": 64})

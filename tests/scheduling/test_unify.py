@@ -502,6 +502,37 @@ def f(A: f32[8] @ DRAM):
         assert _call_line(g) == "dbl(8, A[0:8])"
         assert_equiv(ps["f"], g, lambda rng: [rand_f32(rng, 8)])
 
+    def test_allocations_of_another_precision_rejected(self):
+        # an f64 accumulator keeps the two +1.0s that f32 rounds away
+        # at 2**24: pairing the allocations would change the result
+        ps = _procs(
+            """
+@proc
+def acc64(n: size, x: [f32][n] @ DRAM, y: [f32][1] @ DRAM):
+    for i in seq(0, 1):
+        t: f64 @ DRAM
+        t = y[0]
+        for k in seq(0, n):
+            t += x[k]
+        y[0] = t
+
+@proc
+def f(x: f32[2] @ DRAM, y: f32[1] @ DRAM):
+    for i in seq(0, 1):
+        t: f32 @ DRAM
+        t = y[0]
+        for k in seq(0, 2):
+            t += x[k]
+        y[0] = t
+""",
+            extra={"f64": T.f64},
+        )
+        x, y = np.ones(2, np.float32), np.full(1, 2.0**24, np.float32)
+        ps["f"].interpret(x, y)
+        assert y[0] == 2.0**24
+        with pytest.raises(UnifyError, match="Alloc"):
+            ps["f"].replace(ps["acc64"], "for i in _: _")
+
     def test_call_with_a_window_argument_rejected(self):
         ps = _procs(
             """
