@@ -18,7 +18,10 @@ one process:
 It prints the call count per entry point (``unify`` counts the
 ``replace()`` decisions); ``refuted``, the number of row systems
 ``absint._refute`` ran on (a system already in the verdict store that
-each recipe and search opens is not run again); ``facts``, the total number
+each recipe and search opens is not run again); ``reused``, the number
+of revisions whose check ``memo.check_derived`` skipped because an
+alpha-equivalent revision of the same content key had passed (only the
+beam search opens a derivation table); ``facts``, the total number
 of fact terms in the ``Facts`` contexts passed to ``try_prove``;
 ``discharged``, the number of ``try_prove`` calls that answered True
 (the fast path's verdicts); and two sha256 digests of the obligation
@@ -56,16 +59,18 @@ def _renumber(text: str) -> str:
     )
 
 
-def _record(log, refuted):
+def _record(log, refuted, reused):
     """Wrap the three obligation entry points so each call appends
     ``(kind, repr of its arguments, number of assumptions, result)`` to
     ``log`` (the assumptions are ``try_prove``'s first argument),
     ``unify_call`` so each ``replace()`` decision appends its callee,
-    site and outcome, and ``absint._refute`` so each run appends to
-    ``refuted`` (outside ``log``: a store hit poses no new question)."""
+    site and outcome, ``absint._refute`` so each run appends to
+    ``refuted`` (outside ``log``: a store hit poses no new question), and
+    ``memo.alpha_equiv_procs`` so each match it confirms -- a revision
+    whose check is skipped -- appends to ``reused``."""
     from repro.analysis import absint
     from repro.core.pprint import stmt_to_lines
-    from repro.scheduling import primitives
+    from repro.scheduling import memo, primitives
     from repro.smt.solver import Solver
 
     def wrap(owner, name, kind):
@@ -93,6 +98,16 @@ def _record(log, refuted):
         return uncached_refute(cons)
 
     absint._refute = counted_refute
+
+    alpha_equiv_procs = memo.alpha_equiv_procs
+
+    def counted_match(seen, proc):
+        same = alpha_equiv_procs(seen, proc)
+        if same:
+            reused.append(None)
+        return same
+
+    memo.alpha_equiv_procs = counted_match
 
     unify_call = primitives.unify_call
 
@@ -144,11 +159,12 @@ def _jobs():
 
 
 def digest() -> dict:
-    log, refuted = [], []
-    _record(log, refuted)
+    log, refuted, reused = [], [], []
+    _record(log, refuted, reused)
     _jobs()
     counts = {"try_prove": 0, "prove": 0, "find_model": 0, "unify": 0,
-              "refuted": len(refuted), "facts": 0, "discharged": 0}
+              "refuted": len(refuted), "reused": len(reused), "facts": 0,
+              "discharged": 0}
     raw = hashlib.sha256()
     renumbered = hashlib.sha256()
     for kind, text, facts, result in log:

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -171,7 +170,9 @@ def _rank_key(cons: List[Lin]) -> tuple:
     sees variable identity only through lowest-id choices
     (:func:`_elimination_var`, :func:`_unit_equality`), which the ranks
     preserve, and it keeps row order, which can decide between a cap and
-    a contradiction within one elimination round."""
+    a contradiction within one elimination round.  A cone's rows come
+    in their positions in the scope (:func:`_cone`), so its part of the
+    key depends on which rows it reaches, not on the order it found them."""
     syms = set()
     for _c, m in cons:
         syms.update(m)
@@ -439,11 +440,8 @@ def _cone(context: List[Lin], goal_rows: List[Lin], rows_of=None,
     """The rows of ``context + extra`` linked to the goal rows through
     chains of shared variables, plus the variable-free rows (a false
     fact), found from ``rows_of``, the :func:`_index` of ``context``.
-
-    They come in the order of sweeps over the remaining rows until one
-    adds none, which the store key and the FM caps see: a row reached
-    from one that joined at ``(sweep, j)`` joins at ``(sweep, i)`` when
-    its position ``i > j``, else at ``(sweep + 1, i)``."""
+    They keep their order in ``context + extra``, which the store key and
+    the FM caps see."""
     if rows_of is None:
         rows_of = _index(context)
     rows = context
@@ -452,32 +450,19 @@ def _cone(context: List[Lin], goal_rows: List[Lin], rows_of=None,
         rows_of = dict(rows_of)
         for v, more in _index(extra, len(context)).items():
             rows_of[v] = rows_of.get(v, []) + more
-    # (sweep, position) of each row reached: the variable-free rows and
-    # those holding a goal variable join in the first sweep
-    heap = [(1, i) for i in rows_of.get(None, ())]
+    joined = set(rows_of.get(None, ()))
     linked = set()
-    for _c, m in goal_rows:
-        for v in m:
-            if v not in linked:
-                linked.add(v)
-                heap += [(1, i) for i in rows_of.get(v, ())]
-    heapify(heap)
-    out: List[Lin] = []
-    joined = set()
-    while heap:
-        sweep, j = heappop(heap)
-        if j in joined:
+    todo = [v for _c, m in goal_rows for v in m]
+    while todo:
+        v = todo.pop()
+        if v in linked:
             continue
-        joined.add(j)
-        row = rows[j]
-        out.append(row)
-        for v in row[1]:
-            if v not in linked:
-                linked.add(v)
-                for i in rows_of.get(v, ()):
-                    if i not in joined:
-                        heappush(heap, (sweep if i > j else sweep + 1, i))
-    return out
+        linked.add(v)
+        for i in rows_of.get(v, ()):
+            if i not in joined:
+                joined.add(i)
+                todo += rows[i][1]
+    return [rows[i] for i in sorted(joined)]
 
 
 def _refute_goal(context: List[Lin], goal_rows: List[Lin], rows_of=None,
@@ -488,12 +473,8 @@ def _refute_goal(context: List[Lin], goal_rows: List[Lin], rows_of=None,
     refutation of it but one of the context alone, which
     :meth:`Facts._infeasible` decides once per scope.  Refuting a subset
     of the rows refutes the whole conjunction, so a proof found on the
-    cone is sound; the cone only keeps the eliminations small.  A cone of
-    every row keeps their order."""
-    cone = _cone(context, goal_rows, rows_of, extra)
-    if len(cone) == len(context) + len(extra):
-        cone = context + list(extra)
-    return refute(cone + goal_rows)
+    cone is sound; the cone only keeps the eliminations small."""
+    return refute(_cone(context, goal_rows, rows_of, extra) + goal_rows)
 
 
 def _decide(facts: Facts, goal: S.Term) -> bool:

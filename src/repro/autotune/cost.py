@@ -14,8 +14,11 @@ cycle estimate (:attr:`Cost.cycles`).  The model is intentionally
 the closed-form x86 pricing of :mod:`repro.machine.x86_sim`
 (``price_x86``), and no test compares their cycle counts.
 
-Costs are cached by (procedure text, sizes, model); repeated queries for
-the same candidate — common when beam search revisits a state — are
+Costs are cached by (content key, sizes, model), where the content key
+(:func:`~repro.core.pprint.proc_key`) is the procedure's text followed by
+its ``@instr`` template and its callees' keys, so two procedures that
+print alike but call different bodies are priced apart.  Repeated queries
+for the same candidate — common when beam search revisits a state — are
 answered from the cache (``autotune.cost_cache_hits``).
 """
 
@@ -30,7 +33,7 @@ import numpy as np
 from ..core import ast as IR
 from ..core.interp import dtype_of
 from ..core.memory import DRAM
-from ..core.pprint import expr_to_str
+from ..core.pprint import expr_to_str, proc_key
 from ..obs import trace as _obs
 
 # ---------------------------------------------------------------------------
@@ -408,7 +411,7 @@ def cost_of(proc, sizes: Mapping[str, int] | None = None,
     """
     ir = getattr(proc, "_loopir_proc", proc)
     key = (
-        str(ir),
+        proc_key(ir),
         tuple(sorted(sizes.items())) if sizes else (),
         model.name,
     )

@@ -130,3 +130,19 @@ def proc_to_str(p: IR.Proc) -> str:
         lines.append(f"    assert {expr_to_str(pred)}")
     lines += block_to_lines(p.body, 1)
     return "\n".join(lines)
+
+
+def proc_key(p: IR.Proc) -> tuple:
+    """The content key of a procedure: its printed text, its ``@instr``
+    template (or None), then the key of each distinct callee in
+    first-call order.  Equal for two procedures that print alike and call
+    procedures of equal keys, so the key sees callee bodies that the text
+    omits; a ``Sym`` counts by its name, so renumbered binders keep it.
+    Memoized on the node, as pygen's lowering is."""
+    key = p.__dict__.get("_key")
+    if key is None:
+        callees = {id(s.proc): s.proc for s in IR.walk_stmts(p.body)
+                   if isinstance(s, IR.Call)}
+        key = (proc_to_str(p), p.instr, *map(proc_key, callees.values()))
+        p.__dict__["_key"] = key
+    return key

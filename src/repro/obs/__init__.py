@@ -29,7 +29,7 @@ from .journal import (
     replay,
 )
 from .report import compile_profile, phase_totals, profile_dict
-from .smtstats import STATS, QueryCache, canonical_key
+from .smtstats import STATS, canonical_key
 from .trace import TRACER, disable, enable, enabled, incr, span
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "reset",
     "TRACER",
     "STATS",
-    "QueryCache",
     "canonical_key",
     "RewriteRecord",
     "FAILED_LOG",

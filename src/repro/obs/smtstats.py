@@ -1,4 +1,4 @@
-"""SMT query statistics and the memoizing query cache.
+"""SMT query statistics and the canonical key of the solver's query cache.
 
 Every scheduling rewrite discharges its safety obligations (``Commutes``,
 ``Shadows``, bounds, preconditions, ...) as validity queries against
@@ -14,14 +14,15 @@ renaming of variables.  Validity of LIA formulas is invariant under such
 renamings (free variables are implicitly universally quantified by
 ``prove``), so answering from a canonical-key cache is sound.
 
-:class:`QueryCache` is that memo table (with hit/miss counts), and
+The solver's ``qcache`` is that memo table, a plain dict, and
 :class:`SmtStats` aggregates process-wide query counters: prove calls,
-cache hits, DNF branches explored, and Omega projections/eliminations.
+cache hits and misses, DNF branches explored, and Omega
+projections/eliminations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..smt import terms as S
 
@@ -66,38 +67,6 @@ def canonical_key(t) -> tuple:
         raise TypeError(f"canonical_key: not a term: {t!r}")
 
     return go(t)
-
-
-class QueryCache:
-    """Canonical-key memo table for ``prove`` verdicts."""
-
-    def __init__(self):
-        self._map: Dict[tuple, bool] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key: tuple) -> Optional[bool]:
-        found = self._map.get(key)
-        if found is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return found
-
-    def store(self, key: tuple, verdict: bool):
-        self._map[key] = verdict
-
-    def __len__(self):
-        return len(self._map)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self):
-        self._map.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 class SmtStats:

@@ -13,7 +13,9 @@ revision is derived and checked once:
   it raised (see ``api._journaled``);
 * **check reuse** -- a derived revision alpha-equivalent to one that
   already passed :func:`~repro.core.checks.check_proc` in this table skips
-  its own check (:func:`check_derived`).  Only passes are kept: a failing
+  its own check (:func:`check_derived`).  Passes are found by their
+  content key (:func:`~repro.core.pprint.proc_key`), the key the cost
+  model's memo uses too.  Only passes are kept: a failing
   revision is always checked afresh, so its error names its own ``Sym``\\ s.
 
 The table is dropped when the block exits, on an exception too, so no
@@ -23,12 +25,11 @@ derivation outside a search ever sees it.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from numbers import Number
 from typing import Dict, List, Optional
 
 from ..core import ast as IR
 from ..core import checks as _checks
-from ..core.prelude import Sym
+from ..core.pprint import proc_key
 from ..obs import trace as _obs
 from .eqv import alpha_equiv_procs
 
@@ -38,18 +39,14 @@ class DerivationTable:
 
     ``directives`` maps a :func:`directive_key` to the revision (or the
     ``SchedulingError``) the directive produced; ``checked`` maps a
-    :func:`shape_hash` to the derived IR procs that passed their checks.
-    ``hashes`` memoizes :func:`_node_hash` by node ``id``, next to the node
-    it keeps alive (so the ``id`` is not reused): a revision shares every
-    subtree its rewrite did not touch with its parent, so hashing it costs
-    only the rebuilt spine."""
+    :func:`~repro.core.pprint.proc_key` to the derived IR procs that
+    passed their checks."""
 
-    __slots__ = ("directives", "checked", "hashes")
+    __slots__ = ("directives", "checked")
 
     def __init__(self):
         self.directives: Dict[tuple, object] = {}
-        self.checked: Dict[int, List[IR.Proc]] = {}
-        self.hashes: Dict[int, tuple] = {}
+        self.checked: Dict[tuple, List[IR.Proc]] = {}
 
 
 #: the open search-scoped table (see :func:`derivation_table`)
@@ -120,60 +117,21 @@ def directive_key(parent, name: str, args: tuple, kwargs: dict):
 # ---------------------------------------------------------------------------
 
 
-def _node_hash(node, memo: Dict[int, tuple]) -> int:
-    """A structural hash of an IR node in which a ``Sym`` counts by its
-    display name, so renumbering ``Sym``\\ s (every duplicate a search
-    reaches re-derives its binders under fresh ids) keeps it.  Callees,
-    configs, memories and built-ins count by identity."""
-    seen = memo.get(id(node))
-    if seen is not None:
-        return seen[0]
-    parts = [type(node)]
-    for _fld, v in IR.attrs(node):
-        if type(v) is Sym:
-            parts.append(v.name)
-        elif isinstance(v, (str, Number)) or v is None:
-            parts.append(v)
-        else:
-            parts.append(id(v))
-    for _step, c in IR.children(node):
-        if type(c) is tuple:
-            parts.append(tuple(_node_hash(s, memo) for s in c))
-        else:
-            parts.append(_node_hash(c, memo))
-    h = hash(tuple(parts))
-    memo[id(node)] = (h, node)
-    return h
-
-
-def shape_hash(proc: IR.Proc, memo: Dict[int, tuple]) -> int:
-    """The bucket :func:`check_derived` files ``proc`` under: equal for
-    two procedures that :func:`~repro.scheduling.eqv.alpha_equiv_procs`
-    relates and whose binders keep their names."""
-    def type_hash(t):
-        if not t.is_tensor_or_window():
-            return hash(type(t))
-        return hash((type(t.basetype()), t.is_win(),
-                     tuple(_node_hash(e, memo) for e in t.hi)))
-
-    return hash((
-        tuple((a.name.name, type_hash(a.type), id(a.mem)) for a in proc.args),
-        tuple(_node_hash(e, memo) for e in proc.preds),
-        tuple(_node_hash(s, memo) for s in proc.body),
-    ))
-
-
 def check_derived(proc: IR.Proc, fwd):
     """``check_proc(proc, fwd)`` for a derived revision, skipped while a
     table is open and an alpha-equivalent revision already passed in it.
     The two have the same obligations up to renaming, so the earlier pass
-    is this one's verdict.  A failure raises and is not recorded."""
+    is this one's verdict.  Passes are filed under their
+    :func:`~repro.core.pprint.proc_key`; equal text can still hide a
+    rebound ``Sym`` or another callee of the same name, so
+    :func:`~repro.scheduling.eqv.alpha_equiv_procs` confirms each match.
+    A failure raises and is not recorded."""
     table = _table
     if table is None:
         return _checks.check_proc(proc, fwd)
-    h = shape_hash(proc, table.hashes)
-    if any(alpha_equiv_procs(seen, proc) for seen in table.checked.get(h, ())):
+    key = proc_key(proc)
+    if any(alpha_equiv_procs(seen, proc) for seen in table.checked.get(key, ())):
         _obs.incr("sched.memo.checked_reused")
         return
     _checks.check_proc(proc, fwd)
-    table.checked.setdefault(h, []).append(proc)
+    table.checked.setdefault(key, []).append(proc)

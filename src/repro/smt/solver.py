@@ -19,7 +19,7 @@ from typing import Iterable, List
 from ..core.prelude import InternalError
 from ..obs import trace as _obs
 from ..obs.smtstats import STATS as _SMT_STATS
-from ..obs.smtstats import QueryCache, canonical_key
+from ..obs.smtstats import canonical_key
 from . import terms as S
 from .linear import NEGATED, Linearizer, NonAffine
 from .omega import DIV, EQ, GEQ, feasible, project
@@ -151,7 +151,7 @@ class Solver:
         #: Commutes/Shadows query mints fresh point variables) are
         #: answered once.  Sound because validity is invariant under
         #: bijective renaming of variables.
-        self.qcache = QueryCache()
+        self.qcache = {}
 
     # -- public API --------------------------------------------------------
 
@@ -163,7 +163,7 @@ class Solver:
             _SMT_STATS.cache_hits += 1
             return self._prove_cache[key]
         ckey = canonical_key(formula)
-        cached = self.qcache.lookup(ckey)
+        cached = self.qcache.get(ckey)
         if cached is not None:
             _SMT_STATS.cache_hits += 1
             self._prove_cache[key] = cached
@@ -190,7 +190,7 @@ class Solver:
             self._deadline = outer_deadline
         _SMT_STATS.prove_time += time.perf_counter() - t0
         self._prove_cache[key] = result
-        self.qcache.store(ckey, result)
+        self.qcache[ckey] = result
         return result
 
     def _budget_ms(self) -> float | None:

@@ -123,6 +123,26 @@ class TestCache:
     def test_distinct_sizes_not_conflated(self, axpy):
         assert cost_of(axpy, {"n": 8}).flops != cost_of(axpy, {"n": 16}).flops
 
+    def test_callee_bodies_not_conflated(self):
+        ps = procs_from_source(HEADER + """
+@proc
+def f(x: f32[16] @ DRAM):
+    for i in seq(0, 16):
+        x[i] = 0.0
+
+@proc
+def g(x: f32[16] @ DRAM):
+    f(x)
+""")
+        f, g = ps["f"], ps["g"]
+        g2 = g.call_eqv(
+            f.split("for i in _: _", 4, "io", "ii", tail="perfect"), "f(_)")
+        assert str(g) == str(g2)  # the text omits the callee's body
+        fresh = cost_of(g2).cycles
+        clear_cost_cache()
+        assert cost_of(g).cycles != fresh
+        assert cost_of(g2).cycles == fresh
+
 
 class TestModels:
     def test_model_registry(self):

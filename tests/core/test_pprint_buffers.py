@@ -7,6 +7,7 @@ import pytest
 from repro.api import procs_from_source
 from repro.core import ast as IR
 from repro.core.buffers import BufView, TypeEnv, VInterval, VPoint
+from repro.core.pprint import proc_key
 from repro.core.prelude import Sym
 from repro.smt import terms as S
 
@@ -73,6 +74,47 @@ def f(n: size, x: f32[3 * (n + 1)] @ DRAM):
 """
         )
         assert "3 * (n + 1)" in str(p)
+
+
+class TestProcKey:
+    SRC = (
+        "from __future__ import annotations\n"
+        "from repro import proc, instr, DRAM, f32\n"
+        """
+@instr("vzero({dst});")
+def zero_a(dst: [f32][8] @ DRAM):
+    for l in seq(0, 8):
+        dst[l] = 0.0
+
+@instr("vclear({dst});")
+def zero_b(dst: [f32][8] @ DRAM):
+    for l in seq(0, 8):
+        dst[l] = 0.0
+
+@proc
+def f(x: f32[16] @ DRAM):
+    for i in seq(0, 16):
+        x[i] = 0.0
+
+@proc
+def g(x: f32[16] @ DRAM):
+    f(x)
+"""
+    )
+
+    def test_instr_template_is_part_of_the_key(self):
+        ps = procs_from_source(self.SRC)
+        a, b = ps["zero_a"].ir(), ps["zero_b"].ir()
+        b_as_a = IR.Proc("zero_a", b.args, b.preds, b.body, b.instr)
+        assert str(a) == str(b_as_a)  # the text omits the C template
+        assert proc_key(a) != proc_key(b_as_a)
+
+    def test_memoized_on_the_node(self):
+        g = procs_from_source(self.SRC)["g"].ir()
+        assert proc_key(g) is proc_key(g)
+        fresh = IR.Proc(g.name, g.args, g.preds, g.body)
+        assert proc_key(fresh) == proc_key(g)
+        assert proc_key(fresh) is not proc_key(g)
 
 
 class TestBufViews:

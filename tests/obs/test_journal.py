@@ -208,12 +208,12 @@ class TestFig4aAcceptance:
         def derive():
             """Try a perfect split of a fresh gemm by 3 under
             ``M % 4 == 0`` and return the solver queries it made and how
-            many of those the canonical cache answered.  The affine fast
+            many of those the solver answered from its caches.  The affine fast
             path decides every Fig. 4a obligation, but never this false
             divisibility goal, so the split is what reaches the solver
             (which rejects it)."""
             calls = STATS.prove_calls
-            hits = DEFAULT_SOLVER.qcache.hits
+            hits = STATS.cache_hits
             fell = obs.profile_dict()["counters"].get(
                 "analysis.absint.fellthrough", 0
             )
@@ -224,7 +224,7 @@ class TestFig4aAcceptance:
             ] > fell
             return (
                 STATS.prove_calls - calls,
-                DEFAULT_SOLVER.qcache.hits - hits,
+                STATS.cache_hits - hits,
             )
 
         DEFAULT_SOLVER.qcache.clear()  # cold cache: hits below are this run's
